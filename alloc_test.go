@@ -1,0 +1,123 @@
+package elp2im
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// allocSink keeps measured allocations escaping.
+var allocSink *BitVector
+
+// pinProcs fixes GOMAXPROCS for the test, so the word tiers fork the
+// same number of workers on every host.
+func pinProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// arithAllocBase bounds ArithProg's allocations beyond the vectors it
+// creates: the bindings map, the result header, the call's resolved
+// steps and the one fork-join of its workers.
+const arithAllocBase = 24
+
+// TestArithProgAllocs is the allocation gate on vertical arithmetic. At
+// 1 Mi elements, ArithProg allocates a constant plus a fixed count per
+// vector it creates (each result slice and each temp), however many
+// steps the µProgram runs: every step resolves into allocations shared
+// by the whole call, and the workers walk on pooled scratch. Any
+// per-step allocation shows up hundreds of times over on the width-32
+// add (63 steps) and popcount (232 steps).
+func TestArithProgAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the plain pass")
+	}
+	pinProcs(t, 2)
+	const n = 1 << 20
+	perVector := testing.AllocsPerRun(5, func() { allocSink = NewBitVector(n) })
+	acc := newAcc(t)
+	rng := rand.New(rand.NewSource(29))
+	// The arith_wire mix: six operations at widths 8, 16 and 32.
+	ops := []ArithOp{ArithAdd, ArithSub, ArithLt, ArithEq, ArithPopcount, ArithSelect}
+	for _, w := range []int{8, 16, 32} {
+		x, y, m := randomOperands(rng, n)
+		xv, err := VerticalFromElements(x, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		yv, err := VerticalFromElements(y, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range ops {
+			ca, err := CompileArith(op, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var yy *Vertical
+			if op.Binary() {
+				yy = yv
+			}
+			var mm *BitVector
+			if op.Masked() {
+				mm = m
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, _, err := acc.ArithProg(ca, xv, yy, mm); err != nil {
+					t.Fatal(err)
+				}
+			})
+			vectors := ca.OutWidth() + len(ca.prog.Temps)
+			if extra := allocs - perVector*float64(vectors); extra > arithAllocBase {
+				t.Errorf("%s/w%d (%d steps): %.0f allocs/op, %.0f beyond its %d vectors (%.0f each), want ≤ %d",
+					op, w, ca.Steps(), allocs, extra, vectors, perVector, arithAllocBase)
+			}
+		}
+	}
+}
+
+// shardEvalAllocsPerShard bounds what each extra shard adds to an
+// EvalExpr's allocations: its stripe list and runs, its resolved plan,
+// and its goroutines.
+const shardEvalAllocsPerShard = 16
+
+// TestShardEvalAllocs is the allocation gate on scattered evaluation: a
+// 4-shard EvalExpr over 4 Mi bits allocates within a per-shard constant
+// of the one-accelerator call: every shard's workers walk its placement
+// runs on pooled scratch, so nothing a shard allocates grows with the
+// number of runs it owns.
+func TestShardEvalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the plain pass")
+	}
+	pinProcs(t, 2)
+	const n, shards = 4 << 20, 4
+	rng := rand.New(rand.NewSource(31))
+	vars := map[string]*BitVector{}
+	for _, name := range []string{"w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "g"} {
+		vars[name] = RandomBitVector(rng, n)
+	}
+	ce, err := CompileExpr("(w1 | w2 | w3 | w4 | w5 | w6 | w7 | w8) & ~g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := newAcc(t)
+	sh, err := NewShard(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(f func(*CompiledExpr, map[string]*BitVector) (*BitVector, Stats, error)) float64 {
+		return testing.AllocsPerRun(10, func() {
+			out, _, err := f(ce, vars)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocSink = out
+		})
+	}
+	one, four := eval(acc.EvalExpr), eval(sh.EvalExpr)
+	if four-one > shards*shardEvalAllocsPerShard {
+		t.Errorf("%d-shard EvalExpr: %.0f allocs/op against %.0f on one accelerator, want within %d",
+			shards, four, one, shards*shardEvalAllocsPerShard)
+	}
+}

@@ -290,6 +290,10 @@ type Accelerator struct {
 	// calls and Batch tasks on the command-level path.
 	bufPool sync.Pool
 
+	// scratchPool recycles the word tiers' per-worker scratch slabs
+	// (*[]uint64) across eval and arith calls (see progRunner.lease).
+	scratchPool sync.Pool
+
 	// execLocks holds one mutex per serialization group (one per subarray;
 	// stripeGroup indexes it). Every execution path — synchronous calls and
 	// every Batch's worker pool — takes the group's lock around each stripe
@@ -492,6 +496,21 @@ func (a *Accelerator) getBuf() *bitvec.Vector {
 
 // putBuf returns a leased stripe buffer.
 func (a *Accelerator) putBuf(v *bitvec.Vector) { a.bufPool.Put(v) }
+
+// getScratch leases a scratch slab of at least words words from the
+// pool, replacing a pooled slab that is too small. Callers must not
+// assume it is zeroed: every word-tier step writes a slot before reading
+// it.
+func (a *Accelerator) getScratch(words int) *[]uint64 {
+	if s, ok := a.scratchPool.Get().(*[]uint64); ok && len(*s) >= words {
+		return s
+	}
+	s := make([]uint64, words)
+	return &s
+}
+
+// putScratch returns a leased scratch slab.
+func (a *Accelerator) putScratch(s *[]uint64) { a.scratchPool.Put(s) }
 
 // Design returns the modeled design's name.
 func (a *Accelerator) Design() string { return a.eng.Name() }
@@ -941,14 +960,16 @@ func (a *Accelerator) fastForEachRange(stripes int, body func(lo, hi int)) {
 	a.fastForEachRuns([][2]int{{0, stripes}}, body)
 }
 
-// fastForEachRuns runs a pure word-level body over the given ascending,
-// disjoint, contiguous stripe runs (each a [lo, hi) pair — a sharded
-// operation's subset of the vector; the whole vector is the single run
-// [0, stripes)). The fast path never touches device-model row state, so it
-// needs none of the per-subarray serialization the command-level path
-// routes through runStripe — runs cover disjoint destination words and
-// execute lock-free, split across parallel goroutines for large
-// operations. With a tracer installed the body runs stripe by stripe
+// fastForEachRuns runs a body over the given ascending, disjoint,
+// contiguous stripe runs (each a [lo, hi) pair — a sharded operation's
+// subset of the vector; the whole vector is the single run [0, stripes)),
+// split across parallel goroutines for large operations: each worker is
+// dealt an equal share of the stripes and calls body once per run piece
+// in its share. Bodies touch device-model row state only through
+// runStripe, whose per-subarray locks serialize it, so the kernel fast
+// path runs lock-free on disjoint destination words. Rows that are not
+// word-aligned share words between neighbouring stripes and run
+// serially. With a tracer installed the body runs stripe by stripe
 // instead so per-stripe spans match the command path.
 func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 	total := 0
@@ -980,7 +1001,7 @@ func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 	if workers > total {
 		workers = total
 	}
-	if workers <= 1 || total*(cols/64) < fastSerialThresholdWords {
+	if workers <= 1 || cols%64 != 0 || total*(cols/64) < fastSerialThresholdWords {
 		for _, r := range runs {
 			body(r[0], r[1])
 		}
@@ -1022,9 +1043,16 @@ func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 }
 
 // stripeRuns converts an ascending stripe list into maximal contiguous
-// [lo, hi) runs, the shape the kernel fast path consumes.
+// [lo, hi) runs, the shape the kernel fast path consumes, counted first
+// so the result is allocated once.
 func stripeRuns(list []int) [][2]int {
-	var runs [][2]int
+	n := 0
+	for i, s := range list {
+		if i == 0 || list[i-1]+1 != s {
+			n++
+		}
+	}
+	runs := make([][2]int, 0, n)
 	for _, s := range list {
 		if n := len(runs); n > 0 && runs[n-1][1] == s {
 			runs[n-1][1] = s + 1

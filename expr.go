@@ -195,241 +195,342 @@ func (a *Accelerator) evalCost(prog *expr.Program, stripes int) (Stats, error) {
 	return total, nil
 }
 
-// evalRunner is one eval operation's resolved execution strategy. The
-// tier — and with it executor and kernel resolution — is fixed once, at
-// the operation's start (a synchronous call or a batch submission), in
-// descending preference:
+// evalTier is the execution tier a plan resolved to.
+type evalTier uint8
+
+// The eval tiers, in descending preference.
+const (
+	tierFused evalTier = iota
+	tierNode
+	tierCmd
+)
+
+// evalRunner is one plan's resolved execution strategy within a call: a
+// single eval, or one step of a µProgram. The tier — and with it executor
+// and kernel resolution — is fixed once, at the call's start (a
+// synchronous call or a batch submission), in descending preference:
 //
-//  1. fusion tier (fused != nil): one derived k-input kernel per plan
-//     cluster, applied per stripe directly on the vectors' words with
-//     slot slabs for intermediates;
-//  2. node-kernel tier (kerns != nil): one derived kernel per program
-//     instruction, with temp-slot slabs — the pre-fusion fast path;
+//  1. fusion tier: one derived k-input kernel per plan cluster, with the
+//     cluster outputs in the walking worker's scratch;
+//  2. node-kernel tier: one derived kernel per program instruction, with
+//     the temp slots in the worker's scratch — the pre-fusion fast path;
 //  3. command-accurate tier: the node-at-a-time program executed through
-//     the device model's real command sequences.
+//     the device model's real command sequences, stripe by stripe.
 //
-// A runner is safe for concurrent use across stripes: word-level bodies
-// keep per-invocation state only (slabs are pooled), and the command
-// tier's shared structures are read-only after resolution.
+// A runner is read-only once resolved. Every intermediate lives in the
+// scratch or row buffer of the worker invoking it, so workers may run
+// one runner concurrently over disjoint stripes.
 type evalRunner struct {
 	a    *Accelerator
 	p    *plan.Plan
-	vars map[string]*BitVector
-	out  *BitVector
+	vars []*bitvec.Vector // p.Vars' bound vectors, in plan order
+	out  *bitvec.Vector
+	tier evalTier
 
-	ex    Executor
 	fused []*kernel.Fused  // fusion tier, one per cluster
 	kerns []*kernel.Kernel // node-kernel tier, one per instruction
-	slabs *sync.Pool       // node-kernel tier's per-stripe temp slabs
+	ex    Executor         // command tier
+	rows  []int            // command tier: variable i's row, i
 }
 
-// evalResolve picks the operation's execution tier and resolves its
-// kernels, counting one fusion and one fastpath hit/fallback per
-// operation (mirroring opTasks' submission-time resolution contract:
-// SetExecutor takes effect for operations started after the call).
-func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out *BitVector) *evalRunner {
-	cols := a.cfg.Module.Columns
-	ex, wrapped := a.executor()
-	r := &evalRunner{a: a, p: p, vars: vars, out: out, ex: ex}
-	wordOK := !wrapped && !a.cfg.DisableFastpath && cols%64 == 0
-	wpr := cols / 64
+// progRunner is one call's resolved step list — a single eval is one
+// step, a µProgram one per µProgram step — executed block-major: every
+// step resolves once, at the call's start, and each worker runs every
+// step on one block of its stripes before moving to the next. A step's
+// output, and a µProgram's carries and temps, are then still
+// cache-resident when the next step reads them, instead of streaming
+// through memory once per step. Step data flow is stripe-local (stripe s
+// of a step reads only stripe s of earlier steps), so any walk that keeps
+// each stripe's steps in order computes the same result.
+type progRunner struct {
+	a       *Accelerator
+	steps   []evalRunner
+	scratch int  // scratch words per worker: the widest word-tier step's
+	cmd     bool // some step runs on the command-accurate tier
 
-	if wordOK && !a.cfg.DisableFusion {
-		fused := make([]*kernel.Fused, len(p.Clusters))
-		ok := true
-		for i := range p.Clusters {
-			fk, err := a.fused.Fused(p.Clusters[i].Spec)
-			if err != nil {
-				ok = false
-				break
-			}
-			fused[i] = fk
-		}
-		if ok {
-			a.fusionHits.Inc()
-			r.fused = fused
-			return r
-		}
-	}
-	a.fusionFalls.Inc()
-
-	if wordOK {
-		prog := p.Prog
-		kerns := make([]*kernel.Kernel, len(prog.Instrs))
-		ok := true
-		for i := range prog.Instrs {
-			if kerns[i] = a.fastKernel(prog.Instrs[i].Op, wrapped); kerns[i] == nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			a.fastHits.Inc()
-			r.kerns = kerns
-			r.slabs = slabPool(prog.TempSlots * wpr)
-			return r
-		}
-	}
-	a.fastFallbacks.Inc()
-	return r
+	// exec's lowest failing stripe and its error.
+	mu     sync.Mutex
+	failAt int
+	err    error
 }
 
-// fusedChunkWords is the fused tier's chunk size: 8 KiB per slot/operand
-// view keeps a whole cluster chain's intermediates L1/L2-resident while
-// still amortizing per-Apply setup over a thousand words.
+// fusedChunkWords is the block size of the word tiers: 8 KiB per vector
+// view and per scratch slot keeps a block's step outputs and
+// intermediates L1/L2-resident while still amortizing per-kernel setup
+// over a thousand words.
 const fusedChunkWords = 1024
 
-// slabPool returns a pool of word slabs of the given size.
-func slabPool(words int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		s := make([]uint64, words)
-		return &s
-	}}
+// evalResolve resolves a single eval of p into out.
+func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out *BitVector) *progRunner {
+	return a.resolveSteps(1, vars, func(int) (*plan.Plan, *BitVector) { return p, out })
 }
 
-// wordBody returns the word-level per-stripe-range body of the resolved
-// tier, or nil when the runner is on the command-accurate tier. The body
-// is safe for concurrent invocation over disjoint ranges.
-func (r *evalRunner) wordBody() func(sLo, sHi int) {
-	a, p := r.a, r.p
-	wpr := a.cfg.Module.Columns / 64
-	ow := r.out.v.Words()
+// resolveSteps resolves a call of n steps over one binding set — step(i)
+// returns step i's plan and destination — and picks each step's tier. It
+// counts one fusion and one fastpath hit/fallback per step, as resolving
+// each step alone would (mirroring opTasks' resolution contract:
+// SetExecutor takes effect for operations started after the call). The
+// runners, bound-vector lists and kernel lists of all steps share one
+// allocation each.
+func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(i int) (*plan.Plan, *BitVector)) *progRunner {
+	ex, wrapped := a.executor()
+	wordOK := !wrapped && !a.cfg.DisableFastpath && a.cfg.Module.Columns%64 == 0
+	fuse := wordOK && !a.cfg.DisableFusion
+	nVars, nClusters, nInstrs, maxVars := 0, 0, 0, 0
+	for i := 0; i < n; i++ {
+		p, _ := step(i)
+		nVars += len(p.Vars)
+		nClusters += len(p.Clusters)
+		nInstrs += len(p.Prog.Instrs)
+		maxVars = max(maxVars, len(p.Vars))
+	}
+	pr := &progRunner{a: a, steps: make([]evalRunner, n)}
+	vecs := make([]*bitvec.Vector, nVars)
+	var fused []*kernel.Fused
+	if fuse {
+		fused = make([]*kernel.Fused, nClusters)
+	}
+	var kerns []*kernel.Kernel
+	var rows []int
+	for i := range pr.steps {
+		p, out := step(i)
+		r := &pr.steps[i]
+		r.a, r.p, r.out = a, p, out.v
+		r.vars, vecs = vecs[:len(p.Vars):len(p.Vars)], vecs[len(p.Vars):]
+		for j, name := range p.Vars {
+			r.vars[j] = vars[name].v
+		}
 
-	if r.fused != nil {
-		res := p.Result()
-		last := len(p.Clusters) - 1
-		return func(sLo, sHi int) {
-			// Variables are word-contiguous across stripes, so the range
-			// runs as a flat word span, chunked so that every
-			// inter-cluster intermediate stays cache-resident: within a
-			// chunk the whole cluster chain executes before moving on, and
-			// only variable reads and the final result ever touch main
-			// memory. That traffic reduction — not instruction count,
-			// which matches the node-at-a-time program — is the fused
-			// tier's speedup.
-			lo := sLo * wpr
-			if lo >= len(ow) {
-				return
-			}
-			hi := sHi * wpr
-			if hi > len(ow) {
-				hi = len(ow)
-			}
-			slab := make([]uint64, p.Slots*fusedChunkWords)
-			var srcs [kernel.MaxFusedInputs][]uint64
-			for base := lo; base < hi; base += fusedChunkWords {
-				cm := hi - base
-				if cm > fusedChunkWords {
-					cm = fusedChunkWords
-				}
-				wordsOf := func(ref plan.Ref) []uint64 {
-					if ref.Var {
-						return r.vars[p.Vars[ref.Index]].v.Words()[base : base+cm]
-					}
-					return slab[ref.Index*fusedChunkWords : ref.Index*fusedChunkWords+cm]
-				}
-				for ci := range p.Clusters {
-					c := &p.Clusters[ci]
-					for j, in := range c.Inputs {
-						srcs[j] = wordsOf(in)
-					}
-					// The final cluster lands directly in the output words;
-					// earlier clusters fill their liveness-allocated slot.
-					dst := ow[base : base+cm]
-					if ci != last {
-						dst = wordsOf(plan.Ref{Index: c.Out})
-					}
-					r.fused[ci].Apply(dst, srcs[:len(c.Inputs)])
-				}
-				if len(p.Clusters) == 0 {
-					copy(ow[base:base+cm], wordsOf(res))
-				}
-			}
-			if hi == len(ow) {
-				r.out.v.MaskTail()
+		if fuse {
+			fs := fused[:len(p.Clusters):len(p.Clusters)]
+			if a.fusedKernels(p, fs) {
+				a.fusionHits.Inc()
+				r.tier, r.fused, fused = tierFused, fs, fused[len(fs):]
+				pr.scratch = max(pr.scratch, p.Slots*fusedChunkWords)
+				continue
 			}
 		}
-	}
+		a.fusionFalls.Inc()
 
-	if r.kerns != nil {
-		prog := p.Prog
-		res := prog.Result()
-		return func(sLo, sHi int) {
-			slab := r.slabs.Get().(*[]uint64)
-			defer r.slabs.Put(slab)
-			for s := sLo; s < sHi; s++ {
-				lo := s * wpr
-				if lo >= len(ow) {
-					return
-				}
-				hi := lo + wpr
-				if hi > len(ow) {
-					hi = len(ow)
-				}
-				wordsOf := func(ref expr.Ref) []uint64 {
-					if ref.Temp {
-						return (*slab)[ref.Index*wpr : ref.Index*wpr+(hi-lo)]
-					}
-					return r.vars[prog.Vars[ref.Index]].v.Words()[lo:hi]
-				}
-				for i, in := range prog.Instrs {
-					var bw []uint64
-					if !in.Op.Unary() {
-						bw = wordsOf(in.B)
-					}
-					r.kerns[i].Apply(wordsOf(in.Dst), wordsOf(in.A), bw)
-				}
-				copy(ow[lo:hi], wordsOf(res))
-				if hi == len(ow) {
-					r.out.v.MaskTail()
-				}
+		if wordOK {
+			if kerns == nil {
+				kerns = make([]*kernel.Kernel, nInstrs)
+			}
+			ks := kerns[:len(p.Prog.Instrs):len(p.Prog.Instrs)]
+			if a.nodeKernels(p.Prog, ks, wrapped) {
+				a.fastHits.Inc()
+				r.tier, r.kerns, kerns = tierNode, ks, kerns[len(ks):]
+				pr.scratch = max(pr.scratch, p.Prog.TempSlots*fusedChunkWords)
+				continue
 			}
 		}
+		a.fastFallbacks.Inc()
+
+		if rows == nil {
+			rows = make([]int, maxVars)
+			for j := range rows {
+				rows[j] = j
+			}
+		}
+		r.tier, r.ex, r.rows = tierCmd, ex, rows[:len(p.Vars)]
+		pr.cmd = true
 	}
+	return pr
+}
+
+// fusedKernels resolves one fused kernel per cluster of p into fs,
+// reporting whether every cluster derived.
+func (a *Accelerator) fusedKernels(p *plan.Plan, fs []*kernel.Fused) bool {
+	for i := range p.Clusters {
+		fk, err := a.fused.Fused(p.Clusters[i].Spec)
+		if err != nil {
+			return false
+		}
+		fs[i] = fk
+	}
+	return true
+}
+
+// nodeKernels resolves one kernel per instruction of prog into ks,
+// reporting whether every instruction's kernel derived.
+func (a *Accelerator) nodeKernels(prog *expr.Program, ks []*kernel.Kernel, wrapped bool) bool {
+	for i := range prog.Instrs {
+		if ks[i] = a.fastKernel(prog.Instrs[i].Op, wrapped); ks[i] == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// words runs a word-tier step over words [lo, hi) of its vectors (cut at
+// their length), fusedChunkWords at a time, with the worker's scratch scr
+// holding the cluster slots or temp slots. The destination's canonical
+// tail is re-masked when the range reaches its final word.
+func (r *evalRunner) words(scr []uint64, lo, hi int) {
+	ow := r.out.Words()
+	hi = min(hi, len(ow))
+	for base := lo; base < hi; base += fusedChunkWords {
+		n := min(hi-base, fusedChunkWords)
+		if r.tier == tierFused {
+			r.fusedChunk(scr, base, n)
+		} else {
+			r.nodeChunk(scr, base, n)
+		}
+	}
+	if lo < hi && hi == len(ow) {
+		r.out.MaskTail()
+	}
+}
+
+// fusedChunk runs the cluster chain over the n words at base: every
+// inter-cluster value stays in the chunk-sized scratch slots, and only
+// variable reads and the final result touch the vectors. That traffic
+// reduction — not instruction count, which matches the node-at-a-time
+// program — is the fused tier's speedup.
+func (r *evalRunner) fusedChunk(scr []uint64, base, n int) {
+	p := r.p
+	view := func(ref plan.Ref) []uint64 {
+		if ref.Var {
+			return r.vars[ref.Index].Words()[base : base+n]
+		}
+		off := ref.Index * fusedChunkWords
+		return scr[off : off+n]
+	}
+	ow := r.out.Words()[base : base+n]
+	if len(p.Clusters) == 0 {
+		copy(ow, view(p.Result()))
+		return
+	}
+	var srcs [kernel.MaxFusedInputs][]uint64
+	last := len(p.Clusters) - 1
+	for ci := range p.Clusters {
+		c := &p.Clusters[ci]
+		for j, in := range c.Inputs {
+			srcs[j] = view(in)
+		}
+		// The final cluster lands directly in the output words; earlier
+		// clusters fill their liveness-allocated slot.
+		dst := ow
+		if ci != last {
+			dst = view(plan.Ref{Index: c.Out})
+		}
+		r.fused[ci].Apply(dst, srcs[:len(c.Inputs)])
+	}
+}
+
+// nodeChunk runs the node-at-a-time program over the n words at base,
+// one kernel per instruction, with the temp slots in scratch.
+func (r *evalRunner) nodeChunk(scr []uint64, base, n int) {
+	prog := r.p.Prog
+	view := func(ref expr.Ref) []uint64 {
+		if ref.Temp {
+			off := ref.Index * fusedChunkWords
+			return scr[off : off+n]
+		}
+		return r.vars[ref.Index].Words()[base : base+n]
+	}
+	for i, in := range prog.Instrs {
+		var bw []uint64
+		if !in.Op.Unary() {
+			bw = view(in.B)
+		}
+		r.kerns[i].Apply(view(in.Dst), view(in.A), bw)
+	}
+	copy(r.out.Words()[base:base+n], view(prog.Result()))
+}
+
+// stripe runs a command-tier step on stripe s: load the variable rows,
+// execute the node-at-a-time program through the device model, store
+// the result row.
+func (r *evalRunner) stripe(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+	cols := r.a.cfg.Module.Columns
+	for i, v := range r.vars {
+		loadStripe(buf, v, s, cols)
+		sub.LoadRow(r.rows[i], buf)
+	}
+	resRow, err := r.p.Prog.Execute(sub, r.ex, r.rows, len(r.vars))
+	if err != nil {
+		return err
+	}
+	storeStripe(r.out, sub.RowData(resRow), s, cols)
 	return nil
 }
 
-// cmdBody returns the command-accurate per-stripe body: load the
-// variable rows, execute the node-at-a-time program through the device
-// model, store the result row.
-func (r *evalRunner) cmdBody() func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-	a, prog := r.a, r.p.Prog
-	cols := a.cfg.Module.Columns
-	varRows := make([]int, len(prog.Vars))
-	for i := range varRows {
-		varRows[i] = i
+// walk runs every step over the contiguous stripes [lo, hi) one block at
+// a time. A block is as many whole stripes as fit in fusedChunkWords
+// words (one stripe when a row is wider), and every step runs on it
+// before the walk moves on. Word-tier steps run on the block's words
+// with scr as their scratch; a command-tier step runs stripe by stripe,
+// each under its subarray's lock (runStripe), with row buffer buf. It
+// returns the first failure and its stripe.
+func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, error) {
+	a := pr.a
+	wpr := a.cfg.Module.Columns / 64
+	per := 1
+	if wpr > 0 && wpr < fusedChunkWords {
+		per = fusedChunkWords / wpr
 	}
-	scratchBase := len(prog.Vars)
-	return func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-		for i, name := range prog.Vars {
-			loadStripe(buf, r.vars[name].v, s, cols)
-			sub.LoadRow(varRows[i], buf)
+	for blo := lo; blo < hi; blo += per {
+		bhi := min(blo+per, hi)
+		for i := range pr.steps {
+			r := &pr.steps[i]
+			if r.tier != tierCmd {
+				r.words(scr, blo*wpr, bhi*wpr)
+				continue
+			}
+			for s := blo; s < bhi; s++ {
+				if err := a.runStripe(a.stripeGroup(s), s, buf, r.stripe); err != nil {
+					return s, err
+				}
+			}
 		}
-		resRow, err := prog.Execute(sub, r.ex, varRows, scratchBase)
-		if err != nil {
-			return err
-		}
-		storeStripe(r.out.v, sub.RowData(resRow), s, cols)
-		return nil
+	}
+	return 0, nil
+}
+
+// lease takes one worker's private state for its walks: a scratch slab
+// for the word tiers and, when a step runs on the command-accurate tier,
+// a row buffer. Both come from the accelerator's pools, so steady-state
+// calls allocate neither.
+func (pr *progRunner) lease() (*[]uint64, *bitvec.Vector) {
+	var buf *bitvec.Vector
+	if pr.cmd {
+		buf = pr.a.getBuf()
+	}
+	return pr.a.getScratch(pr.scratch), buf
+}
+
+// release returns a lease's state to the pools.
+func (pr *progRunner) release(scr *[]uint64, buf *bitvec.Vector) {
+	pr.a.putScratch(scr)
+	if buf != nil {
+		pr.a.putBuf(buf)
 	}
 }
 
-// exec runs the resolved tier over the stripes in list (nil means all of
-// [0, stripes)).
-func (r *evalRunner) exec(stripes int, list []int) error {
-	if body := r.wordBody(); body != nil {
-		runs := [][2]int{{0, stripes}}
-		if list != nil {
-			runs = stripeRuns(list)
-		}
-		r.a.fastForEachRuns(runs, body)
-		return nil
-	}
-	body := r.cmdBody()
+// exec runs the steps over the stripes in list (nil means all of
+// [0, stripes)) with one fork-join through fastForEachRuns: each worker
+// leases its state once per share it is dealt — once for the whole call
+// when the stripes are one run — and walks the share block-major. On
+// failure the lowest failing stripe's error is returned.
+func (pr *progRunner) exec(stripes int, list []int) error {
+	runs := [][2]int{{0, stripes}}
 	if list != nil {
-		return r.a.forEachStripeList(list, body)
+		runs = stripeRuns(list)
 	}
-	return r.a.forEachStripe(stripes, body)
+	pr.a.fastForEachRuns(runs, func(lo, hi int) {
+		scr, buf := pr.lease()
+		s, err := pr.walk(*scr, buf, lo, hi)
+		pr.release(scr, buf)
+		if err != nil {
+			pr.mu.Lock()
+			if pr.err == nil || s < pr.failAt {
+				pr.failAt, pr.err = s, err
+			}
+			pr.mu.Unlock()
+		}
+	})
+	return pr.err
 }
 
 // evalExec executes the compiled plan over the stripes in list (nil
@@ -440,35 +541,30 @@ func (a *Accelerator) evalExec(p *plan.Plan, vars map[string]*BitVector, out *Bi
 }
 
 // evalTasks builds the per-serialization-group pipeline tasks executing
-// a resolved eval over the grouped stripes — the batch-submission analogue
-// of evalRunner.exec, with the same per-stripe span and locking behavior
-// as opTasks. The runner is resolved by the caller at submission time.
-func (a *Accelerator) evalTasks(r *evalRunner, groups []stripeRun) []pipeline.Task {
-	word := r.wordBody()
-	var cmd func(s int, sub *dram.Subarray, buf *bitvec.Vector) error
-	if word == nil {
-		cmd = r.cmdBody()
-	}
+// a resolved step list (an eval, or a whole µProgram) over the grouped
+// stripes — the batch-submission analogue of progRunner.exec. Each task
+// leases one worker state and walks its group's contiguous stripe runs
+// block-major; groups proceed concurrently on disjoint words, while
+// command-tier steps lock per stripe as on every path. With a tracer
+// installed every stripe walks alone and gets its own span. The runner
+// is resolved by the caller at submission time.
+func (a *Accelerator) evalTasks(pr *progRunner, groups []stripeRun) []pipeline.Task {
 	tasks := make([]pipeline.Task, 0, len(groups))
 	for _, g := range groups {
-		g := g
 		tasks = append(tasks, pipeline.Task{Group: g.group, Run: func() error {
-			if word != nil {
-				// Pure word-level body: no device row state, so no
-				// per-subarray lock (see opTasks).
-				for _, s := range g.list {
-					start := a.obsc.SpanStart()
-					word(s, s+1)
-					a.stripeSpan(start, s, nil)
+			scr, buf := pr.lease()
+			defer pr.release(scr, buf)
+			for i := 0; i < len(g.list); {
+				start := a.obsc.SpanStart()
+				j := i + 1
+				for start == 0 && j < len(g.list) && g.list[j] == g.list[j-1]+1 {
+					j++
 				}
-				return nil
-			}
-			buf := a.getBuf()
-			defer a.putBuf(buf)
-			for _, s := range g.list {
-				if err := a.runStripe(g.group, s, buf, cmd); err != nil {
+				if _, err := pr.walk(*scr, buf, g.list[i], g.list[j-1]+1); err != nil {
 					return err
 				}
+				a.stripeSpan(start, g.list[i], nil)
+				i = j
 			}
 			return nil
 		}})

@@ -41,6 +41,10 @@ type FusedSpec struct {
 	Ops []FusedOp
 	// Result is the register holding the function value after Ops.
 	Result int
+	// Key, when set, is the spec's CacheKey, computed once by whoever
+	// builds the spec (the plan compiler does, per cluster) so that
+	// FusedSet lookups build no string. FusedSet computes it when empty.
+	Key string
 }
 
 // validate checks the register shape of a spec.
@@ -68,8 +72,9 @@ func (sp *FusedSpec) validate() error {
 	return nil
 }
 
-// key returns the spec's canonical cache key.
-func (sp *FusedSpec) key() string {
+// CacheKey returns the spec's canonical cache key: its register shape
+// and command sequence, the identity FusedSet memoizes kernels by.
+func (sp *FusedSpec) CacheKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "k%d r%d res%d", sp.K, sp.Regs, sp.Result)
 	for _, op := range sp.Ops {
@@ -951,9 +956,12 @@ func NewFusedSet(exec Executor, module dram.Config) *FusedSet {
 
 // Fused returns the spec's compiled kernel, deriving it on first use.
 // The error (nil or not) is stable across calls while the entry stays
-// cached.
+// cached. A spec carrying its Key is looked up without building one.
 func (s *FusedSet) Fused(spec FusedSpec) (*Fused, error) {
-	key := spec.key()
+	key := spec.Key
+	if key == "" {
+		key = spec.CacheKey()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[key]; ok {

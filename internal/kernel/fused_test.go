@@ -93,7 +93,7 @@ func TestDeriveFusedMatchesSoftware(t *testing.T) {
 				wantTab := softSpec(spec, varPat64[:k]) & tableMask(k)
 				if f.Table() != wantTab {
 					t.Fatalf("%s k=%d: table %#x, want %#x (spec %s)",
-						name, k, f.Table(), wantTab, spec.key())
+						name, k, f.Table(), wantTab, spec.CacheKey())
 				}
 				// Apply on random multi-word operands, including a ragged
 				// non-multiple-of-block length.
@@ -205,7 +205,7 @@ func TestDeriveFusedRejectsBadSpecs(t *testing.T) {
 	}
 	for i, spec := range bad {
 		if _, err := DeriveFused(exec, spec, mod); err == nil {
-			t.Fatalf("spec %d (%s): expected error", i, spec.key())
+			t.Fatalf("spec %d (%s): expected error", i, spec.CacheKey())
 		}
 	}
 	if _, err := DeriveFused(nil, FusedSpec{K: 1, Regs: 1}, mod); err == nil {
@@ -343,10 +343,10 @@ func TestFusedPacking(t *testing.T) {
 		spec := randomSpec(rng, 1+rng.Intn(MaxFusedInputs))
 		f, err := DeriveFused(exec, spec, mod)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.key(), err)
+			t.Fatalf("%s: %v", spec.CacheKey(), err)
 		}
 		if f.Passes() > f.Ops() {
-			t.Fatalf("spec %s: passes=%d > ops=%d", spec.key(), f.Passes(), f.Ops())
+			t.Fatalf("spec %s: passes=%d > ops=%d", spec.CacheKey(), f.Passes(), f.Ops())
 		}
 	}
 }

@@ -50,7 +50,8 @@ func (r Ref) String() string {
 // that computes it.
 type Cluster struct {
 	// Spec is the cluster's register program for kernel.DeriveFused;
-	// Spec.K == len(Inputs) and input j binds register j.
+	// Spec.K == len(Inputs) and input j binds register j. Spec.Key is
+	// filled, so executors resolve the kernel without building a key.
 	Spec kernel.FusedSpec
 	// Inputs are the cluster operands in register order.
 	Inputs []Ref
@@ -330,13 +331,17 @@ func buildCluster(m *expr.DAGNode, sources []*expr.DAGNode, clusterOf map[*expr.
 		return dst
 	}
 	res := emit(m)
+	spec := kernel.FusedSpec{
+		K:      k,
+		Regs:   k + len(free),
+		Ops:    EliminateDeadStores(ops, res),
+		Result: res,
+	}
+	// The cache key is computed here, once per compiled cluster, rather
+	// than on every kernel lookup of every execution.
+	spec.Key = spec.CacheKey()
 	return Cluster{
-		Spec: kernel.FusedSpec{
-			K:      k,
-			Regs:   k + len(free),
-			Ops:    EliminateDeadStores(ops, res),
-			Result: res,
-		},
+		Spec:   spec,
 		Inputs: inputs,
 		Table:  clusterTable(m, sources),
 		Nodes:  len(regOf),

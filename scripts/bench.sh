@@ -50,11 +50,12 @@
 # and the headline depth-4 fused speedup (see EXPERIMENTS.md "Reading
 # BENCH_eval.json").
 #
-# Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: one
-# vertical k-bit add over 1M elements per width (4/8/16/32), through
-# both execution tiers (fused vs node-at-a-time), plus the transpose
-# engine's slice/unslice ns/elem — the bit-serial arithmetic cost curve
-# (see EXPERIMENTS.md "Reading BENCH_vertical.json").
+# Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: a
+# vertical k-bit add and popcount (the longest µProgram) over 1M
+# elements per width (4/8/16/32), through both execution tiers (fused vs
+# node-at-a-time), with allocs/op, plus the transpose engine's
+# slice/unslice ns/elem — the bit-serial arithmetic cost curve (see
+# EXPERIMENTS.md "Reading BENCH_vertical.json").
 #
 # Part 7 (BENCH_query.json) drives elpload's bitmap-index query workload
 # (-query: boolean predicates over per-client namespaces through
@@ -353,37 +354,40 @@ END {
 echo "wrote $eval_out" >&2
 cat "$eval_out"
 
-# Part 6: the vertical (bit-serial) arithmetic cost curve. One k-bit add
-# per width through both execution tiers — the µProgram's step count
-# grows linearly with width, so ns/elem traces the bit-serial latency
-# model — plus the transpose engine's ingest/readback throughput.
+# Part 6: the vertical (bit-serial) arithmetic cost curve. A k-bit add
+# and popcount per width through both execution tiers — the µProgram's
+# step count grows with width, so ns/elem traces the bit-serial latency
+# model — plus the transpose engine's ingest/readback throughput. Points
+# are keyed by op and width.
 vert_out="BENCH_vertical.json"
 vert_benchtime="${VERT_BENCHTIME:-100x}"
 echo "bench.sh: vertical arith sweep (BenchmarkVerticalArith, ${vert_benchtime})" >&2
 vert_raw=$(go test -run '^$' -bench 'BenchmarkVertical(Arith|Transpose)' -benchtime "$vert_benchtime" .)
 printf '%s\n' "$vert_raw" >&2
 printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v benchtime="$vert_benchtime" '
-/^BenchmarkVerticalTranspose\/slice/   { tslice = nsElem($0) }
-/^BenchmarkVerticalTranspose\/unslice/ { tunslice = nsElem($0) }
+/^BenchmarkVerticalTranspose\/slice/   { tslice = field($0, "ns/elem") }
+/^BenchmarkVerticalTranspose\/unslice/ { tunslice = field($0, "ns/elem") }
 /^BenchmarkVerticalArith\// {
 	split($1, parts, "/")
+	op = parts[2]
 	w = substr(parts[3], 2)
+	key = op "/" w
 	tier = parts[4]
 	sub(/-[0-9]+$/, "", tier)
-	if (tier == "fused") { f[w] = $3; fel[w] = nsElem($0) }
-	else { n[w] = $3; nel[w] = nsElem($0) }
-	for (i = 1; i <= NF; i++) if ($(i+1) == "steps") steps[w] = $i
-	for (i = 1; i <= NF; i++) if ($(i+1) == "modeled_ns") modeled[w] = $i
-	if (!(w in seen)) { order[++np] = w; seen[w] = 1 }
+	if (tier == "fused") { f[key] = $3; fel[key] = field($0, "ns/elem"); fal[key] = field($0, "allocs/op") }
+	else { n[key] = $3; nel[key] = field($0, "ns/elem"); nal[key] = field($0, "allocs/op") }
+	steps[key] = field($0, "steps")
+	modeled[key] = field($0, "modeled_ns")
+	if (!(key in seen)) { order[++np] = key; kop[key] = op; kw[key] = w; seen[key] = 1 }
 }
-function nsElem(line,   a, i, k) {
+function field(line, unit,   a, i, k) {
 	k = split(line, a, " ")
 	for (i = 1; i < k; i++)
-		if (a[i+1] == "ns/elem") return a[i]
+		if (a[i+1] == unit) return a[i]
 	return ""
 }
 END {
-	if (np < 1 || f[8] == "" || n[8] == "") {
+	if (np < 1 || f["add/8"] == "" || n["add/8"] == "" || f["popcount/32"] == "" || n["popcount/32"] == "") {
 		print "bench.sh: missing vertical benchmark output" > "/dev/stderr"
 		exit 1
 	}
@@ -394,12 +398,13 @@ END {
 	printf "  \"transpose\": {\"slice_ns_elem\": %s, \"unslice_ns_elem\": %s},\n", tslice, tunslice > out
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
-		w = order[i]
-		printf "    {\"width\": %s, \"steps\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"node_ns_op\": %s, \"fused_ns_elem\": %s, \"node_ns_elem\": %s, \"fused_speedup\": %.2f}%s\n",
-			w, steps[w], modeled[w], f[w], n[w], fel[w], nel[w], n[w] / f[w], i < np ? "," : "" > out
+		k = order[i]
+		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"node_ns_op\": %s, \"fused_ns_elem\": %s, \"node_ns_elem\": %s, \"fused_allocs_op\": %s, \"node_allocs_op\": %s, \"fused_speedup\": %.2f}%s\n",
+			kop[k], kw[k], steps[k], modeled[k], f[k], n[k], fel[k], nel[k], fal[k], nal[k], n[k] / f[k], i < np ? "," : "" > out
 	}
 	printf "  ],\n" > out
-	printf "  \"width32_fused_speedup\": %.2f\n", n[32] / f[32] > out
+	printf "  \"width32_fused_speedup\": %.2f,\n", n["add/32"] / f["add/32"] > out
+	printf "  \"popcount_width32_fused_speedup\": %.2f\n", n["popcount/32"] / f["popcount/32"] > out
 	printf "}\n" > out
 }
 '

@@ -13,9 +13,11 @@
 #                    over the write-path coalescer (flusher, write-error
 #                    latch, drain-time flushing), the kernel-derivation
 #                    cache, the facade's fast-path/fallback concurrency
-#                    tests, and the shard router + sharded differential
-#                    suite under the race detector (their whole value is
-#                    their concurrency envelope)
+#                    tests, the shard router + sharded differential
+#                    suite, and the vertical-arith suites (the
+#                    multi-block differential three times) under the
+#                    race detector (their whole value is their
+#                    concurrency envelope)
 #   5. fuzz smoke  — both internal/wire fuzz targets, the facade's
 #                    eval-DAG and vertical-arith fuzzers, and the serving
 #                    layer's /v1/query fuzzer for a few seconds each
@@ -127,6 +129,13 @@ fi
 # sharded scatter and the batch submission path run steps concurrently
 # over disjoint stripe subsets.
 if ! go test -race -count=1 -run 'Arith|Vertical' .; then
+    fail=1
+fi
+
+# The multi-block differential is the one arith suite large enough for
+# the block-major walk to split a call's blocks between workers, so it
+# gets extra iterations under the race detector, like the coalescers.
+if ! go test -race -count=3 -run '^TestArithMatchesReferenceMultiBlock$' .; then
     fail=1
 fi
 

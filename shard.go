@@ -144,12 +144,23 @@ func (sh *Shard) shardOf(s int) int {
 	return int(mix64(uint64(s/shardChunkStripes)) % uint64(len(sh.accs)))
 }
 
-// stripeLists partitions stripes [0, n) into per-shard ascending lists.
+// stripeLists partitions stripes [0, n) into per-shard ascending lists,
+// all cut from one backing array sized up front.
 func (sh *Shard) stripeLists(n int) [][]int {
 	lists := make([][]int, len(sh.accs))
-	for s := 0; s < n; s++ {
-		i := sh.shardOf(s)
-		lists[i] = append(lists[i], s)
+	counts := make([]int, len(sh.accs))
+	for lo := 0; lo < n; lo += shardChunkStripes {
+		counts[sh.shardOf(lo)] += min(shardChunkStripes, n-lo)
+	}
+	backing := make([]int, n)
+	for i, c := range counts {
+		lists[i], backing = backing[:0:c], backing[c:]
+	}
+	for lo := 0; lo < n; lo += shardChunkStripes {
+		i := sh.shardOf(lo)
+		for s := lo; s < min(lo+shardChunkStripes, n); s++ {
+			lists[i] = append(lists[i], s)
+		}
 	}
 	return lists
 }

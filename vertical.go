@@ -4,9 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bitvec"
-	"repro/internal/dram"
 	"repro/internal/pipeline"
+	"repro/internal/plan"
 	"repro/internal/vertical"
 )
 
@@ -146,6 +145,10 @@ func (v *Vertical) words() [][]uint64 {
 // (compile once per op × width, execute many).
 type CompiledArith struct {
 	prog *vertical.Program
+	// xs, ys and zs name the operand and result slices (vertical.XVar,
+	// YVar, ZVar), built once here so that binding a call builds no
+	// strings.
+	xs, ys, zs []string
 }
 
 // CompileArith synthesizes and compiles the µProgram computing op over
@@ -158,7 +161,20 @@ func CompileArith(op ArithOp, width int) (*CompiledArith, error) {
 	if err != nil {
 		return nil, fmt.Errorf("elp2im: %w: %v", ErrBadArith, err)
 	}
-	return &CompiledArith{prog: p}, nil
+	ca := &CompiledArith{prog: p, xs: make([]string, p.Width), zs: make([]string, p.OutWidth)}
+	for j := range ca.xs {
+		ca.xs[j] = vertical.XVar(j)
+	}
+	if p.Op.Binary() {
+		ca.ys = make([]string, p.Width)
+		for j := range ca.ys {
+			ca.ys[j] = vertical.YVar(j)
+		}
+	}
+	for j := range ca.zs {
+		ca.zs[j] = vertical.ZVar(j)
+	}
+	return ca, nil
 }
 
 // Op returns the compiled operation.
@@ -218,11 +234,11 @@ func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVec
 	out := &Vertical{width: p.OutWidth, slices: make([]*BitVector, p.OutWidth)}
 	binds := make(map[string]*BitVector, 2*p.Width+p.OutWidth+len(p.Temps)+1)
 	for j, s := range x.slices {
-		binds[vertical.XVar(j)] = s
+		binds[ca.xs[j]] = s
 	}
 	if p.Op.Binary() {
 		for j, s := range y.slices {
-			binds[vertical.YVar(j)] = s
+			binds[ca.ys[j]] = s
 		}
 	}
 	if p.Op.Masked() {
@@ -230,7 +246,7 @@ func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVec
 	}
 	for j := range out.slices {
 		out.slices[j] = NewBitVector(n)
-		binds[vertical.ZVar(j)] = out.slices[j]
+		binds[ca.zs[j]] = out.slices[j]
 	}
 	for _, t := range p.Temps {
 		binds[t] = NewBitVector(n)
@@ -264,18 +280,22 @@ func (a *Accelerator) arithCost(p *vertical.Program, stripes int) (Stats, error)
 	return total, nil
 }
 
-// arithExec executes the µProgram's steps in order over the stripes in
-// list (nil means all) — the execution half of ArithProg, which a Shard
-// scatters. Step data flow is stripe-local, so disjoint stripe subsets
-// may run concurrently as long as each observes the steps in order.
-func (a *Accelerator) arithExec(p *vertical.Program, binds map[string]*BitVector, stripes int, list []int) error {
-	for i := range p.Steps {
+// arithResolve resolves every step of the µProgram once, for one call
+// over the shared bindings.
+func (a *Accelerator) arithResolve(p *vertical.Program, binds map[string]*BitVector) *progRunner {
+	return a.resolveSteps(len(p.Steps), binds, func(i int) (*plan.Plan, *BitVector) {
 		st := &p.Steps[i]
-		if err := a.evalExec(st.Plan, binds, binds[st.Dst], stripes, list); err != nil {
-			return err
-		}
-	}
-	return nil
+		return st.Plan, binds[st.Dst]
+	})
+}
+
+// arithExec executes the µProgram over the stripes in list (nil means
+// all) — the execution half of ArithProg, which a Shard scatters. The
+// program runs as one unit: its steps resolve once, one set of workers
+// forks, and each worker runs every step on one cache-resident block of
+// its stripes before moving to the next (see progRunner).
+func (a *Accelerator) arithExec(p *vertical.Program, binds map[string]*BitVector, stripes int, list []int) error {
+	return a.arithResolve(p, binds).exec(stripes, list)
 }
 
 // Arith executes a vertical arithmetic operation entirely in DRAM: the
@@ -362,58 +382,6 @@ func (sh *Shard) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Ve
 	return out, total, nil
 }
 
-// arithTasks builds the per-serialization-group pipeline tasks executing
-// a resolved µProgram over the grouped stripes: each group's task runs
-// the steps in order across its stripes (step-major), which preserves
-// each stripe's step ordering while groups proceed concurrently on
-// disjoint words. The runners are resolved by the caller at submission
-// time, one per step.
-func (a *Accelerator) arithTasks(runners []*evalRunner, groups []stripeRun) []pipeline.Task {
-	type stepBody struct {
-		word func(sLo, sHi int)
-		cmd  func(s int, sub *dram.Subarray, buf *bitvec.Vector) error
-	}
-	bodies := make([]stepBody, len(runners))
-	needBuf := false
-	for i, r := range runners {
-		bodies[i].word = r.wordBody()
-		if bodies[i].word == nil {
-			bodies[i].cmd = r.cmdBody()
-			needBuf = true
-		}
-	}
-	tasks := make([]pipeline.Task, 0, len(groups))
-	for _, g := range groups {
-		g := g
-		tasks = append(tasks, pipeline.Task{Group: g.group, Run: func() error {
-			var buf *bitvec.Vector
-			if needBuf {
-				buf = a.getBuf()
-				defer a.putBuf(buf)
-			}
-			for _, sb := range bodies {
-				if sb.word != nil {
-					// Pure word-level step: no device row state, so no
-					// per-subarray lock (see opTasks).
-					for _, s := range g.list {
-						start := a.obsc.SpanStart()
-						sb.word(s, s+1)
-						a.stripeSpan(start, s, nil)
-					}
-					continue
-				}
-				for _, s := range g.list {
-					if err := a.runStripe(g.group, s, buf, sb.cmd); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}})
-	}
-	return tasks
-}
-
 // SubmitArith enqueues the asynchronous variant of ArithProg: validated
 // now (failures surface on the returned future), the result vertical
 // allocated and returned immediately, its contents defined once the
@@ -436,12 +404,7 @@ func (b *Batch) SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVector) (*V
 	if err != nil {
 		return nil, b.failed(err)
 	}
-	runners := make([]*evalRunner, len(ca.prog.Steps))
-	for i := range ca.prog.Steps {
-		st := &ca.prog.Steps[i]
-		runners[i] = a.evalResolve(st.Plan, binds, binds[st.Dst])
-	}
-	tasks := a.arithTasks(runners, a.groupStripes(stripes))
+	tasks := a.evalTasks(a.arithResolve(ca.prog, binds), a.groupStripes(stripes))
 	return out, b.enqueue(tasks, nil, total)
 }
 
@@ -466,11 +429,6 @@ func (sb *ShardBatch) SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVecto
 		return nil, sb.failed(err)
 	}
 	return out, sb.submitScattered(stripes, func(acc *Accelerator, groups []stripeRun) []pipeline.Task {
-		runners := make([]*evalRunner, len(ca.prog.Steps))
-		for i := range ca.prog.Steps {
-			st := &ca.prog.Steps[i]
-			runners[i] = acc.evalResolve(st.Plan, binds, binds[st.Dst])
-		}
-		return acc.arithTasks(runners, groups)
+		return acc.evalTasks(acc.arithResolve(ca.prog, binds), groups)
 	}, nil, total)
 }

@@ -107,6 +107,36 @@ func checkArith(t *testing.T, tag string, got *Vertical, op ArithOp, w int, x, y
 	}
 }
 
+// arithInput is one random operand set for an arith case: the host
+// element arrays and mask the reference reads, and the operands the op
+// takes (yv and mask nil where it takes none).
+type arithInput struct {
+	x, y   []uint64
+	m      *BitVector
+	xv, yv *Vertical
+	mask   *BitVector
+}
+
+// newArithInput draws n random elements per operand for tc.
+func newArithInput(t *testing.T, rng *rand.Rand, tc arithCase, n int) arithInput {
+	t.Helper()
+	in := arithInput{}
+	in.x, in.y, in.m = randomOperands(rng, n)
+	var err error
+	if in.xv, err = VerticalFromElements(in.x, tc.w); err != nil {
+		t.Fatal(err)
+	}
+	if tc.op.Binary() {
+		if in.yv, err = VerticalFromElements(in.y, tc.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tc.op.Masked() {
+		in.mask = in.m
+	}
+	return in
+}
+
 // TestArithMatchesReference is the facade's differential harness: every
 // op, all three designs, both module geometries, every dispatch tier
 // (fused, node-kernel, command-accurate), sharded 1/4, synchronous and
@@ -125,22 +155,8 @@ func TestArithMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tc := range arithCases() {
-				n := 150 + rng.Intn(150)
-				x, y, m := randomOperands(rng, n)
-				xv, err := VerticalFromElements(x, tc.w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var yv *Vertical
-				if tc.op.Binary() {
-					if yv, err = VerticalFromElements(y, tc.w); err != nil {
-						t.Fatal(err)
-					}
-				}
-				var mask *BitVector
-				if tc.op.Masked() {
-					mask = m
-				}
+				in := newArithInput(t, rng, tc, 150+rng.Intn(150))
+				xv, yv, mask := in.xv, in.yv, in.mask
 				ca, err := CompileArith(tc.op, tc.w)
 				if err != nil {
 					t.Fatal(err)
@@ -169,21 +185,14 @@ func TestArithMatchesReference(t *testing.T) {
 				out, st, err = sh4.ArithProg(ca, xv, yv, mask)
 				run("shard4", out, st, err)
 
-				b := acc.Batch()
-				bOut, _ := b.SubmitArith(ca, xv, yv, mask)
-				st, err = b.Wait()
-				b.Close()
-				run("batch", bOut, st, err)
-
-				sb := sh4.Batch()
-				sbOut, _ := sb.SubmitArith(ca, xv, yv, mask)
-				st, err = sb.Wait()
-				sb.Close()
-				run("shardbatch", sbOut, st, err)
+				out, st, err = batchArith(acc.Batch(), ca, xv, yv, mask)
+				run("batch", out, st, err)
+				out, st, err = batchArith(sh4.Batch(), ca, xv, yv, mask)
+				run("shardbatch", out, st, err)
 
 				for _, r := range results {
 					tag := r.tag + "/" + d.String() + "/" + tc.op.String()
-					checkArith(t, tag, r.out, tc.op, tc.w, x, y, m)
+					checkArith(t, tag, r.out, tc.op, tc.w, in.x, in.y, in.m)
 					if r.st != results[0].st {
 						t.Fatalf("%s: stats %+v differ from %s's %+v", tag, r.st, results[0].tag, results[0].st)
 					}
@@ -191,6 +200,91 @@ func TestArithMatchesReference(t *testing.T) {
 						t.Fatalf("%s: implausible zero stats %+v", tag, r.st)
 					}
 				}
+			}
+		}
+	}
+}
+
+// multiBlockElems spans several fusedChunkWords blocks on smallModule's
+// 2-word rows, ends in a ragged block and a ragged final word, and puts
+// more than fastSerialThresholdWords words in every slice, so the walk
+// forks workers and splits blocks between them.
+const multiBlockElems = 9*65536 + 77
+
+// arithBatch is the batch surface the differential harnesses drive:
+// Batch and ShardBatch.
+type arithBatch interface {
+	SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, *Future)
+	Wait() (Stats, error)
+	Close()
+}
+
+// batchArith runs one ArithProg as the only submission of batch b.
+func batchArith(b arithBatch, ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
+	defer b.Close()
+	out, _ := b.SubmitArith(ca, x, y, m)
+	st, err := b.Wait()
+	return out, st, err
+}
+
+// TestArithMatchesReferenceMultiBlock is TestArithMatchesReference at a
+// size where the block-major walk crosses block boundaries, ends in a
+// ragged block, and runs on more than one worker: fused and node tiers,
+// 1 and 4 shards, synchronous and batched, every result checked against
+// the host reference with struct-equal Stats. Block boundaries and
+// worker splits do not depend on the design, so the default design
+// suffices; the command-accurate tier and the other designs are covered
+// by the small cases.
+func TestArithMatchesReferenceMultiBlock(t *testing.T) {
+	if words := (multiBlockElems + 63) / 64; words <= fastSerialThresholdWords || words%fusedChunkWords == 0 {
+		t.Fatal("multiBlockElems no longer crosses the serial threshold into a ragged block")
+	}
+	type runner struct {
+		tag string
+		run func(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error)
+	}
+	var runners []runner
+	for _, tier := range []struct {
+		name    string
+		disable bool
+	}{{"fused", false}, {"node", true}} {
+		noFusion := func(c *Config) { c.DisableFusion = tier.disable }
+		acc := newAcc(t, smallModule, noFusion)
+		sh4, err := NewShard(4, smallModule, noFusion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners = append(runners,
+			runner{tier.name + "/1/sync", acc.ArithProg},
+			runner{tier.name + "/1/batch", func(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
+				return batchArith(acc.Batch(), ca, x, y, m)
+			}},
+			runner{tier.name + "/4/sync", sh4.ArithProg},
+			runner{tier.name + "/4/batch", func(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
+				return batchArith(sh4.Batch(), ca, x, y, m)
+			}})
+	}
+	rng := rand.New(rand.NewSource(23))
+	// The carry chain, a signed compare, the longest program, and the
+	// masked select.
+	for _, tc := range []arithCase{{ArithAdd, 8}, {ArithLts, 6}, {ArithPopcount, 8}, {ArithSelect, 3}} {
+		in := newArithInput(t, rng, tc, multiBlockElems)
+		ca, err := CompileArith(tc.op, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Stats
+		for i, r := range runners {
+			tag := r.tag + "/" + tc.op.String()
+			out, st, err := r.run(ca, in.xv, in.yv, in.mask)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", tag, tc.w, err)
+			}
+			checkArith(t, tag, out, tc.op, tc.w, in.x, in.y, in.m)
+			if i == 0 {
+				want = st
+			} else if st != want {
+				t.Fatalf("%s: stats %+v differ from %s's %+v", tag, st, runners[0].tag, want)
 			}
 		}
 	}
