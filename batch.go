@@ -88,9 +88,9 @@ type Batch struct {
 }
 
 // poolFreeCap bounds how many drained worker pools an accelerator keeps
-// warm for reuse across Batch lifecycles. Serving traffic runs one Batch
-// per micro-batch flush; without reuse each flush would spawn (and then
-// tear down) one goroutine and one channel per worker.
+// warm for reuse across Batch lifecycles. A caller opening one
+// short-lived Batch per unit of work would otherwise spawn (and then tear
+// down) one goroutine and one channel per worker each time.
 const poolFreeCap = 4
 
 // getPool fetches a recycled worker pool or constructs a fresh one. Pool

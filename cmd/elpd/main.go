@@ -3,10 +3,10 @@
 // ops, reductions, expression evaluation, vertical k-bit arithmetic, and
 // bitmap-index queries (POST /v1/query: boolean predicates over the
 // "<namespace>/<index>" vectors, answering counts, match bitvectors or
-// paginated set-bit positions), with every bitwise write riding the
-// dynamic micro-batcher in internal/server (coalescing window, bounded
-// admission queue with 503 backpressure, per-request deadlines, graceful
-// drain on SIGTERM).
+// paginated set-bit positions). Every request executes synchronously on
+// the goroutine that decoded it, behind internal/server's per-shard
+// admission gate (a bound on requests in flight with 503 backpressure,
+// per-request deadlines, graceful drain on SIGTERM).
 //
 // Usage:
 //
@@ -16,26 +16,23 @@
 //	                        length-prefixed binary protocol (internal/wire):
 //	                        persistent multiplexed connections, raw word
 //	                        payloads, zero-allocation hot path. Same store,
-//	                        batchers and drain semantics as the HTTP listener.
+//	                        gates and drain semantics as the HTTP listener.
 //	  -design string        elp2im | ambit | drisa (default "elp2im")
 //	  -shards int           independent accelerator shards (ranks/channels with
 //	                        private charge pumps); vectors place deterministically
-//	                        on a home shard and each shard runs its own
-//	                        micro-batcher and admission queue (default 1)
+//	                        on a home shard and each shard has its own
+//	                        admission gate (default 1)
 //	  -power-constrained    enforce the charge-pump/tFAW activation budget
 //	  -disable-fusion       evaluate expressions node-at-a-time (one derived
 //	                        kernel per gate) instead of fusing plan clusters
 //	                        into k-input kernels; results and modeled costs
 //	                        are bit-identical (differential/benchmark knob)
-//	  -window duration      micro-batch coalescing window (default 200µs; 0 = pass-through)
-//	  -max-batch int        max requests folded into one flush (default 64)
-//	  -max-queue int        admission-queue bound; beyond it requests get 503 (default 1024)
+//	  -max-queue int        in-flight bound per shard; beyond it requests get 503 (default 1024)
 //	  -timeout duration     default per-request deadline (default 5s)
 //	  -evalcache int        compiled-program LRU entries shared by /v1/eval,
 //	                        /v1/query and /v1/arith (expression sources and
 //	                        arith (op, width) shapes compile once, then hit;
 //	                        default 256)
-//	  -no-pipeline          degraded mode: synchronous ops, no micro-batching
 //	  -wire-nocoalesce      revert the elpwire listener to one write syscall per
 //	                        response instead of writev-batched flushes (the
 //	                        response coalescer in internal/wire; benchmarking knob)
@@ -43,9 +40,13 @@
 //	                        /debug/vars, /debug/pprof) — the server.* series appear
 //	                        there next to acc.* and pipeline.*
 //
+// The HTTP listener bounds header reads and idle keep-alive connections
+// (Server.HTTPServer), so a client that never finishes its request header
+// cannot hold a handler connection open forever.
+//
 // elpd prints "elpd: listening on <addr>" once ready (scripts/smoke.sh
 // parses it) and on SIGTERM/SIGINT drains gracefully: stop admitting,
-// flush every queued micro-batch, then exit 0 with "elpd: drained".
+// finish every in-flight request, then exit 0 with "elpd: drained".
 package main
 
 import (
@@ -90,15 +91,12 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8372", "listen address (:0 for ephemeral)")
 	wireAddr := fs.String("wire-addr", "", "optional elpwire binary-protocol listener (:0 for ephemeral)")
 	designName := fs.String("design", "elp2im", "elp2im | ambit | drisa")
-	shards := fs.Int("shards", 1, "independent accelerator shards (each with its own micro-batcher)")
+	shards := fs.Int("shards", 1, "independent accelerator shards (each with its own admission gate)")
 	powerConstrained := fs.Bool("power-constrained", false, "enforce the charge-pump/tFAW activation budget")
 	disableFusion := fs.Bool("disable-fusion", false, "evaluate expressions node-at-a-time instead of with fused cluster kernels")
-	window := fs.Duration("window", 200*time.Microsecond, "micro-batch coalescing window (0 = pass-through)")
-	maxBatch := fs.Int("max-batch", 64, "max requests folded into one flush")
-	maxQueue := fs.Int("max-queue", 1024, "admission-queue bound (503 beyond it)")
+	maxQueue := fs.Int("max-queue", 1024, "in-flight bound per shard (503 beyond it)")
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request deadline")
 	evalCache := fs.Int("evalcache", 0, "compiled-program cache entries for eval/arith (0 = default 256)")
-	noPipeline := fs.Bool("no-pipeline", false, "degraded mode: synchronous ops, no micro-batching")
 	wireNoCoalesce := fs.Bool("wire-nocoalesce", false, "one write syscall per wire response instead of writev-batched flushes")
 	debugAddr := fs.String("debug-addr", "", "optional ServeDebug endpoint (/metrics, /debug/pprof)")
 	if err := fs.Parse(args); err != nil {
@@ -118,11 +116,7 @@ func run(args []string) error {
 		c.DisableFusion = *disableFusion
 	}
 	cfg := server.Config{
-		Window:                *window,
-		DisableWindow:         *window == 0,
-		MaxBatch:              *maxBatch,
 		MaxQueue:              *maxQueue,
-		Degraded:              *noPipeline,
 		RequestTimeout:        *timeout,
 		EvalCacheSize:         *evalCache,
 		WireDisableCoalescing: *wireNoCoalesce,
@@ -167,13 +161,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	fmt.Printf("elpd: %s design, %d shard(s), window %v, max batch %d, max queue %d\n",
-		designLabel, srv.Shards(), *window, *maxBatch, *maxQueue)
+	httpSrv := srv.HTTPServer()
+	fmt.Printf("elpd: %s design, %d shard(s), max queue %d\n",
+		designLabel, srv.Shards(), *maxQueue)
 	fmt.Printf("elpd: listening on %s\n", ln.Addr())
 
 	// Optional elpwire listener: the binary protocol serves from the same
-	// Server (store, batchers, admission, drain) as the HTTP mux.
+	// Server (store, request cores, admission, drain) as the HTTP mux.
 	var wireLn net.Listener
 	wireErrCh := make(chan error, 1)
 	if *wireAddr != "" {
@@ -204,9 +198,8 @@ func run(args []string) error {
 		fmt.Printf("elpd: %v, draining\n", sig)
 	}
 
-	// Graceful drain: stop admitting new operations (everything already
-	// queued still flushes), let in-flight handlers finish, then stop the
-	// listener and the batcher.
+	// Graceful drain: stop admitting new operations, let in-flight
+	// requests finish, then stop the listeners.
 	srv.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -223,7 +216,7 @@ func run(args []string) error {
 		srv.CloseWireConns()
 	}
 	st := srv.Stats()
-	fmt.Printf("elpd: drained (%d batches flushed, %d requests coalesced, mean occupancy %.2f)\n",
-		st.Server.BatchesFlushed, st.Server.RequestsCoalesced, st.Server.MeanBatchOccupancy)
+	fmt.Printf("elpd: drained (%d ops executed, %d rejected, %d deadlines expired)\n",
+		st.Server.BatchesFlushed, st.Server.Rejected, st.Server.DeadlineExpired)
 	return nil
 }

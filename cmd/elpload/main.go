@@ -33,7 +33,6 @@
 //	  -timeout duration  per-request deadline (default 5s)
 //	  -verify-every int  verify the result of every Nth op per client (default 4)
 //	  -seed int          base RNG seed (default 1)
-//	  -window duration   self-spawned server's coalescing window (default 200µs)
 //	  -shards int        self-spawned server's shard count (default 1)
 //
 // Besides wall-clock achieved_qps, the report carries modeled_qps:
@@ -97,7 +96,6 @@ type options struct {
 	timeout       time.Duration
 	verifyEvery   int
 	seed          int64
-	window        time.Duration
 	shards        int
 }
 
@@ -283,7 +281,6 @@ func run(args []string, out io.Writer) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline")
 	verifyEvery := fs.Int("verify-every", 4, "verify every Nth op per client (0 = never)")
 	seed := fs.Int64("seed", 1, "base RNG seed")
-	window := fs.Duration("window", 200*time.Microsecond, "self-spawned server coalescing window")
 	shards := fs.Int("shards", 1, "self-spawned server shard count")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -297,7 +294,7 @@ func run(args []string, out io.Writer) error {
 		clients: *clients, wireConns: *conns,
 		duration: *duration,
 		qps:      *qps, bits: *bits, mix: mix, timeout: *timeout, verifyEvery: *verifyEvery,
-		seed: *seed, window: *window, shards: *shards,
+		seed: *seed, shards: *shards,
 	}
 	if opt.clients < 1 || opt.bits < 8 || opt.bits%8 != 0 {
 		return fmt.Errorf("clients must be >= 1 and bits a positive multiple of 8")
@@ -324,7 +321,7 @@ func run(args []string, out io.Writer) error {
 				srv.CloseWireConns()
 			}
 		} else {
-			httpSrv := &http.Server{Handler: srv.Handler()}
+			httpSrv := srv.HTTPServer()
 			go func() { _ = httpSrv.Serve(ln) }()
 			drain = func() {
 				srv.Drain()
@@ -357,11 +354,7 @@ func run(args []string, out io.Writer) error {
 // spawnServer builds the in-process elpd used by -addr "", sharded when
 // -shards > 1.
 func spawnServer(opt options) (*server.Server, net.Listener, error) {
-	cfg := server.Config{
-		Window:         opt.window,
-		DisableWindow:  opt.window == 0,
-		RequestTimeout: opt.timeout,
-	}
+	cfg := server.Config{RequestTimeout: opt.timeout}
 	mutate := func(c *elp2im.Config) {
 		c.DisableFusion = opt.disableFusion
 	}

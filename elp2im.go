@@ -328,9 +328,8 @@ type Accelerator struct {
 
 	// poolFree recycles drained batch worker pools across Batch
 	// lifecycles (bounded by the channel's capacity; see Batch.Close).
-	// Serving traffic runs one Batch per micro-batch flush, and without
-	// recycling every flush would pay pool construction — worker
-	// goroutine spawns plus a channel per worker.
+	// Without recycling, every short-lived Batch would pay pool
+	// construction — worker goroutine spawns plus a channel per worker.
 	poolFree chan *pipeline.Pool
 }
 

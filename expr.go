@@ -87,16 +87,32 @@ func (a *Accelerator) Eval(src string, vars map[string]*BitVector) (*BitVector, 
 // device model — with bit-identical results and modeled cost on every
 // tier.
 func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
-	p := ce.plan
-	n, err := a.evalPrep(p, vars)
+	n, err := a.evalPrep(ce.plan, vars)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	out := NewBitVector(n)
+	st, err := a.EvalExprInto(ce, vars, out)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return out, st, nil
+}
+
+// EvalExprInto is EvalExpr writing the result into out, which must have
+// the operands' length and must not be one of them. Every word of out is
+// overwritten, so a recycled vector needs no clearing; a caller
+// evaluating many expressions of one length can reuse one result vector.
+func (a *Accelerator) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector, out *BitVector) (Stats, error) {
+	p := ce.plan
+	n, err := a.evalOut(p, vars, out)
+	if err != nil {
+		return Stats{}, err
+	}
 	cols := a.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	out := NewBitVector(n)
 	if err := a.evalExec(p, vars, out, stripes, nil); err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 
 	// Cost: per-stripe program cost, bank parallelism applied per op mix.
@@ -104,10 +120,28 @@ func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*B
 	// execution tier, so fused and unfused runs account identically.
 	total, err := a.evalCost(p.Prog, stripes)
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	a.addTotals(total)
-	return out, total, nil
+	return total, nil
+}
+
+// evalOut is evalPrep plus the checks on a caller-supplied result
+// vector: it must match the operands' length and alias none of them.
+func (a *Accelerator) evalOut(p *plan.Plan, vars map[string]*BitVector, out *BitVector) (int, error) {
+	n, err := a.evalPrep(p, vars)
+	if err != nil {
+		return 0, err
+	}
+	if out == nil || out.Len() != n {
+		return 0, errors.New("elp2im: eval result vector nil or length mismatch")
+	}
+	for _, name := range p.Vars {
+		if vars[name] == out {
+			return 0, fmt.Errorf("elp2im: eval result vector aliases variable %q", name)
+		}
+	}
+	return n, nil
 }
 
 // evalPrep validates that every plan variable is bound to a vector of one

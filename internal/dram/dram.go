@@ -127,9 +127,13 @@ func (m RetainMode) String() string {
 // Subarray is one DRAM subarray: data rows, optional dual-contact rows, and
 // a shared row of sense amplifiers (the row buffer).
 type Subarray struct {
-	cfg    Config
-	rows   []*bitvec.Vector // TotalRows() rows of Columns bits
-	buf    *bitvec.Vector   // row buffer (SA latches)
+	cfg Config
+	// rows are the TotalRows() rows of Columns bits. A row stays nil —
+	// all-zero cells, no memory — until row first reaches it, so a
+	// module whose rows are mostly never touched (the compiled-kernel
+	// tiers bypass the device model) costs pointers, not megabytes.
+	rows   []*bitvec.Vector
+	buf    *bitvec.Vector // row buffer (SA latches)
 	state  State
 	mode   RetainMode
 	retain *bitvec.Vector // snapshot of buffer at pseudo-precharge time
@@ -146,15 +150,12 @@ type Subarray struct {
 	Wordlines   int // total wordlines raised
 }
 
-// NewSubarray returns a zero-initialized subarray.
+// NewSubarray returns a zero-initialized subarray. Its rows are allocated
+// on first touch.
 func NewSubarray(cfg Config) *Subarray {
-	rows := make([]*bitvec.Vector, cfg.TotalRows())
-	for i := range rows {
-		rows[i] = bitvec.New(cfg.Columns)
-	}
 	return &Subarray{
 		cfg:        cfg,
-		rows:       rows,
+		rows:       make([]*bitvec.Vector, cfg.TotalRows()),
 		buf:        bitvec.New(cfg.Columns),
 		retain:     bitvec.New(cfg.Columns),
 		scratchVal: bitvec.New(cfg.Columns),
@@ -190,18 +191,22 @@ func (s *Subarray) checkRow(r int) {
 	}
 }
 
-// RowData returns the stored contents of row r without simulating an
-// access (host-side backdoor for loading operands and checking results).
-func (s *Subarray) RowData(r int) *bitvec.Vector {
+// row returns row r's cells, allocating the all-zero row on first
+// touch. Every row access goes through it.
+func (s *Subarray) row(r int) *bitvec.Vector {
 	s.checkRow(r)
+	if s.rows[r] == nil {
+		s.rows[r] = bitvec.New(s.cfg.Columns)
+	}
 	return s.rows[r]
 }
 
+// RowData returns the stored contents of row r without simulating an
+// access (host-side backdoor for loading operands and checking results).
+func (s *Subarray) RowData(r int) *bitvec.Vector { return s.row(r) }
+
 // LoadRow overwrites row r's cells with v (host-side backdoor).
-func (s *Subarray) LoadRow(r int, v *bitvec.Vector) {
-	s.checkRow(r)
-	s.rows[r].CopyFrom(v)
-}
+func (s *Subarray) LoadRow(r int, v *bitvec.Vector) { s.row(r).CopyFrom(v) }
 
 // Buffer returns the row buffer contents. Valid only while activated.
 func (s *Subarray) Buffer() *bitvec.Vector { return s.buf }
@@ -225,7 +230,7 @@ func (s *Subarray) Activate(r int, negated bool) error {
 	s.Activations++
 	s.Wordlines++
 
-	cell := s.rows[r]
+	cell := s.row(r)
 	switch s.state {
 	case StatePrecharged:
 		if negated {
@@ -284,10 +289,11 @@ func (s *Subarray) ActivateTRA(r0, r1, r2 int) error {
 	}
 	s.Activations++
 	s.Wordlines += 3
-	maj := s.scratchRes.Majority(s.rows[r0], s.rows[r1], s.rows[r2])
-	s.rows[r0].CopyFrom(maj)
-	s.rows[r1].CopyFrom(maj)
-	s.rows[r2].CopyFrom(maj)
+	a, b, c := s.row(r0), s.row(r1), s.row(r2)
+	maj := s.scratchRes.Majority(a, b, c)
+	a.CopyFrom(maj)
+	b.CopyFrom(maj)
+	c.CopyFrom(maj)
 	s.buf.CopyFrom(maj)
 	s.state = StateActivated
 	return nil

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +62,26 @@ func TestNewModuleGeometry(t *testing.T) {
 	if s.DCCRow(0) != 8 || s.DCCRow(1) != 9 {
 		t.Fatal("DCCRow indices wrong")
 	}
+}
+
+// TestNewModuleRowsLazy pins first-touch row allocation: building the
+// paper's 8-bank module allocates row pointers, not its ~66 MiB of
+// cells, and a row reads as zero until written.
+func TestNewModuleRowsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewModule(Default())
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 2<<20 {
+		t.Fatalf("NewModule(Default()) raised HeapAlloc by %d bytes, want < 2 MiB", grew)
+	}
+	s := m.Bank(7).Subarray(15)
+	if s.RowData(511).Popcount() != 0 {
+		t.Fatal("untouched row is not all-zero")
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestNewModulePanicsOnInvalid(t *testing.T) {

@@ -46,7 +46,7 @@ type VectorInfo struct {
 	// Bits is the vector length in bits.
 	Bits int `json:"bits"`
 	// Shard is the vector's home shard (always 0 on a single-module
-	// server): the shard whose batcher admits, and whose accelerator
+	// server): the shard whose gate admits, and whose accelerator
 	// executes, operations writing this vector.
 	Shard int `json:"shard"`
 	// Elems is a vertical vector's element count (absent for plain bit
@@ -206,20 +206,22 @@ type OpResponse struct {
 
 // ServerStats is the serving-layer section of the /v1/stats payload.
 type ServerStats struct {
-	// QueueDepth is the current admission-queue depth.
+	// QueueDepth is the number of requests currently in flight.
 	QueueDepth int64 `json:"queue_depth"`
-	// QueueMax is the configured admission bound.
+	// QueueMax is the configured in-flight bound (Config.MaxQueue, summed
+	// over shards).
 	QueueMax int64 `json:"queue_max"`
 	// Rejected counts requests refused with 503 by admission control.
 	Rejected int64 `json:"rejected"`
-	// DeadlineExpired counts requests whose deadline expired (504).
+	// DeadlineExpired counts requests whose deadline expired before they
+	// executed (504).
 	DeadlineExpired int64 `json:"deadline_expired"`
-	// BatchesFlushed counts micro-batch flushes.
+	// BatchesFlushed counts executed op/reduce requests. Each executes
+	// on its own, as one flush of one request.
 	BatchesFlushed int64 `json:"batches_flushed"`
-	// RequestsCoalesced counts requests that rode a flush.
+	// RequestsCoalesced counts executed op/reduce requests; it equals
+	// BatchesFlushed.
 	RequestsCoalesced int64 `json:"requests_coalesced"`
-	// MeanBatchOccupancy is RequestsCoalesced / BatchesFlushed.
-	MeanBatchOccupancy float64 `json:"mean_batch_occupancy"`
 	// Panics counts handler panics converted to 500s.
 	Panics int64 `json:"panics"`
 	// WireFlushes counts response write-path flushes on the elpwire
@@ -242,15 +244,12 @@ type ServerStats struct {
 	Vectors int `json:"vectors"`
 	// Draining reports whether the server is shutting down.
 	Draining bool `json:"draining"`
-	// Degraded reports whether the batching pipeline is disabled and ops
-	// run synchronously.
-	Degraded bool `json:"degraded"`
 	// Shards is the number of independent shards the server routes across
-	// (1 for a single-module server). Queue counters above aggregate over
-	// all of them; QueueMax is the sum of the per-shard bounds.
+	// (1 for a single-module server). The admission counters above
+	// aggregate over all of them.
 	Shards int `json:"shards"`
-	// PerShard breaks the admission/batching counters out per home shard
-	// (only present when Shards > 1).
+	// PerShard breaks the admission counters out per home shard (only
+	// present when Shards > 1).
 	PerShard []ShardStats `json:"per_shard,omitempty"`
 }
 
@@ -259,19 +258,19 @@ type ServerStats struct {
 type ShardStats struct {
 	// Shard is the shard index.
 	Shard int `json:"shard"`
-	// QueueDepth is the shard's current admission-queue depth.
+	// QueueDepth is the number of requests in flight on the shard.
 	QueueDepth int64 `json:"queue_depth"`
 	// Rejected counts requests this shard refused with 503.
 	Rejected int64 `json:"rejected"`
 	// DeadlineExpired counts this shard's 504s.
 	DeadlineExpired int64 `json:"deadline_expired"`
-	// BatchesFlushed counts the shard's micro-batch flushes.
+	// BatchesFlushed counts the shard's executed op/reduce requests.
 	BatchesFlushed int64 `json:"batches_flushed"`
-	// RequestsCoalesced counts requests that rode one of its flushes.
+	// RequestsCoalesced equals BatchesFlushed.
 	RequestsCoalesced int64 `json:"requests_coalesced"`
 	// Vectors is the number of stored vectors homed on this shard.
 	Vectors int `json:"vectors"`
-	// Draining reports whether this shard's batcher is draining.
+	// Draining reports whether this shard's gate is draining.
 	Draining bool `json:"draining"`
 	// ModeledBusyNS is the accumulated modeled latency executed on this
 	// shard's accelerator. Shards execute concurrently (private charge

@@ -72,10 +72,10 @@ func TestStatsPayloadRoundTrip(t *testing.T) {
 	}
 	assertKeys(t, "server", server, []string{
 		"queue_depth", "queue_max", "rejected", "deadline_expired",
-		"batches_flushed", "requests_coalesced", "mean_batch_occupancy",
+		"batches_flushed", "requests_coalesced",
 		"panics", "wire_flushes", "wire_frames_per_flush",
 		"fusion_hits", "fusion_fallbacks",
-		"vectors", "draining", "degraded", "shards",
+		"vectors", "draining", "shards",
 	})
 	// per_shard is omitempty and this is a single-module server, so it must
 	// be absent here; the sharded key set is pinned by

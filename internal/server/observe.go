@@ -19,35 +19,27 @@ import (
 //	server.evalcache.hit            counter   compiled-program cache hits
 //	server.evalcache.miss           counter   compiled-program cache misses
 //
-// plus, per micro-batcher, the admission/batching series. A single-module
-// server has one batcher and keeps the flat legacy names; a sharded server
-// (Config.Shard) runs one independent batcher per shard and prefixes each
-// shard's series with its index, so a hot shard's queue is visible on its
-// own:
+// plus, per shard gate, the admission series. A single-module server has
+// one gate and keeps the flat names; a sharded server (Config.Shard) runs
+// one gate per shard and prefixes each shard's series with its index, so
+// a hot shard is visible on its own:
 //
-//	server.queue.depth              gauge     admission-queue depth
-//	server.queue.max                gauge     configured admission bound
-//	server.queue.rejected           counter   503s from admission control
-//	server.deadline.expired         counter   504s (deadline while queued)
-//	server.batch.flushes            counter   micro-batch flushes
-//	server.batch.coalesced          counter   requests that rode a flush
-//	server.batch.occupancy          histogram requests per flush
-//	server.draining                 gauge     1 while draining
-//	server.degraded                 gauge     1 when pipeline disabled
-//	server.shard.<i>.queue.depth    gauge     shard i's admission-queue depth
-//	server.shard.<i>.queue.max      gauge     shard i's admission bound
-//	server.shard.<i>.queue.rejected counter   shard i's admission 503s
-//	server.shard.<i>.deadline.expired counter shard i's 504s
-//	server.shard.<i>.batch.flushes  counter   shard i's micro-batch flushes
-//	server.shard.<i>.batch.coalesced counter  shard i's coalesced requests
-//	server.shard.<i>.batch.occupancy histogram shard i's requests per flush
-//	server.shard.<i>.draining       gauge     1 while shard i drains
-//	server.shard.<i>.degraded       gauge     1 when shard i is synchronous
+//	server.queue.depth                gauge     requests in flight
+//	server.queue.max                  gauge     configured in-flight bound
+//	server.queue.rejected             counter   503s from admission control
+//	server.deadline.expired           counter   504s (deadline passed before execution)
+//	server.ops.executed               counter   op/reduce requests executed
+//	server.draining                   gauge     1 while draining
+//	server.shard.<i>.queue.depth      gauge     shard i's requests in flight
+//	server.shard.<i>.queue.max        gauge     shard i's in-flight bound
+//	server.shard.<i>.queue.rejected   counter   shard i's admission 503s
+//	server.shard.<i>.deadline.expired counter   shard i's 504s
+//	server.shard.<i>.ops.executed     counter   shard i's executed op/reduce requests
+//	server.shard.<i>.draining         gauge     1 while shard i drains
 //
 // Spans (with a tracer installed): every HTTP request emits one span
-// named "http.<route>" in category "server", and every flush emits a
-// "flush" span; a request that rode a flush shares the flush's sequence
-// number as its TID, linking the HTTP request to its pipeline submission.
+// named "http.<route>" in category "server"; the facade's own op,
+// reduce and stripe spans nest inside it in time.
 
 // routeNames are the metric keys of the HTTP routes, in registration
 // order.
@@ -65,13 +57,13 @@ type routeSeries struct {
 
 // serverMetrics bundles the serving layer's pre-resolved series: the
 // HTTP-route series and panic counter shared by every handler, plus one
-// batcherSeries per micro-batcher (one for a single-module server, one per
-// shard for a sharded one), plus the wire listener's series.
+// gateSeries per shard gate (one for a single-module server), plus the
+// wire listener's series.
 type serverMetrics struct {
 	ctx    *obs.Context
 	routes map[string]*routeSeries
 	panics *obs.Counter
-	shards []*batcherSeries
+	shards []*gateSeries
 	wire   wireSeries
 
 	// Compiled-program cache series (see evalcache.go):
@@ -105,45 +97,41 @@ func (w *wireSeries) onFlush(n int) {
 	w.framesPerFlush.Observe(float64(n))
 }
 
-// batcherSeries is one micro-batcher's admission/batching series. With a
-// single batcher the names are the flat legacy server.* set; per-shard
-// batchers register under server.shard.<i>.* so saturation, drain and
-// occupancy are observable shard by shard.
-type batcherSeries struct {
-	ctx             *obs.Context
-	queueDepth      *obs.Gauge
+// gateSeries is one shard gate's admission series. With a single gate
+// the names are the flat server.* set; per-shard gates register under
+// server.shard.<i>.* so saturation and drain are observable shard by
+// shard.
+type gateSeries struct {
+	inFlight        *obs.Gauge
 	queueMax        *obs.Gauge
 	rejected        *obs.Counter
 	deadlineExpired *obs.Counter
-	flushes         *obs.Counter
-	coalesced       *obs.Counter
-	occupancy       *obs.Histogram
+	executed        *obs.Counter
 	draining        *obs.Gauge
-	degraded        *obs.Gauge
 }
 
 // httpLatencyBuckets covers wall-clock handler latency: 16 buckets from
-// 10 µs to ~9.3 s (batch waits under load sit in the middle decades).
+// 10 µs to ~9.3 s.
 func httpLatencyBuckets() []float64 { return obs.ExpBuckets(10_000, 2.5, 16) }
 
-// occupancyBuckets covers requests-per-flush: 1, 2, 4, ... 1024.
-func occupancyBuckets() []float64 { return obs.ExpBuckets(1, 2, 11) }
+// framesPerFlushBuckets covers wire frames per flush: 1, 2, 4, ... 1024.
+func framesPerFlushBuckets() []float64 { return obs.ExpBuckets(1, 2, 11) }
 
 // newServerMetrics resolves every serving-layer series in ctx, with one
-// batcherSeries per shard (shards == 1 keeps the legacy flat names).
+// gateSeries per shard (shards == 1 keeps the flat names).
 func newServerMetrics(ctx *obs.Context, shards int) *serverMetrics {
 	m := ctx.Metrics
 	sm := &serverMetrics{
 		ctx:    ctx,
 		routes: make(map[string]*routeSeries, len(routeNames)),
 		panics: m.Counter("server.panics"),
-		shards: make([]*batcherSeries, shards),
+		shards: make([]*gateSeries, shards),
 		wire: wireSeries{
 			connections:    m.Gauge("server.wire.connections"),
 			requests:       m.Counter("server.wire.requests"),
 			errors:         m.Counter("server.wire.errors"),
 			flushes:        m.Counter("server.wire.flushes"),
-			framesPerFlush: m.Histogram("server.wire.frames_per_flush", occupancyBuckets()),
+			framesPerFlush: m.Histogram("server.wire.frames_per_flush", framesPerFlushBuckets()),
 		},
 		evalCacheHits:   m.Counter("server.evalcache.hit"),
 		evalCacheMisses: m.Counter("server.evalcache.miss"),
@@ -153,7 +141,7 @@ func newServerMetrics(ctx *obs.Context, shards int) *serverMetrics {
 		if shards > 1 {
 			prefix = fmt.Sprintf("server.shard.%d.", i)
 		}
-		sm.shards[i] = newBatcherSeries(ctx, prefix)
+		sm.shards[i] = newGateSeries(ctx.Metrics, prefix)
 	}
 	for _, name := range routeNames {
 		sm.routes[name] = &routeSeries{
@@ -165,21 +153,16 @@ func newServerMetrics(ctx *obs.Context, shards int) *serverMetrics {
 	return sm
 }
 
-// newBatcherSeries resolves one batcher's series under the given name
-// prefix ("server." or "server.shard.<i>.").
-func newBatcherSeries(ctx *obs.Context, prefix string) *batcherSeries {
-	m := ctx.Metrics
-	return &batcherSeries{
-		ctx:             ctx,
-		queueDepth:      m.Gauge(prefix + "queue.depth"),
+// newGateSeries resolves one gate's series under the given name prefix
+// ("server." or "server.shard.<i>.").
+func newGateSeries(m *obs.Registry, prefix string) *gateSeries {
+	return &gateSeries{
+		inFlight:        m.Gauge(prefix + "queue.depth"),
 		queueMax:        m.Gauge(prefix + "queue.max"),
 		rejected:        m.Counter(prefix + "queue.rejected"),
 		deadlineExpired: m.Counter(prefix + "deadline.expired"),
-		flushes:         m.Counter(prefix + "batch.flushes"),
-		coalesced:       m.Counter(prefix + "batch.coalesced"),
-		occupancy:       m.Histogram(prefix+"batch.occupancy", occupancyBuckets()),
+		executed:        m.Counter(prefix + "ops.executed"),
 		draining:        m.Gauge(prefix + "draining"),
-		degraded:        m.Gauge(prefix + "degraded"),
 	}
 }
 
@@ -194,10 +177,8 @@ func (sm *serverMetrics) route(name string) *routeSeries {
 	return rs
 }
 
-// requestSpan emits the HTTP-request span when tracing is on. flushID is
-// the micro-batch sequence number the request rode (0 for requests that
-// never reached a flush), which the flush span shares as its TID.
-func (sm *serverMetrics) requestSpan(startNS int64, route, op string, flushID int64, err error) {
+// requestSpan emits the HTTP-request span when tracing is on.
+func (sm *serverMetrics) requestSpan(startNS int64, route, op string, err error) {
 	if startNS == 0 {
 		return
 	}
@@ -208,30 +189,9 @@ func (sm *serverMetrics) requestSpan(startNS int64, route, op string, flushID in
 	sm.ctx.Span(obs.SpanEvent{
 		Name:    "http." + route,
 		Cat:     "server",
-		TID:     flushID,
 		StartNS: startNS,
 		DurNS:   time.Now().UnixNano() - startNS,
 		Op:      op,
-		Err:     msg,
-	})
-}
-
-// flushSpan emits one micro-batch flush's span when tracing is on.
-func (bs *batcherSeries) flushSpan(startNS int64, flushID int64, occupancy int, err error) {
-	if startNS == 0 {
-		return
-	}
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	bs.ctx.Span(obs.SpanEvent{
-		Name:    "flush",
-		Cat:     "server",
-		TID:     flushID,
-		StartNS: startNS,
-		DurNS:   time.Now().UnixNano() - startNS,
-		Stripes: occupancy,
 		Err:     msg,
 	})
 }

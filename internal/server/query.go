@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/http"
+	"sync"
 
 	elp2im "repro"
 	"repro/internal/wire"
@@ -82,14 +83,32 @@ func pageLimit(limit int) int {
 // so the prefix "<namespace>/" delimits a namespace unambiguously.
 func indexKey(namespace, index string) string { return namespace + "/" + index }
 
+// matchPool recycles query match vectors. Every query of a namespace
+// evaluates into a vector of the namespace's universe width, and
+// EvalExprInto overwrites every word, so a pooled vector of the right
+// length needs no clearing; one of another length is dropped.
+var matchPool sync.Pool
+
+// getMatch returns a match vector of n bits, pooled when one fits.
+func getMatch(n int) *elp2im.BitVector {
+	if v, ok := matchPool.Get().(*elp2im.BitVector); ok && v.Len() == n {
+		return v
+	}
+	return elp2im.NewBitVector(n)
+}
+
+// putMatch recycles a match vector once its response has copied out
+// everything it needs.
+func putMatch(v *elp2im.BitVector) { matchPool.Put(v) }
+
 // queryCore is the protocol-independent query body shared by the HTTP
 // and wire paths, mirroring evalCore's shape: compile the predicate
-// through the shared plan cache, pre-check the row budget, gate on the
-// namespace's home-shard drain state, read-lock the index entries, and
+// through the shared plan cache, pre-check the row budget, admit through
+// the namespace's home-shard gate, read-lock the index entries, and
 // evaluate the compiled plan — scatter-gather across every shard on a
 // sharded server, on the single accelerator otherwise. The match vector
-// is private to the call (nothing is stored), so the caller renders it
-// lock-free.
+// is private to the call (nothing is stored) and comes from matchPool,
+// so the caller renders it lock-free and hands it back with putMatch.
 func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2im.Stats, error) {
 	if namespace == "" || predicate == "" {
 		return nil, elp2im.Stats{}, badRequestf("server: query needs namespace and predicate")
@@ -105,57 +124,43 @@ func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2
 		return nil, elp2im.Stats{}, fmt.Errorf("%w: predicate needs %d rows per subarray, module has %d",
 			errQueryBudget, need, have)
 	}
-	// Queries are read-only but still coordinate with drain exactly like
-	// eval: gate on the namespace's home-shard batcher so in-flight
-	// queries finish before Drain returns and draining servers refuse new
-	// ones with the 503 class.
-	batcher := s.batcherFor(namespace)
-	if err := batcher.acquireSync(); err != nil {
+	// Queries are read-only but still pass the namespace's home-shard
+	// gate: in-flight queries count against its bound and finish before
+	// Drain returns, and draining servers refuse new ones with the 503
+	// class.
+	g := s.gateFor(namespace)
+	if err := g.acquire(); err != nil {
 		return nil, elp2im.Stats{}, err
 	}
-	defer batcher.releaseSync()
+	defer g.release()
 
 	names := ce.Vars()
-	entries := make(map[string]*entry, len(names))
-	vars := make(map[string]*elp2im.BitVector, len(names))
+	var refs [8]lockRef
+	ls := lockSet{refs: refs[:0]}
 	for _, name := range names {
-		e := s.store.lookup(indexKey(namespace, name))
-		if e == nil {
+		if ls.add(s.store, indexKey(namespace, name), false) == nil {
 			if !s.store.hasPrefix(namespace + "/") {
 				return nil, elp2im.Stats{}, fmt.Errorf("%w %q", errUnknownNamespace, namespace)
 			}
 			return nil, elp2im.Stats{}, fmt.Errorf("%w %q in namespace %q", errUnknownIndex, name, namespace)
 		}
-		entries[name] = e
 	}
-	// Keyed by index name, locked in ascending order: within one namespace
-	// that is ascending full-key order too, so the ordering is consistent
-	// with every other multi-entry locker.
-	unlock := rlockEntries(entries)
-	var universe int
-	for name, e := range entries {
-		if e.vert != nil {
-			unlock()
-			return nil, elp2im.Stats{}, badRequestf("server: index %q is a vertical vector; bitmap indices are bit vectors", name)
-		}
-		vars[name] = e.vec
-		if universe == 0 {
-			universe = e.vec.Len()
-		} else if e.vec.Len() != universe {
-			unlock()
-			return nil, elp2im.Stats{}, badRequestf("server: indices in %q differ in length (%q has %d bits, want %d)",
-				namespace, name, e.vec.Len(), universe)
-		}
+	ls.lock()
+	vars, universe, err := ls.exprVars(names, indexKey(namespace, ""))
+	if err != nil {
+		ls.unlock()
+		return nil, elp2im.Stats{}, err
 	}
-	var out *elp2im.BitVector
+	out := getMatch(universe)
 	var st elp2im.Stats
 	if s.shard != nil {
-		out, st, err = s.shard.EvalExpr(ce, vars)
+		st, err = s.shard.EvalExprInto(ce, vars, out)
 	} else {
-		out, st, err = s.acc.EvalExpr(ce, vars)
+		st, err = s.acc.EvalExprInto(ce, vars, out)
 	}
-	unlock()
+	ls.unlock()
 	if err != nil {
+		putMatch(out)
 		return nil, elp2im.Stats{}, err
 	}
 	return out, st, nil
@@ -222,6 +227,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		resp.Data = encodeWordBits(match.Words(), match.Len())
 	case wire.QueryPositions:
 		if body.Cursor > match.Len() {
+			putMatch(match)
 			return fmt.Errorf("%w: cursor %d beyond universe %d", errBadCursor, body.Cursor, match.Len())
 		}
 		positions, next := queryPage(match, body.Cursor, pageLimit(body.Limit))
@@ -231,6 +237,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		}
 		resp.NextCursor = int(next)
 	}
+	putMatch(match)
 	return writeJSON(w, resp)
 }
 
@@ -240,6 +247,7 @@ func (wb *wireBackend) handleQuery(req *wire.Request, resp *wire.Response) error
 	if err != nil {
 		return err
 	}
+	defer putMatch(match)
 	resp.AppendStats(wireStats(st))
 	resp.AppendU32(uint32(match.Len()))
 	resp.AppendU64(uint64(match.Popcount()))

@@ -497,3 +497,81 @@ func rawJSON(client *http.Client, method, url string, body, out any) (int, error
 	}
 	return resp.StatusCode, nil
 }
+
+// TestQueryPooledMatchVector pins that a query overwrites every word of
+// its recycled match vector: before each query the pool is handed a
+// vector of the universe width filled with ones (tail bits included),
+// and the count, the bits and every positions page must equal a
+// fresh-vector evaluation. The universe is ragged and spans several
+// stripes, on one shard and on four.
+func TestQueryPooledMatchVector(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var s *Server
+			if shards == 1 {
+				s, _ = newTestServer(t, nil)
+			} else {
+				s, _ = newShardedTestServer(t, shards, nil)
+			}
+			const namespace, n = "pool", 3*8192 + 77
+			rng := rand.New(rand.NewSource(9))
+			vars := map[string]*elp2im.BitVector{}
+			for _, name := range []string{"i0", "i1", "i2", "i3", "i4", "i5"} {
+				vars[name] = fillRandom(s.store, indexKey(namespace, name), rng, n)
+			}
+			oracle, err := elp2im.New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range queryPredicates {
+				ce, err := elp2im.CompileExpr(p.src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := oracle.EvalExpr(ce, vars)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Empty the pool so the poisoned vector is the one it
+				// holds. It may still drop it (at random under -race, on
+				// GC), so poison until a query reuses it.
+				reused := false
+				for attempt := 0; attempt < 64 && !reused; attempt++ {
+					for matchPool.Get() != nil {
+					}
+					ones := elp2im.NewBitVector(n)
+					for i := range ones.Words() {
+						ones.Words()[i] = ^uint64(0)
+					}
+					putMatch(ones)
+					got, _, err := s.queryCore(namespace, p.src)
+					if err != nil {
+						t.Fatalf("%q: %v", p.src, err)
+					}
+					reused = got == ones
+					if got.Popcount() != want.Popcount() {
+						t.Fatalf("%q: count %d, want %d", p.src, got.Popcount(), want.Popcount())
+					}
+					if encodeWordBits(got.Words(), n) != EncodeBits(want) {
+						t.Fatalf("%q: bits differ from a fresh evaluation", p.src)
+					}
+					for cursor := 0; ; {
+						gp, gnext := queryPage(got, cursor, 997)
+						wp, wnext := queryPage(want, cursor, 997)
+						if fmt.Sprint(gp) != fmt.Sprint(wp) || gnext != wnext {
+							t.Fatalf("%q: positions page at cursor %d differs from a fresh evaluation", p.src, cursor)
+						}
+						if gnext == 0 {
+							break
+						}
+						cursor = int(gnext)
+					}
+					putMatch(got)
+				}
+				if !reused {
+					t.Fatalf("%q: no query reused the poisoned vector", p.src)
+				}
+			}
+		})
+	}
+}

@@ -1,20 +1,22 @@
 // Package server is the networked PIM-as-a-service layer over the elp2im
 // facade: a named bit-vector store and an HTTP/JSON API (vector CRUD,
-// single ops, reductions, expression evaluation, stats) whose write path
-// runs through a dynamic micro-batcher — concurrent requests arriving
-// within a coalescing window fold into one Accelerator.Batch submission,
-// so independent clients keep the modeled banks saturated the way the
-// paper's multi-tenant framing intends.
+// single ops, reductions, expression evaluation, vertical arithmetic,
+// bitmap-index queries, stats), plus the elpwire binary twin of the same
+// API (wire.go).
 //
-// Around the batcher sits the robustness envelope a real service needs:
-// bounded-queue admission control (503 + Retry-After under saturation),
+// Every request executes synchronously on the goroutine that decoded it:
+// an ELP2IM op finishes in hundreds of modeled nanoseconds, so the
+// serving layer puts no queue in front of it. Each endpoint has one
+// protocol-independent core (opCore, evalCore, arithCore, queryCore)
+// that the JSON and wire codecs share. Around the cores sits the
+// robustness envelope a real service needs: a per-shard admission gate
+// bounding in-flight work (503 + Retry-After under saturation),
 // per-request deadlines propagated via context, panic-isolated handlers,
-// graceful drain (stop admitting, flush everything queued, then stop),
-// and a degraded mode that falls back to synchronous facade calls when
-// the pipeline is disabled. Every serving-layer metric registers in the
-// owning accelerator's observability context, so the existing Snapshot /
-// ServeDebug surface shows the server.* series next to acc.* and
-// pipeline.* (see observe.go for the name scheme).
+// and graceful drain (stop admitting, wait for in-flight work, then
+// stop). Every serving-layer metric registers in the owning
+// accelerator's observability context, so the existing Snapshot /
+// ServeDebug surface shows the server.* series next to acc.* (see
+// observe.go for the name scheme).
 package server
 
 import (
@@ -41,30 +43,15 @@ type Config struct {
 	Accelerator *elp2im.Accelerator
 	// Shard, when set instead of Accelerator, fronts a sharded
 	// multi-accelerator deployment: every vector name is placed
-	// deterministically on a home shard (Store.shardOf), each shard runs
-	// its own independent micro-batcher (window, admission queue, metric
-	// series), and an operation executes on its destination's home shard.
-	// One hot shard saturating its queue answers 503 + Retry-After without
-	// stalling the others. Window/MaxBatch/MaxQueue apply per shard.
+	// deterministically on a home shard (Store.shardOf), each shard has
+	// its own admission gate and metric series, and an operation executes
+	// on its destination's home shard. One hot shard saturating answers
+	// 503 + Retry-After without stalling the others. MaxQueue applies per
+	// shard.
 	Shard *elp2im.Shard
-	// Window is the micro-batcher's coalescing window: requests arriving
-	// within it fold into one batch. Zero means pass-through (flush
-	// immediately with whatever has queued); negative is normalized to
-	// zero. Default 200 µs when left zero — pass DisableWindow to force
-	// true zero.
-	Window time.Duration
-	// DisableWindow forces a zero coalescing window (pass-through) even
-	// though Window is zero-valued.
-	DisableWindow bool
-	// MaxBatch bounds the number of requests folded into one flush.
-	// Default 64.
-	MaxBatch int
-	// MaxQueue bounds the admission queue; beyond it requests fail fast
-	// with 503 + Retry-After. Default 1024.
+	// MaxQueue bounds the requests in flight on one shard; beyond it
+	// requests fail fast with 503 + Retry-After. Default 1024.
 	MaxQueue int
-	// Degraded disables the batching pipeline: operations execute
-	// synchronously through the facade.
-	Degraded bool
 	// RequestTimeout is the per-request deadline applied when the client
 	// does not pass ?timeout_ms. Default 5 s; negative disables the
 	// default deadline.
@@ -83,15 +70,6 @@ type Config struct {
 
 // withDefaults normalizes cfg.
 func (c Config) withDefaults() Config {
-	if c.Window == 0 && !c.DisableWindow {
-		c.Window = 200 * time.Microsecond
-	}
-	if c.Window < 0 {
-		c.Window = 0
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 1024
 	}
@@ -107,21 +85,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the HTTP serving layer: store + per-shard batchers + handler
-// mux. Create one with New, mount Handler, and call Drain on shutdown.
-// A single-module server (Config.Accelerator) runs one batcher; a sharded
-// one (Config.Shard) runs one per shard, and requests route to their
-// destination vector's home shard.
+// Server is the serving layer: store + per-shard gates + handler mux.
+// Create one with New, mount Handler (or HTTPServer) and optionally
+// ServeWire, and call Drain on shutdown. A single-module server
+// (Config.Accelerator) has one gate; a sharded one (Config.Shard) has one
+// per shard, and requests route to their destination vector's home shard.
 type Server struct {
-	cfg      Config
-	acc      *elp2im.Accelerator // shard 0's accelerator (identity, Eval on single)
-	shard    *elp2im.Shard       // nil for a single-module server
-	accs     []*elp2im.Accelerator
-	store    *Store
-	batchers []*Batcher
-	obs      *serverMetrics
-	cache    *evalCache
-	mux      *http.ServeMux
+	cfg   Config
+	acc   *elp2im.Accelerator // shard 0's accelerator (identity, Eval on single)
+	shard *elp2im.Shard       // nil for a single-module server
+	accs  []*elp2im.Accelerator
+	store *Store
+	gates []*gate
+	obs   *serverMetrics
+	cache *evalCache
+	mux   *http.ServeMux
 
 	// Wire-listener connection tracking (see wire.go): live connections
 	// accepted by ServeWire, so CloseWireConns can end them after Drain.
@@ -164,9 +142,9 @@ func New(cfg Config) (*Server, error) {
 		cache:     newEvalCache(cfg.EvalCacheSize, obs.evalCacheHits, obs.evalCacheMisses),
 		wireConns: make(map[net.Conn]struct{}),
 	}
-	s.batchers = make([]*Batcher, len(accs))
+	s.gates = make([]*gate, len(accs))
 	for i, acc := range accs {
-		s.batchers[i] = newBatcher(acc, s.store, cfg.Window, cfg.MaxBatch, cfg.MaxQueue, cfg.Degraded, obs.shards[i])
+		s.gates[i] = newGate(acc, cfg.MaxQueue, obs.shards[i])
 	}
 	s.mux = http.NewServeMux()
 	// Vector routes take rest-of-path names ({name...}) so namespaced
@@ -189,40 +167,49 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// HTTP connection timeouts set by HTTPServer. Handlers execute requests
+// on their connection's goroutine, so a client that never finishes its
+// header, or parks an idle keep-alive connection, must not hold a
+// connection open forever.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// HTTPServer returns an http.Server serving Handler with the
+// connection timeouts every elpd listener uses (header read and idle
+// keep-alive bounds).
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 // Store exposes the vector store (tests and embedding binaries).
 func (s *Server) Store() *Store { return s.store }
-
-// Batcher exposes shard 0's micro-batcher (tests and embedding binaries;
-// the only batcher on a single-module server).
-func (s *Server) Batcher() *Batcher { return s.batchers[0] }
 
 // Shards returns the number of shards the server routes across (1 for a
 // single-module server).
 func (s *Server) Shards() int { return len(s.accs) }
 
-// shardFor returns the home shard of the named vector — the shard whose
-// batcher admits, and whose accelerator executes, operations writing it.
-func (s *Server) shardFor(name string) int { return s.store.shardOf(name) }
-
-// batcherFor returns the named destination's home-shard batcher.
-func (s *Server) batcherFor(name string) *Batcher { return s.batchers[s.shardFor(name)] }
+// gateFor returns the named vector's home-shard gate — the gate that
+// admits, on the shard whose accelerator executes, operations writing it.
+func (s *Server) gateFor(name string) *gate { return s.gates[s.store.shardOf(name)] }
 
 // Drain gracefully stops the serving layer: new operations are refused
-// with 503 + Retry-After, everything already admitted flushes, and Drain
-// returns once every shard's batcher is idle. Shards drain concurrently —
-// a backed-up shard does not delay the others' flushes, only the final
-// join. The HTTP listener is the caller's to stop (elpd shuts the
-// http.Server down around this call).
+// with 503 + Retry-After, and Drain returns once every request already
+// admitted on any shard has finished. Every shard stops admitting before
+// Drain waits on any of them. The listeners are the caller's to stop
+// (elpd shuts the http.Server down around this call).
 func (s *Server) Drain() {
-	var wg sync.WaitGroup
-	for _, b := range s.batchers {
-		wg.Add(1)
-		go func(b *Batcher) {
-			defer wg.Done()
-			b.Drain()
-		}(b)
+	for _, g := range s.gates {
+		g.close()
 	}
-	wg.Wait()
+	for _, g := range s.gates {
+		g.drain()
+	}
 }
 
 // Totals returns the accumulated modeled cost of every operation the
@@ -237,41 +224,37 @@ func (s *Server) Totals() elp2im.Stats {
 }
 
 // Stats assembles the /v1/stats payload. The flat Server section
-// aggregates across shards (queue depths and rejections sum, occupancy
-// averages over every flush); PerShard breaks the same counters out per
-// home shard, alongside each shard's modeled busy time — the number a
-// load generator divides by to see the modeled hardware's aggregate
-// throughput scale with the shard count.
+// aggregates across shards (in-flight counts and rejections sum);
+// PerShard breaks the same counters out per home shard, alongside each
+// shard's modeled busy time — the number a load generator divides by to
+// see the modeled hardware's aggregate throughput scale with the shard
+// count.
 func (s *Server) Stats() StatsPayload {
 	var agg ServerStats
-	perShard := make([]ShardStats, len(s.batchers))
+	perShard := make([]ShardStats, len(s.gates))
 	vecs := s.store.sizeByShard()
-	for i, b := range s.batchers {
-		bs := b.obs
-		flushes := bs.flushes.Value()
-		coalesced := bs.coalesced.Value()
+	for i, g := range s.gates {
+		gs := g.obs
+		executed := gs.executed.Value()
 		ss := ShardStats{
 			Shard:             i,
-			QueueDepth:        bs.queueDepth.Value(),
-			Rejected:          bs.rejected.Value(),
-			DeadlineExpired:   bs.deadlineExpired.Value(),
-			BatchesFlushed:    flushes,
-			RequestsCoalesced: coalesced,
+			QueueDepth:        gs.inFlight.Value(),
+			Rejected:          gs.rejected.Value(),
+			DeadlineExpired:   gs.deadlineExpired.Value(),
+			BatchesFlushed:    executed,
+			RequestsCoalesced: executed,
 			Vectors:           vecs[i],
-			Draining:          b.Draining(),
+			Draining:          g.isDraining(),
 			ModeledBusyNS:     s.accs[i].Totals().LatencyNS,
 		}
 		perShard[i] = ss
 		agg.QueueDepth += ss.QueueDepth
-		agg.QueueMax += bs.queueMax.Value()
+		agg.QueueMax += gs.queueMax.Value()
 		agg.Rejected += ss.Rejected
 		agg.DeadlineExpired += ss.DeadlineExpired
-		agg.BatchesFlushed += flushes
-		agg.RequestsCoalesced += coalesced
+		agg.BatchesFlushed += executed
+		agg.RequestsCoalesced += executed
 		agg.Draining = agg.Draining || ss.Draining
-	}
-	if agg.BatchesFlushed > 0 {
-		agg.MeanBatchOccupancy = float64(agg.RequestsCoalesced) / float64(agg.BatchesFlushed)
 	}
 	for _, acc := range s.accs {
 		hits, falls := acc.FusionCounters()
@@ -284,9 +267,8 @@ func (s *Server) Stats() StatsPayload {
 		agg.WireFramesPerFlush = s.obs.wire.framesPerFlush.Sum() / float64(n)
 	}
 	agg.Vectors = s.store.size()
-	agg.Degraded = s.batchers[0].Degraded()
-	agg.Shards = len(s.batchers)
-	if len(s.batchers) > 1 {
+	agg.Shards = len(s.gates)
+	if len(s.gates) > 1 {
 		agg.PerShard = perShard
 	}
 	return StatsPayload{
@@ -334,8 +316,6 @@ func (s *Server) wrap(route string, h handlerFunc) http.HandlerFunc {
 		start := time.Now()
 		spanStart := s.obs.ctx.SpanStart()
 		cw := &committedWriter{ResponseWriter: w}
-		var flushID int64
-		r = r.WithContext(context.WithValue(r.Context(), flushIDKey{}, &flushID))
 		var handlerErr error
 		defer func() {
 			if rec := recover(); rec != nil {
@@ -346,7 +326,7 @@ func (s *Server) wrap(route string, h handlerFunc) http.HandlerFunc {
 				handlerErr = err
 			}
 			rs.latency.Observe(float64(time.Since(start).Nanoseconds()))
-			s.obs.requestSpan(spanStart, route, r.Method, flushID, handlerErr)
+			s.obs.requestSpan(spanStart, route, r.Method, handlerErr)
 		}()
 		r.Body = http.MaxBytesReader(cw, r.Body, s.cfg.MaxBodyBytes)
 		handlerErr = h(cw, r)
@@ -355,11 +335,6 @@ func (s *Server) wrap(route string, h handlerFunc) http.HandlerFunc {
 		}
 	}
 }
-
-// flushIDKey carries the flush sequence number a request rode from the
-// handler body back to the span emitter, via a pointer stashed in the
-// request context by wrap.
-type flushIDKey struct{}
 
 // statusFor maps serving-layer errors onto HTTP statuses. 400 is
 // reserved for tagged request-validation failures (errBadRequest); an
@@ -492,7 +467,7 @@ func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	e := s.store.lookup(name)
 	if e == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownVector, name)
+		return unknownVector(name)
 	}
 	e.mu.RLock()
 	if v := e.vert; v != nil {
@@ -518,7 +493,7 @@ func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
 func (s *Server) handleDeleteVector(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	if !s.store.remove(name) {
-		return fmt.Errorf("%w: %q", ErrUnknownVector, name)
+		return unknownVector(name)
 	}
 	w.WriteHeader(http.StatusNoContent)
 	return nil
@@ -529,28 +504,22 @@ func (s *Server) handleListVectors(w http.ResponseWriter, r *http.Request) error
 	return writeJSON(w, ListResponse{Vectors: s.store.list()})
 }
 
-// runBatched admits req to its destination's home-shard micro-batcher and
-// reports the flush id it rode back to wrap's span emitter. Do owns req
-// from the moment it is called (it recycles it into the request pool), so
-// nothing here may touch req afterwards.
-func (s *Server) runBatched(w http.ResponseWriter, r *http.Request, req *pimRequest) error {
+// runOp executes req through opCore under the request's deadline and
+// renders the modeled cost.
+func (s *Server) runOp(w http.ResponseWriter, r *http.Request, req *opRequest) error {
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
-		putPimRequest(req)
 		return err
 	}
 	defer cancel()
-	st, id, err := s.batcherFor(req.dst).Do(ctx, req)
-	if p, ok := r.Context().Value(flushIDKey{}).(*int64); ok {
-		*p = id
-	}
+	st, err := s.opCore(ctx, req)
 	if err != nil {
 		return err
 	}
 	return writeJSON(w, OpResponse{Stats: statsJSON(st)})
 }
 
-// handleOp executes dst = op(x, y) through the micro-batcher.
+// handleOp executes dst = op(x, y).
 func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) error {
 	var body OpRequest
 	if err := decodeBody(r, &body); err != nil {
@@ -560,19 +529,10 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if body.Dst == "" || body.X == "" {
-		return badRequestf("server: op needs dst and x")
-	}
-	if !op.Unary() && body.Y == "" {
-		return badRequestf("server: %s needs operand y", body.Op)
-	}
-	pr := getPimRequest()
-	pr.kind, pr.op, pr.dst, pr.x, pr.y = kindOp, op, body.Dst, body.X, body.Y
-	return s.runBatched(w, r, pr)
+	return s.runOp(w, r, &opRequest{op: op, dst: body.Dst, x: body.X, y: body.Y})
 }
 
-// handleReduce executes dst = srcs[0] op srcs[1] op ... through the
-// micro-batcher.
+// handleReduce executes dst = srcs[0] op srcs[1] op ....
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) error {
 	var body ReduceRequest
 	if err := decodeBody(r, &body); err != nil {
@@ -582,25 +542,11 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	if body.Dst == "" {
-		return badRequestf("server: reduce needs dst")
-	}
-	if len(body.Srcs) < 2 {
-		return badRequestf("server: reduce needs at least two srcs")
-	}
-	pr := getPimRequest()
-	pr.kind, pr.op, pr.dst = kindReduce, op, body.Dst
-	pr.srcs = append(pr.srcs[:0], body.Srcs...)
-	return s.runBatched(w, r, pr)
+	return s.runOp(w, r, &opRequest{op: op, reduce: true, dst: body.Dst, srcs: body.Srcs})
 }
 
 // handleEval evaluates a boolean expression over stored vectors and
-// stores the result under dst. Eval has no batched form on the facade,
-// so it runs synchronously — gated on the drain state and coordinated
-// with in-flight flushes through the same entry locks. Eval only reads
-// its operands (the result lands in a fresh vector, stored afterwards),
-// so the sources are read-locked: concurrent GETs and other Evals sharing
-// an operand proceed, only writers are excluded.
+// stores the result under dst.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) error {
 	var body EvalRequest
 	if err := decodeBody(r, &body); err != nil {
@@ -617,52 +563,41 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) error {
 }
 
 // evalCore is the protocol-independent eval body shared by the HTTP and
-// wire paths: compile the expression once to its fused plan, gate on the
-// destination shard's drain state, read-lock the operands, execute the
-// compiled plan on the shard's accelerator, and store the result under
-// dst. Compilation failures (elp2im.ErrBadExpr) are client errors; both
-// transports report them as 400.
+// wire paths: compile the expression once to its fused plan, admit
+// through the destination's home-shard gate, read-lock the operands,
+// execute the compiled plan on the shard's accelerator, and store the
+// result under dst. Eval only reads its operands (the result lands in a
+// fresh vector, stored afterwards), so concurrent GETs and other evals
+// sharing an operand proceed; only writers are excluded. Compilation
+// failures (elp2im.ErrBadExpr) are client errors; both transports report
+// them as 400.
 func (s *Server) evalCore(exprSrc, dst string) (elp2im.Stats, int, error) {
 	ce, err := s.cachedExpr(exprSrc)
 	if err != nil {
 		return elp2im.Stats{}, 0, err
 	}
-	// Eval routes like every write: the destination's home shard admits it
-	// and executes it on that shard's accelerator.
-	batcher := s.batcherFor(dst)
-	if err := batcher.acquireSync(); err != nil {
+	g := s.gateFor(dst)
+	if err := g.acquire(); err != nil {
 		return elp2im.Stats{}, 0, err
 	}
-	defer batcher.releaseSync()
+	defer g.release()
 
 	names := ce.Vars()
-	entries := make(map[string]*entry, len(names))
-	vars := make(map[string]*elp2im.BitVector, len(names))
+	var refs [8]lockRef
+	ls := lockSet{refs: refs[:0]}
 	for _, name := range names {
-		e := s.store.lookup(name)
-		if e == nil {
-			return elp2im.Stats{}, 0, fmt.Errorf("%w: %q", ErrUnknownVector, name)
-		}
-		entries[name] = e
-	}
-	unlock := rlockEntries(entries)
-	var bits int
-	for name, e := range entries {
-		if e.vert != nil {
-			unlock()
-			return elp2im.Stats{}, 0, badRequestf("server: %q is a vertical vector; eval operands are bit vectors", name)
-		}
-		vars[name] = e.vec
-		if bits == 0 {
-			bits = e.vec.Len()
-		} else if e.vec.Len() != bits {
-			unlock()
-			return elp2im.Stats{}, 0, badRequestf("server: expression vectors differ in length (%q has %d bits, want %d)",
-				name, e.vec.Len(), bits)
+		if ls.add(s.store, name, false) == nil {
+			return elp2im.Stats{}, 0, unknownVector(name)
 		}
 	}
-	out, st, err := batcher.acc.EvalExpr(ce, vars)
-	unlock()
+	ls.lock()
+	vars, _, err := ls.exprVars(names, "")
+	if err != nil {
+		ls.unlock()
+		return elp2im.Stats{}, 0, err
+	}
+	out, st, err := g.acc.EvalExpr(ce, vars)
+	ls.unlock()
 	if err != nil {
 		return elp2im.Stats{}, 0, err
 	}
@@ -689,73 +624,71 @@ func (s *Server) handleArith(w http.ResponseWriter, r *http.Request) error {
 }
 
 // arithCore is the protocol-independent arith body shared by the HTTP
-// and wire paths, mirroring evalCore's shape: gate on the destination
-// shard's drain state, read-lock the operands, fetch the compiled
-// µProgram for (op, x's width) through the shared program cache, execute
-// it on the destination's home-shard accelerator, and store the result
+// and wire paths, mirroring evalCore's shape: admit through the
+// destination's home-shard gate, read-lock the operands, fetch the
+// compiled µProgram for (op, x's width) through the shared program
+// cache, execute it on the shard's accelerator, and store the result
 // vertical under dst. Operand-shape mistakes surface as
 // elp2im.ErrBadArith, which both transports report as 400.
 func (s *Server) arithCore(op elp2im.ArithOp, dst, x, y, mask string) (elp2im.Stats, *elp2im.Vertical, error) {
 	if dst == "" || x == "" {
 		return elp2im.Stats{}, nil, badRequestf("server: arith needs dst and x")
 	}
-	batcher := s.batcherFor(dst)
-	if err := batcher.acquireSync(); err != nil {
+	g := s.gateFor(dst)
+	if err := g.acquire(); err != nil {
 		return elp2im.Stats{}, nil, err
 	}
-	defer batcher.releaseSync()
+	defer g.release()
 
-	entries := make(map[string]*entry, 3)
-	for _, name := range []string{x, y, mask} {
-		if name == "" {
-			continue
+	var refs [3]lockRef
+	ls := lockSet{refs: refs[:0]}
+	for _, name := range [...]string{x, y, mask} {
+		if name != "" && ls.add(s.store, name, false) == nil {
+			return elp2im.Stats{}, nil, unknownVector(name)
 		}
-		e := s.store.lookup(name)
-		if e == nil {
-			return elp2im.Stats{}, nil, fmt.Errorf("%w: %q", ErrUnknownVector, name)
-		}
-		entries[name] = e
 	}
-	unlock := rlockEntries(entries)
+	ls.lock()
+	out, st, err := s.execArith(g.acc, &ls, op, x, y, mask)
+	ls.unlock()
+	if err != nil {
+		return elp2im.Stats{}, nil, err
+	}
+	s.store.setVert(dst, out)
+	return st, out, nil
+}
+
+// execArith binds the arith operands out of the locked entries and runs
+// the compiled µProgram on acc. The caller holds ls's locks.
+func (s *Server) execArith(acc *elp2im.Accelerator, ls *lockSet, op elp2im.ArithOp, x, y, mask string) (*elp2im.Vertical, elp2im.Stats, error) {
 	vertOf := func(name string) (*elp2im.Vertical, error) {
-		if v := entries[name].vert; v != nil {
+		if v := ls.entry(name).vert; v != nil {
 			return v, nil
 		}
 		return nil, badRequestf("server: %q is not a vertical vector (arith operands are stored with elem_width)", name)
 	}
 	xv, err := vertOf(x)
 	if err != nil {
-		unlock()
-		return elp2im.Stats{}, nil, err
+		return nil, elp2im.Stats{}, err
 	}
 	var yv *elp2im.Vertical
 	if y != "" {
 		if yv, err = vertOf(y); err != nil {
-			unlock()
-			return elp2im.Stats{}, nil, err
+			return nil, elp2im.Stats{}, err
 		}
 	}
 	var mv *elp2im.BitVector
 	if mask != "" {
-		me := entries[mask]
+		me := ls.entry(mask)
 		if me.vert != nil {
-			unlock()
-			return elp2im.Stats{}, nil, badRequestf("server: mask %q must be a plain bit vector", mask)
+			return nil, elp2im.Stats{}, badRequestf("server: mask %q must be a plain bit vector", mask)
 		}
 		mv = me.vec
 	}
 	ca, err := s.cachedArith(op, xv.Width())
 	if err != nil {
-		unlock()
-		return elp2im.Stats{}, nil, err
+		return nil, elp2im.Stats{}, err
 	}
-	out, st, err := batcher.acc.ArithProg(ca, xv, yv, mv)
-	unlock()
-	if err != nil {
-		return elp2im.Stats{}, nil, err
-	}
-	s.store.setVert(dst, out)
-	return st, out, nil
+	return acc.ArithProg(ca, xv, yv, mv)
 }
 
 // handleStats serves the stable stats payload.
@@ -774,8 +707,8 @@ type healthPayload struct {
 // marks the whole instance draining — drain is an instance-wide event.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) error {
 	st := "ok"
-	for _, b := range s.batchers {
-		if b.Draining() {
+	for _, g := range s.gates {
+		if g.isDraining() {
 			st = "draining"
 			break
 		}

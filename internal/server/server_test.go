@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -237,14 +238,10 @@ func TestOpReduceEvalCorrectness(t *testing.T) {
 }
 
 // TestConcurrentMixedWorkload is the acceptance scenario at test scale:
-// 64 concurrent clients on mixed AND/OR/XOR + Reduce, client-side result
-// verification, and micro-batching visibly coalescing (mean occupancy
-// above 1).
+// 64 concurrent clients on mixed AND/OR/XOR + Reduce, with client-side
+// result verification.
 func TestConcurrentMixedWorkload(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Window = 4 * time.Millisecond
-		c.RequestTimeout = time.Minute
-	})
+	s, ts := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Minute })
 	c := ts.Client()
 	const clients = 64
 	const opsPerClient = 6
@@ -293,22 +290,21 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Server.BatchesFlushed == 0 {
-		t.Fatal("no batches flushed")
-	}
-	if st.Server.MeanBatchOccupancy <= 1 {
-		t.Errorf("mean batch occupancy %.2f, want > 1 (coalesced=%d flushes=%d)",
-			st.Server.MeanBatchOccupancy, st.Server.RequestsCoalesced, st.Server.BatchesFlushed)
+	if want := int64(clients * opsPerClient); st.Server.BatchesFlushed != want {
+		t.Fatalf("%d ops executed, want %d", st.Server.BatchesFlushed, want)
 	}
 	if st.Totals.LatencyNS <= 0 {
 		t.Error("accelerator totals did not accumulate")
 	}
 }
 
+// TestBackpressure503 pins the in-flight bound: with MaxQueue 1 and one
+// request stalled on a held entry lock, the next request is refused with
+// 503 + Retry-After at once, and the stalled one completes normally when
+// the lock is released.
 func TestBackpressure503(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) {
+	s, ts := newTestServer(t, func(c *Config) {
 		c.MaxQueue = 1
-		c.Window = 100 * time.Millisecond
 		c.RequestTimeout = time.Minute
 	})
 	c := ts.Client()
@@ -316,63 +312,33 @@ func TestBackpressure503(t *testing.T) {
 	putRandom(t, c, ts.URL, "bp.a", rng, 256)
 	putRandom(t, c, ts.URL, "bp.b", rng, 256)
 
-	const n = 8
-	codes := make([]int, n)
-	headers := make([]http.Header, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], headers[i] = doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
-				OpRequest{Op: "and", Dst: fmt.Sprintf("bp.r%d", i), X: "bp.a", Y: "bp.b"}, nil)
-		}(i)
-	}
-	wg.Wait()
+	release := holdEntry(t, s, "bp.a")
+	codeCh := make(chan int, 1)
+	go func() {
+		codeCh <- postStatus(c, ts.URL+"/v1/op", OpRequest{Op: "and", Dst: "bp.r0", X: "bp.a", Y: "bp.b"})
+	}()
+	waitInFlight(t, s.gates[0], 1)
 
-	var ok, rejected int
-	for i, code := range codes {
-		switch code {
-		case http.StatusOK:
-			ok++
-		case http.StatusServiceUnavailable:
-			rejected++
-			if headers[i].Get("Retry-After") == "" {
-				t.Error("503 without Retry-After header")
-			}
-		default:
-			t.Errorf("unexpected status %d", code)
-		}
+	code, hdr := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
+		OpRequest{Op: "or", Dst: "bp.r1", X: "bp.b", Y: "bp.b"}, nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("request past the in-flight bound: status %d, want 503", code)
 	}
-	if ok == 0 {
-		t.Error("no request succeeded")
+	if hdr.Get("Retry-After") == "" {
+		t.Error("503 without Retry-After header")
 	}
-	if rejected == 0 {
-		t.Error("queue bound 1 with 8 concurrent requests produced no 503")
+	if got := s.Stats().Server.Rejected; got != 1 {
+		t.Errorf("rejected = %d, want 1", got)
 	}
-}
-
-func TestDegradedMode(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.Degraded = true })
-	c := ts.Client()
-	rng := rand.New(rand.NewSource(4))
-	a := putRandom(t, c, ts.URL, "dg.a", rng, 512)
-	b := putRandom(t, c, ts.URL, "dg.b", rng, 512)
-
-	code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
-		OpRequest{Op: "xor", Dst: "dg.r", X: "dg.a", Y: "dg.b"}, nil)
+	release()
+	if code := <-codeCh; code != http.StatusOK {
+		t.Fatalf("stalled request: status %d, want 200", code)
+	}
+	// The slot is free again.
+	code, _ = doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
+		OpRequest{Op: "or", Dst: "bp.r1", X: "bp.b", Y: "bp.b"}, nil)
 	if code != http.StatusOK {
-		t.Fatalf("degraded op: status %d", code)
-	}
-	if got := fetchBytes(t, c, ts.URL, "dg.r"); !bytes.Equal(got, opBytes("xor", a, b)) {
-		t.Fatal("degraded op: wrong result")
-	}
-	st := s.Stats()
-	if !st.Server.Degraded {
-		t.Error("stats do not report degraded mode")
-	}
-	if st.Server.BatchesFlushed != 0 {
-		t.Errorf("degraded mode flushed %d batches, want 0", st.Server.BatchesFlushed)
+		t.Fatalf("request after the stall cleared: status %d, want 200", code)
 	}
 }
 
@@ -500,5 +466,41 @@ func TestRouteMetricsRegistered(t *testing.T) {
 	}
 	if snap.Counter("server.http.requests.health") == 0 {
 		t.Error("health route counter did not move")
+	}
+}
+
+// TestHTTPServerTimeouts pins the slowloris bounds of the http.Server
+// elpd and elpload serve with: a header-read timeout and an idle
+// keep-alive timeout. With the header timeout shortened, a client that
+// never finishes its request header is disconnected instead of holding
+// its connection open.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	hs := s.HTTPServer()
+	if hs.ReadHeaderTimeout != httpReadHeaderTimeout || hs.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, httpReadHeaderTimeout)
+	}
+	if hs.IdleTimeout != httpIdleTimeout || hs.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want %v", hs.IdleTimeout, httpIdleTimeout)
+	}
+
+	hs.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = hs.Serve(ln) }()
+	defer hs.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: elpd\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("half-sent header: connection not closed by the server (%v)", err)
 	}
 }

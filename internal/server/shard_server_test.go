@@ -141,7 +141,7 @@ func shardHomedName(t *testing.T, s *Server, prefix string, shard int) string {
 	t.Helper()
 	for i := 0; i < 4096; i++ {
 		name := fmt.Sprintf("%s%d", prefix, i)
-		if s.shardFor(name) == shard {
+		if s.store.shardOf(name) == shard {
 			return name
 		}
 	}
@@ -152,8 +152,7 @@ func shardHomedName(t *testing.T, s *Server, prefix string, shard int) string {
 // TestShardedServerEndToEnd drives the same op/reduce/eval workload
 // through a single-module server and sharded ones of several widths over
 // HTTP, requiring byte-identical results, identical modeled totals, and
-// placement-consistent listings. DisableWindow keeps the micro-batchers in
-// pass-through so the modeled cost is batching-schedule-independent.
+// placement-consistent listings.
 func TestShardedServerEndToEnd(t *testing.T) {
 	const nbytes = 2048
 	type result struct {
@@ -199,12 +198,12 @@ func TestShardedServerEndToEnd(t *testing.T) {
 		return result{vecs: got, totals: s.Stats().Totals}
 	}
 
-	sSingle, tsSingle := newTestServer(t, func(c *Config) { c.DisableWindow = true })
+	sSingle, tsSingle := newTestServer(t, nil)
 	base := workload(t, sSingle, tsSingle)
 
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, ts := newShardedTestServer(t, shards, func(c *Config) { c.DisableWindow = true })
+			s, ts := newShardedTestServer(t, shards, nil)
 			got := workload(t, s, ts)
 			for name, want := range base.vecs {
 				if !bytes.Equal(got.vecs[name], want) {
@@ -245,7 +244,7 @@ func TestShardedServerEndToEnd(t *testing.T) {
 				t.Fatalf("list: status %d", code)
 			}
 			for _, vi := range list.Vectors {
-				if want := s.shardFor(vi.Name); vi.Shard != want {
+				if want := s.store.shardOf(vi.Name); vi.Shard != want {
 					t.Errorf("list reports %s on shard %d, placement says %d", vi.Name, vi.Shard, want)
 				}
 			}
@@ -359,67 +358,56 @@ func TestShardedMetricNames(t *testing.T) {
 	}
 }
 
-// TestShardSaturation503Isolation is the tentpole's failure-isolation
-// property at test scale: one shard's admission queue saturating answers
-// 503 + Retry-After on that shard's vectors while another shard keeps
-// serving — and only the hot shard's rejected counter moves.
+// TestShardSaturation503Isolation is the sharded server's failure
+// isolation at test scale: with MaxQueue 1, a request stalled on a held
+// entry lock fills shard 0, so the next shard-0 request answers 503 +
+// Retry-After while shard 1 keeps serving — and only the hot shard's
+// rejected counter moves.
 func TestShardSaturation503Isolation(t *testing.T) {
 	s, ts := newShardedTestServer(t, 2, func(c *Config) {
 		c.MaxQueue = 1
-		c.Window = 100 * time.Millisecond
 		c.RequestTimeout = time.Minute
 	})
 	c := ts.Client()
 	rng := rand.New(rand.NewSource(32))
 	putRandom(t, c, ts.URL, "iso.x", rng, 256)
 	putRandom(t, c, ts.URL, "iso.y", rng, 256)
+	putRandom(t, c, ts.URL, "iso.z", rng, 256)
 
 	// Destinations on each side of the placement: requests execute on the
 	// destination's home shard regardless of where the operands live.
-	hot := make([]string, 6)
-	for i := range hot {
-		hot[i] = shardHomedName(t, s, fmt.Sprintf("iso.h%d.", i), 0)
-	}
+	hot0 := shardHomedName(t, s, "iso.h0.", 0)
+	hot1 := shardHomedName(t, s, "iso.h1.", 0)
 	cold := shardHomedName(t, s, "iso.c", 1)
 
-	codes := make([]int, len(hot))
-	headers := make([]http.Header, len(hot))
-	done := make(chan struct{})
-	for i, dst := range hot {
-		go func(i int, dst string) {
-			defer func() { done <- struct{}{} }()
-			codes[i], headers[i] = doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
-				OpRequest{Op: "and", Dst: dst, X: "iso.x", Y: "iso.y"}, nil)
-		}(i, dst)
+	release := holdEntry(t, s, "iso.x")
+	stalled := make(chan int, 1)
+	go func() {
+		stalled <- postStatus(c, ts.URL+"/v1/op", OpRequest{Op: "and", Dst: hot0, X: "iso.x", Y: "iso.y"})
+	}()
+	waitInFlight(t, s.gates[0], 1)
+
+	code, hdr := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
+		OpRequest{Op: "and", Dst: hot1, X: "iso.y", Y: "iso.z"}, nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("second hot-shard request: status %d, want 503", code)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Error("hot-shard 503 without Retry-After")
 	}
 	coldCode, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
-		OpRequest{Op: "or", Dst: cold, X: "iso.x", Y: "iso.y"}, nil)
-	for range hot {
-		<-done
-	}
-
+		OpRequest{Op: "or", Dst: cold, X: "iso.y", Y: "iso.z"}, nil)
 	if coldCode != http.StatusOK {
 		t.Fatalf("op on the cold shard: status %d, want 200", coldCode)
 	}
-	var rejected int
-	for i, code := range codes {
-		switch code {
-		case http.StatusOK:
-		case http.StatusServiceUnavailable:
-			rejected++
-			if headers[i].Get("Retry-After") == "" {
-				t.Error("hot-shard 503 without Retry-After")
-			}
-		default:
-			t.Errorf("hot-shard request: unexpected status %d", code)
-		}
+	release()
+	if code := <-stalled; code != http.StatusOK {
+		t.Fatalf("stalled hot-shard request: status %d, want 200", code)
 	}
-	if rejected == 0 {
-		t.Fatal("queue bound 1 with 6 concurrent hot-shard requests produced no 503")
-	}
+
 	st := s.Stats()
-	if st.Server.PerShard[0].Rejected == 0 {
-		t.Error("hot shard's rejected counter did not move")
+	if got := st.Server.PerShard[0].Rejected; got != 1 {
+		t.Errorf("hot shard rejected %d requests, want 1", got)
 	}
 	if got := st.Server.PerShard[1].Rejected; got != 0 {
 		t.Errorf("cold shard rejected %d requests, want 0", got)
@@ -428,7 +416,7 @@ func TestShardSaturation503Isolation(t *testing.T) {
 
 // TestShardedDrain checks instance-wide drain on a sharded server: every
 // shard refuses new work with 503 + Retry-After and /healthz flips to
-// draining when any batcher drains.
+// draining when any shard drains.
 func TestShardedDrain(t *testing.T) {
 	s, ts := newShardedTestServer(t, 2, nil)
 	c := ts.Client()

@@ -9,8 +9,8 @@ import (
 
 // Store is the server's named bit-vector table. The map itself is guarded
 // by mu; each entry additionally carries its own RWMutex so the contents
-// of a vector can be pinned for the duration of a micro-batch flush (or a
-// synchronous Eval) while unrelated vectors stay fully concurrent.
+// of a vector can be pinned for the duration of one operation while
+// unrelated vectors stay fully concurrent.
 //
 // The store is also where the serving layer's shard placement lives:
 // every vector name maps deterministically onto one of the server's
@@ -21,7 +21,7 @@ import (
 //
 // Lock ordering: mu is never held while acquiring an entry lock, and
 // multi-entry lock sets are always acquired in ascending name order
-// (see lockEntries), so handler access, flushes and Eval cannot deadlock.
+// (see lockSet), so concurrent requests cannot deadlock.
 type Store struct {
 	shards int
 	mu     sync.RWMutex
@@ -30,8 +30,8 @@ type Store struct {
 
 // entry is one stored vector plus its content lock and home shard. The
 // vec pointer is only replaced (PUT over an existing name) or read while
-// holding mu of the entry, so a flush that resolved and locked an entry
-// owns the vector it saw until it unlocks.
+// holding mu of the entry, so a request that resolved and locked an
+// entry owns the vector it saw until it unlocks.
 //
 // An entry holds either a plain bit vector (vec) or a vertical
 // (bit-sliced integer) vector (vert) — exactly one of the two is non-nil,
@@ -108,8 +108,8 @@ func (s *Store) getOrCreate(name string, bits int) *entry {
 
 // set stores vec under name, replacing any previous contents. The entry
 // lock is taken without holding the map lock (lock-ordering rule), so an
-// in-flight flush that pinned the old vector finishes against it before
-// the replacement lands.
+// in-flight operation that pinned the old vector finishes against it
+// before the replacement lands.
 func (s *Store) set(name string, vec *elp2im.BitVector) {
 	e := s.getOrCreate(name, vec.Len())
 	e.mu.Lock()
@@ -224,7 +224,7 @@ func (s *Store) sizeByShard() []int {
 
 // wordBufPool recycles GET-snapshot word buffers. The GET paths (JSON
 // and wire) pin an entry only long enough to memcpy its words into one
-// of these buffers, then popcount and encode outside the lock — a flush
+// of these buffers, then popcount and encode outside the lock — an op
 // mutates stored vectors in place under the entry write lock, so
 // encoding directly from the live words outside the lock would race,
 // while encoding under the lock would stall writers for the whole
@@ -241,57 +241,4 @@ func getWordBuf() *[]uint64 { return wordBufPool.Get().(*[]uint64) }
 func putWordBuf(bp *[]uint64) {
 	*bp = (*bp)[:0]
 	wordBufPool.Put(bp)
-}
-
-// lockEntries write-locks a set of entries in ascending name order
-// (deduplicated) and returns the unlock function. Consistent ordering
-// across every multi-entry locker is what makes concurrent flushes and
-// Eval calls deadlock-free.
-func lockEntries(entries map[string]*entry) (unlock func()) {
-	names := lockEntriesOrdered(entries, nil)
-	return func() { unlockEntriesOrdered(entries, names) }
-}
-
-// lockEntriesOrdered is the allocation-aware core of lockEntries: it
-// write-locks entries in ascending name order, filling (and returning)
-// the caller's name scratch. Pair with unlockEntriesOrdered on the same
-// names. The flush hot path uses it with a reused scratch slice.
-func lockEntriesOrdered(entries map[string]*entry, names []string) []string {
-	names = names[:0]
-	for n := range entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		entries[n].mu.Lock()
-	}
-	return names
-}
-
-// unlockEntriesOrdered releases locks taken by lockEntriesOrdered, in
-// reverse order.
-func unlockEntriesOrdered(entries map[string]*entry, names []string) {
-	for i := len(names) - 1; i >= 0; i-- {
-		entries[names[i]].mu.Unlock()
-	}
-}
-
-// rlockEntries read-locks a set of entries in the same ascending-name
-// order as lockEntries. Read-only consumers (Eval never mutates a stored
-// vector in place — its result lands via set afterwards) use this so they
-// only exclude writers, not each other or concurrent GETs.
-func rlockEntries(entries map[string]*entry) (unlock func()) {
-	names := make([]string, 0, len(entries))
-	for n := range entries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		entries[n].mu.RLock()
-	}
-	return func() {
-		for i := len(names) - 1; i >= 0; i-- {
-			entries[names[i]].mu.RUnlock()
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 
 // This file threads elpwire (internal/wire) through the serving layer:
 // ServeWire accepts persistent binary-protocol connections that execute
-// against the same store, per-shard micro-batchers, admission queues and
+// against the same store, request cores, per-shard admission gates and
 // drain semantics as the HTTP/JSON handlers — only the codec differs.
 // The differential tests in wire_server_test.go pin the two paths
 // bit-for-bit equal; the sentinel-error → wire-status mapping below is
@@ -111,7 +110,7 @@ func wireStats(st elp2im.Stats) wire.Stats {
 }
 
 // ServeWire serves elpwire connections from ln until the listener
-// closes, sharing the store, micro-batchers, admission control and drain
+// closes, sharing the store, request cores, admission gates and drain
 // state with the HTTP handlers. Accepted connections are tracked so
 // CloseWireConns can end them after a drain. A clean listener close
 // returns nil.
@@ -170,11 +169,11 @@ func (s *Server) CloseWireConns() {
 }
 
 // wireBackend executes decoded wire requests against the server — the
-// binary twin of the HTTP handlers. The op/reduce arm is the
-// steady-state hot path: it allocates nothing of its own (pooled
-// pimRequests, interned names from the connection, the response built
-// into a pooled buffer), so the whole read→decode→dispatch→encode→write
-// loop stays allocation-free when no per-request deadline is requested.
+// binary twin of the HTTP handlers, sharing their request cores. Each
+// request runs synchronously on one of its connection's worker
+// goroutines. The op/reduce arm is the steady-state hot path: names come
+// interned from the connection, the request descriptor lives on the
+// stack, and the response is built into a pooled buffer.
 type wireBackend struct {
 	s *Server
 }
@@ -270,36 +269,27 @@ func (wb *wireBackend) handleDelete(req *wire.Request) error {
 	return nil
 }
 
-// handleOp admits an op or reduce to its destination's home-shard
-// micro-batcher — the wire hot path. A zero TimeoutMS executes under the
-// connection's base context (no timer, no allocation); a nonzero one
-// buys a per-request deadline exactly like the JSON ?timeout_ms.
+// handleOp executes an op or reduce through opCore — the wire hot path.
+// A zero TimeoutMS executes under the connection's base context (no
+// timer, no allocation); a nonzero one buys a per-request deadline
+// exactly like the JSON ?timeout_ms.
 func (wb *wireBackend) handleOp(ctx context.Context, req *wire.Request, resp *wire.Response) error {
 	op, ok := bitOpFor(req.Op)
 	if !ok {
 		return badRequestf("server: unknown wire op code %d", req.Op)
 	}
-	pr := getPimRequest()
+	oreq := opRequest{op: op, dst: req.Dst}
 	if req.Kind == wire.KindReduce {
-		if op != elp2im.OpAnd && op != elp2im.OpOr {
-			putPimRequest(pr)
-			return badRequestf("server: reduce supports and/or, got %s", op)
-		}
-		pr.kind, pr.op, pr.dst = kindReduce, op, req.Dst
-		pr.srcs = append(pr.srcs[:0], req.Srcs...)
+		oreq.reduce, oreq.srcs = true, req.Srcs
 	} else {
-		if !op.Unary() && req.Y == "" {
-			putPimRequest(pr)
-			return badRequestf("server: %s needs operand y", op)
-		}
-		pr.kind, pr.op, pr.dst, pr.x, pr.y = kindOp, op, req.Dst, req.X, req.Y
+		oreq.x, oreq.y = req.X, req.Y
 	}
-	cancel := nopCancel
 	if req.TimeoutMS > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+		defer cancel()
 	}
-	st, _, err := wb.s.batcherFor(pr.dst).Do(ctx, pr)
-	cancel()
+	st, err := wb.s.opCore(ctx, &oreq)
 	if err != nil {
 		return err
 	}
@@ -308,8 +298,8 @@ func (wb *wireBackend) handleOp(ctx context.Context, req *wire.Request, resp *wi
 }
 
 // handleEval evaluates an expression through the shared eval core. Like
-// the HTTP handler, eval runs synchronously under the drain gate with no
-// per-request deadline.
+// the HTTP handler, eval runs under the shard gate with no per-request
+// deadline.
 func (wb *wireBackend) handleEval(req *wire.Request, resp *wire.Response) error {
 	st, bits, err := wb.s.evalCore(req.Expr, req.Dst)
 	if err != nil {
@@ -323,7 +313,7 @@ func (wb *wireBackend) handleEval(req *wire.Request, resp *wire.Response) error 
 // handleArith runs one vertical arithmetic operation through the shared
 // arith core — the binary twin of POST /v1/arith. A nonzero TimeoutMS is
 // accepted for frame symmetry with op/reduce but, like eval, arith runs
-// synchronously under the drain gate without a per-request deadline.
+// under the shard gate without a per-request deadline.
 func (wb *wireBackend) handleArith(req *wire.Request, resp *wire.Response) error {
 	op, ok := arithOpFor(req.Op)
 	if !ok {
@@ -388,12 +378,4 @@ func (wb *wireBackend) handleStats(resp *wire.Response) error {
 	}
 	resp.AppendBytes(raw)
 	return nil
-}
-
-// nopCancel is the shared no-op CancelFunc for deadline-free requests.
-var nopCancel context.CancelFunc = func() {}
-
-// unknownVector wraps a missing vector's name in the 404 sentinel.
-func unknownVector(name string) error {
-	return fmt.Errorf("%w: %q", ErrUnknownVector, name)
 }

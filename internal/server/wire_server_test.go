@@ -57,7 +57,7 @@ func startWire(t *testing.T, s *Server) *wire.Client {
 func newWirePair(t *testing.T, shards int) (js *Server, ts *httptest.Server, ws *Server, wc *wire.Client) {
 	t.Helper()
 	build := func() *Server {
-		cfg := Config{DisableWindow: true}
+		cfg := Config{}
 		if shards > 1 {
 			sh, err := elp2im.NewShard(shards)
 			if err != nil {
@@ -120,7 +120,7 @@ func bytesToWords(raw []byte) []uint64 {
 // on an identically configured second server must leave bit-for-bit
 // identical vectors, struct-equal modeled totals, and the same
 // deterministic per-shard placement. Run at shard widths 1 and 4 so both
-// the single-batcher and the sharded routing layers are pinned.
+// the single-gate and the sharded routing layers are pinned.
 func TestWireJSONEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -311,7 +311,7 @@ func TestWireStatsMatchesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, DisableWindow: true})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestWireDrainingStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, DisableWindow: true})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,15 +443,15 @@ func TestWireDrainingStatus(t *testing.T) {
 // contract with the response coalescer in play: every request admitted
 // before Drain must settle with a real answer (OK or an in-band wire
 // status), never a truncated stream, even when CloseWireConns runs while
-// responses are still queued in per-connection flush queues. The
-// batching window makes the admitted ops complete in a burst, so their
-// responses coalesce right as shutdown begins.
+// responses are still queued in per-connection flush queues. The ops
+// are all dispatched before Drain, so their responses complete and
+// coalesce right as shutdown begins.
 func TestWireDrainDeliversPendingResponses(t *testing.T) {
 	acc, err := elp2im.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, Window: 2 * time.Millisecond, MaxBatch: 64})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestWireEvalBadExpression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, DisableWindow: true})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestWirePutValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, DisableWindow: true})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func BenchmarkWireOp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, DisableWindow: true})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -673,7 +673,7 @@ func BenchmarkJSONOp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := New(Config{Accelerator: acc, DisableWindow: true})
+	s, err := New(Config{Accelerator: acc})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,11 +48,11 @@ type ServerConfig struct {
 	MaxFrame int
 	// Workers is the number of concurrent in-flight requests one
 	// connection executes — the multiplexing width. Decoded requests are
-	// handed to a fixed worker pool, so many requests pipeline through
-	// the batcher while the reader keeps draining frames. Default 16.
+	// handed to a fixed worker pool, so many requests execute
+	// concurrently while the reader keeps draining frames. Default 16.
 	Workers int
 	// BaseContext is the root context requests execute under; closing the
-	// connection does not cancel it (the batcher settles admitted work).
+	// connection does not cancel it (the backend settles admitted work).
 	// Default context.Background().
 	BaseContext context.Context
 	// MaxInterned bounds the per-connection name-intern cache that makes
@@ -422,8 +422,8 @@ func (c *serverConn) flusher() {
 		c.fmu.Unlock()
 		// Signal parks the flusher in the scheduler's run-next slot, so
 		// without this yield it would wake after the first enqueue and
-		// write a 1-frame batch while the sibling workers woken by the
-		// same micro-batch are still queued behind it. One Gosched lets
+		// write a 1-frame batch while sibling workers finishing at the
+		// same time are still queued behind it. One Gosched lets
 		// them append their frames first (the loopy-writer trick), at the
 		// cost of a sub-microsecond yield on the idle path.
 		runtime.Gosched()

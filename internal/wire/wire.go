@@ -29,7 +29,7 @@
 // accelerator. The serving side (ServeConn) executes decoded requests
 // through a Backend and maps its errors onto response statuses through a
 // caller-supplied classifier; internal/server provides both over the same
-// store, micro-batchers, admission queues and drain semantics as the
+// store, request cores, admission gates and drain semantics as the
 // HTTP/JSON path, and pins the two paths bit-for-bit equal in its
 // differential tests.
 package wire

@@ -19,7 +19,8 @@
 #
 # Part 2 (BENCH_server.json) drives an in-process elpd with elpload's
 # mixed concurrent workload and records achieved QPS, latency
-# percentiles, and the micro-batcher's mean batch occupancy.
+# percentiles, and the server's admission counters (rejections, expired
+# deadlines, executed ops).
 #
 # Part 3 (BENCH_shards.json) sweeps elpload's BulkAND workload (-mix
 # and=1) over shard counts and records, per point, the wall-clock

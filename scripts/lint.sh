@@ -6,12 +6,14 @@
 #                    the project guarantees (root facade, internal/pipeline,
 #                    internal/obs, internal/server, internal/wire,
 #                    internal/plan, internal/kernel, internal/vertical)
-#   4. race tests  — the server/micro-batcher suite (including the wire
+#   4. race tests  — the serving-layer suite (including the wire
 #                    listener, the JSON↔wire differential and the
-#                    /v1/query differential/pagination suite), the wire
-#                    codec/conn suite plus a dedicated multi-iteration run
-#                    over the write-path coalescer (flusher, write-error
-#                    latch, drain-time flushing), the kernel-derivation
+#                    /v1/query differential/pagination suite) plus ten
+#                    iterations of its admission-gate and synchronous
+#                    op/reduce/PUT stress tests, the wire codec/conn suite
+#                    plus a dedicated multi-iteration run over the
+#                    write-path coalescer (flusher, write-error latch,
+#                    drain-time flushing), the kernel-derivation
 #                    cache, the facade's fast-path/fallback concurrency
 #                    tests, the shard router + sharded differential
 #                    suite, and the vertical-arith suites (the
@@ -54,6 +56,15 @@ if ! go test -race -count=1 ./internal/server/...; then
 fi
 
 if ! go test -race -count=1 ./internal/wire/...; then
+    fail=1
+fi
+
+# Requests execute synchronously on their handler goroutines, so the
+# serving layer's concurrency envelope is the per-shard admission gate
+# (in-flight bound, deadline, drain) and the entry lock sets. Their suites
+# and the op/reduce/PUT stress test get ten iterations under the race
+# detector.
+if ! go test -race -count=10 -run 'Deadline|Backpressure|Saturation|Drain|PutAndOp|FailedOp|SyncStress' ./internal/server; then
     fail=1
 fi
 

@@ -296,27 +296,41 @@ func (sh *Shard) Eval(src string, vars map[string]*BitVector) (*BitVector, Stats
 // (see Accelerator.EvalExpr). Results and modeled cost are identical to
 // a single module of the same configuration.
 func (sh *Shard) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
-	ref := sh.ref()
-	p := ce.plan
-	n, err := ref.evalPrep(p, vars)
+	n, err := sh.ref().evalPrep(ce.plan, vars)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	out := NewBitVector(n)
+	st, err := sh.EvalExprInto(ce, vars, out)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return out, st, nil
+}
+
+// EvalExprInto is EvalExpr writing the result into out (see
+// Accelerator.EvalExprInto).
+func (sh *Shard) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector, out *BitVector) (Stats, error) {
+	ref := sh.ref()
+	p := ce.plan
+	n, err := ref.evalOut(p, vars, out)
+	if err != nil {
+		return Stats{}, err
+	}
 	cols := sh.cfg.Module.Columns
 	stripes := (n + cols - 1) / cols
-	out := NewBitVector(n)
 	err = sh.scatter(stripes, func(i int, list []int) error {
 		return sh.accs[i].evalExec(p, vars, out, stripes, list)
 	})
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	total, err := ref.evalCost(p.Prog, stripes)
 	if err != nil {
-		return nil, Stats{}, err
+		return Stats{}, err
 	}
 	sh.addTotals(total)
-	return out, total, nil
+	return total, nil
 }
 
 // Totals returns the accumulated statistics of every operation routed
