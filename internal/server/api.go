@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	elp2im "repro"
+	"repro/internal/vertical"
 )
 
 // This file defines the JSON wire shapes of the elpd HTTP API. The field
@@ -388,12 +389,9 @@ func EncodeElems(elems []uint64) string {
 
 // DecodeElems parses the element wire format back into values.
 func DecodeElems(data string) ([]uint64, error) {
-	raw, err := base64.StdEncoding.DecodeString(data)
+	raw, err := decodeElemBytes(data)
 	if err != nil {
-		return nil, badRequestf("server: bad element data: %v", err)
-	}
-	if len(raw) == 0 || len(raw)%8 != 0 {
-		return nil, badRequestf("server: element data is %d bytes, want a positive multiple of 8", len(raw))
+		return nil, err
 	}
 	elems := make([]uint64, len(raw)/8)
 	for i := range elems {
@@ -402,18 +400,46 @@ func DecodeElems(data string) ([]uint64, error) {
 	return elems, nil
 }
 
-// buildVertical validates decoded element values against the declared
-// width and transposes them into a fresh vertical vector. Elements with
-// bits set at or above the width are rejected (mirroring DecodeBits'
-// stray-bit strictness), so a GET always returns exactly what was PUT.
-func buildVertical(elems []uint64, width int) (*elp2im.Vertical, error) {
+// decodeElemBytes parses the element wire format into its raw bytes, 8
+// little-endian bytes per element, which the vertical PUT transposes
+// from directly.
+func decodeElemBytes(data string) ([]byte, error) {
+	raw, err := base64.StdEncoding.DecodeString(data)
+	if err != nil {
+		return nil, badRequestf("server: bad element data: %v", err)
+	}
+	if len(raw) == 0 || len(raw)%8 != 0 {
+		return nil, badRequestf("server: element data is %d bytes, want a positive multiple of 8", len(raw))
+	}
+	return raw, nil
+}
+
+// buildVertical transposes element values, stored as 8 little-endian
+// bytes each in raw (a wire PutVert payload or a decoded JSON elems
+// field), straight into a fresh vertical vector of the declared width.
+// Elements with bits set at or above the width are rejected (mirroring
+// DecodeBits' stray-bit strictness), so a GET always returns exactly
+// what was PUT.
+func buildVertical(raw []byte, width int) (*elp2im.Vertical, error) {
 	if width < 1 || width > 64 {
 		return nil, badRequestf("server: elem_width %d out of range [1, 64]", width)
 	}
-	for i, e := range elems {
-		if width < 64 && e>>uint(width) != 0 {
-			return nil, badRequestf("server: element %d has bits set beyond width %d", i, width)
-		}
+	v, err := elp2im.NewVertical(len(raw)/8, width)
+	if err != nil {
+		return nil, err
 	}
-	return elp2im.VerticalFromElements(elems, width)
+	if i := vertical.SliceBytesInto(sliceWords(v), raw); i >= 0 {
+		return nil, badRequestf("server: element %d has bits set beyond width %d", i, width)
+	}
+	return v, nil
+}
+
+// sliceWords returns the word storage of v's bit slices, in slice order,
+// for the transpose engine.
+func sliceWords(v *elp2im.Vertical) [][]uint64 {
+	ws := make([][]uint64, v.Width())
+	for j := range ws {
+		ws[j] = v.Slice(j).Words()
+	}
+	return ws
 }

@@ -21,6 +21,7 @@ package server
 
 import (
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -33,6 +34,8 @@ import (
 	"time"
 
 	elp2im "repro"
+	"repro/internal/vertical"
+	"repro/internal/wire"
 )
 
 // Config parameterizes a Server. The zero value of every optional field
@@ -427,19 +430,22 @@ func (s *Server) handlePutVector(w http.ResponseWriter, r *http.Request) error {
 		if body.Bits != 0 || body.Data != "" {
 			return badRequestf("server: a vertical put takes elem_width and elems only")
 		}
-		elems, err := DecodeElems(body.Elems)
+		raw, err := decodeElemBytes(body.Elems)
 		if err != nil {
 			return err
 		}
-		v, err := buildVertical(elems, body.ElemWidth)
+		v, err := buildVertical(raw, body.ElemWidth)
 		if err != nil {
 			return err
 		}
 		s.store.setVert(name, v)
 		return writeJSON(w, VectorInfo{
-			Name: name, Bits: len(elems) * body.ElemWidth,
-			Elems: len(elems), ElemWidth: body.ElemWidth,
+			Name: name, Bits: v.Len() * body.ElemWidth,
+			Elems: v.Len(), ElemWidth: body.ElemWidth,
 		})
+	}
+	if body.Bits > wire.MaxBits {
+		return badRequestf("server: bits %d exceed the limit of %d", body.Bits, wire.MaxBits)
 	}
 	var vec *elp2im.BitVector
 	if body.Data == "" {
@@ -461,7 +467,7 @@ func (s *Server) handlePutVector(w http.ResponseWriter, r *http.Request) error {
 // handleGetVector returns a vector's contents. Plain vectors answer with
 // the bit payload, vertical ones with their element values and width.
 // Either way the entry is pinned only for a words-snapshot (or the
-// transpose back to elements); the base64 encode and the JSON write
+// transpose back to element bytes); the base64 encode and the JSON write
 // happen outside the lock (see wordBufPool).
 func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
@@ -471,12 +477,13 @@ func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
 	}
 	e.mu.RLock()
 	if v := e.vert; v != nil {
-		elems := v.Elements()
-		width := v.Width()
+		width, n := v.Width(), v.Len()
+		raw := make([]byte, 8*n)
+		vertical.UnsliceBytesInto(raw, sliceWords(v))
 		e.mu.RUnlock()
 		return writeJSON(w, VectorPayload{
-			Name: name, Bits: len(elems) * width,
-			ElemWidth: width, Elems: EncodeElems(elems),
+			Name: name, Bits: n * width,
+			ElemWidth: width, Elems: base64.StdEncoding.EncodeToString(raw),
 		})
 	}
 	bits := e.vec.Len()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	elp2im "repro"
+	"repro/internal/wire"
 )
 
 // newTestServer builds a Server over a fresh default accelerator plus an
@@ -172,6 +174,36 @@ func TestVectorCRUD(t *testing.T) {
 	code, _ = doJSON(t, c, http.MethodDelete, ts.URL+"/v1/vectors/crud.a", nil, nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("DELETE missing: status %d, want 404", code)
+	}
+}
+
+// TestPutBitsBound pins the vector-length bound on both protocols: a
+// PUT declaring more than wire.MaxBits bits answers 400 and stores
+// nothing — over JSON a data-less PUT would otherwise allocate whatever
+// it declares, so a 2^40-bit request killed the process.
+func TestPutBitsBound(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	wc := startWire(t, s)
+	c := ts.Client()
+	for _, bits := range []int{wire.MaxBits + 1, 1 << 31, 1 << 40} {
+		name := fmt.Sprintf("huge%d", bits)
+		code, _ := doJSON(t, c, http.MethodPut, ts.URL+"/v1/vectors/"+name, VectorPayload{Bits: bits}, nil)
+		if code != http.StatusBadRequest {
+			t.Errorf("json PUT of %d bits: status %d, want 400", bits, code)
+		}
+		if code, _ := doJSON(t, c, http.MethodGet, ts.URL+"/v1/vectors/"+name, nil, nil); code != http.StatusNotFound {
+			t.Errorf("json PUT of %d bits stored a vector: GET status %d, want 404", bits, code)
+		}
+	}
+	var se *wire.StatusError
+	if err := wc.Put("huge", wire.MaxBits+1, nil); !errors.As(err, &se) || se.Code != wire.StatusBadRequest {
+		t.Errorf("wire Put of %d bits: %v, want bad_request", wire.MaxBits+1, err)
+	}
+	if _, _, _, err := wc.Get("huge", nil); !errors.As(err, &se) || se.Code != wire.StatusNotFound {
+		t.Errorf("wire Put of %d bits stored a vector: Get %v, want not_found", wire.MaxBits+1, err)
+	}
+	if n := s.store.size(); n != 0 {
+		t.Fatalf("store holds %d vectors after refused PUTs, want 0", n)
 	}
 }
 

@@ -427,3 +427,138 @@ func TestConcurrentPutGetConsistency(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestConcurrentVerticalPutGetConsistency is the vertical twin of
+// TestConcurrentPutGetConsistency: one writer replaces a vertical vector
+// by cycling through wire PutVerts of three element patterns (two at
+// width 8, one at width 16) and arith selects that write either width-8
+// pattern under the same name, while a wire GetVert reader and a JSON GET
+// reader fetch it. Every answer must be one whole pattern at its own
+// width: a read that mixed two versions — a width from one and slices
+// from another, or slices from each — matches none of them. That pins
+// that a vertical GET reads the width, the length and every slice under
+// one hold of the entry's read lock. Runs under the race detector in the
+// lint gate.
+func TestConcurrentVerticalPutGetConsistency(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	writer, reader := startWire(t, s), startWire(t, s)
+	client := ts.Client()
+	const n, rounds = 4096 + 77, 200
+	type pattern struct {
+		width int
+		elems []uint64
+	}
+	patterns := []pattern{{8, make([]uint64, n)}, {8, make([]uint64, n)}, {16, make([]uint64, n)}}
+	for i := 0; i < n; i++ {
+		patterns[0].elems[i] = uint64(i*37) & 0xFF
+		patterns[1].elems[i] = ^patterns[0].elems[i] & 0xFF
+		patterns[2].elems[i] = uint64(i*977+5) & 0xFFFF
+	}
+	for k, name := range []string{"pa", "pb"} {
+		if err := writer.PutVert(name, 8, patterns[k].elems); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ones := make([]uint64, (n+63)/64)
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	ones[len(ones)-1] = 1<<(n%64) - 1
+	if err := writer.Put("ones", n, ones); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Put("zeros", n, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.PutVert("hot", 8, patterns[0].elems); err != nil {
+		t.Fatal(err)
+	}
+	whole := func(width int, elems []uint64) bool {
+		for _, p := range patterns {
+			if p.width == width && len(elems) == n && equalElems(elems, p.elems) {
+				return true
+			}
+		}
+		return false
+	}
+	// The readers keep reading until the writer is done, so every write
+	// lands while reads are in flight.
+	writing := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		defer close(writing)
+		for i := 0; i < rounds; i++ {
+			var err error
+			switch i % 5 {
+			case 0, 1, 2:
+				p := patterns[i%5]
+				err = writer.PutVert("hot", p.width, p.elems)
+			case 3:
+				_, _, _, err = writer.Arith(wire.ArithSelect, 0, "hot", "pa", "pb", "ones")
+			case 4:
+				_, _, _, err = writer.Arith(wire.ArithSelect, 0, "hot", "pa", "pb", "zeros")
+			}
+			if err != nil {
+				t.Errorf("writer round %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var buf []uint64
+		for i := 0; !closed(writing); i++ {
+			width, elems, err := reader.GetVert("hot", buf)
+			if err != nil {
+				t.Errorf("wire GetVert: %v", err)
+				return
+			}
+			if !whole(width, elems) {
+				t.Errorf("wire GetVert round %d: width %d with elements of no whole pattern", i, width)
+				return
+			}
+			buf = elems
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; !closed(writing); i++ {
+			var got VectorPayload
+			if code, _ := doJSON(t, client, http.MethodGet, ts.URL+"/v1/vectors/hot", nil, &got); code != http.StatusOK {
+				t.Errorf("json GET: status %d", code)
+				return
+			}
+			elems, err := DecodeElems(got.Elems)
+			if err != nil || !whole(got.ElemWidth, elems) {
+				t.Errorf("json GET round %d: width %d with elements of no whole pattern (%v)", i, got.ElemWidth, err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// closed reports whether ch is closed.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// equalElems reports whether two element arrays are identical.
+func equalElems(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	elp2im "repro"
+	"repro/internal/vertical"
 	"repro/internal/wire"
 )
 
@@ -330,42 +331,41 @@ func (wb *wireBackend) handleArith(req *wire.Request, resp *wire.Response) error
 }
 
 // handlePutVert stores a vertical (bit-sliced integer) vector from its
-// raw element payload, transposing on ingest exactly like the JSON PUT's
-// vertical path — including its strict rejection of elements with bits
-// set at or above the declared width.
+// raw element payload, transposing straight from the frame bytes exactly
+// like the JSON PUT's vertical path — including its strict rejection of
+// elements with bits set at or above the declared width.
 func (wb *wireBackend) handlePutVert(req *wire.Request, resp *wire.Response) error {
-	n := req.ElemCount()
-	elems := make([]uint64, n)
-	for i := range elems {
-		elems[i] = binary.LittleEndian.Uint64(req.WordData[i*8:])
-	}
-	v, err := buildVertical(elems, req.ElemWidth)
+	v, err := buildVertical(req.WordData, req.ElemWidth)
 	if err != nil {
 		return err
 	}
 	wb.s.store.setVert(req.Name, v)
-	resp.AppendU32(uint32(n))
+	resp.AppendU32(uint32(v.Len()))
 	return nil
 }
 
-// handleGetVert returns a vertical vector's element width and decoded
-// elements. Elements() already copies out of the slices under the read
-// lock, so no pooled snapshot is needed.
+// handleGetVert returns a vertical vector's element width and elements in
+// one pass: under one hold of the entry's read lock it reserves the whole
+// payload (refused up front when the frame would exceed the connection's
+// limit) and transposes every slice straight into it.
 func (wb *wireBackend) handleGetVert(req *wire.Request, resp *wire.Response) error {
 	e := wb.s.store.lookup(req.Name)
 	if e == nil {
 		return unknownVector(req.Name)
 	}
 	e.mu.RLock()
-	if e.vert == nil {
-		e.mu.RUnlock()
+	defer e.mu.RUnlock()
+	v := e.vert
+	if v == nil {
 		return badRequestf("server: %q is a bit vector; use get", req.Name)
 	}
-	width := e.vert.Width()
-	elems := e.vert.Elements()
-	e.mu.RUnlock()
-	resp.AppendU8(uint8(width))
-	resp.AppendWords(elems) // carries the element count
+	resp.AppendU8(uint8(v.Width()))
+	resp.AppendU32(uint32(v.Len()))
+	payload, err := resp.Extend(8 * v.Len())
+	if err != nil {
+		return err
+	}
+	vertical.UnsliceBytesInto(payload, sliceWords(v))
 	return nil
 }
 

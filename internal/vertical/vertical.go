@@ -5,8 +5,11 @@
 // bit position of every element at once.
 //
 // The package has two halves. The transpose engine converts horizontal
-// `[]uint64` element arrays to and from the bit-sliced layout through a
-// word-blocked 64×64 bit-matrix transpose with ragged-tail zero padding.
+// element arrays — `[]uint64`, or 8 little-endian bytes per element as
+// the serving protocols carry them — to and from the bit-sliced layout
+// through a 64×64 bit-matrix transpose applied to width-aware groups of
+// slice words (64·64/p elements per transpose for widths up to a power
+// of two p), with ragged-tail zero padding.
 // The µProgram builder synthesizes k-bit operations (ripple-carry
 // add/sub, unsigned and signed compares, popcount accumulation,
 // select/blend) as sequences of boolean steps, one internal/expr DAG per

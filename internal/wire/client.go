@@ -344,7 +344,8 @@ func (c *Client) Put(name string, bits int, words []uint64) error {
 }
 
 // Get fetches a vector's contents: its bit length, popcount, and words
-// appended to dst (pass nil to allocate).
+// decoded into dst's storage, which is reused when its capacity suffices
+// (pass nil to allocate).
 func (c *Client) Get(name string, dst []uint64) (bits int, popcount uint64, words []uint64, err error) {
 	ca, err := c.roundTrip(func(id uint64, b []byte) []byte {
 		return AppendGetRequest(b, id, name)
@@ -365,11 +366,7 @@ func (c *Client) Get(name string, dst []uint64) (bits int, popcount uint64, word
 	if d.err != nil {
 		return 0, 0, nil, d.err
 	}
-	words = dst[:0]
-	for i := 0; i < n; i++ {
-		words = append(words, binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return bits, popcount, words, nil
+	return bits, popcount, decodeWords(dst, raw), nil
 }
 
 // Delete removes a vector.
@@ -490,7 +487,8 @@ func (c *Client) PutVert(name string, width int, elems []uint64) error {
 }
 
 // GetVert fetches a vertical vector's element width and values, the
-// values appended to dst (pass nil to allocate).
+// values decoded into dst's storage, which is reused when its capacity
+// suffices (pass nil to allocate).
 func (c *Client) GetVert(name string, dst []uint64) (width int, elems []uint64, err error) {
 	ca, err := c.roundTrip(func(id uint64, b []byte) []byte {
 		return AppendGetVertRequest(b, id, name)
@@ -510,11 +508,7 @@ func (c *Client) GetVert(name string, dst []uint64) (width int, elems []uint64, 
 	if d.err != nil {
 		return 0, nil, d.err
 	}
-	elems = dst[:0]
-	for i := 0; i < n; i++ {
-		elems = append(elems, binary.LittleEndian.Uint64(raw[i*8:]))
-	}
-	return width, elems, nil
+	return width, decodeWords(dst, raw), nil
 }
 
 // QueryResult is a decoded KindQuery response. Bits and Count are always

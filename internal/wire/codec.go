@@ -68,13 +68,43 @@ func DecodeStats(b []byte) (Stats, error) {
 	}, nil
 }
 
-// AppendWords appends a word payload: u32 LE count + raw LE words.
+// AppendWords appends a word payload: u32 LE count + raw LE words. The
+// buffer grows at most once, to the payload's final size, before the
+// words are written.
 func AppendWords(b []byte, words []uint64) []byte {
 	b = appendU32(b, uint32(len(words)))
-	for _, w := range words {
-		b = appendU64(b, w)
+	b = grow(b, 8*len(words))
+	raw := b[len(b)-8*len(words):]
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(raw[8*i:], w)
 	}
 	return b
+}
+
+// grow extends b by n bytes, reallocating at most once and then to
+// exactly the length needed, and returns the extended slice. The new
+// bytes are unspecified; callers overwrite them.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) < n {
+		nb := make([]byte, len(b), len(b)+n)
+		copy(nb, b)
+		b = nb
+	}
+	return b[:len(b)+n]
+}
+
+// decodeWords decodes the little-endian words of raw into dst's storage,
+// reallocating only when dst's capacity is too small, and returns them.
+func decodeWords(dst []uint64, raw []byte) []uint64 {
+	n := len(raw) / 8
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	return dst
 }
 
 // appendHeader appends the 9-byte frame body prefix (id + kind). The

@@ -93,10 +93,33 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // Response accumulates one response frame. Backends append their OK
-// payload through the Append methods; the serving loop owns the header
-// and the final write.
+// payload through the Append methods, or reserve it with Extend; the
+// serving loop owns the header and the final write.
 type Response struct {
 	b []byte
+	// limit is the connection's MaxFrame, which the finished frame body
+	// may not exceed; zero means unbounded.
+	limit int
+}
+
+// Extend grows the payload by n bytes and returns them for the caller to
+// fill, growing the frame buffer at most once, to its final size. When
+// the finished frame body would exceed the connection's frame limit it
+// grows nothing and returns an error tagged ErrFrameTooLarge, which the
+// serving loop answers with StatusBadRequest — so a backend building a
+// large payload learns before doing the work that fills it.
+func (r *Response) Extend(n int) ([]byte, error) {
+	if body := len(r.b) - frameLenSize + n; r.limit > 0 && body > r.limit {
+		return nil, responseTooLarge(body, r.limit)
+	}
+	r.b = grow(r.b, n)
+	return r.b[len(r.b)-n:], nil
+}
+
+// responseTooLarge is the error for a response frame body of n bytes
+// over the limit.
+func responseTooLarge(n, limit int) error {
+	return fmt.Errorf("%w: response body %d bytes (limit %d)", ErrFrameTooLarge, n, limit)
 }
 
 // AppendU8 appends one byte to the payload.
@@ -315,13 +338,24 @@ func (c *serverConn) release(cr *connReq) {
 }
 
 // handle runs one request through the backend and hands its response to
-// the write path.
+// the write path. A response whose frame body outgrew MaxFrame is
+// replaced by a StatusBadRequest answer naming the limit: the peer would
+// refuse the frame and drop the connection, so the limit is enforced on
+// the sending side, in band, and the connection stays usable. That
+// status is the protocol's own, whatever the backend's classifier says.
 func (c *serverConn) handle(cr *connReq) {
 	rp := getBuf(0)
 	cr.resp.b = BeginFrame(*rp, cr.req.ID, StatusOK)
+	cr.resp.limit = c.cfg.MaxFrame
 	err := c.cfg.Backend.Handle(c.cfg.BaseContext, &cr.req, &cr.resp)
+	if body := len(cr.resp.b) - frameLenSize; err == nil && body > c.cfg.MaxFrame {
+		err = responseTooLarge(body, c.cfg.MaxFrame)
+	}
 	if err != nil {
 		code, retry := c.cfg.StatusOf(err)
+		if errors.Is(err, ErrFrameTooLarge) {
+			code, retry = StatusBadRequest, 0
+		}
 		cr.resp.b = BeginFrame(cr.resp.b[:0], cr.req.ID, code)
 		cr.resp.b = AppendErrorPayload(cr.resp.b, retry, err.Error())
 	}

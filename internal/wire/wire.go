@@ -188,12 +188,18 @@ const (
 	headerLen = 9
 	// frameLenSize is the uint32 length word preceding every frame body.
 	frameLenSize = 4
-	// DefaultMaxFrame bounds the frame bodies a connection accepts
-	// (64 MiB: a 512-Mbit vector payload, far beyond the JSON path's
-	// 16 MiB body cap).
+	// DefaultMaxFrame bounds the frame bodies a connection accepts and
+	// sends (64 MiB: a 512-Mbit vector payload or an 8 Mi-element
+	// vertical one, far beyond the JSON path's 16 MiB body cap). A
+	// response that would outgrow the limit is answered in band with
+	// StatusBadRequest naming it, so the connection stays usable.
 	DefaultMaxFrame = 64 << 20
-	// MaxBits bounds the vector length a KindPut may declare, so a tiny
-	// hostile frame cannot demand a multi-gigabyte allocation.
+	// MaxBits bounds the vector length a KindPut may declare (and the
+	// JSON PUT's bits), so a tiny hostile request cannot demand a
+	// multi-gigabyte allocation. It is deliberately above what one
+	// DefaultMaxFrame frame carries (2^30 bits is 128 MiB of words):
+	// such a vector can be stored and computed on, but a KindGet of it
+	// answers StatusBadRequest rather than an oversized frame.
 	MaxBits = 1 << 30
 	// maxString bounds str16 fields by construction.
 	maxString = 1<<16 - 1
@@ -206,9 +212,11 @@ const (
 // over-read.
 var ErrMalformed = errors.New("wire: malformed frame")
 
-// ErrFrameTooLarge tags a frame whose declared length exceeds the
-// connection's limit; the serving loop closes the connection, since the
-// remaining stream cannot be trusted to be framed.
+// ErrFrameTooLarge tags a frame whose length exceeds the connection's
+// limit. For a request frame the serving loop closes the connection,
+// since the remaining stream cannot be trusted to be framed; a response
+// frame is never sent oversized — the request is answered with
+// StatusBadRequest instead (see Response.Extend).
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
 // malformedf builds an ErrMalformed-tagged error.
@@ -297,10 +305,6 @@ func (r *Request) reset() {
 	r.Mode, r.Cursor, r.Limit = 0, 0, 0
 	r.WordData = nil
 }
-
-// ElemCount returns the number of element values in a KindPutVert's
-// WordData.
-func (r *Request) ElemCount() int { return len(r.WordData) / 8 }
 
 // WordCount returns the number of 64-bit words in WordData.
 func (r *Request) WordCount() int { return len(r.WordData) / 8 }

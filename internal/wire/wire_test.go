@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -215,7 +216,7 @@ func (e *echoBackend) Handle(_ context.Context, req *Request, resp *Response) er
 		resp.AppendU8(8)
 		resp.AppendU32(4)
 	case KindPutVert:
-		resp.AppendU32(uint32(req.ElemCount()))
+		resp.AppendU32(uint32(req.WordCount()))
 	case KindGetVert:
 		if req.Name == "missing" {
 			return errStubNotFound
@@ -498,5 +499,69 @@ func TestRequestReset(t *testing.T) {
 	empty := Request{Srcs: req.Srcs} // reset keeps the backing array
 	if !reflect.DeepEqual(req, empty) || len(req.Srcs) != 0 {
 		t.Fatalf("reset left state behind: %+v", req)
+	}
+}
+
+// sizedBackend answers KindGet and KindGetVert with payloads of a size
+// chosen by name: "big" outgrows the test's frame limit, anything else
+// fits. Get builds its words with AppendWords, so only the finished frame
+// can be checked; GetVert reserves its payload through Extend, which
+// refuses before anything is written (filled counts the fills).
+type sizedBackend struct {
+	filled atomic.Int64
+}
+
+func (sb *sizedBackend) Handle(_ context.Context, req *Request, resp *Response) error {
+	n := 2
+	if req.Name == "big" {
+		n = 200
+	}
+	switch req.Kind {
+	case KindGet:
+		resp.AppendU32(uint32(64 * n))
+		resp.AppendU64(0)
+		resp.AppendWords(make([]uint64, n))
+	case KindGetVert:
+		resp.AppendU8(8)
+		resp.AppendU32(uint32(n))
+		payload, err := resp.Extend(8 * n)
+		if err != nil {
+			return err
+		}
+		sb.filled.Add(1)
+		clear(payload)
+	}
+	return nil
+}
+
+// TestOversizeResponseAnsweredInBand: a response whose frame body would
+// exceed the connection's MaxFrame is answered with StatusBadRequest
+// naming the limit — the peer would refuse the oversized frame and drop
+// the connection — and the next calls on the same connection succeed.
+func TestOversizeResponseAnsweredInBand(t *testing.T) {
+	sb := &sizedBackend{}
+	c := startStub(t, ServerConfig{Backend: sb, MaxFrame: 1024})
+	wantLimit := func(what string, err error) {
+		t.Helper()
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != StatusBadRequest || !strings.Contains(se.Msg, "(limit 1024)") {
+			t.Fatalf("%s: %v, want bad_request naming the 1024-byte limit", what, err)
+		}
+	}
+	_, _, _, err := c.Get("big", nil)
+	wantLimit("Get of an oversized vector", err)
+	if err := c.Ping(); err != nil {
+		t.Fatalf("Ping after an oversized Get: %v", err)
+	}
+	_, _, err = c.GetVert("big", nil)
+	wantLimit("GetVert of an oversized vector", err)
+	if n := sb.filled.Load(); n != 0 {
+		t.Fatalf("oversized GetVert filled its payload %d times, want 0", n)
+	}
+	if bits, _, words, err := c.Get("small", nil); err != nil || bits != 128 || len(words) != 2 {
+		t.Fatalf("Get after oversized responses: bits=%d words=%d err=%v", bits, len(words), err)
+	}
+	if width, elems, err := c.GetVert("small", nil); err != nil || width != 8 || len(elems) != 2 {
+		t.Fatalf("GetVert after oversized responses: width=%d elems=%d err=%v", width, len(elems), err)
 	}
 }

@@ -55,8 +55,9 @@
 # vertical k-bit add and popcount (the longest µProgram) over 1M
 # elements per width (4/8/16/32), through both execution tiers (fused vs
 # node-at-a-time), with allocs/op, plus the transpose engine's
-# slice/unslice ns/elem — the bit-serial arithmetic cost curve (see
-# EXPERIMENTS.md "Reading BENCH_vertical.json").
+# slice/unslice ns/elem at widths 1/8/32 (BenchmarkVerticalTranspose) —
+# the bit-serial arithmetic cost curve (see EXPERIMENTS.md "Reading
+# BENCH_vertical.json").
 #
 # Part 7 (BENCH_query.json) drives elpload's bitmap-index query workload
 # (-query: boolean predicates over per-client namespaces through
@@ -358,16 +359,22 @@ cat "$eval_out"
 # Part 6: the vertical (bit-serial) arithmetic cost curve. A k-bit add
 # and popcount per width through both execution tiers — the µProgram's
 # step count grows with width, so ns/elem traces the bit-serial latency
-# model — plus the transpose engine's ingest/readback throughput. Points
-# are keyed by op and width.
+# model — plus the transpose engine's ingest/readback throughput per
+# element width. Points are keyed by op and width.
 vert_out="BENCH_vertical.json"
 vert_benchtime="${VERT_BENCHTIME:-100x}"
 echo "bench.sh: vertical arith sweep (BenchmarkVerticalArith, ${vert_benchtime})" >&2
 vert_raw=$(go test -run '^$' -bench 'BenchmarkVertical(Arith|Transpose)' -benchtime "$vert_benchtime" .)
 printf '%s\n' "$vert_raw" >&2
 printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v benchtime="$vert_benchtime" '
-/^BenchmarkVerticalTranspose\/slice/   { tslice = field($0, "ns/elem") }
-/^BenchmarkVerticalTranspose\/unslice/ { tunslice = field($0, "ns/elem") }
+/^BenchmarkVerticalTranspose\// {
+	split($1, parts, "/")
+	w = substr(parts[3], 2)
+	sub(/-[0-9]+$/, "", w)
+	if (parts[2] == "slice") tslice[w] = field($0, "ns/elem")
+	else tunslice[w] = field($0, "ns/elem")
+	if (!(w in tseen)) { torder[++nt] = w; tseen[w] = 1 }
+}
 /^BenchmarkVerticalArith\// {
 	split($1, parts, "/")
 	op = parts[2]
@@ -388,7 +395,7 @@ function field(line, unit,   a, i, k) {
 	return ""
 }
 END {
-	if (np < 1 || f["add/8"] == "" || n["add/8"] == "" || f["popcount/32"] == "" || n["popcount/32"] == "") {
+	if (np < 1 || f["add/8"] == "" || n["add/8"] == "" || f["popcount/32"] == "" || n["popcount/32"] == "" || nt < 1) {
 		print "bench.sh: missing vertical benchmark output" > "/dev/stderr"
 		exit 1
 	}
@@ -396,7 +403,12 @@ END {
 	printf "  %s,\n", host > out
 	printf "  \"benchtime\": \"%s\",\n", benchtime > out
 	printf "  \"elems\": 1048576,\n" > out
-	printf "  \"transpose\": {\"slice_ns_elem\": %s, \"unslice_ns_elem\": %s},\n", tslice, tunslice > out
+	printf "  \"transpose\": [\n" > out
+	for (i = 1; i <= nt; i++) {
+		w = torder[i]
+		printf "    {\"width\": %s, \"slice_ns_elem\": %s, \"unslice_ns_elem\": %s}%s\n", w, tslice[w], tunslice[w], i < nt ? "," : "" > out
+	}
+	printf "  ],\n" > out
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		k = order[i]

@@ -9,8 +9,9 @@
 #   4. race tests  — the serving-layer suite (including the wire
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite) plus ten
-#                    iterations of its admission-gate and synchronous
-#                    op/reduce/PUT stress tests, the wire codec/conn suite
+#                    iterations of its admission-gate, synchronous
+#                    op/reduce/PUT stress and vertical torn-read tests,
+#                    the wire codec/conn suite
 #                    plus a dedicated multi-iteration run over the
 #                    write-path coalescer (flusher, write-error latch,
 #                    drain-time flushing), the kernel-derivation
@@ -21,8 +22,9 @@
 #                    race detector (their whole value is their
 #                    concurrency envelope)
 #   5. fuzz smoke  — both internal/wire fuzz targets, the facade's
-#                    eval-DAG and vertical-arith fuzzers, and the serving
-#                    layer's /v1/query fuzzer for a few seconds each
+#                    eval-DAG and vertical-arith fuzzers, the transpose
+#                    fuzzer, and the serving layer's /v1/query fuzzer for
+#                    a few seconds each
 #                    (go test -fuzz matches one target per run), so codec
 #                    regressions and tier/oracle divergences the corpus
 #                    can reach fail here
@@ -61,10 +63,11 @@ fi
 
 # Requests execute synchronously on their handler goroutines, so the
 # serving layer's concurrency envelope is the per-shard admission gate
-# (in-flight bound, deadline, drain) and the entry lock sets. Their suites
-# and the op/reduce/PUT stress test get ten iterations under the race
-# detector.
-if ! go test -race -count=10 -run 'Deadline|Backpressure|Saturation|Drain|PutAndOp|FailedOp|SyncStress' ./internal/server; then
+# (in-flight bound, deadline, drain) and the entry lock sets. Their suites,
+# the op/reduce/PUT stress test and the vertical torn-read test (one-pass
+# GETs under one hold of the entry read lock) get ten iterations under the
+# race detector.
+if ! go test -race -count=10 -run 'Deadline|Backpressure|Saturation|Drain|PutAndOp|FailedOp|SyncStress|VerticalPutGetConsistency' ./internal/server; then
     fail=1
 fi
 
@@ -96,6 +99,12 @@ fi
 # The vertical-arith fuzzer pins every µProgram (op × width) against the
 # host-integer oracle on random element vectors.
 if ! go test -run '^$' -fuzz '^FuzzVerticalArith$' -fuzztime 5s .; then
+    fail=1
+fi
+
+# The transpose fuzzer pins the grouped slice/unslice converters, word and
+# byte forms, against a per-bit reference at random widths and lengths.
+if ! go test -run '^$' -fuzz '^FuzzTranspose$' -fuzztime 5s ./internal/vertical; then
     fail=1
 fi
 

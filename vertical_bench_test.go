@@ -28,37 +28,32 @@ func benchVertical(b *testing.B, rng *rand.Rand, width int) *Vertical {
 	return v
 }
 
-// BenchmarkVerticalTranspose measures the transpose engine alone: the
-// horizontal→vertical re-slicing on ingest (SliceInto) and the
-// vertical→horizontal recovery on readback (Unslice), reported as
-// ns/elem at width 32.
+// BenchmarkVerticalTranspose measures the transpose engine alone, into
+// preallocated buffers: the horizontal→vertical re-slicing a vertical
+// PUT runs (SliceInto) and the vertical→horizontal readback a GET runs
+// (UnsliceInto), reported as ns/elem at element widths 1, 8 and 32 —
+// the transpose group, and so the elements one 64×64 transpose covers,
+// shrinks as the width grows. bench.sh's Part 6 records the sweep in
+// BENCH_vertical.json's transpose block.
 func BenchmarkVerticalTranspose(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const width = 32
-	elems := make([]uint64, benchElems)
-	for i := range elems {
-		elems[i] = rng.Uint64() & vertical.WidthMask(width)
-	}
-	b.Run("slice", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := VerticalFromElements(elems, width); err != nil {
-				b.Fatal(err)
+	for _, width := range []int{1, 8, 32} {
+		v := benchVertical(b, rand.New(rand.NewSource(5)), width)
+		slices, elems := v.words(), v.Elements()
+		b.Run(fmt.Sprintf("slice/w%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vertical.SliceInto(slices, elems)
 			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
-	})
-	v, err := VerticalFromElements(elems, width)
-	if err != nil {
-		b.Fatal(err)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
+		})
+		b.Run(fmt.Sprintf("unslice/w%d", width), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vertical.UnsliceInto(elems, slices)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
+		})
 	}
-	b.Run("unslice", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = v.Elements()
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
-	})
 }
 
 // BenchmarkVerticalArith sweeps two µPrograms over the element width
