@@ -532,30 +532,6 @@ func BenchmarkPipelinePerCallCached(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineBatchCached: b.N ops submitted through one batch and
-// drained once. Distinct destinations keep the stripe groups independent.
-func BenchmarkPipelineBatchCached(b *testing.B) {
-	acc := benchAcc(b)
-	n := acc.cfg.Module.Columns
-	rng := rand.New(rand.NewSource(1))
-	x := RandomBitVector(rng, n)
-	y := RandomBitVector(rng, n)
-	dsts := make([]*BitVector, 64)
-	for i := range dsts {
-		dsts[i] = NewBitVector(n)
-	}
-	b.ResetTimer()
-	bt := acc.Batch()
-	for i := 0; i < b.N; i++ {
-		bt.Submit(OpAnd, dsts[i%len(dsts)], x, y)
-	}
-	if _, err := bt.Wait(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	bt.Close()
-}
-
 // evalBenchExpr builds a complete binary gate tree of the given depth
 // over variables a–h. Leaves cycle through the eight variables and the
 // operator cycles &, |, ^ per gate in post order, so sibling subtrees

@@ -33,12 +33,9 @@
 //	                        /v1/query and /v1/arith (expression sources and
 //	                        arith (op, width) shapes compile once, then hit;
 //	                        default 256)
-//	  -wire-nocoalesce      revert the elpwire listener to one write syscall per
-//	                        response instead of writev-batched flushes (the
-//	                        response coalescer in internal/wire; benchmarking knob)
 //	  -debug-addr string    optional observability endpoint (ServeDebug: /metrics,
 //	                        /debug/vars, /debug/pprof) — the server.* series appear
-//	                        there next to acc.* and pipeline.*
+//	                        there next to acc.*, engine.* and sched.cache.*
 //
 // The HTTP listener bounds header reads and idle keep-alive connections
 // (Server.HTTPServer), so a client that never finishes its request header
@@ -97,7 +94,6 @@ func run(args []string) error {
 	maxQueue := fs.Int("max-queue", 1024, "in-flight bound per shard (503 beyond it)")
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request deadline")
 	evalCache := fs.Int("evalcache", 0, "compiled-program cache entries for eval/arith (0 = default 256)")
-	wireNoCoalesce := fs.Bool("wire-nocoalesce", false, "one write syscall per wire response instead of writev-batched flushes")
 	debugAddr := fs.String("debug-addr", "", "optional ServeDebug endpoint (/metrics, /debug/pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -116,10 +112,9 @@ func run(args []string) error {
 		c.DisableFusion = *disableFusion
 	}
 	cfg := server.Config{
-		MaxQueue:              *maxQueue,
-		RequestTimeout:        *timeout,
-		EvalCacheSize:         *evalCache,
-		WireDisableCoalescing: *wireNoCoalesce,
+		MaxQueue:       *maxQueue,
+		RequestTimeout: *timeout,
+		EvalCacheSize:  *evalCache,
 	}
 	// serveDebug starts the observability endpoint over whichever backend
 	// owns the metric registries (the shard router's merged view when

@@ -9,7 +9,7 @@
 //	                                                 fig13, fig14, table2, table3)
 //
 // -metrics prints the process-wide observability snapshot (engine execution
-// counters, scheduler-memo hit rate, pipeline gauges) after the run;
+// counters, scheduler-memo hit rate) after the run;
 // -trace streams Chrome trace_event spans to the given file (load it in
 // chrome://tracing or Perfetto).
 package main

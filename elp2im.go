@@ -45,7 +45,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/primitive"
 	"repro/internal/sched"
@@ -243,6 +242,37 @@ func (s *Stats) add(o Stats) {
 	s.AveragePowerW = powerW(s.EnergyNJ, s.LatencyNS)
 }
 
+// ledger is where a facade charges modeled cost: its session totals and
+// its per-op metric series. An Accelerator charges its own operations to
+// its ledger; a Shard router charges each scattered operation once, to
+// its own, so both report the same totals for the same calls.
+type ledger struct {
+	series opSeriesSet
+	mu     sync.Mutex
+	totals Stats
+}
+
+// sum returns the accumulated totals.
+func (l *ledger) sum() Stats {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.totals
+}
+
+// reset clears the accumulated totals.
+func (l *ledger) reset() {
+	l.mu.Lock()
+	l.totals = Stats{}
+	l.mu.Unlock()
+}
+
+// add accumulates one call's cost into the totals.
+func (l *ledger) add(st Stats) {
+	l.mu.Lock()
+	l.totals.add(st)
+	l.mu.Unlock()
+}
+
 // powerW derives average power from accumulated energy and latency,
 // guarding the zero-latency accumulation case (ResetTotals followed by a
 // zero-cost operation must report 0 W, never NaN or a stale value).
@@ -254,14 +284,12 @@ func powerW(energyNJ, latencyNS float64) float64 {
 }
 
 // Accelerator executes bulk bitwise operations on a modeled DRAM module.
-// It is safe for concurrent use: the synchronous Op, Reduce and Eval entry
-// points, one or more Batches, and any mix of the two may run at the same
-// time, as long as concurrently executing operations' vector arguments do
-// not overlap. Stripe s of every vector lives in the same modeled subarray,
-// so an accelerator-wide lock per subarray serializes the row-state of
-// operations that would otherwise collide there (see execLocks); operations
-// whose vectors overlap still need external ordering — within one Batch,
-// submission order provides it.
+// It is safe for concurrent use: Op, Reduce, Eval and Arith calls may run
+// at the same time, as long as concurrently executing operations' vector
+// arguments do not overlap. Stripe s of every vector lives in the same
+// modeled subarray, so an accelerator-wide lock per subarray serializes
+// the row-state of operations that would otherwise collide there (see
+// execLocks); operations whose vectors overlap need external ordering.
 type Accelerator struct {
 	cfg    Config
 	module *dram.Module
@@ -286,8 +314,8 @@ type Accelerator struct {
 	execr   Executor
 	wrapped bool
 
-	// bufPool recycles row-width stripe buffers across forEachStripe
-	// calls and Batch tasks on the command-level path.
+	// bufPool recycles row-width stripe buffers across command-level
+	// calls.
 	bufPool sync.Pool
 
 	// scratchPool recycles the word tiers' per-worker scratch slabs
@@ -295,16 +323,15 @@ type Accelerator struct {
 	scratchPool sync.Pool
 
 	// execLocks holds one mutex per serialization group (one per subarray;
-	// stripeGroup indexes it). Every execution path — synchronous calls and
-	// every Batch's worker pool — takes the group's lock around each stripe
-	// operation, so concurrent contexts never interleave LoadRow/Execute/
-	// RowData on a shared subarray. Per-stripe granularity is sufficient
-	// because each stripe operation reloads its operand rows before
-	// executing and stores its result row after.
+	// stripeGroup indexes it). Every command-level stripe operation takes
+	// its group's lock (runStripe), so concurrent calls never interleave
+	// LoadRow/Execute/RowData on a shared subarray. Per-stripe granularity
+	// is sufficient because each stripe operation reloads its operand rows
+	// before executing and stores its result row after.
 	execLocks []sync.Mutex
 
-	totalsMu sync.Mutex
-	totals   Stats
+	// acct is where the accelerator's own operations are charged.
+	acct ledger
 
 	// costMu guards the memoized per-row cost units. The cache is keyed by
 	// (op, chained) only because everything else it depends on — design,
@@ -313,24 +340,15 @@ type Accelerator struct {
 	costMu    sync.Mutex
 	costUnits map[costKey]costUnit
 
-	// Observability (see observe.go): the accelerator-local obs context,
-	// the pre-resolved per-op-kind series, and the lock/batch counters.
-	obsc           *obs.Context
-	series         opSeriesSet
-	lockAcquire    *obs.Counter
-	lockContended  *obs.Counter
-	batchSubmitted *obs.Counter
-	batchWaits     *obs.Counter
-	fastHits       *obs.Counter
-	fastFallbacks  *obs.Counter
-	fusionHits     *obs.Counter
-	fusionFalls    *obs.Counter
-
-	// poolFree recycles drained batch worker pools across Batch
-	// lifecycles (bounded by the channel's capacity; see Batch.Close).
-	// Without recycling, every short-lived Batch would pay pool
-	// construction — worker goroutine spawns plus a channel per worker.
-	poolFree chan *pipeline.Pool
+	// Observability (see observe.go): the accelerator-local obs context
+	// and the lock and tier counters.
+	obsc          *obs.Context
+	lockAcquire   *obs.Counter
+	lockContended *obs.Counter
+	fastHits      *obs.Counter
+	fastFallbacks *obs.Counter
+	fusionHits    *obs.Counter
+	fusionFalls   *obs.Counter
 }
 
 // costKey identifies one memoized cost unit.
@@ -425,7 +443,6 @@ func NewWithConfig(cfg Config) (*Accelerator, error) {
 		execr:     eng,
 		execLocks: make([]sync.Mutex, module.Banks()*module.Bank(0).Subarrays()),
 		costUnits: make(map[costKey]costUnit),
-		poolFree:  make(chan *pipeline.Pool, poolFreeCap),
 	}
 	a.initObs()
 	return a, nil
@@ -521,27 +538,12 @@ func (a *Accelerator) ReservedRows() int { return a.eng.ReservedRows() }
 func (a *Accelerator) AreaOverheadPercent() float64 { return a.eng.AreaOverheadPercent() }
 
 // Totals returns the accumulated statistics of every operation executed
-// on this accelerator. It is safe to call while a batch is running;
-// batched operations fold into the totals at Batch.Wait.
-func (a *Accelerator) Totals() Stats {
-	a.totalsMu.Lock()
-	defer a.totalsMu.Unlock()
-	return a.totals
-}
+// on this accelerator: the sum of the Stats each call returned. It is
+// safe to call while operations are running.
+func (a *Accelerator) Totals() Stats { return a.acct.sum() }
 
 // ResetTotals clears the accumulated statistics.
-func (a *Accelerator) ResetTotals() {
-	a.totalsMu.Lock()
-	a.totals = Stats{}
-	a.totalsMu.Unlock()
-}
-
-// addTotals accumulates st into the session totals.
-func (a *Accelerator) addTotals(st Stats) {
-	a.totalsMu.Lock()
-	a.totals.add(st)
-	a.totalsMu.Unlock()
-}
+func (a *Accelerator) ResetTotals() { a.acct.reset() }
 
 // SetPowerConstrained toggles the charge-pump/tFAW latency constraint and
 // invalidates the memoized cost units (the one configuration knob that can
@@ -564,8 +566,8 @@ const (
 )
 
 // validateOp checks an Op call's operands — the one validation shared by
-// the synchronous path, Batch.Submit, and the Shard router, so all three
-// reject malformed calls with identical errors.
+// the Accelerator and the Shard router, so both reject malformed calls
+// with identical errors.
 func validateOp(op Op, dst, x, y *BitVector) error {
 	if x == nil || dst == nil {
 		return errors.New("elp2im: nil vector")
@@ -610,48 +612,24 @@ func (a *Accelerator) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	if err := validateOp(op, dst, x, y); err != nil {
 		return Stats{}, err
 	}
-
 	cols := a.cfg.Module.Columns
-	n := x.Len()
-	stripes := (n + cols - 1) / cols
+	stripes := (x.Len() + cols - 1) / cols
 	start := a.obsc.SpanStart()
+	err := a.execOpStripes(iop, dst.v, x.v, vecOf(y), stripes, nil)
+	var st Stats
+	if err == nil {
+		st, err = a.chargeOp(&a.acct, iop, stripes)
+	}
+	a.opSpan(start, iop, stripes, st, err)
+	return st, err
+}
 
-	// Functional execution, stripe by stripe, round-robin over banks;
-	// distinct subarrays run concurrently (the simulator's mirror of
-	// bank-level parallelism). Word-aligned configurations dispatch each
-	// stripe to the compiled kernel directly on the vectors' words; the
-	// command-accurate device model remains the fallback.
-	var yv *bitvec.Vector
-	if y != nil {
-		yv = y.v
+// vecOf unwraps an optional operand (nil stays nil).
+func vecOf(v *BitVector) *bitvec.Vector {
+	if v == nil {
+		return nil
 	}
-	ex, wrapped := a.executor()
-	var err error
-	if k := a.fastKernel(iop, wrapped); k != nil {
-		a.fastHits.Inc()
-		a.fastForEachRange(stripes, func(lo, hi int) {
-			fastOpRange(k, dst.v, x.v, yv, lo, hi, cols)
-		})
-	} else {
-		a.fastFallbacks.Inc()
-		err = a.forEachStripe(stripes, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-			return a.opStripe(ex, iop, dst.v, x.v, yv, s, sub, buf)
-		})
-	}
-	if err != nil {
-		a.opSpan(start, iop, stripes, Stats{}, err)
-		return Stats{}, err
-	}
-
-	st, err := a.opCost(iop, stripes)
-	if err != nil {
-		a.opSpan(start, iop, stripes, Stats{}, err)
-		return Stats{}, err
-	}
-	a.addTotals(st)
-	a.record(iop, st)
-	a.opSpan(start, iop, stripes, st, nil)
-	return st, nil
+	return v.v
 }
 
 // chainProvider is implemented by engines with a cheaper chained
@@ -678,67 +656,60 @@ func (a *Accelerator) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, er
 		return Stats{}, err
 	}
 	iop := op.internal()
-	start := a.obsc.SpanStart()
-
-	var total Stats
-	st, err := a.Op(OpCopy, dst, vs[0], nil)
-	if err != nil {
-		a.reduceSpan(start, iop, 0, Stats{}, err)
-		return Stats{}, err
-	}
-	total.add(st)
-
-	cp, chained := a.eng.(chainProvider)
-	ipe, inPlace := a.eng.(inPlaceExecutor)
-	ex, wrapped := a.executor()
-	k := a.fastKernel(iop, wrapped)
-	if k != nil {
-		a.fastHits.Inc()
-	} else {
-		a.fastFallbacks.Inc()
-	}
-
 	cols := a.cfg.Module.Columns
 	stripes := (dst.Len() + cols - 1) / cols
+	start := a.obsc.SpanStart()
+	err := a.execReduceStripes(iop, dst, vs, stripes, nil)
+	var st Stats
+	if err == nil {
+		st, err = a.chargeReduce(&a.acct, iop, len(vs), stripes)
+	}
+	a.reduceSpan(start, iop, stripes, st, err)
+	return st, err
+}
 
-	if k != nil {
-		// Compiled fold: one sweep applies every operand to each stripe of
-		// the accumulator in place (each stripe's words stay hot across the
-		// whole chain).
-		a.fastForEachRange(stripes, func(lo, hi int) {
-			for _, v := range vs[1:] {
-				fastFoldRange(k, dst.v, v.v, lo, hi, cols)
-			}
-		})
+// chargeOp prices `stripes` row ops of op and charges them to l: one
+// record in op's series and one addition to the totals. A pricing
+// failure charges nothing.
+func (a *Accelerator) chargeOp(l *ledger, op engine.Op, stripes int) (Stats, error) {
+	st, err := a.opCost(op, stripes)
+	if err != nil {
+		return Stats{}, err
 	}
-	for _, v := range vs[1:] {
-		// Functional fold on the command-level path, stripe by stripe.
-		if k == nil {
-			err := a.forEachStripe(stripes, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-				return a.foldStripe(ex, iop, ipe, inPlace, dst.v, v.v, s, sub, buf)
-			})
-			if err != nil {
-				a.reduceSpan(start, iop, stripes, Stats{}, err)
-				return Stats{}, err
-			}
-		}
-		// Cost of this fold: chained stats where available.
-		var st Stats
-		var err error
-		if chained {
-			st, err = a.chainCost(cp, iop, stripes)
-		} else {
-			st, err = a.opCost(iop, stripes)
-		}
-		if err != nil {
-			a.reduceSpan(start, iop, stripes, Stats{}, err)
-			return Stats{}, err
-		}
-		total.add(st)
-		a.addTotals(st)
-		a.record(iop, st)
+	l.series.record(op, st)
+	l.add(st)
+	return st, nil
+}
+
+// chargeReduce prices a reduction of `operands` vectors over `stripes`
+// stripes and charges it to l — the one accounting routine of
+// Accelerator.Reduce and Shard.Reduce. The staging copy is recorded in
+// the COPY series and each fold in op's, priced as the engine's chained
+// form where it has one. The call's Stats sum the copy and then every
+// fold, in that order, and are added to the totals in one step. A
+// pricing failure charges nothing.
+func (a *Accelerator) chargeReduce(l *ledger, op engine.Op, operands, stripes int) (Stats, error) {
+	cp, err := a.opCost(engine.OpCOPY, stripes)
+	if err != nil {
+		return Stats{}, err
 	}
-	a.reduceSpan(start, iop, stripes, total, nil)
+	var fold Stats
+	if chain, ok := a.eng.(chainProvider); ok {
+		fold, err = a.chainCost(chain, op, stripes)
+	} else {
+		fold, err = a.opCost(op, stripes)
+	}
+	if err != nil {
+		return Stats{}, err
+	}
+	var total Stats
+	total.add(cp)
+	l.series.record(engine.OpCOPY, cp)
+	for i := 1; i < operands; i++ {
+		total.add(fold)
+		l.series.record(op, fold)
+	}
+	l.add(total)
 	return total, nil
 }
 
@@ -837,7 +808,7 @@ func (a *Accelerator) subarrayFor(s int) *dram.Subarray {
 
 // stripeGroup returns stripe s's serialization-group id: a stable index of
 // its home subarray. Every vector's stripe s maps to the same group, so
-// FIFO order within a group is exactly the order data dependencies need.
+// one lock serializes every operation's row state on that subarray.
 // Non-word-aligned rows collapse to a single group because neighbouring
 // stripes then share destination words.
 func (a *Accelerator) stripeGroup(s int) int {
@@ -848,9 +819,12 @@ func (a *Accelerator) stripeGroup(s int) int {
 	return sub*a.module.Banks() + bank
 }
 
+// stripeFn is one command-level stripe body: it runs stripe s on its
+// home subarray with a leased row buffer.
+type stripeFn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error
+
 // opStripe executes one stripe of dst = op(x, y) through the
-// command-accurate device model (y nil for unary ops) — the fallback
-// per-stripe body shared by the synchronous and batched paths.
+// command-accurate device model (y nil for unary ops).
 func (a *Accelerator) opStripe(ex Executor, iop engine.Op, dst, x, y *bitvec.Vector, s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 	cols := a.cfg.Module.Columns
 	loadStripe(buf, x, s, cols)
@@ -915,13 +889,6 @@ func fastOpRange(k *kernel.Kernel, dst, x, y *bitvec.Vector, lo, hi, cols int) {
 	}
 }
 
-// fastStripe applies a compiled kernel to the single stripe s (the
-// per-stripe form used where stripes are not contiguous, e.g. a batch
-// group's strided stripe list).
-func fastStripe(k *kernel.Kernel, dst, x, y *bitvec.Vector, s, cols int) {
-	fastOpRange(k, dst, x, y, s, s+1, cols)
-}
-
 // fastFoldRange applies a compiled kernel to the contiguous stripe range
 // [lo, hi) of the reduction fold dst = op(v, dst), in place on the
 // accumulator words.
@@ -942,41 +909,33 @@ func fastFoldRange(k *kernel.Kernel, dst, v *bitvec.Vector, lo, hi, cols int) {
 	}
 }
 
-// fastFoldStripe is fastFoldRange for a single stripe.
-func fastFoldStripe(k *kernel.Kernel, dst, v *bitvec.Vector, s, cols int) {
-	fastFoldRange(k, dst, v, s, s+1, cols)
-}
-
-// fastSerialThresholdWords is the total word count below which the fast
-// path runs single-threaded: under ~64 KiB of destination data the kernel
+// fastSerialThresholdWords is the total word count below which a call
+// runs single-threaded: under ~64 KiB of destination data the kernel
 // loops finish faster than goroutine fan-out costs.
 const fastSerialThresholdWords = 8192
 
-// fastForEachRange runs a pure word-level body over [0, stripes),
-// partitioned into contiguous stripe ranges — the whole-vector case of
-// fastForEachRuns.
-func (a *Accelerator) fastForEachRange(stripes int, body func(lo, hi int)) {
-	a.fastForEachRuns([][2]int{{0, stripes}}, body)
-}
-
-// fastForEachRuns runs a body over the given ascending, disjoint,
+// forEachRuns is the one stripe dispatcher of Op, Reduce, Eval and Arith
+// on every tier. It runs body over the given ascending, disjoint,
 // contiguous stripe runs (each a [lo, hi) pair — a sharded operation's
-// subset of the vector; the whole vector is the single run [0, stripes)),
-// split across parallel goroutines for large operations: each worker is
-// dealt an equal share of the stripes and calls body once per run piece
-// in its share. Bodies touch device-model row state only through
-// runStripe, whose per-subarray locks serialize it, so the kernel fast
-// path runs lock-free on disjoint destination words. Rows that are not
+// subset of the vector; the whole vector is the single run
+// [0, stripes)), split across parallel goroutines for large operations:
+// each worker is dealt an equal share of the stripes and calls body once
+// per run piece in its share, stopping at its first failure. body
+// returns the stripe it failed on and the error; forEachRuns returns the
+// error of the lowest failing stripe, so concurrent failures resolve
+// deterministically. Bodies touch device-model row state only through
+// runStripe, whose per-subarray locks serialize it, so word-level bodies
+// run lock-free on disjoint destination words. Rows that are not
 // word-aligned share words between neighbouring stripes and run
 // serially. With a tracer installed the body runs stripe by stripe
-// instead so per-stripe spans match the command path.
-func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
+// instead, each stripe in its own span.
+func (a *Accelerator) forEachRuns(runs [][2]int, body func(lo, hi int) (int, error)) error {
 	total := 0
 	for _, r := range runs {
 		total += r[1] - r[0]
 	}
 	if total <= 0 {
-		return
+		return nil
 	}
 	if start := a.obsc.SpanStart(); start != 0 {
 		first := true
@@ -986,11 +945,14 @@ func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 					start = a.obsc.SpanStart()
 				}
 				first = false
-				body(s, s+1)
-				a.stripeSpan(start, s, nil)
+				_, err := body(s, s+1)
+				a.stripeSpan(start, s, err)
+				if err != nil {
+					return err
+				}
 			}
 		}
-		return
+		return nil
 	}
 	cols := a.cfg.Module.Columns
 	workers := a.module.Banks() * a.module.Bank(0).Subarrays()
@@ -1002,14 +964,21 @@ func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 	}
 	if workers <= 1 || cols%64 != 0 || total*(cols/64) < fastSerialThresholdWords {
 		for _, r := range runs {
-			body(r[0], r[1])
+			if _, err := body(r[0], r[1]); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
 	// Deal each worker an equal flat share of the total stripe count, then
 	// map its flat span back onto run pieces (a single run degenerates to
 	// the familiar [w*n/W, (w+1)*n/W) partition).
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failAt int
+		first  error
+	)
 	for w := 0; w < workers; w++ {
 		flo, fhi := w*total/workers, (w+1)*total/workers
 		if flo == fhi {
@@ -1029,7 +998,14 @@ func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 					hi = n
 				}
 				if lo < hi {
-					body(r[0]+lo, r[0]+hi)
+					if s, err := body(r[0]+lo, r[0]+hi); err != nil {
+						mu.Lock()
+						if first == nil || s < failAt {
+							failAt, first = s, err
+						}
+						mu.Unlock()
+						return
+					}
 				}
 				base += n
 				if base >= fhi {
@@ -1039,12 +1015,17 @@ func (a *Accelerator) fastForEachRuns(runs [][2]int, body func(lo, hi int)) {
 		}(flo, fhi)
 	}
 	wg.Wait()
+	return first
 }
 
 // stripeRuns converts an ascending stripe list into maximal contiguous
-// [lo, hi) runs, the shape the kernel fast path consumes, counted first
-// so the result is allocated once.
-func stripeRuns(list []int) [][2]int {
+// [lo, hi) runs, the shape forEachRuns consumes, counted first so the
+// result is allocated once. A nil list means every stripe of
+// [0, stripes): the single run.
+func stripeRuns(stripes int, list []int) [][2]int {
+	if list == nil {
+		return [][2]int{{0, stripes}}
+	}
 	n := 0
 	for i, s := range list {
 		if i == 0 || list[i-1]+1 != s {
@@ -1062,226 +1043,98 @@ func stripeRuns(list []int) [][2]int {
 	return runs
 }
 
-// stripeRun is one serialization group's ascending stripe list.
-type stripeRun struct {
-	group int
-	list  []int
-}
-
-// groupStripes partitions stripes [0, n) into per-serialization-group
-// ascending lists, in discovery order — i.e. ordered by each group's first
-// (and therefore lowest) stripe — so every consumer that iterates the
-// result builds tasks in a deterministic order.
-func (a *Accelerator) groupStripes(n int) []stripeRun {
-	index := map[int]int{}
-	var runs []stripeRun
-	for s := 0; s < n; s++ {
-		runs = a.addToGroup(index, runs, s)
-	}
-	return runs
-}
-
-// groupStripeList is groupStripes over an explicit ascending stripe list
-// (a sharded operation's subset), with the same discovery ordering.
-func (a *Accelerator) groupStripeList(list []int) []stripeRun {
-	index := map[int]int{}
-	var runs []stripeRun
-	for _, s := range list {
-		runs = a.addToGroup(index, runs, s)
-	}
-	return runs
-}
-
-// addToGroup appends stripe s to its serialization group's list, creating
-// the group on first sight.
-func (a *Accelerator) addToGroup(index map[int]int, runs []stripeRun, s int) []stripeRun {
-	g := a.stripeGroup(s)
-	i, ok := index[g]
-	if !ok {
-		i = len(runs)
-		index[g] = i
-		runs = append(runs, stripeRun{group: g})
-	}
-	runs[i].list = append(runs[i].list, s)
-	return runs
-}
-
 // runStripe executes fn on stripe s's home subarray while holding the
-// accelerator-wide lock of its serialization group, so synchronous calls
-// and every Batch mutually exclude on shared subarray row state.
-func (a *Accelerator) runStripe(group, s int, buf *bitvec.Vector, fn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error) error {
-	mu := &a.execLocks[group]
+// accelerator-wide lock of its serialization group, so concurrent calls
+// mutually exclude on shared subarray row state.
+func (a *Accelerator) runStripe(s int, buf *bitvec.Vector, fn stripeFn) error {
+	mu := &a.execLocks[a.stripeGroup(s)]
 	if !mu.TryLock() {
-		// Another context holds this subarray; count the contended path
+		// Another call holds this subarray; count the contended path
 		// before falling back to the blocking acquire.
 		a.lockContended.Inc()
 		mu.Lock()
 	}
 	a.lockAcquire.Inc()
 	defer mu.Unlock()
-	start := a.obsc.SpanStart()
-	err := fn(s, a.subarrayFor(s), buf)
-	a.stripeSpan(start, s, err)
-	return err
+	return fn(s, a.subarrayFor(s), buf)
 }
 
-// forEachStripe runs fn for every stripe with a leased row buffer — the
-// command-level entry point. Stripes sharing a subarray are serialized
-// (they share the row buffer); distinct subarrays run in parallel
-// goroutines when the row width is word-aligned, so concurrent stores
-// into the destination vector cannot touch the same word.
-func (a *Accelerator) forEachStripe(stripes int, fn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error) error {
-	return a.forEachStripeBuf(stripes, true, fn)
-}
-
-// forEachStripeBuf is forEachStripe with the buffer policy explicit:
-// needBuf leases one pooled row buffer per serialization group (the
-// command-level path); the kernel fast path passes false and fn receives
-// a nil buffer.
-func (a *Accelerator) forEachStripeBuf(stripes int, needBuf bool, fn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error) error {
-	cols := a.cfg.Module.Columns
-	if cols%64 != 0 || stripes == 1 {
-		var buf *bitvec.Vector
-		if needBuf {
-			buf = a.getBuf()
-			defer a.putBuf(buf)
-		}
-		for s := 0; s < stripes; s++ {
-			if err := a.runStripe(a.stripeGroup(s), s, buf, fn); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return a.runGroups(a.groupStripes(stripes), needBuf, fn)
-}
-
-// forEachStripeList is forEachStripe restricted to an ascending stripe
-// list — the command-level execution of one shard's subset of a sharded
-// operation. Non-word-aligned rows run serially in list order (their
-// stripes share destination words).
-func (a *Accelerator) forEachStripeList(list []int, fn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error) error {
-	if a.cfg.Module.Columns%64 != 0 || len(list) == 1 {
+// cmdRuns runs fn on every stripe of runs on the command-accurate path,
+// dispatched by forEachRuns: each run piece leases one row buffer and
+// runs its stripes in ascending order, each under its subarray's lock.
+func (a *Accelerator) cmdRuns(runs [][2]int, fn stripeFn) error {
+	return a.forEachRuns(runs, func(lo, hi int) (int, error) {
 		buf := a.getBuf()
 		defer a.putBuf(buf)
-		for _, s := range list {
-			if err := a.runStripe(a.stripeGroup(s), s, buf, fn); err != nil {
-				return err
+		for s := lo; s < hi; s++ {
+			if err := a.runStripe(s, buf, fn); err != nil {
+				return s, err
 			}
 		}
-		return nil
-	}
-	return a.runGroups(a.groupStripeList(list), true, fn)
+		return 0, nil
+	})
 }
 
-// runGroups executes fn over each serialization group's stripe list in a
-// goroutine per group. Every group runs to its first failure; the error
-// reported is the one from the lowest failing stripe, so multiple
-// concurrent failures resolve deterministically and none is dropped
-// silently.
-func (a *Accelerator) runGroups(groups []stripeRun, needBuf bool, fn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error) error {
-	errs := make([]error, len(groups))
-	failAt := make([]int, len(groups))
-	var wg sync.WaitGroup
-	for i := range groups {
-		wg.Add(1)
-		go func(i int, g stripeRun) {
-			defer wg.Done()
-			var buf *bitvec.Vector
-			if needBuf {
-				buf = a.getBuf()
-				defer a.putBuf(buf)
-			}
-			for _, s := range g.list {
-				if err := a.runStripe(g.group, s, buf, fn); err != nil {
-					errs[i], failAt[i] = err, s
-					return
-				}
-			}
-		}(i, groups[i])
-	}
-	wg.Wait()
-	return firstStripeError(errs, failAt)
-}
-
-// execOpStripes executes dst = op(x, y) over the given ascending stripe
-// list (y nil for unary ops) through whichever execution mode is eligible
-// — the compiled kernel fast path on the list's contiguous runs, or the
-// command-accurate device model — with no cost accounting: a Shard
-// scatters one logical operation across its accelerators and accounts it
-// once, centrally, so the merged Stats stay bit-identical to the
-// single-module baseline.
-func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, list []int) error {
-	if len(list) == 0 {
-		return nil
-	}
+// execOpStripes executes dst = op(x, y) over the stripes in list (nil
+// means all of [0, stripes); y nil for unary ops) through whichever
+// execution mode is eligible — the compiled kernel fast path, or the
+// command-accurate device model — with no cost accounting: the execution
+// half of Accelerator.Op and Shard.Op. A Shard scatters one logical
+// operation across its accelerators and accounts it once, centrally, so
+// the merged Stats stay bit-identical to the single-module baseline.
+func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, stripes int, list []int) error {
 	cols := a.cfg.Module.Columns
+	runs := stripeRuns(stripes, list)
 	ex, wrapped := a.executor()
 	if k := a.fastKernel(iop, wrapped); k != nil {
 		a.fastHits.Inc()
-		a.fastForEachRuns(stripeRuns(list), func(lo, hi int) {
+		return a.forEachRuns(runs, func(lo, hi int) (int, error) {
 			fastOpRange(k, dst, x, y, lo, hi, cols)
+			return 0, nil
 		})
-		return nil
 	}
 	a.fastFallbacks.Inc()
-	return a.forEachStripeList(list, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+	return a.cmdRuns(runs, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 		return a.opStripe(ex, iop, dst, x, y, s, sub, buf)
 	})
 }
 
 // execReduceStripes executes the staged reduction dst = vs[0] op vs[1] op
-// ... over the given ascending stripe list, with no cost accounting (see
-// execOpStripes). Each stripe runs its whole copy-then-fold chain before
-// the next, which is result-identical to the baseline's sweep-per-operand
-// order because every chain step touches only its own stripe.
-func (a *Accelerator) execReduceStripes(iop engine.Op, dst *bitvec.Vector, vs []*bitvec.Vector, list []int) error {
-	if len(list) == 0 {
-		return nil
-	}
+// ... over the stripes in list (nil means all of [0, stripes)), with no
+// cost accounting: the execution half of Accelerator.Reduce and
+// Shard.Reduce (see execOpStripes). Each stripe runs its whole
+// copy-then-fold chain before the next, which is result-identical to a
+// sweep per operand because every chain step touches only its own
+// stripe.
+func (a *Accelerator) execReduceStripes(iop engine.Op, dst *BitVector, vs []*BitVector, stripes int, list []int) error {
 	cols := a.cfg.Module.Columns
+	runs := stripeRuns(stripes, list)
 	ex, wrapped := a.executor()
 	k := a.fastKernel(iop, wrapped)
 	kcopy := a.fastKernel(engine.OpCOPY, wrapped)
 	if k != nil && kcopy != nil {
 		a.fastHits.Inc()
-		a.fastForEachRuns(stripeRuns(list), func(lo, hi int) {
-			fastOpRange(kcopy, dst, vs[0], nil, lo, hi, cols)
+		return a.forEachRuns(runs, func(lo, hi int) (int, error) {
+			fastOpRange(kcopy, dst.v, vs[0].v, nil, lo, hi, cols)
 			for _, v := range vs[1:] {
-				fastFoldRange(k, dst, v, lo, hi, cols)
+				fastFoldRange(k, dst.v, v.v, lo, hi, cols)
 			}
+			return 0, nil
 		})
-		return nil
 	}
 	a.fastFallbacks.Inc()
 	ipe, inPlace := a.eng.(inPlaceExecutor)
-	return a.forEachStripeList(list, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-		if err := a.opStripe(ex, engine.OpCOPY, dst, vs[0], nil, s, sub, buf); err != nil {
+	return a.cmdRuns(runs, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+		if err := a.opStripe(ex, engine.OpCOPY, dst.v, vs[0].v, nil, s, sub, buf); err != nil {
 			return err
 		}
 		for _, v := range vs[1:] {
-			if err := a.foldStripe(ex, iop, ipe, inPlace, dst, v, s, sub, buf); err != nil {
+			if err := a.foldStripe(ex, iop, ipe, inPlace, dst.v, v.v, s, sub, buf); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-}
-
-// firstStripeError returns the error with the lowest failing stripe index
-// (nil when no group failed).
-func firstStripeError(errs []error, failAt []int) error {
-	var first error
-	firstStripe := -1
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstStripe < 0 || failAt[i] < firstStripe {
-			first, firstStripe = err, failAt[i]
-		}
-	}
-	return first
 }
 
 // loadStripe copies stripe s of src into the row buffer vector.

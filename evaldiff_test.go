@@ -113,10 +113,9 @@ func TestDifferentialEval(t *testing.T) {
 }
 
 // TestDifferentialEvalSharded extends the eval differential across the
-// Shard router and the batch submission paths: for shard counts 1 and 4,
-// the scattered synchronous EvalExpr, Batch.SubmitEval, and
-// ShardBatch.SubmitEval must all match the oracle bit for bit, with
-// totals struct-equal to the single-module synchronous baseline.
+// Shard router: for shard counts 1 and 4, the scattered EvalExpr must
+// match the oracle bit for bit, with Stats struct-equal to the
+// single-module baseline, whose totals must equal its call's Stats.
 func TestDifferentialEvalSharded(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	exprs := []string{
@@ -144,27 +143,8 @@ func TestDifferentialEvalSharded(t *testing.T) {
 				if !out.Equal(want) {
 					t.Fatalf("%v EvalExpr %q n=%d diverges from oracle", d, src, n)
 				}
-
-				// Batch.SubmitEval folds the same aggregate cost on Wait.
-				base.ResetTotals()
-				b := base.Batch()
-				bout, fut := b.SubmitEval(src, vars)
-				bst, err := fut.Wait()
-				if err != nil {
-					t.Fatalf("%v SubmitEval %q: %v", d, src, err)
-				}
-				if _, err := b.Wait(); err != nil {
-					t.Fatalf("%v batch wait: %v", d, err)
-				}
-				b.Close()
-				if !bout.Equal(want) {
-					t.Fatalf("%v SubmitEval %q n=%d diverges from oracle", d, src, n)
-				}
-				if bst != wantStats {
-					t.Fatalf("%v SubmitEval %q: stats %+v != sync %+v", d, src, bst, wantStats)
-				}
 				if got := base.Totals(); got != wantStats {
-					t.Fatalf("%v SubmitEval %q: totals %+v != sync %+v", d, src, got, wantStats)
+					t.Fatalf("%v EvalExpr %q: totals %+v != stats %+v", d, src, got, wantStats)
 				}
 
 				for _, shards := range []int{1, 4} {
@@ -182,24 +162,6 @@ func TestDifferentialEvalSharded(t *testing.T) {
 					if sst != wantStats {
 						t.Fatalf("%v shards=%d EvalExpr %q: stats %+v != single-module %+v",
 							d, shards, src, sst, wantStats)
-					}
-
-					sb := sh.Batch()
-					sbout, sfut := sb.SubmitEval(src, vars)
-					sbst, err := sfut.Wait()
-					if err != nil {
-						t.Fatalf("%v shards=%d SubmitEval %q: %v", d, shards, src, err)
-					}
-					if _, err := sb.Wait(); err != nil {
-						t.Fatalf("%v shards=%d shard batch wait: %v", d, shards, err)
-					}
-					sb.Close()
-					if !sbout.Equal(want) {
-						t.Fatalf("%v shards=%d SubmitEval %q n=%d diverges", d, shards, src, n)
-					}
-					if sbst != wantStats {
-						t.Fatalf("%v shards=%d SubmitEval %q: stats %+v != single-module %+v",
-							d, shards, src, sbst, wantStats)
 					}
 				}
 			}

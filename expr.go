@@ -3,14 +3,12 @@ package elp2im
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bitvec"
 	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/kernel"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
 )
 
@@ -22,10 +20,9 @@ import (
 var ErrBadExpr = errors.New("bad expression")
 
 // CompiledExpr is a compiled, reusable expression: the fused plan shared
-// by every eval entry point (Accelerator.EvalExpr, Shard.EvalExpr, the
-// batch submissions). Compile once with CompileExpr, evaluate many times
-// over different bindings. A CompiledExpr is immutable and safe for
-// concurrent use.
+// by every eval entry point (Accelerator.EvalExpr, Shard.EvalExpr).
+// Compile once with CompileExpr, evaluate many times over different
+// bindings. A CompiledExpr is immutable and safe for concurrent use.
 type CompiledExpr struct {
 	plan *plan.Plan
 }
@@ -122,7 +119,7 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector,
 	if err != nil {
 		return Stats{}, err
 	}
-	a.addTotals(total)
+	a.acct.add(total)
 	return total, nil
 }
 
@@ -241,8 +238,8 @@ const (
 
 // evalRunner is one plan's resolved execution strategy within a call: a
 // single eval, or one step of a µProgram. The tier — and with it executor
-// and kernel resolution — is fixed once, at the call's start (a
-// synchronous call or a batch submission), in descending preference:
+// and kernel resolution — is fixed once, at the call's start, in
+// descending preference:
 //
 //  1. fusion tier: one derived k-input kernel per plan cluster, with the
 //     cluster outputs in the walking worker's scratch;
@@ -281,11 +278,6 @@ type progRunner struct {
 	steps   []evalRunner
 	scratch int  // scratch words per worker: the widest word-tier step's
 	cmd     bool // some step runs on the command-accurate tier
-
-	// exec's lowest failing stripe and its error.
-	mu     sync.Mutex
-	failAt int
-	err    error
 }
 
 // fusedChunkWords is the block size of the word tiers: 8 KiB per vector
@@ -302,8 +294,8 @@ func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out 
 // resolveSteps resolves a call of n steps over one binding set — step(i)
 // returns step i's plan and destination — and picks each step's tier. It
 // counts one fusion and one fastpath hit/fallback per step, as resolving
-// each step alone would (mirroring opTasks' resolution contract:
-// SetExecutor takes effect for operations started after the call). The
+// each step alone would; like Op and Reduce, it reads the executor once,
+// so SetExecutor takes effect for calls started after it. The
 // runners, bound-vector lists and kernel lists of all steps share one
 // allocation each.
 func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(i int) (*plan.Plan, *BitVector)) *progRunner {
@@ -496,7 +488,7 @@ func (r *evalRunner) stripe(s int, sub *dram.Subarray, buf *bitvec.Vector) error
 // before the walk moves on. Word-tier steps run on the block's words
 // with scr as their scratch; a command-tier step runs stripe by stripe,
 // each under its subarray's lock (runStripe), with row buffer buf. It
-// returns the first failure and its stripe.
+// returns the first failing stripe and its error.
 func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, error) {
 	a := pr.a
 	wpr := a.cfg.Module.Columns / 64
@@ -513,7 +505,7 @@ func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, e
 				continue
 			}
 			for s := blo; s < bhi; s++ {
-				if err := a.runStripe(a.stripeGroup(s), s, buf, r.stripe); err != nil {
+				if err := a.runStripe(s, buf, r.stripe); err != nil {
 					return s, err
 				}
 			}
@@ -543,28 +535,16 @@ func (pr *progRunner) release(scr *[]uint64, buf *bitvec.Vector) {
 }
 
 // exec runs the steps over the stripes in list (nil means all of
-// [0, stripes)) with one fork-join through fastForEachRuns: each worker
-// leases its state once per share it is dealt — once for the whole call
-// when the stripes are one run — and walks the share block-major. On
-// failure the lowest failing stripe's error is returned.
+// [0, stripes)) with one fork-join through forEachRuns: each worker
+// leases its state once per run piece it is dealt — once for the whole
+// call when the stripes are one run — and walks the piece block-major.
+// On failure the lowest failing stripe's error is returned.
 func (pr *progRunner) exec(stripes int, list []int) error {
-	runs := [][2]int{{0, stripes}}
-	if list != nil {
-		runs = stripeRuns(list)
-	}
-	pr.a.fastForEachRuns(runs, func(lo, hi int) {
+	return pr.a.forEachRuns(stripeRuns(stripes, list), func(lo, hi int) (int, error) {
 		scr, buf := pr.lease()
-		s, err := pr.walk(*scr, buf, lo, hi)
-		pr.release(scr, buf)
-		if err != nil {
-			pr.mu.Lock()
-			if pr.err == nil || s < pr.failAt {
-				pr.failAt, pr.err = s, err
-			}
-			pr.mu.Unlock()
-		}
+		defer pr.release(scr, buf)
+		return pr.walk(*scr, buf, lo, hi)
 	})
-	return pr.err
 }
 
 // evalExec executes the compiled plan over the stripes in list (nil
@@ -572,36 +552,4 @@ func (pr *progRunner) exec(stripes int, list []int) error {
 // half of EvalExpr, which a Shard scatters across its accelerators.
 func (a *Accelerator) evalExec(p *plan.Plan, vars map[string]*BitVector, out *BitVector, stripes int, list []int) error {
 	return a.evalResolve(p, vars, out).exec(stripes, list)
-}
-
-// evalTasks builds the per-serialization-group pipeline tasks executing
-// a resolved step list (an eval, or a whole µProgram) over the grouped
-// stripes — the batch-submission analogue of progRunner.exec. Each task
-// leases one worker state and walks its group's contiguous stripe runs
-// block-major; groups proceed concurrently on disjoint words, while
-// command-tier steps lock per stripe as on every path. With a tracer
-// installed every stripe walks alone and gets its own span. The runner
-// is resolved by the caller at submission time.
-func (a *Accelerator) evalTasks(pr *progRunner, groups []stripeRun) []pipeline.Task {
-	tasks := make([]pipeline.Task, 0, len(groups))
-	for _, g := range groups {
-		tasks = append(tasks, pipeline.Task{Group: g.group, Run: func() error {
-			scr, buf := pr.lease()
-			defer pr.release(scr, buf)
-			for i := 0; i < len(g.list); {
-				start := a.obsc.SpanStart()
-				j := i + 1
-				for start == 0 && j < len(g.list) && g.list[j] == g.list[j-1]+1 {
-					j++
-				}
-				if _, err := pr.walk(*scr, buf, g.list[i], g.list[j-1]+1); err != nil {
-					return err
-				}
-				a.stripeSpan(start, g.list[i], nil)
-				i = j
-			}
-			return nil
-		}})
-	}
-	return tasks
 }

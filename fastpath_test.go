@@ -130,9 +130,9 @@ func TestFastpathReduceMatchesCommandPath(t *testing.T) {
 	}
 }
 
-// TestFastpathBatchMatchesCommandPath runs a dependency chain through a
-// Batch on both paths.
-func TestFastpathBatchMatchesCommandPath(t *testing.T) {
+// TestFastpathChainMatchesCommandPath runs a dependency chain — an op
+// whose destination is its own operand, then a reduction — on both paths.
+func TestFastpathChainMatchesCommandPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for name, muts := range fastpathConfigs() {
 		fast, slow := fastSlowPair(t, muts)
@@ -142,27 +142,27 @@ func TestFastpathBatchMatchesCommandPath(t *testing.T) {
 		c := RandomBitVector(rng, n)
 		run := func(acc *Accelerator) (*BitVector, *BitVector, Stats) {
 			t.Helper()
+			acc.ResetTotals()
 			tmp := NewBitVector(n)
-			dst := NewBitVector(n)
 			red := NewBitVector(n)
-			bt := acc.Batch()
-			defer bt.Close()
-			bt.Submit(OpXor, tmp, a, b)
-			bt.Submit(OpNand, dst, tmp, c)
-			bt.SubmitReduce(OpOr, red, a, b, c)
-			st, err := bt.Wait()
-			if err != nil {
-				t.Fatalf("%s: batch: %v", name, err)
+			if _, err := acc.Op(OpXor, tmp, a, b); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			return dst, red, st
+			if _, err := acc.Op(OpNand, tmp, tmp, c); err != nil {
+				t.Fatalf("%s: in-place NAND: %v", name, err)
+			}
+			if _, err := acc.Reduce(OpOr, red, tmp, b, c); err != nil {
+				t.Fatalf("%s: reduce: %v", name, err)
+			}
+			return tmp, red, acc.Totals()
 		}
 		dFast, rFast, stFast := run(fast)
 		dSlow, rSlow, stSlow := run(slow)
 		if !dFast.Equal(dSlow) || !rFast.Equal(rSlow) {
-			t.Fatalf("%s: batched fast path diverges from command path", name)
+			t.Fatalf("%s: chained fast path diverges from command path", name)
 		}
 		if stFast != stSlow {
-			t.Fatalf("%s: batched cost diverges: fast %+v, slow %+v", name, stFast, stSlow)
+			t.Fatalf("%s: chained cost diverges: fast %+v, slow %+v", name, stFast, stSlow)
 		}
 	}
 }
@@ -259,7 +259,7 @@ func TestFaultWrapperForcesCommandPath(t *testing.T) {
 }
 
 // TestFastpathStripeAllocFree is the zero-allocation gate on the fast
-// path's per-stripe body.
+// path's body, run one stripe at a time as a traced call runs it.
 func TestFastpathStripeAllocFree(t *testing.T) {
 	acc := newAcc(t, smallModule)
 	cols := acc.cfg.Module.Columns
@@ -278,9 +278,9 @@ func TestFastpathStripeAllocFree(t *testing.T) {
 	stripes := (n + cols - 1) / cols
 	allocs := testing.AllocsPerRun(100, func() {
 		for s := 0; s < stripes; s++ {
-			fastStripe(kAnd, dst.v, x.v, y.v, s, cols)
-			fastStripe(kNot, dst.v, x.v, nil, s, cols)
-			fastFoldStripe(kAnd, dst.v, x.v, s, cols)
+			fastOpRange(kAnd, dst.v, x.v, y.v, s, s+1, cols)
+			fastOpRange(kNot, dst.v, x.v, nil, s, s+1, cols)
+			fastFoldRange(kAnd, dst.v, x.v, s, s+1, cols)
 		}
 	})
 	if allocs != 0 {
@@ -289,7 +289,7 @@ func TestFastpathStripeAllocFree(t *testing.T) {
 }
 
 // TestFastpathConcurrentWithExecutorSwaps hammers one accelerator with
-// concurrent synchronous ops, a batch, and executor swaps that flip every
+// concurrent ops and reductions, and executor swaps that flip every
 // in-flight dispatch decision between the two paths. Results must stay
 // correct throughout (run under -race by scripts/lint.sh).
 func TestFastpathConcurrentWithExecutorSwaps(t *testing.T) {
@@ -345,22 +345,20 @@ func TestFastpathConcurrentWithExecutorSwaps(t *testing.T) {
 	go func() {
 		defer workers.Done()
 		rng := rand.New(rand.NewSource(200))
-		b := acc.Batch()
-		defer b.Close()
 		x := RandomBitVector(rng, n)
 		y := RandomBitVector(rng, n)
 		dst := NewBitVector(n)
-		for i := 0; i < 20; i++ {
-			b.Submit(OpAnd, dst, x, y)
-		}
-		if _, err := b.Wait(); err != nil {
-			errc <- err
-			return
-		}
 		want := NewBitVector(n)
 		golden(OpAnd, want, x, y)
-		if !dst.Equal(want) {
-			errc <- fmt.Errorf("batched AND wrong under executor swaps")
+		for i := 0; i < 20; i++ {
+			if _, err := acc.Reduce(OpAnd, dst, x, y); err != nil {
+				errc <- err
+				return
+			}
+			if !dst.Equal(want) {
+				errc <- fmt.Errorf("iter %d: reduced AND wrong under executor swaps", i)
+				return
+			}
 		}
 	}()
 

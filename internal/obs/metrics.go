@@ -36,16 +36,6 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add moves the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 
-// Max raises the gauge to n if n exceeds the current value.
-func (g *Gauge) Max(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -4,7 +4,7 @@
 // opt-in expvar/pprof debug endpoint.
 //
 // The package is a leaf — it imports only the standard library — so every
-// layer (facade, pipeline, scheduler, engines) can depend on it without
+// layer (facade, server, scheduler, engines) can depend on it without
 // cycles. Hot paths interact with it exclusively through pre-resolved
 // series pointers (atomic adds) and nil-guarded tracer hooks, so the
 // steady-state overhead with tracing disabled is a handful of atomic

@@ -21,10 +21,8 @@ func TestCounterGauge(t *testing.T) {
 	if got := g.Add(-3); got != 4 {
 		t.Errorf("gauge add returned %d, want 4", got)
 	}
-	g.Max(10)
-	g.Max(2) // lower value must not win
-	if got := g.Value(); got != 10 {
-		t.Errorf("gauge max = %d, want 10", got)
+	if got := g.Value(); got != 4 {
+		t.Errorf("gauge value = %d, want 4", got)
 	}
 }
 

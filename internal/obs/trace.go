@@ -10,13 +10,13 @@ import (
 // optional modeled-cost annotations. All fields are scalars so emitting an
 // event through a Tracer never allocates on the caller's side.
 type SpanEvent struct {
-	// Name is the span label (op mnemonic, "task", design.op, ...).
+	// Name is the span label ("Op(AND)", "stripe", design.op, ...).
 	Name string
-	// Cat is the layer that emitted the span: "facade", "batch",
-	// "pipeline", "stripe", "engine", "sched", or "waveform".
+	// Cat is the layer that emitted the span: "facade", "shard",
+	// "stripe", "engine", "server", or "waveform".
 	Cat string
-	// TID is the logical lane the span ran on (worker index, subarray
-	// group, 0 for the facade).
+	// TID is the logical lane the span ran on (the stripe index for
+	// stripe spans, 0 elsewhere).
 	TID int64
 	// StartNS is the span's wall-clock start in unix nanoseconds (or any
 	// consistent nanosecond timebase; exporters rebase to the first event).

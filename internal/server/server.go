@@ -65,10 +65,6 @@ type Config struct {
 	// EvalCacheSize bounds the compiled-program LRU shared by /v1/eval
 	// and /v1/arith (entries, not bytes; see evalcache.go). Default 256.
 	EvalCacheSize int
-	// WireDisableCoalescing reverts the elpwire listener to one write
-	// syscall per response instead of writev-batched flushes — a
-	// benchmarking escape hatch surfaced as elpd -wire-nocoalesce.
-	WireDisableCoalescing bool
 }
 
 // withDefaults normalizes cfg.

@@ -117,10 +117,9 @@ func wireStats(st elp2im.Stats) wire.Stats {
 // returns nil.
 func (s *Server) ServeWire(ln net.Listener) error {
 	cfg := wire.ServerConfig{
-		Backend:           &wireBackend{s: s},
-		StatusOf:          wireStatusFor,
-		OnFlush:           s.obs.wire.onFlush,
-		DisableCoalescing: s.cfg.WireDisableCoalescing,
+		Backend:  &wireBackend{s: s},
+		StatusOf: wireStatusFor,
+		OnFlush:  s.obs.wire.onFlush,
 	}
 	for {
 		conn, err := ln.Accept()

@@ -66,10 +66,6 @@ type ServerConfig struct {
 	// goroutine after each successful flush; it must be fast and must not
 	// block.
 	OnFlush func(frames int)
-	// DisableCoalescing reverts to one mutex-guarded Write per response
-	// (the pre-coalescer behavior, kept as a benchmarking escape hatch).
-	// OnFlush still fires with frames=1 per write.
-	DisableCoalescing bool
 }
 
 // withDefaults normalizes cfg.
@@ -183,7 +179,6 @@ type serverConn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	cfg  ServerConfig
-	wmu  sync.Mutex // serializes direct writes (DisableCoalescing only)
 	work chan *connReq
 	wg   sync.WaitGroup
 
@@ -199,7 +194,7 @@ type serverConn struct {
 	werr        error
 	closing     bool
 	iov         net.Buffers   // flusher-only writev scratch, reused across flushes
-	flusherDone chan struct{} // nil when DisableCoalescing
+	flusherDone chan struct{} // closed when the flusher exits
 
 	// names interns decoded strings so the steady-state loop does not
 	// allocate per request. Reader-goroutine-only; bounded by MaxInterned.
@@ -222,8 +217,8 @@ func ServeConn(nc net.Conn, cfg ServerConfig) error {
 }
 
 // newServerConn builds one connection's serving state and starts its
-// worker pool and (unless coalescing is disabled) flusher goroutine.
-// cfg must already be normalized and carry a Backend.
+// worker pool and flusher goroutine. cfg must already be normalized and
+// carry a Backend.
 func newServerConn(nc net.Conn, cfg ServerConfig) *serverConn {
 	c := &serverConn{
 		nc:    nc,
@@ -233,10 +228,8 @@ func newServerConn(nc net.Conn, cfg ServerConfig) *serverConn {
 		names: make(map[string]string),
 	}
 	c.fcond = sync.NewCond(&c.fmu)
-	if !cfg.DisableCoalescing {
-		c.flusherDone = make(chan struct{})
-		go c.flusher()
-	}
+	c.flusherDone = make(chan struct{})
+	go c.flusher()
 	for i := 0; i < cfg.Workers; i++ {
 		c.wg.Add(1)
 		go c.worker()
@@ -253,13 +246,11 @@ func (c *serverConn) serve() error {
 	err := c.readLoop()
 	close(c.work)
 	c.wg.Wait()
-	if c.flusherDone != nil {
-		c.fmu.Lock()
-		c.closing = true
-		c.fmu.Unlock()
-		c.fcond.Signal()
-		<-c.flusherDone
-	}
+	c.fmu.Lock()
+	c.closing = true
+	c.fmu.Unlock()
+	c.fcond.Signal()
+	<-c.flusherDone
 	c.fmu.Lock()
 	werr := c.werr
 	c.fmu.Unlock()
@@ -377,29 +368,11 @@ func (c *serverConn) writeError(id uint64, err error) {
 }
 
 // send hands one completed response frame to the write path, taking
-// ownership of the pooled buffer. With coalescing it appends to the
-// pending queue and wakes the flusher; with DisableCoalescing it writes
-// directly under the write lock. Either way, once the connection's
-// writer has failed the frame is dropped on the spot — workers stop
-// paying syscalls (or queue growth) for a dead peer.
+// ownership of the pooled buffer: it appends to the pending queue and
+// wakes the flusher. Once the connection's writer has failed the frame
+// is dropped on the spot — workers stop growing the queue for a dead
+// peer.
 func (c *serverConn) send(rp *[]byte) {
-	if c.flusherDone == nil {
-		c.fmu.Lock()
-		failed := c.werr != nil
-		c.fmu.Unlock()
-		if !failed {
-			c.wmu.Lock()
-			_, err := c.nc.Write(*rp)
-			c.wmu.Unlock()
-			if err != nil {
-				c.fail(err)
-			} else if c.cfg.OnFlush != nil {
-				c.cfg.OnFlush(1)
-			}
-		}
-		putBuf(rp)
-		return
-	}
 	c.fmu.Lock()
 	if c.werr != nil {
 		c.fmu.Unlock()

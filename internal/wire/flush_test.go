@@ -249,31 +249,6 @@ func TestServeConnDrainsOnCleanClose(t *testing.T) {
 	}
 }
 
-// TestDisableCoalescing checks the escape hatch still writes one frame
-// per flush and reports each to OnFlush.
-func TestDisableCoalescing(t *testing.T) {
-	var log flushLog
-	c := startStub(t, ServerConfig{DisableCoalescing: true, OnFlush: log.record})
-	const reqs = 16
-	for i := 0; i < reqs; i++ {
-		if _, err := c.Op(BitAnd, 0, "dst", "x", "y"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// OnFlush fires after the write returns, so the last observation can
-	// trail the client's receipt of the response by an instant.
-	waitUntil(t, "all flushes recorded", func() bool { return len(log.snapshot()) >= reqs })
-	sizes := log.snapshot()
-	if len(sizes) != reqs {
-		t.Fatalf("%d flushes, want %d", len(sizes), reqs)
-	}
-	for i, n := range sizes {
-		if n != 1 {
-			t.Fatalf("flush %d carried %d frames, want 1 with coalescing disabled", i, n)
-		}
-	}
-}
-
 // TestClientWriteCoalescing checks the client-side writer accounts for
 // every request frame and that concurrent callers can share flushes.
 func TestClientWriteCoalescing(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 
 // Observability surface of the facade. Every Accelerator owns an
 // internal/obs context: per-op-kind counters and modeled latency/energy
-// histograms, batch-pipeline gauges, per-subarray-lock contention
+// histograms, per-subarray-lock contention counters, execution-tier
 // counters, and an optional structured-span tracer. The process-wide
 // scheduler memo's hit/miss/eviction counters are folded into every
 // snapshot under sched.cache.*.
@@ -83,8 +83,8 @@ func (set *opSeriesSet) init(m *obs.Registry) {
 }
 
 // record folds one operation component's modeled cost into the per-op
-// metric series (called wherever session totals are updated, so
-// synchronous, batched, and sharded paths account identically).
+// metric series (called wherever session totals are updated, so the
+// single-module and sharded paths account identically).
 func (set *opSeriesSet) record(op engine.Op, st Stats) {
 	s := &set[op]
 	s.count.Inc()
@@ -96,15 +96,13 @@ func (set *opSeriesSet) record(op engine.Op, st Stats) {
 }
 
 // initObs builds the accelerator's observability context: the per-op
-// series, the lock/batch counters, and the engine instrumentation.
+// series, the lock and tier counters, and the engine instrumentation.
 func (a *Accelerator) initObs() {
 	a.obsc = obs.NewContext()
 	m := a.obsc.Metrics
-	a.series.init(m)
+	a.acct.series.init(m)
 	a.lockAcquire = m.Counter("acc.lock.acquire")
 	a.lockContended = m.Counter("acc.lock.contended")
-	a.batchSubmitted = m.Counter("batch.submitted")
-	a.batchWaits = m.Counter("batch.waits")
 	a.fastHits = m.Counter("acc.fastpath.hit")
 	a.fastFallbacks = m.Counter("acc.fastpath.fallback")
 	a.fusionHits = m.Counter("acc.fusion.hit")
@@ -114,53 +112,40 @@ func (a *Accelerator) initObs() {
 	}
 }
 
-// record folds one operation component's modeled cost into the per-op
-// metric series.
-func (a *Accelerator) record(op engine.Op, st Stats) { a.series.record(op, st) }
-
 // opSpan emits the facade-level span of one completed operation when
 // tracing is on (startNS != 0 is SpanStart's signal).
 func (a *Accelerator) opSpan(startNS int64, op engine.Op, stripes int, st Stats, err error) {
 	if startNS == 0 {
 		return
 	}
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	a.obsc.Span(obs.SpanEvent{
-		Name:      a.series[op].spanName,
-		Cat:       "facade",
-		StartNS:   startNS,
-		DurNS:     time.Now().UnixNano() - startNS,
-		Op:        op.String(),
-		Design:    a.eng.Name(),
-		Stripes:   stripes,
-		LatencyNS: st.LatencyNS,
-		EnergyNJ:  st.EnergyNJ,
-		Commands:  st.Commands,
-		Wordlines: st.Wordlines,
-		Err:       msg,
-	})
+	callSpan(a.obsc, "facade", a.eng.Name(), startNS, a.acct.series[op].spanName, op, stripes, st, err)
 }
 
 // reduceSpan emits the facade-level span of one Reduce call when tracing
-// is on. The string concatenation only runs on the traced path.
+// is on.
 func (a *Accelerator) reduceSpan(startNS int64, op engine.Op, stripes int, st Stats, err error) {
 	if startNS == 0 {
 		return
 	}
+	callSpan(a.obsc, "facade", a.eng.Name(), startNS, "Reduce("+op.String()+")", op, stripes, st, err)
+}
+
+// callSpan emits the span of one completed Op or Reduce call into ctx,
+// under category cat — "facade" for an Accelerator, "shard" for a Shard
+// router. Callers run it only when tracing is on, so the design name and
+// the span label are built only on the traced path.
+func callSpan(ctx *obs.Context, cat, design string, startNS int64, name string, op engine.Op, stripes int, st Stats, err error) {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
-	a.obsc.Span(obs.SpanEvent{
-		Name:      "Reduce(" + op.String() + ")",
-		Cat:       "facade",
+	ctx.Span(obs.SpanEvent{
+		Name:      name,
+		Cat:       cat,
 		StartNS:   startNS,
 		DurNS:     time.Now().UnixNano() - startNS,
 		Op:        op.String(),
-		Design:    a.eng.Name(),
+		Design:    design,
 		Stripes:   stripes,
 		LatencyNS: st.LatencyNS,
 		EnergyNJ:  st.EnergyNJ,
@@ -192,8 +177,8 @@ func (a *Accelerator) stripeSpan(startNS int64, s int, err error) {
 }
 
 // SetTracer installs (or, with nil, removes) a tracer receiving structured
-// span events for every facade op, batch task, stripe execution, and
-// engine primitive sequence on this accelerator. Safe to call while
+// span events for every facade op, stripe execution, and engine
+// primitive sequence on this accelerator. Safe to call while
 // operations are in flight.
 func (a *Accelerator) SetTracer(t Tracer) { a.obsc.SetTracer(t) }
 
@@ -201,7 +186,7 @@ func (a *Accelerator) SetTracer(t Tracer) { a.obsc.SetTracer(t) }
 // so in-module subsystems layered on top of the facade (internal/server)
 // can register their own metric series and emit spans into the same
 // registry — making them visible on this accelerator's Snapshot and
-// ServeDebug endpoint alongside the op/engine/pipeline series.
+// ServeDebug endpoint alongside the op and engine series.
 func (a *Accelerator) Observability() *obs.Context { return a.obsc }
 
 // withSchedStats folds the process-wide scheduler-memo counters into s.
@@ -215,25 +200,25 @@ func withSchedStats(s obs.Snapshot) obs.Snapshot {
 }
 
 // Snapshot copies the accelerator's metric series — per-op-kind counts,
-// modeled latency/energy histograms, command/activation counters, batch
-// pipeline gauges, lock contention — plus the process-wide scheduler-memo
-// counters (sched.cache.*), for programmatic scraping. Safe to call while
-// operations and batches are in flight.
+// modeled latency/energy histograms, command/activation counters, lock
+// contention, execution-tier counters — plus the process-wide
+// scheduler-memo counters (sched.cache.*), for programmatic scraping.
+// Safe to call while operations are in flight.
 func (a *Accelerator) Snapshot() MetricsSnapshot {
 	return withSchedStats(a.obsc.Metrics.Snapshot())
 }
 
-// GlobalSnapshot copies the process-wide metric series: engines and worker
-// pools not owned by an Accelerator (standalone engine use, the case-study
-// runners) report here, and the scheduler memo's counters are always
+// GlobalSnapshot copies the process-wide metric series: engines not owned
+// by an Accelerator (standalone engine use, the case-study runners)
+// report here, and the scheduler memo's counters are always
 // included. cmd/elpsim's -metrics flag prints this.
 func GlobalSnapshot() MetricsSnapshot {
 	return withSchedStats(obs.Global().Metrics.Snapshot())
 }
 
 // SetGlobalTracer installs (or, with nil, removes) a tracer on the
-// process-wide observability context used by standalone engines and
-// worker pools (cmd/elpsim's -trace flag).
+// process-wide observability context used by standalone engines
+// (cmd/elpsim's -trace flag).
 func SetGlobalTracer(t Tracer) { obs.Global().SetTracer(t) }
 
 // ServeDebug starts the opt-in observability endpoint on addr (":0" for

@@ -103,36 +103,33 @@ func TestSnapshotPerOpSeries(t *testing.T) {
 	}
 }
 
-func TestSnapshotConsistentUnderConcurrentBatch(t *testing.T) {
+func TestSnapshotConsistentUnderConcurrentOps(t *testing.T) {
 	acc, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 1 << 14
-	const perBatch = 8
-	const batches = 4
+	const perCaller = 8
+	const callers = 4
 
 	var wg sync.WaitGroup
-	for i := 0; i < batches; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each goroutine owns its vectors: concurrent contexts with
+			// Each goroutine owns its vectors: concurrent calls with
 			// overlapping vectors have undefined ordering by contract.
 			x := NewBitVector(n)
 			y := NewBitVector(n)
 			dst := NewBitVector(n)
-			b := acc.Batch()
-			defer b.Close()
-			for j := 0; j < perBatch; j++ {
-				b.Submit(OpAnd, dst, x, y)
-			}
-			if _, err := b.Wait(); err != nil {
-				t.Error(err)
+			for j := 0; j < perCaller; j++ {
+				if _, err := acc.Op(OpAnd, dst, x, y); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}
-	// Synchronous traffic racing the batches, plus snapshot readers.
+	// More traffic racing the callers, plus snapshot readers.
 	sx := NewBitVector(n)
 	sdst := NewBitVector(n)
 	for i := 0; i < 4; i++ {
@@ -144,20 +141,14 @@ func TestSnapshotConsistentUnderConcurrentBatch(t *testing.T) {
 	wg.Wait()
 
 	s := acc.Snapshot()
-	if got := s.Counter("acc.op.count.AND"); got != batches*perBatch {
-		t.Errorf("acc.op.count.AND = %d, want %d", got, batches*perBatch)
+	if got := s.Counter("acc.op.count.AND"); got != callers*perCaller {
+		t.Errorf("acc.op.count.AND = %d, want %d", got, callers*perCaller)
 	}
 	if got := s.Counter("acc.op.count.NOT"); got != 4 {
 		t.Errorf("acc.op.count.NOT = %d, want 4", got)
 	}
-	if got := s.Counter("batch.submitted"); got != batches*perBatch {
-		t.Errorf("batch.submitted = %d, want %d", got, batches*perBatch)
-	}
-	if got := s.Counter("batch.waits"); got != batches {
-		t.Errorf("batch.waits = %d, want %d", got, batches)
-	}
-	if got := s.Histograms["acc.op.latency_ns.AND"].Count; got != batches*perBatch {
-		t.Errorf("latency histogram count = %d, want %d", got, batches*perBatch)
+	if got := s.Histograms["acc.op.latency_ns.AND"].Count; got != callers*perCaller {
+		t.Errorf("latency histogram count = %d, want %d", got, callers*perCaller)
 	}
 	// The per-op latency sums must equal the accumulated totals exactly:
 	// both fold the same cost terms.
@@ -168,34 +159,32 @@ func TestSnapshotConsistentUnderConcurrentBatch(t *testing.T) {
 	// All this traffic dispatched through the compiled kernels, which
 	// never touch device row state and therefore never take the
 	// per-subarray locks (lock counters track command-level stripes only).
-	if got := s.Counter("acc.fastpath.hit"); got != batches*perBatch+4 {
-		t.Errorf("acc.fastpath.hit = %d, want %d", got, batches*perBatch+4)
+	if got := s.Counter("acc.fastpath.hit"); got != callers*perCaller+4 {
+		t.Errorf("acc.fastpath.hit = %d, want %d", got, callers*perCaller+4)
 	}
 	if s.Counter("acc.lock.acquire") != 0 {
 		t.Error("fast-path stripes took per-subarray locks")
 	}
-	if got, max := s.Gauge("pipeline.queue.depth"), s.Gauge("pipeline.queue.depth.max"); got != 0 || max == 0 {
-		t.Errorf("queue depth = %d (want 0 after drain), max = %d (want > 0)", got, max)
-	}
-	if got := s.Counter("pipeline.tasks"); got == 0 {
-		t.Error("pipeline.tasks = 0 after batched load")
-	}
 }
 
 func TestRecordAllocatesNothing(t *testing.T) {
-	acc, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Stats{LatencyNS: 100, EnergyNJ: 5, RowOps: 1, Commands: 3, Wordlines: 5}
-	allocs := testing.AllocsPerRun(1000, func() {
-		acc.record(OpAnd.internal(), st)
-		acc.opSpan(0, OpAnd.internal(), 1, st, nil)
-		acc.stripeSpan(0, 0, nil)
-		acc.reduceSpan(0, OpAnd.internal(), 1, st, nil)
-	})
-	if allocs != 0 {
-		t.Errorf("metrics/span path with tracing off allocates %.1f/op, want 0", allocs)
+	// Ambit with a non-default B-group formats its design name, so the
+	// span emitters must not ask for it with tracing off.
+	for _, mut := range []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.Design, c.ReservedRows = DesignAmbit, 6 },
+	} {
+		acc := newAcc(t, mut)
+		st := Stats{LatencyNS: 100, EnergyNJ: 5, RowOps: 1, Commands: 3, Wordlines: 5}
+		allocs := testing.AllocsPerRun(1000, func() {
+			acc.acct.series.record(OpAnd.internal(), st)
+			acc.opSpan(0, OpAnd.internal(), 1, st, nil)
+			acc.stripeSpan(0, 0, nil)
+			acc.reduceSpan(0, OpAnd.internal(), 1, st, nil)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: metrics/span path with tracing off allocates %.1f/op, want 0", acc.Design(), allocs)
+		}
 	}
 }
 
@@ -234,7 +223,7 @@ func TestAveragePowerZeroLatency(t *testing.T) {
 	}
 }
 
-func TestBatchTraceLoadsAsChromeArray(t *testing.T) {
+func TestTraceLoadsAsChromeArray(t *testing.T) {
 	acc, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -248,15 +237,14 @@ func TestBatchTraceLoadsAsChromeArray(t *testing.T) {
 	y := NewBitVector(n)
 	d1 := NewBitVector(n)
 	d2 := NewBitVector(n)
-	d3 := NewBitVector(n)
-	b := acc.Batch()
-	b.Submit(OpAnd, d1, x, y)
-	b.Submit(OpOr, d2, x, y)
-	b.Submit(OpXor, d3, x, y)
-	if _, err := b.Wait(); err != nil {
+	for _, op := range []Op{OpAnd, OpOr, OpXor} {
+		if _, err := acc.Op(op, d1, x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := acc.Reduce(OpAnd, d2, x, y, d1); err != nil {
 		t.Fatal(err)
 	}
-	b.Close()
 	acc.SetTracer(nil)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -276,9 +264,10 @@ func TestBatchTraceLoadsAsChromeArray(t *testing.T) {
 		}
 		cats[ev["cat"].(string)]++
 	}
-	// A 3-op batch must surface pipeline task spans, per-stripe spans, and
-	// per-row engine spans.
-	for _, cat := range []string{"pipeline", "stripe", "engine"} {
+	// Three ops and a reduction on a fresh accelerator must surface facade
+	// spans, per-stripe spans, and the per-row engine spans of kernel
+	// derivation.
+	for _, cat := range []string{"facade", "stripe", "engine"} {
 		if cats[cat] == 0 {
 			t.Errorf("trace has no %q spans (got %v)", cat, cats)
 		}

@@ -2,12 +2,11 @@
 # bench.sh — run the benchmarks and emit BENCH_pipeline.json plus
 # BENCH_server.json.
 #
-# Part 1 (BENCH_pipeline.json) compares three modes of issuing row-wide
-# ops through the facade:
+# Part 1 (BENCH_pipeline.json) compares per-call Op with and without the
+# scheduler memo:
 #   single_call_uncached : per-call Op with the scheduler memo disabled
 #                          (the pre-memoization baseline)
 #   single_call_cached   : per-call Op with the memo on (default)
-#   batched              : ops submitted through Accelerator.Batch
 #
 # plus the two execution modes of the functional hot loop on an 8 Mbit AND
 # (see DESIGN.md "Execution modes"):
@@ -112,7 +111,7 @@ if [ -f "$out" ]; then
 fi
 
 raw=$(go test -run '^$' \
-	-bench 'BenchmarkPipeline(PerCallUncached|PerCallCached|BatchCached)$|BenchmarkAcceleratorBulkAND(Fallback)?$' \
+	-bench 'BenchmarkPipeline(PerCallUncached|PerCallCached)$|BenchmarkAcceleratorBulkAND(Fallback)?$' \
 	-benchtime "$benchtime" -benchmem .)
 printf '%s\n' "$raw" >&2
 
@@ -122,11 +121,10 @@ printf '%s\n' "$raw" >&2
 printf '%s\n' "$raw" | awk -v out="$out" -v host="$host_json" '
 /^BenchmarkPipelinePerCallUncached/                  { uncached = $3 }
 /^BenchmarkPipelinePerCallCached/                    { cached = $3 }
-/^BenchmarkPipelineBatchCached/                      { batched = $3 }
 /^BenchmarkAcceleratorBulkAND(-[0-9]+)?[ \t]/         { fastpath = $3 }
 /^BenchmarkAcceleratorBulkANDFallback(-[0-9]+)?[ \t]/ { fallback = $3 }
 END {
-	if (uncached == "" || cached == "" || batched == "" || fastpath == "" || fallback == "") {
+	if (uncached == "" || cached == "" || fastpath == "" || fallback == "") {
 		print "bench.sh: missing benchmark output" > "/dev/stderr"
 		exit 1
 	}
@@ -135,8 +133,6 @@ END {
 	printf "  \"benchtime\": \"%s\",\n", ENVIRON["BENCHTIME"] != "" ? ENVIRON["BENCHTIME"] : "200x" > out
 	printf "  \"single_call_uncached_ns_op\": %s,\n", uncached > out
 	printf "  \"single_call_cached_ns_op\": %s,\n", cached > out
-	printf "  \"batched_ns_op\": %s,\n", batched > out
-	printf "  \"batch_speedup_vs_uncached\": %.2f,\n", uncached / batched > out
 	printf "  \"cache_speedup_per_call\": %.2f,\n", uncached / cached > out
 	printf "  \"fastpath_ns_op\": %s,\n", fastpath > out
 	printf "  \"fallback_ns_op\": %s,\n", fallback > out

@@ -3,9 +3,9 @@
 #   1. gofmt       — no unformatted files anywhere in the repo
 #   2. go vet      — whole-module analysis
 #   3. doccheck    — godoc completeness for the packages whose documentation
-#                    the project guarantees (root facade, internal/pipeline,
-#                    internal/obs, internal/server, internal/wire,
-#                    internal/plan, internal/kernel, internal/vertical)
+#                    the project guarantees (root facade, internal/obs,
+#                    internal/server, internal/wire, internal/plan,
+#                    internal/kernel, internal/vertical)
 #   4. race tests  — the serving-layer suite (including the wire
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite) plus ten
@@ -17,10 +17,12 @@
 #                    drain-time flushing), the kernel-derivation
 #                    cache, the facade's fast-path/fallback concurrency
 #                    tests, the shard router + sharded differential
-#                    suite, and the vertical-arith suites (the
-#                    multi-block differential three times) under the
-#                    race detector (their whole value is their
-#                    concurrency envelope)
+#                    suite, the vertical-arith suites, and three
+#                    iterations each of the multi-block arith
+#                    differential and the facade's forking-dispatcher
+#                    tests (concurrent ops + totals, lowest-stripe
+#                    error) under the race detector (their whole value
+#                    is their concurrency envelope)
 #   5. fuzz smoke  — both internal/wire fuzz targets, the facade's
 #                    eval-DAG and vertical-arith fuzzers, the transpose
 #                    fuzzer, and the serving layer's /v1/query fuzzer for
@@ -49,7 +51,7 @@ if ! go vet ./...; then
     fail=1
 fi
 
-if ! go run ./scripts/doccheck . internal/pipeline internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical; then
+if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical; then
     fail=1
 fi
 
@@ -146,16 +148,19 @@ if ! go test -race -count=1 -run 'Shard|Differential' .; then
 fi
 
 # The vertical arithmetic suite under the race detector: ArithProg's
-# sharded scatter and the batch submission path run steps concurrently
+# sharded scatter and the forked block-major walk run steps concurrently
 # over disjoint stripe subsets.
 if ! go test -race -count=1 -run 'Arith|Vertical' .; then
     fail=1
 fi
 
 # The multi-block differential is the one arith suite large enough for
-# the block-major walk to split a call's blocks between workers, so it
-# gets extra iterations under the race detector, like the coalescers.
-if ! go test -race -count=3 -run '^TestArithMatchesReferenceMultiBlock$' .; then
+# the block-major walk to split a call's blocks between workers, and the
+# two dispatcher tests size their calls so the stripe dispatcher forks
+# (concurrent command-path Op/Reduce against Totals/Snapshot readers, and
+# the lowest-stripe error across worker shares), so all three get extra
+# iterations under the race detector, like the coalescers.
+if ! go test -race -count=3 -run '^(TestArithMatchesReferenceMultiBlock|TestConcurrentOpsAndTotals|TestForEachStripeFirstErrorDeterministic)$' .; then
     fail=1
 fi
 

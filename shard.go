@@ -4,12 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // shardChunkStripes is the placement granularity: stripes are assigned to
@@ -27,7 +24,7 @@ const shardChunkStripes = 4
 // selected by a hash of its placement range (s / shardChunkStripes), the
 // same mapping for every vector, so stripe s of all of an operation's
 // operands always co-locate on one shard and no cross-shard data movement
-// is ever needed. Op, Reduce, Eval and Batch scatter each operation's
+// is ever needed. Op, Reduce, Eval and Arith scatter each operation's
 // stripes across the shards and gather the results.
 //
 // Accounting is central: the cost model is purely functional (identical
@@ -36,8 +33,8 @@ const shardChunkStripes = 4
 // accelerators execute without accounting. Totals, the per-op metric
 // series, and Snapshot therefore reconcile exactly — struct-equal — with
 // a single-module baseline performing the same operations; per-shard
-// execution detail (fast-path hits, lock contention, pipeline gauges,
-// shard.<i>.* scatter counters) is layered on top in the merged snapshot.
+// execution detail (fast-path hits, lock contention, shard.<i>.* scatter
+// counters) is layered on top in the merged snapshot.
 //
 // A Shard is safe for concurrent use under the same contract as an
 // Accelerator: concurrently executing operations' vectors must not
@@ -46,17 +43,14 @@ type Shard struct {
 	cfg  Config
 	accs []*Accelerator
 
-	// Observability: the router's own context (central per-op accounting,
-	// batch counters, per-shard scatter series) merged with each shard
-	// accelerator's registry in Snapshot.
-	obsc           *obs.Context
-	series         opSeriesSet
-	batchSubmitted *obs.Counter
-	batchWaits     *obs.Counter
-	perShard       []shardSeries
+	// acct is where scattered operations are charged, once each.
+	acct ledger
 
-	totalsMu sync.Mutex
-	totals   Stats
+	// Observability: the router's own context (central per-op accounting
+	// and per-shard scatter series) merged with each shard accelerator's
+	// registry in Snapshot.
+	obsc     *obs.Context
+	perShard []shardSeries
 }
 
 // shardSeries is one shard's scatter-side metric series.
@@ -101,9 +95,7 @@ func NewShardWithConfig(shards int, cfg Config) (*Shard, error) {
 func (sh *Shard) initObs() {
 	sh.obsc = obs.NewContext()
 	m := sh.obsc.Metrics
-	sh.series.init(m)
-	sh.batchSubmitted = m.Counter("batch.submitted")
-	sh.batchWaits = m.Counter("batch.waits")
+	sh.acct.series.init(m)
 	m.Gauge("shard.count").Set(int64(len(sh.accs)))
 	sh.perShard = make([]shardSeries, len(sh.accs))
 	for i := range sh.perShard {
@@ -172,7 +164,7 @@ func (sh *Shard) stripeLists(n int) [][]int {
 // destination words across shard boundaries). On multiple failures the
 // lowest-index failing shard's error is returned, so the result is
 // deterministic (each shard's own error is already its lowest failing
-// stripe's, see runGroups).
+// stripe's, see forEachRuns).
 func (sh *Shard) scatter(stripes int, fn func(shard int, list []int) error) error {
 	lists := sh.stripeLists(stripes)
 	for i, l := range lists {
@@ -224,32 +216,21 @@ func (sh *Shard) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	start := sh.obsc.SpanStart()
 	cols := sh.cfg.Module.Columns
 	stripes := (x.Len() + cols - 1) / cols
-	var yv *bitvec.Vector
-	if y != nil {
-		yv = y.v
-	}
+	yv := vecOf(y)
 	err := sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].execOpStripes(iop, dst.v, x.v, yv, list)
+		return sh.accs[i].execOpStripes(iop, dst.v, x.v, yv, stripes, list)
 	})
-	if err != nil {
-		sh.opSpan(start, iop, stripes, Stats{}, err)
-		return Stats{}, err
+	var st Stats
+	if err == nil {
+		st, err = sh.ref().chargeOp(&sh.acct, iop, stripes)
 	}
-	st, err := sh.ref().opCost(iop, stripes)
-	if err != nil {
-		sh.opSpan(start, iop, stripes, Stats{}, err)
-		return Stats{}, err
-	}
-	sh.addTotals(st)
-	sh.series.record(iop, st)
-	sh.opSpan(start, iop, stripes, st, nil)
-	return st, nil
+	sh.opSpan(start, iop, stripes, st, err)
+	return st, err
 }
 
 // Reduce folds vs[1:] into an accumulator initialized with vs[0] and
 // stores the result in dst, scattered across the shards (see
-// Accelerator.Reduce). Results and cost accounting — the staging copy,
-// then one chained-fold term per operand, in order — are identical to the
+// Accelerator.Reduce). Results and cost accounting are identical to the
 // single-module baseline.
 func (sh *Shard) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, error) {
 	if err := validateReduce(op, dst, vs); err != nil {
@@ -259,27 +240,15 @@ func (sh *Shard) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, error) 
 	start := sh.obsc.SpanStart()
 	cols := sh.cfg.Module.Columns
 	stripes := (dst.Len() + cols - 1) / cols
-	vsv := vecsOf(vs)
 	err := sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].execReduceStripes(iop, dst.v, vsv, list)
+		return sh.accs[i].execReduceStripes(iop, dst, vs, stripes, list)
 	})
-	if err != nil {
-		sh.reduceSpan(start, iop, stripes, Stats{}, err)
-		return Stats{}, err
+	var st Stats
+	if err == nil {
+		st, err = sh.ref().chargeReduce(&sh.acct, iop, len(vs), stripes)
 	}
-	// Central accounting in the synchronous Reduce's order: the copy is
-	// recorded as its own OpCOPY component, then each fold.
-	components, total, err := sh.ref().reduceComponents(iop, len(vs), stripes)
-	if err != nil {
-		sh.reduceSpan(start, iop, stripes, Stats{}, err)
-		return Stats{}, err
-	}
-	for _, c := range components {
-		sh.addTotals(c.st)
-		sh.series.record(c.op, c.st)
-	}
-	sh.reduceSpan(start, iop, stripes, total, nil)
-	return total, nil
+	sh.reduceSpan(start, iop, stripes, st, err)
+	return st, err
 }
 
 // Eval evaluates a boolean expression over named bulk bit-vectors,
@@ -329,18 +298,14 @@ func (sh *Shard) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector, out 
 	if err != nil {
 		return Stats{}, err
 	}
-	sh.addTotals(total)
+	sh.acct.add(total)
 	return total, nil
 }
 
 // Totals returns the accumulated statistics of every operation routed
 // through this shard router (struct-equal to a single module's totals for
 // the same operation sequence).
-func (sh *Shard) Totals() Stats {
-	sh.totalsMu.Lock()
-	defer sh.totalsMu.Unlock()
-	return sh.totals
-}
+func (sh *Shard) Totals() Stats { return sh.acct.sum() }
 
 // AggregateTotals returns the router's centrally accounted totals merged
 // with every shard accelerator's own session totals. Operations routed
@@ -357,18 +322,7 @@ func (sh *Shard) AggregateTotals() Stats {
 }
 
 // ResetTotals clears the accumulated statistics.
-func (sh *Shard) ResetTotals() {
-	sh.totalsMu.Lock()
-	sh.totals = Stats{}
-	sh.totalsMu.Unlock()
-}
-
-// addTotals accumulates st into the router's session totals.
-func (sh *Shard) addTotals(st Stats) {
-	sh.totalsMu.Lock()
-	sh.totals.add(st)
-	sh.totalsMu.Unlock()
-}
+func (sh *Shard) ResetTotals() { sh.acct.reset() }
 
 // Design returns the modeled design's name.
 func (sh *Shard) Design() string { return sh.ref().Design() }
@@ -404,12 +358,12 @@ func (sh *Shard) SetTracer(t Tracer) {
 func (sh *Shard) Observability() *obs.Context { return sh.obsc }
 
 // Snapshot merges the router's metric series (central per-op accounting,
-// batch counters, shard.<i>.* scatter series) with every shard
-// accelerator's registry — counters and gauges sum, histograms merge
-// bucket-wise — plus the process-wide scheduler-memo counters. The
+// shard.<i>.* scatter series) with every shard accelerator's registry —
+// counters and gauges sum, histograms merge bucket-wise — plus the
+// process-wide scheduler-memo counters. The
 // acc.op.* series reconcile exactly with a single-module baseline: only
 // the router records them, while execution-side series (fast-path hits,
-// lock contention, pipeline gauges) sum across shards.
+// lock contention) sum across shards.
 func (sh *Shard) Snapshot() MetricsSnapshot {
 	snap := sh.obsc.Metrics.Snapshot()
 	for _, acc := range sh.accs {
@@ -456,7 +410,10 @@ func (sh *Shard) ServeDebug(addr string) (*DebugServer, error) {
 // opSpan emits the router-level span of one completed scattered operation
 // when tracing is on.
 func (sh *Shard) opSpan(startNS int64, op engine.Op, stripes int, st Stats, err error) {
-	sh.span(startNS, sh.series[op].spanName, op, stripes, st, err)
+	if startNS == 0 {
+		return
+	}
+	callSpan(sh.obsc, "shard", sh.Design(), startNS, sh.acct.series[op].spanName, op, stripes, st, err)
 }
 
 // reduceSpan emits the router-level span of one scattered Reduce.
@@ -464,256 +421,5 @@ func (sh *Shard) reduceSpan(startNS int64, op engine.Op, stripes int, st Stats, 
 	if startNS == 0 {
 		return
 	}
-	sh.span(startNS, "Reduce("+op.String()+")", op, stripes, st, err)
-}
-
-// span is the shared span emitter behind opSpan/reduceSpan.
-func (sh *Shard) span(startNS int64, name string, op engine.Op, stripes int, st Stats, err error) {
-	if startNS == 0 {
-		return
-	}
-	msg := ""
-	if err != nil {
-		msg = err.Error()
-	}
-	sh.obsc.Span(obs.SpanEvent{
-		Name:      name,
-		Cat:       "shard",
-		StartNS:   startNS,
-		DurNS:     time.Now().UnixNano() - startNS,
-		Op:        op.String(),
-		Design:    sh.Design(),
-		Stripes:   stripes,
-		LatencyNS: st.LatencyNS,
-		EnergyNJ:  st.EnergyNJ,
-		Commands:  st.Commands,
-		Wordlines: st.Wordlines,
-		Err:       msg,
-	})
-}
-
-// ShardBatch is the asynchronous submission context over a Shard — the
-// scatter-gather analogue of Batch. Each shard has its own worker pool
-// (its private rank's concurrency budget); a submission's stripes enqueue
-// on their home shards' pools, and the same per-group FIFO ordering
-// guarantees hold because a stripe's home shard and serialization group
-// are both functions of the stripe index alone. Wait drains every pool and
-// folds the accumulated cost terms into the router's totals in submission
-// order, exactly like Batch.Wait.
-type ShardBatch struct {
-	sh    *Shard
-	pools []*pipeline.Pool
-
-	mu     sync.Mutex
-	closed bool
-	leased []*Future // submission order
-}
-
-// Batch returns a new asynchronous scatter-gather submission context. With
-// non-word-aligned rows all shards share one pool (every task is then in
-// serialization group 0, and neighbouring stripes share destination words
-// across shard boundaries, so full FIFO ordering is required).
-func (sh *Shard) Batch() *ShardBatch {
-	n := len(sh.accs)
-	if sh.cfg.Module.Columns%64 != 0 {
-		n = 1
-	}
-	pools := make([]*pipeline.Pool, n)
-	for i := range pools {
-		pools[i] = sh.accs[i].getPool()
-	}
-	return &ShardBatch{sh: sh, pools: pools}
-}
-
-// Workers returns the total worker count across the per-shard pools.
-func (sb *ShardBatch) Workers() int {
-	total := 0
-	for _, p := range sb.pools {
-		total += p.Workers()
-	}
-	return total
-}
-
-// poolFor returns the pool executing shard i's tasks.
-func (sb *ShardBatch) poolFor(i int) *pipeline.Pool { return sb.pools[i%len(sb.pools)] }
-
-// failed records and returns an already-failed future.
-func (sb *ShardBatch) failed(err error) *Future {
-	f := &Future{err: err}
-	sb.lease(f)
-	return f
-}
-
-// lease registers a future in submission order.
-func (sb *ShardBatch) lease(f *Future) {
-	sb.mu.Lock()
-	sb.leased = append(sb.leased, f)
-	sb.mu.Unlock()
-}
-
-// submitScattered builds each shard's task subset via mk and enqueues it
-// on the shard's pool, collecting the pipeline futures in ascending shard
-// order (the order runErr resolves multiple failures in).
-func (sb *ShardBatch) submitScattered(stripes int, mk func(acc *Accelerator, groups []stripeRun) []pipeline.Task,
-	components []costTerm, total Stats) *Future {
-	sb.mu.Lock()
-	closed := sb.closed
-	sb.mu.Unlock()
-	if closed {
-		return sb.failed(pipeline.ErrClosed)
-	}
-	sh := sb.sh
-	lists := sh.stripeLists(stripes)
-	pfs := make([]*pipeline.Future, 0, len(sh.accs))
-	for i, acc := range sh.accs {
-		if len(lists[i]) == 0 {
-			continue
-		}
-		sh.perShard[i].ops.Inc()
-		sh.perShard[i].stripes.Add(int64(len(lists[i])))
-		tasks := mk(acc, acc.groupStripeList(lists[i]))
-		pf, err := sb.poolFor(i).Submit(tasks)
-		if err != nil {
-			return sb.failed(err)
-		}
-		pfs = append(pfs, pf)
-	}
-	f := &Future{pfs: pfs, components: components, stats: total}
-	sb.lease(f)
-	return f
-}
-
-// Submit enqueues dst = op(x, y) (y nil for unary ops) scattered across
-// the shards and returns its future.
-func (sb *ShardBatch) Submit(op Op, dst, x, y *BitVector) *Future {
-	sh := sb.sh
-	sh.batchSubmitted.Inc()
-	iop := op.internal()
-	if err := validateOp(op, dst, x, y); err != nil {
-		return sb.failed(err)
-	}
-	cols := sh.cfg.Module.Columns
-	stripes := (x.Len() + cols - 1) / cols
-	st, err := sh.ref().opCost(iop, stripes)
-	if err != nil {
-		return sb.failed(err)
-	}
-	var yv *bitvec.Vector
-	if y != nil {
-		yv = y.v
-	}
-	return sb.submitScattered(stripes, func(acc *Accelerator, groups []stripeRun) []pipeline.Task {
-		return acc.opTasks(iop, dst.v, x.v, yv, groups)
-	}, []costTerm{{op: iop, st: st}}, st)
-}
-
-// SubmitReduce enqueues the scattered asynchronous variant of Reduce:
-// dst = vs[0] op vs[1] op ... (OpAnd / OpOr only).
-func (sb *ShardBatch) SubmitReduce(op Op, dst *BitVector, vs ...*BitVector) *Future {
-	sh := sb.sh
-	sh.batchSubmitted.Inc()
-	if err := validateReduce(op, dst, vs); err != nil {
-		return sb.failed(err)
-	}
-	iop := op.internal()
-	cols := sh.cfg.Module.Columns
-	stripes := (dst.Len() + cols - 1) / cols
-	components, total, err := sh.ref().reduceComponents(iop, len(vs), stripes)
-	if err != nil {
-		return sb.failed(err)
-	}
-	vsv := vecsOf(vs)
-	return sb.submitScattered(stripes, func(acc *Accelerator, groups []stripeRun) []pipeline.Task {
-		return acc.reduceTasks(iop, dst.v, vsv, groups)
-	}, components, total)
-}
-
-// SubmitEval enqueues the scattered asynchronous variant of Eval (see
-// Batch.SubmitEval): compiled and validated now, the returned vector's
-// contents defined once the future completes, and the aggregate cost
-// folded into the router's totals on Wait without per-op series records.
-// Each shard resolves its own execution tier at submission time.
-func (sb *ShardBatch) SubmitEval(src string, vars map[string]*BitVector) (*BitVector, *Future) {
-	sh := sb.sh
-	sh.batchSubmitted.Inc()
-	ce, err := CompileExpr(src)
-	if err != nil {
-		return nil, sb.failed(err)
-	}
-	ref := sh.ref()
-	n, err := ref.evalPrep(ce.plan, vars)
-	if err != nil {
-		return nil, sb.failed(err)
-	}
-	cols := sh.cfg.Module.Columns
-	stripes := (n + cols - 1) / cols
-	total, err := ref.evalCost(ce.plan.Prog, stripes)
-	if err != nil {
-		return nil, sb.failed(err)
-	}
-	out := NewBitVector(n)
-	return out, sb.submitScattered(stripes, func(acc *Accelerator, groups []stripeRun) []pipeline.Task {
-		return acc.evalTasks(acc.evalResolve(ce.plan, vars, out), groups)
-	}, nil, total)
-}
-
-// Wait drains every shard pool, folds the cost of each successful
-// submission into the router's session totals in submission order, and
-// returns the batch's accumulated stats plus the first error in
-// submission order (see Batch.Wait for the repeat-call contract).
-func (sb *ShardBatch) Wait() (Stats, error) {
-	sb.sh.batchWaits.Inc()
-	for _, p := range sb.pools {
-		p.Drain()
-	}
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	var total Stats
-	var firstErr error
-	for _, f := range sb.leased {
-		err := f.err
-		if err == nil {
-			err = f.runErr()
-		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if f.accounted {
-			continue
-		}
-		f.accounted = true
-		if len(f.components) == 0 {
-			// Eval submissions: one aggregate cost, no per-op series
-			// records, matching the synchronous path (see Batch.Wait).
-			sb.sh.addTotals(f.stats)
-			total.add(f.stats)
-			continue
-		}
-		for _, c := range f.components {
-			sb.sh.addTotals(c.st)
-			total.add(c.st)
-			sb.sh.series.record(c.op, c.st)
-		}
-	}
-	return total, firstErr
-}
-
-// Close drains every shard pool and recycles each for its accelerator's
-// next batch. Further Submit calls return a failed future. Close does not
-// fold unaccounted statistics into the totals — call Wait first. Close is
-// idempotent.
-func (sb *ShardBatch) Close() {
-	sb.mu.Lock()
-	if sb.closed {
-		sb.mu.Unlock()
-		return
-	}
-	sb.closed = true
-	sb.mu.Unlock()
-	for i, p := range sb.pools {
-		sb.sh.accs[i].recyclePool(p)
-	}
+	callSpan(sh.obsc, "shard", sh.Design(), startNS, "Reduce("+op.String()+")", op, stripes, st, err)
 }

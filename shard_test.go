@@ -210,80 +210,6 @@ func TestShardEval(t *testing.T) {
 	}
 }
 
-// TestShardBatchMatchesSync drives the same program through Shard.Op and
-// through a ShardBatch and requires identical results and totals.
-func TestShardBatchMatchesSync(t *testing.T) {
-	for _, geom := range []func(*Config){smallModule, func(c *Config) {
-		smallModule(c)
-		c.Module.Columns = 100
-	}} {
-		for _, shards := range []int{1, 3, 4} {
-			sh := newShard(t, shards, geom)
-			cols := sh.cfg.Module.Columns
-			n := 6*cols + 5
-			rng := rand.New(rand.NewSource(99))
-			a, b := NewBitVector(n), NewBitVector(n)
-			a.v.CopyFrom(bitvec.Random(rng, n))
-			b.v.CopyFrom(bitvec.Random(rng, n))
-			d1, d2 := NewBitVector(n), NewBitVector(n)
-
-			if _, err := sh.Op(OpNand, d1, a, b); err != nil {
-				t.Fatalf("sync: %v", err)
-			}
-			if _, err := sh.Reduce(OpAnd, d1, a, b); err != nil {
-				t.Fatalf("sync reduce: %v", err)
-			}
-			syncTotals := sh.Totals()
-			sh.ResetTotals()
-
-			sb := sh.Batch()
-			if sb.Workers() < 1 {
-				t.Fatal("batch has no workers")
-			}
-			sb.Submit(OpNand, d2, a, b)
-			sb.SubmitReduce(OpAnd, d2, a, b)
-			batchStats, err := sb.Wait()
-			if err != nil {
-				t.Fatalf("batch: %v", err)
-			}
-			sb.Close()
-			if !d1.v.Equal(d2.v) {
-				t.Fatalf("shards=%d: batch result diverges from sync", shards)
-			}
-			if got := sh.Totals(); got != syncTotals || batchStats != syncTotals {
-				t.Fatalf("shards=%d: batch totals %+v / wait %+v != sync %+v",
-					shards, got, batchStats, syncTotals)
-			}
-			// Second Wait must not double-account.
-			if st, err := sb.Wait(); err != nil || st != (Stats{}) {
-				t.Fatalf("repeat Wait: %+v, %v", st, err)
-			}
-		}
-	}
-}
-
-// TestShardBatchErrors pins the failed-future contract: validation errors
-// surface on Wait without corrupting the totals.
-func TestShardBatchErrors(t *testing.T) {
-	sh := newShard(t, 2)
-	n := sh.cfg.Module.Columns * 3
-	a, d := NewBitVector(n), NewBitVector(n)
-	short := NewBitVector(n - 1)
-	sb := sh.Batch()
-	defer sb.Close()
-	f := sb.Submit(OpAnd, d, a, short)
-	if _, err := f.Wait(); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	sb.Submit(OpNot, d, a, nil)
-	if _, err := sb.Wait(); err == nil {
-		t.Fatal("Wait must report the failed submission")
-	}
-	if got := sh.Totals(); got == (Stats{}) {
-		t.Fatal("successful submission must still be accounted")
-	}
-}
-
 // TestShardValidation checks that the router rejects exactly what the
 // single module rejects.
 func TestShardValidation(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/vertical"
 )
@@ -335,7 +334,7 @@ func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	a.addTotals(total)
+	a.acct.add(total)
 	return out, total, nil
 }
 
@@ -378,57 +377,6 @@ func (sh *Shard) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Ve
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	sh.addTotals(total)
+	sh.acct.add(total)
 	return out, total, nil
-}
-
-// SubmitArith enqueues the asynchronous variant of ArithProg: validated
-// now (failures surface on the returned future), the result vertical
-// allocated and returned immediately, its contents defined once the
-// future completes. The aggregate cost folds into the session totals on
-// Wait without per-op series records, exactly as the synchronous path
-// accounts.
-func (b *Batch) SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, *Future) {
-	a := b.acc
-	a.batchSubmitted.Inc()
-	binds, out, n, err := ca.binds(x, y, m)
-	if err != nil {
-		return nil, b.failed(err)
-	}
-	if err := a.arithPrep(ca.prog, binds); err != nil {
-		return nil, b.failed(err)
-	}
-	cols := a.cfg.Module.Columns
-	stripes := (n + cols - 1) / cols
-	total, err := a.arithCost(ca.prog, stripes)
-	if err != nil {
-		return nil, b.failed(err)
-	}
-	tasks := a.evalTasks(a.arithResolve(ca.prog, binds), a.groupStripes(stripes))
-	return out, b.enqueue(tasks, nil, total)
-}
-
-// SubmitArith enqueues the scattered asynchronous variant of ArithProg
-// (see Batch.SubmitArith). Each shard resolves its own per-step
-// execution tiers at submission time.
-func (sb *ShardBatch) SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, *Future) {
-	sh := sb.sh
-	sh.batchSubmitted.Inc()
-	ref := sh.ref()
-	binds, out, n, err := ca.binds(x, y, m)
-	if err != nil {
-		return nil, sb.failed(err)
-	}
-	if err := ref.arithPrep(ca.prog, binds); err != nil {
-		return nil, sb.failed(err)
-	}
-	cols := sh.cfg.Module.Columns
-	stripes := (n + cols - 1) / cols
-	total, err := ref.arithCost(ca.prog, stripes)
-	if err != nil {
-		return nil, sb.failed(err)
-	}
-	return out, sb.submitScattered(stripes, func(acc *Accelerator, groups []stripeRun) []pipeline.Task {
-		return acc.evalTasks(acc.arithResolve(ca.prog, binds), groups)
-	}, nil, total)
 }

@@ -139,8 +139,8 @@ func newArithInput(t *testing.T, rng *rand.Rand, tc arithCase, n int) arithInput
 
 // TestArithMatchesReference is the facade's differential harness: every
 // op, all three designs, both module geometries, every dispatch tier
-// (fused, node-kernel, command-accurate), sharded 1/4, synchronous and
-// batched — bit-identical elements and struct-equal Stats throughout.
+// (fused, node-kernel, command-accurate), sharded 1/4 — bit-identical
+// elements and struct-equal Stats throughout.
 func TestArithMatchesReference(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	rng := rand.New(rand.NewSource(17))
@@ -185,11 +185,6 @@ func TestArithMatchesReference(t *testing.T) {
 				out, st, err = sh4.ArithProg(ca, xv, yv, mask)
 				run("shard4", out, st, err)
 
-				out, st, err = batchArith(acc.Batch(), ca, xv, yv, mask)
-				run("batch", out, st, err)
-				out, st, err = batchArith(sh4.Batch(), ca, xv, yv, mask)
-				run("shardbatch", out, st, err)
-
 				for _, r := range results {
 					tag := r.tag + "/" + d.String() + "/" + tc.op.String()
 					checkArith(t, tag, r.out, tc.op, tc.w, in.x, in.y, in.m)
@@ -211,27 +206,11 @@ func TestArithMatchesReference(t *testing.T) {
 // forks workers and splits blocks between them.
 const multiBlockElems = 9*65536 + 77
 
-// arithBatch is the batch surface the differential harnesses drive:
-// Batch and ShardBatch.
-type arithBatch interface {
-	SubmitArith(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, *Future)
-	Wait() (Stats, error)
-	Close()
-}
-
-// batchArith runs one ArithProg as the only submission of batch b.
-func batchArith(b arithBatch, ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
-	defer b.Close()
-	out, _ := b.SubmitArith(ca, x, y, m)
-	st, err := b.Wait()
-	return out, st, err
-}
-
 // TestArithMatchesReferenceMultiBlock is TestArithMatchesReference at a
 // size where the block-major walk crosses block boundaries, ends in a
 // ragged block, and runs on more than one worker: fused and node tiers,
-// 1 and 4 shards, synchronous and batched, every result checked against
-// the host reference with struct-equal Stats. Block boundaries and
+// 1 and 4 shards, every result checked against the host reference with
+// struct-equal Stats. Block boundaries and
 // worker splits do not depend on the design, so the default design
 // suffices; the command-accurate tier and the other designs are covered
 // by the small cases.
@@ -255,14 +234,8 @@ func TestArithMatchesReferenceMultiBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		runners = append(runners,
-			runner{tier.name + "/1/sync", acc.ArithProg},
-			runner{tier.name + "/1/batch", func(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
-				return batchArith(acc.Batch(), ca, x, y, m)
-			}},
-			runner{tier.name + "/4/sync", sh4.ArithProg},
-			runner{tier.name + "/4/batch", func(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
-				return batchArith(sh4.Batch(), ca, x, y, m)
-			}})
+			runner{tier.name + "/1", acc.ArithProg},
+			runner{tier.name + "/4", sh4.ArithProg})
 	}
 	rng := rand.New(rand.NewSource(23))
 	// The carry chain, a signed compare, the longest program, and the
