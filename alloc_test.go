@@ -76,48 +76,29 @@ func TestArithProgAllocs(t *testing.T) {
 	}
 }
 
-// shardEvalAllocsPerShard bounds what each extra shard adds to an
-// EvalExpr's allocations: its stripe list and runs, its resolved plan,
-// and its goroutines.
-const shardEvalAllocsPerShard = 16
-
-// TestShardEvalAllocs is the allocation gate on scattered evaluation: a
-// 4-shard EvalExpr over 4 Mi bits allocates within a per-shard constant
-// of the one-accelerator call: every shard's workers walk its placement
-// runs on pooled scratch, so nothing a shard allocates grows with the
-// number of runs it owns.
-func TestShardEvalAllocs(t *testing.T) {
+// TestOpAllocs is the allocation gate on the fast-path Op: a
+// word-aligned AND below the fork threshold allocates at most the one
+// closure it hands the stripe dispatcher.
+func TestOpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the plain pass")
 	}
-	pinProcs(t, 2)
-	const n, shards = 4 << 20, 4
-	rng := rand.New(rand.NewSource(31))
-	vars := map[string]*BitVector{}
-	for _, name := range []string{"w1", "w2", "w3", "w4", "w5", "w6", "w7", "w8", "g"} {
-		vars[name] = RandomBitVector(rng, n)
-	}
-	ce, err := CompileExpr("(w1 | w2 | w3 | w4 | w5 | w6 | w7 | w8) & ~g")
-	if err != nil {
-		t.Fatal(err)
-	}
 	acc := newAcc(t)
-	sh, err := NewShard(shards)
-	if err != nil {
-		t.Fatal(err)
+	const n = 1 << 16
+	if words := n / 64; words >= fastSerialThresholdWords {
+		t.Fatalf("%d words would fork the dispatcher", words)
 	}
-	eval := func(f func(*CompiledExpr, map[string]*BitVector) (*BitVector, Stats, error)) float64 {
-		return testing.AllocsPerRun(10, func() {
-			out, _, err := f(ce, vars)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocSink = out
-		})
+	rng := rand.New(rand.NewSource(37))
+	x, y, dst := RandomBitVector(rng, n), RandomBitVector(rng, n), NewBitVector(n)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := acc.Op(OpAnd, dst, x, y); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if acc.Snapshot().Counter("acc.fastpath.hit") == 0 {
+		t.Fatal("Op did not run on the fast path")
 	}
-	one, four := eval(acc.EvalExpr), eval(sh.EvalExpr)
-	if four-one > shards*shardEvalAllocsPerShard {
-		t.Errorf("%d-shard EvalExpr: %.0f allocs/op against %.0f on one accelerator, want within %d",
-			shards, four, one, shards*shardEvalAllocsPerShard)
+	if allocs > 1 {
+		t.Errorf("fast-path Op allocates %.0f/op, want ≤ 1", allocs)
 	}
 }

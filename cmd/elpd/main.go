@@ -23,10 +23,6 @@
 //	                        on a home shard and each shard has its own
 //	                        admission gate (default 1)
 //	  -power-constrained    enforce the charge-pump/tFAW activation budget
-//	  -disable-fusion       evaluate expressions node-at-a-time (one derived
-//	                        kernel per gate) instead of fusing plan clusters
-//	                        into k-input kernels; results and modeled costs
-//	                        are bit-identical (differential/benchmark knob)
 //	  -max-queue int        in-flight bound per shard; beyond it requests get 503 (default 1024)
 //	  -timeout duration     default per-request deadline (default 5s)
 //	  -evalcache int        compiled-program LRU entries shared by /v1/eval,
@@ -90,7 +86,6 @@ func run(args []string) error {
 	designName := fs.String("design", "elp2im", "elp2im | ambit | drisa")
 	shards := fs.Int("shards", 1, "independent accelerator shards (each with its own admission gate)")
 	powerConstrained := fs.Bool("power-constrained", false, "enforce the charge-pump/tFAW activation budget")
-	disableFusion := fs.Bool("disable-fusion", false, "evaluate expressions node-at-a-time instead of with fused cluster kernels")
 	maxQueue := fs.Int("max-queue", 1024, "in-flight bound per shard (503 beyond it)")
 	timeout := fs.Duration("timeout", 5*time.Second, "default per-request deadline")
 	evalCache := fs.Int("evalcache", 0, "compiled-program cache entries for eval/arith (0 = default 256)")
@@ -109,7 +104,6 @@ func run(args []string) error {
 	mutate := func(c *elp2im.Config) {
 		c.Design = design
 		c.PowerConstrained = *powerConstrained
-		c.DisableFusion = *disableFusion
 	}
 	cfg := server.Config{
 		MaxQueue:       *maxQueue,
@@ -117,7 +111,7 @@ func run(args []string) error {
 		EvalCacheSize:  *evalCache,
 	}
 	// serveDebug starts the observability endpoint over whichever backend
-	// owns the metric registries (the shard router's merged view when
+	// owns the metric registries (the deployment's merged view when
 	// sharded).
 	var serveDebug func(string) (*elp2im.DebugServer, error)
 	var designLabel string

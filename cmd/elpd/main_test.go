@@ -6,10 +6,13 @@ import (
 )
 
 // TestRunRejectsUnknownFlags: a flag elpd does not define, such as
-// -wire-nocoalesce, fails at parse time, before any listener starts.
+// -wire-nocoalesce or -disable-fusion (a library and elpload knob, not a
+// daemon flag), fails at parse time, before any listener starts.
 func TestRunRejectsUnknownFlags(t *testing.T) {
-	err := run([]string{"-wire-nocoalesce"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -wire-nocoalesce") {
-		t.Fatalf("run(-wire-nocoalesce) = %v, want an unknown-flag error", err)
+	for _, flag := range []string{"-wire-nocoalesce", "-disable-fusion"} {
+		err := run([]string{flag})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Fatalf("run(%s) = %v, want an unknown-flag error", flag, err)
+		}
 	}
 }

@@ -208,11 +208,12 @@ type Report struct {
 	AchievedQPS float64 `json:"achieved_qps"`
 	// ModeledQPS is completed (OK) requests divided by the modeled
 	// hardware makespan: the MAX over the per-shard modeled busy times
-	// (shards are concurrently executing ranks), or the single module's
-	// total modeled latency when unsharded. Unlike AchievedQPS it is
-	// independent of the host's core count, so it is the number that shows
-	// the modeled hardware's throughput scaling with -shards. Zero when
-	// the final stats scrape failed.
+	// (shards are concurrently executing ranks, and every request, query
+	// included, is charged whole to its home shard), or the single
+	// module's total modeled latency when unsharded. Unlike AchievedQPS
+	// it is independent of the host's core count, so it is the number
+	// that shows the modeled hardware's throughput scaling with -shards.
+	// Zero when the final stats scrape failed.
 	ModeledQPS float64 `json:"modeled_qps"`
 	// LatencyMS summarizes successful-request latency.
 	LatencyMS LatencySummary `json:"latency_ms"`
@@ -494,23 +495,15 @@ func drive(opt options, target, mode string) (*Report, error) {
 
 // modeledQPS divides completed operations by the modeled hardware
 // makespan. Shards model concurrently executing ranks with private charge
-// pumps, so the makespan is the MAX over the per-shard modeled busy times;
-// a single module's makespan is its total modeled latency.
+// pumps, and every request is charged whole to its home shard, so the
+// makespan is the MAX over the per-shard modeled busy times; a single
+// module's makespan is its total modeled latency.
 func modeledQPS(ok int64, sp *server.StatsPayload) float64 {
 	makespanNS := sp.Totals.LatencyNS
 	if len(sp.Server.PerShard) > 0 {
-		perShardMax := 0.0
+		makespanNS = 0
 		for _, ss := range sp.Server.PerShard {
-			if ss.ModeledBusyNS > perShardMax {
-				perShardMax = ss.ModeledBusyNS
-			}
-		}
-		// Scatter-gather work (the query workload) runs every request
-		// across all shards at once and accounts its modeled cost
-		// centrally, leaving per-shard busy time at zero; the aggregate
-		// total is the makespan then.
-		if perShardMax > 0 {
-			makespanNS = perShardMax
+			makespanNS = max(makespanNS, ss.ModeledBusyNS)
 		}
 	}
 	if makespanNS <= 0 {

@@ -211,79 +211,3 @@ func TestDifferentialFuzz(t *testing.T) {
 		}
 	}
 }
-
-// shardRun executes the program through the Shard router's synchronous
-// Op/Reduce path and returns the pool and the router's accumulated totals.
-func shardRun(t *testing.T, sh *Shard, p diffProgram) ([]*BitVector, Stats) {
-	t.Helper()
-	sh.ResetTotals()
-	vecs := progVectors(p)
-	for i, st := range p.steps {
-		var err error
-		if st.reduce {
-			srcs := make([]*BitVector, len(st.srcs))
-			for j, s := range st.srcs {
-				srcs[j] = vecs[s]
-			}
-			_, err = sh.Reduce(st.op, vecs[st.dst], srcs...)
-		} else if st.op.Unary() {
-			_, err = sh.Op(st.op, vecs[st.dst], vecs[st.x], nil)
-		} else {
-			_, err = sh.Op(st.op, vecs[st.dst], vecs[st.x], vecs[st.y])
-		}
-		if err != nil {
-			t.Fatalf("%v shard step %d (%v): %v", p, i, st.op, err)
-		}
-	}
-	return vecs, sh.Totals()
-}
-
-// TestDifferentialShards extends the differential harness across the
-// Shard router: for every design, module geometry (word-aligned and
-// ragged), and shard count in {1, 2, 4, 8}, the same random programs must
-// produce bit-identical vectors and struct-equal aggregated Stats through
-// the scattered path, compared against the single-module serial baseline
-// and the host oracle.
-func TestDifferentialShards(t *testing.T) {
-	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
-	shardCounts := []int{1, 2, 4, 8}
-	for mi, mod := range diffModules() {
-		for round := 0; round < 2; round++ {
-			seed := int64(7000*mi + round)
-			var cols int
-			{
-				cfg := DefaultConfig()
-				mod(&cfg)
-				cols = cfg.Module.Columns
-			}
-			rng := rand.New(rand.NewSource(seed))
-			prog := genDiffProgram(rng, cols, 8)
-			want := goldenRun(prog)
-
-			for _, d := range designs {
-				d := d
-				acc := newAcc(t, mod, func(c *Config) { c.Design = d })
-				_, wantTotals, _ := serialRun(t, acc, prog)
-
-				for _, shards := range shardCounts {
-					sh, err := NewShard(shards, mod, func(c *Config) { c.Design = d })
-					if err != nil {
-						t.Fatalf("NewShard(%d): %v", shards, err)
-					}
-
-					vecs, totals := shardRun(t, sh, prog)
-					for i, v := range vecs {
-						if !v.v.Equal(want[i]) {
-							t.Fatalf("%v %v shards=%d sync: vec %d diverges from oracle (seed %d)",
-								d, prog, shards, i, seed)
-						}
-					}
-					if totals != wantTotals {
-						t.Fatalf("%v %v shards=%d: totals %+v != single-module %+v (seed %d)",
-							d, prog, shards, totals, wantTotals, seed)
-					}
-				}
-			}
-		}
-	}
-}

@@ -10,15 +10,14 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitvec"
 	"repro/internal/dram"
 	"repro/internal/engine"
 )
 
 // forkedStripes returns a stripe count past fastSerialThresholdWords on
-// acc's rows, so forEachRuns deals the stripes to parallel workers, and
-// that worker count. Callers raise GOMAXPROCS first: the worker count
-// is capped by it.
+// acc's rows, so forEachStripe deals the stripes to parallel workers,
+// and that worker count. Callers raise GOMAXPROCS first: the worker
+// count is capped by it.
 func forkedStripes(t *testing.T, acc *Accelerator) (stripes, workers int) {
 	t.Helper()
 	stripes = fastSerialThresholdWords/(acc.cfg.Module.Columns/64) + 50
@@ -29,50 +28,49 @@ func forkedStripes(t *testing.T, acc *Accelerator) (stripes, workers int) {
 	return stripes, workers
 }
 
-// TestForEachStripeFirstErrorDeterministic drives the command-path
-// dispatcher (cmdRuns over forEachRuns) at a size where it forks, with
-// failures in the first and in the last worker's share. The low stripe
-// fails only once the high stripe has failed, so the high failure always
-// happens first; the lowest failing stripe's error must still win.
+// TestForEachStripeFirstErrorDeterministic drives the stripe dispatcher
+// (forEachStripe) at a size where it forks, with failures in the first
+// and in the last worker's share. The low stripe fails only once the
+// high stripe has failed, so the high failure always happens first; the
+// lowest failing stripe's error must still win.
 func TestForEachStripeFirstErrorDeterministic(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	acc := newAcc(t, smallModule) // 2 banks × 2 subarrays, word-aligned
 	stripes, workers := forkedStripes(t, acc)
-	// The low stripe waits holding its subarray's lock, so the runs skip
-	// every other stripe of that subarray: no worker needs the lock
-	// meanwhile.
 	const low = 2
-	var list []int
-	for s := 0; len(list) < stripes; s++ {
-		if s == low || acc.stripeGroup(s) != acc.stripeGroup(low) {
-			list = append(list, s)
-		}
+	high := stripes - 3
+	if high < (workers-1)*stripes/workers {
+		t.Fatalf("stripe %d is not in the last of %d worker shares", high, workers)
 	}
-	if i := len(list) - 3; i < (workers-1)*len(list)/workers {
-		t.Fatalf("run position %d is not in the last of %d worker shares", i, workers)
-	}
-	high := list[len(list)-3]
-	runs := stripeRuns(0, list)
 	errLow := errors.New("low stripe failure")
 	errHigh := errors.New("high stripe failure")
+	// failing runs a worker's share until its first stripe in fail, which
+	// it reports with that stripe's error after calling wait(stripe).
+	failing := func(fail map[int]error, wait func(int)) func(lo, hi int) (int, error) {
+		return func(lo, hi int) (int, error) {
+			for s := lo; s < hi; s++ {
+				if err := fail[s]; err != nil {
+					wait(s)
+					return s, err
+				}
+			}
+			return 0, nil
+		}
+	}
 	for round := 0; round < 20; round++ {
 		highFailed := make(chan struct{})
 		var serial atomic.Bool
-		err := acc.cmdRuns(runs, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-			switch s {
-			case low:
-				select {
-				case <-highFailed:
-				case <-time.After(10 * time.Second):
-					serial.Store(true) // no other worker reached the high stripe
-				}
-				return errLow
-			case high:
+		err := acc.forEachStripe(stripes, failing(map[int]error{low: errLow, high: errHigh}, func(s int) {
+			if s == high {
 				close(highFailed)
-				return errHigh
+				return
 			}
-			return nil
-		})
+			select {
+			case <-highFailed:
+			case <-time.After(10 * time.Second):
+				serial.Store(true) // no other worker reached the high stripe
+			}
+		}))
 		if serial.Load() {
 			t.Fatalf("round %d: stripe %d never ran beside stripe %d; the dispatcher did not fork", round, high, low)
 		}
@@ -81,17 +79,11 @@ func TestForEachStripeFirstErrorDeterministic(t *testing.T) {
 		}
 	}
 	// A single failure in a later share still surfaces.
-	err := acc.cmdRuns(runs, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-		if s == high {
-			return errHigh
-		}
-		return nil
-	})
-	if err != errHigh {
+	if err := acc.forEachStripe(stripes, failing(map[int]error{high: errHigh}, func(int) {})); err != errHigh {
 		t.Fatalf("got %v, want %v", err, errHigh)
 	}
 	// No failure: nil.
-	if err := acc.cmdRuns(runs, func(int, *dram.Subarray, *bitvec.Vector) error { return nil }); err != nil {
+	if err := acc.forEachStripe(stripes, failing(nil, func(int) {})); err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
 }
@@ -212,48 +204,35 @@ func (f *failNth) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error
 
 // TestFailedReduceChargesNothing: a command-path Reduce that fails
 // part-way charges nothing — not the staging copy, not the folds that
-// finished — to the totals or the acc.op.* series, on the Accelerator and
-// on the Shard router alike, as a failed Op charges nothing.
+// finished — to the totals or the acc.op.* series, as a failed Op
+// charges nothing.
 func TestFailedReduceChargesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	acc := newAcc(t, smallModule)
-	sh := newShard(t, 2)
 	const stripes = 7
 	n := stripes*acc.cfg.Module.Columns - 5
 	vs := []*BitVector{RandomBitVector(rng, n), RandomBitVector(rng, n), RandomBitVector(rng, n)}
-	check := func(tag string, totals Stats, snap MetricsSnapshot) {
-		t.Helper()
-		if totals != (Stats{}) {
-			t.Errorf("%s: failed Reduce charged totals %+v", tag, totals)
-		}
-		for op := engine.OpNOT; op <= engine.OpCOPY; op++ {
-			if got := snap.Counter("acc.op.count." + op.String()); got != 0 {
-				t.Errorf("%s: failed Reduce recorded acc.op.count.%v = %d", tag, op, got)
-			}
-		}
-	}
 
 	// Each stripe is a copy and two folds; the failure lands after the
 	// first stripes have finished their whole chain.
 	acc.SetExecutor(&failNth{inner: acc.BaseExecutor(), n: 2*stripes + 3})
 	if _, err := acc.Reduce(OpAnd, NewBitVector(n), vs...); !errors.Is(err, errInjected) {
-		t.Fatalf("accelerator Reduce: got %v, want the injected failure", err)
+		t.Fatalf("Reduce: got %v, want the injected failure", err)
 	}
-	check("accelerator", acc.Totals(), acc.Snapshot())
-
-	for i := 0; i < sh.Shards(); i++ {
-		a := sh.ShardAccelerator(i)
-		a.SetExecutor(&failNth{inner: a.BaseExecutor(), n: 4})
+	if totals := acc.Totals(); totals != (Stats{}) {
+		t.Errorf("failed Reduce charged totals %+v", totals)
 	}
-	if _, err := sh.Reduce(OpOr, NewBitVector(n), vs...); !errors.Is(err, errInjected) {
-		t.Fatalf("shard Reduce: got %v, want the injected failure", err)
+	snap := acc.Snapshot()
+	for op := engine.OpNOT; op <= engine.OpCOPY; op++ {
+		if got := snap.Counter("acc.op.count." + op.String()); got != 0 {
+			t.Errorf("failed Reduce recorded acc.op.count.%v = %d", op, got)
+		}
 	}
-	check("shard", sh.Totals(), sh.Snapshot())
 }
 
 // TestReduceOneSpanOneDispatch: Accelerator.Reduce is one facade
 // operation on either tier — one Reduce(<op>) span, and one fast-path hit
-// or fallback per call — as Shard.Reduce already is.
+// or fallback per call.
 func TestReduceOneSpanOneDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, slow := range []bool{false, true} {

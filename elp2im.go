@@ -242,37 +242,6 @@ func (s *Stats) add(o Stats) {
 	s.AveragePowerW = powerW(s.EnergyNJ, s.LatencyNS)
 }
 
-// ledger is where a facade charges modeled cost: its session totals and
-// its per-op metric series. An Accelerator charges its own operations to
-// its ledger; a Shard router charges each scattered operation once, to
-// its own, so both report the same totals for the same calls.
-type ledger struct {
-	series opSeriesSet
-	mu     sync.Mutex
-	totals Stats
-}
-
-// sum returns the accumulated totals.
-func (l *ledger) sum() Stats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.totals
-}
-
-// reset clears the accumulated totals.
-func (l *ledger) reset() {
-	l.mu.Lock()
-	l.totals = Stats{}
-	l.mu.Unlock()
-}
-
-// add accumulates one call's cost into the totals.
-func (l *ledger) add(st Stats) {
-	l.mu.Lock()
-	l.totals.add(st)
-	l.mu.Unlock()
-}
-
 // powerW derives average power from accumulated energy and latency,
 // guarding the zero-latency accumulation case (ResetTotals followed by a
 // zero-cost operation must report 0 W, never NaN or a stale value).
@@ -330,8 +299,11 @@ type Accelerator struct {
 	// before executing and stores its result row after.
 	execLocks []sync.Mutex
 
-	// acct is where the accelerator's own operations are charged.
-	acct ledger
+	// series is the per-op metric surface every charge records into;
+	// totalsMu guards totals, the sum of every call's Stats.
+	series   opSeriesSet
+	totalsMu sync.Mutex
+	totals   Stats
 
 	// costMu guards the memoized per-row cost units. The cache is keyed by
 	// (op, chained) only because everything else it depends on — design,
@@ -540,10 +512,25 @@ func (a *Accelerator) AreaOverheadPercent() float64 { return a.eng.AreaOverheadP
 // Totals returns the accumulated statistics of every operation executed
 // on this accelerator: the sum of the Stats each call returned. It is
 // safe to call while operations are running.
-func (a *Accelerator) Totals() Stats { return a.acct.sum() }
+func (a *Accelerator) Totals() Stats {
+	a.totalsMu.Lock()
+	defer a.totalsMu.Unlock()
+	return a.totals
+}
 
 // ResetTotals clears the accumulated statistics.
-func (a *Accelerator) ResetTotals() { a.acct.reset() }
+func (a *Accelerator) ResetTotals() {
+	a.totalsMu.Lock()
+	a.totals = Stats{}
+	a.totalsMu.Unlock()
+}
+
+// charge adds one call's cost to the session totals.
+func (a *Accelerator) charge(st Stats) {
+	a.totalsMu.Lock()
+	a.totals.add(st)
+	a.totalsMu.Unlock()
+}
 
 // SetPowerConstrained toggles the charge-pump/tFAW latency constraint and
 // invalidates the memoized cost units (the one configuration knob that can
@@ -565,63 +552,41 @@ const (
 	rowC = 2
 )
 
-// validateOp checks an Op call's operands — the one validation shared by
-// the Accelerator and the Shard router, so both reject malformed calls
-// with identical errors.
-func validateOp(op Op, dst, x, y *BitVector) error {
-	if x == nil || dst == nil {
-		return errors.New("elp2im: nil vector")
-	}
-	if !op.Unary() {
-		if y == nil {
-			return fmt.Errorf("elp2im: %v needs two operands", op)
-		}
-		if y.Len() != x.Len() {
-			return errors.New("elp2im: operand length mismatch")
-		}
-	}
-	if dst.Len() != x.Len() {
-		return errors.New("elp2im: destination length mismatch")
-	}
-	return nil
-}
-
-// validateReduce checks a Reduce call's operands (shared exactly like
-// validateOp).
-func validateReduce(op Op, dst *BitVector, vs []*BitVector) error {
-	if op != OpAnd && op != OpOr {
-		return fmt.Errorf("elp2im: no reduction for %v", op)
-	}
-	if len(vs) < 2 {
-		return errors.New("elp2im: reduction needs at least two vectors")
-	}
-	for _, v := range vs {
-		if v == nil || v.Len() != dst.Len() {
-			return errors.New("elp2im: reduction operand nil or length mismatch")
-		}
-	}
-	return nil
-}
-
 // Op executes dst = op(x, y) as a bulk operation: the vectors are split
 // into row-wide stripes, spread round-robin across banks, executed
 // through the design's real command sequences on the device model, and
 // the results read back. For unary ops y may be nil.
 func (a *Accelerator) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	iop := op.internal()
-	if err := validateOp(op, dst, x, y); err != nil {
-		return Stats{}, err
+	if x == nil || dst == nil {
+		return Stats{}, errors.New("elp2im: nil vector")
 	}
-	cols := a.cfg.Module.Columns
-	stripes := (x.Len() + cols - 1) / cols
+	if !op.Unary() {
+		if y == nil {
+			return Stats{}, fmt.Errorf("elp2im: %v needs two operands", op)
+		}
+		if y.Len() != x.Len() {
+			return Stats{}, errors.New("elp2im: operand length mismatch")
+		}
+	}
+	if dst.Len() != x.Len() {
+		return Stats{}, errors.New("elp2im: destination length mismatch")
+	}
+	stripes := a.stripes(x.Len())
 	start := a.obsc.SpanStart()
-	err := a.execOpStripes(iop, dst.v, x.v, vecOf(y), stripes, nil)
+	err := a.execOpStripes(iop, dst.v, x.v, vecOf(y), stripes)
 	var st Stats
 	if err == nil {
-		st, err = a.chargeOp(&a.acct, iop, stripes)
+		st, err = a.chargeOp(iop, stripes)
 	}
-	a.opSpan(start, iop, stripes, st, err)
+	a.callSpan(start, false, iop, stripes, st, err)
 	return st, err
+}
+
+// stripes returns the number of row-wide stripes an n-bit vector spans.
+func (a *Accelerator) stripes(n int) int {
+	cols := a.cfg.Module.Columns
+	return (n + cols - 1) / cols
 }
 
 // vecOf unwraps an optional operand (nil stays nil).
@@ -652,43 +617,49 @@ type inPlaceExecutor interface {
 // (ELP2IM: the in-place APP-AP of Figure 5(a)), which is what makes
 // reductions the paper's headline workload.
 func (a *Accelerator) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, error) {
-	if err := validateReduce(op, dst, vs); err != nil {
-		return Stats{}, err
+	if op != OpAnd && op != OpOr {
+		return Stats{}, fmt.Errorf("elp2im: no reduction for %v", op)
+	}
+	if len(vs) < 2 {
+		return Stats{}, errors.New("elp2im: reduction needs at least two vectors")
+	}
+	for _, v := range vs {
+		if v == nil || v.Len() != dst.Len() {
+			return Stats{}, errors.New("elp2im: reduction operand nil or length mismatch")
+		}
 	}
 	iop := op.internal()
-	cols := a.cfg.Module.Columns
-	stripes := (dst.Len() + cols - 1) / cols
+	stripes := a.stripes(dst.Len())
 	start := a.obsc.SpanStart()
-	err := a.execReduceStripes(iop, dst, vs, stripes, nil)
+	err := a.execReduceStripes(iop, dst, vs, stripes)
 	var st Stats
 	if err == nil {
-		st, err = a.chargeReduce(&a.acct, iop, len(vs), stripes)
+		st, err = a.chargeReduce(iop, len(vs), stripes)
 	}
-	a.reduceSpan(start, iop, stripes, st, err)
+	a.callSpan(start, true, iop, stripes, st, err)
 	return st, err
 }
 
-// chargeOp prices `stripes` row ops of op and charges them to l: one
-// record in op's series and one addition to the totals. A pricing
-// failure charges nothing.
-func (a *Accelerator) chargeOp(l *ledger, op engine.Op, stripes int) (Stats, error) {
+// chargeOp prices `stripes` row ops of op and charges them: one record in
+// op's series and one addition to the totals. A pricing failure charges
+// nothing.
+func (a *Accelerator) chargeOp(op engine.Op, stripes int) (Stats, error) {
 	st, err := a.opCost(op, stripes)
 	if err != nil {
 		return Stats{}, err
 	}
-	l.series.record(op, st)
-	l.add(st)
+	a.series.record(op, st)
+	a.charge(st)
 	return st, nil
 }
 
 // chargeReduce prices a reduction of `operands` vectors over `stripes`
-// stripes and charges it to l — the one accounting routine of
-// Accelerator.Reduce and Shard.Reduce. The staging copy is recorded in
-// the COPY series and each fold in op's, priced as the engine's chained
-// form where it has one. The call's Stats sum the copy and then every
-// fold, in that order, and are added to the totals in one step. A
-// pricing failure charges nothing.
-func (a *Accelerator) chargeReduce(l *ledger, op engine.Op, operands, stripes int) (Stats, error) {
+// stripes and charges it. The staging copy is recorded in the COPY
+// series and each fold in op's, priced as the engine's chained form
+// where it has one. The call's Stats sum the copy and then every fold,
+// in that order, and are added to the totals in one step. A pricing
+// failure charges nothing.
+func (a *Accelerator) chargeReduce(op engine.Op, operands, stripes int) (Stats, error) {
 	cp, err := a.opCost(engine.OpCOPY, stripes)
 	if err != nil {
 		return Stats{}, err
@@ -704,12 +675,12 @@ func (a *Accelerator) chargeReduce(l *ledger, op engine.Op, operands, stripes in
 	}
 	var total Stats
 	total.add(cp)
-	l.series.record(engine.OpCOPY, cp)
+	a.series.record(engine.OpCOPY, cp)
 	for i := 1; i < operands; i++ {
 		total.add(fold)
-		l.series.record(op, fold)
+		a.series.record(op, fold)
 	}
-	l.add(total)
+	a.charge(total)
 	return total, nil
 }
 
@@ -914,65 +885,41 @@ func fastFoldRange(k *kernel.Kernel, dst, v *bitvec.Vector, lo, hi, cols int) {
 // loops finish faster than goroutine fan-out costs.
 const fastSerialThresholdWords = 8192
 
-// forEachRuns is the one stripe dispatcher of Op, Reduce, Eval and Arith
-// on every tier. It runs body over the given ascending, disjoint,
-// contiguous stripe runs (each a [lo, hi) pair — a sharded operation's
-// subset of the vector; the whole vector is the single run
-// [0, stripes)), split across parallel goroutines for large operations:
-// each worker is dealt an equal share of the stripes and calls body once
-// per run piece in its share, stopping at its first failure. body
-// returns the stripe it failed on and the error; forEachRuns returns the
-// error of the lowest failing stripe, so concurrent failures resolve
-// deterministically. Bodies touch device-model row state only through
-// runStripe, whose per-subarray locks serialize it, so word-level bodies
-// run lock-free on disjoint destination words. Rows that are not
-// word-aligned share words between neighbouring stripes and run
-// serially. With a tracer installed the body runs stripe by stripe
-// instead, each stripe in its own span.
-func (a *Accelerator) forEachRuns(runs [][2]int, body func(lo, hi int) (int, error)) error {
-	total := 0
-	for _, r := range runs {
-		total += r[1] - r[0]
-	}
-	if total <= 0 {
+// forEachStripe is the one stripe dispatcher of Op, Reduce, Eval and
+// Arith on every tier. It runs body over the stripes [0, stripes), split
+// across parallel goroutines for large operations: worker w of W is
+// dealt the contiguous share [w·stripes/W, (w+1)·stripes/W) and calls
+// body once on it. body returns the stripe it failed on and the error;
+// forEachStripe returns the error of the lowest failing stripe, so
+// concurrent failures resolve deterministically. Bodies touch
+// device-model row state only through runStripe, whose per-subarray
+// locks serialize it, so word-level bodies run lock-free on disjoint
+// destination words. Rows that are not word-aligned share words between
+// neighbouring stripes and run serially. With a tracer installed the
+// body runs stripe by stripe instead, each stripe in its own span.
+func (a *Accelerator) forEachStripe(stripes int, body func(lo, hi int) (int, error)) error {
+	if stripes <= 0 {
 		return nil
 	}
 	if start := a.obsc.SpanStart(); start != 0 {
-		first := true
-		for _, r := range runs {
-			for s := r[0]; s < r[1]; s++ {
-				if !first {
-					start = a.obsc.SpanStart()
-				}
-				first = false
-				_, err := body(s, s+1)
-				a.stripeSpan(start, s, err)
-				if err != nil {
-					return err
-				}
+		for s := 0; s < stripes; s++ {
+			if s > 0 {
+				start = a.obsc.SpanStart()
 			}
-		}
-		return nil
-	}
-	cols := a.cfg.Module.Columns
-	workers := a.module.Banks() * a.module.Bank(0).Subarrays()
-	if n := runtime.GOMAXPROCS(0); workers > n {
-		workers = n
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 || cols%64 != 0 || total*(cols/64) < fastSerialThresholdWords {
-		for _, r := range runs {
-			if _, err := body(r[0], r[1]); err != nil {
+			_, err := body(s, s+1)
+			a.stripeSpan(start, s, err)
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	// Deal each worker an equal flat share of the total stripe count, then
-	// map its flat span back onto run pieces (a single run degenerates to
-	// the familiar [w*n/W, (w+1)*n/W) partition).
+	cols := a.cfg.Module.Columns
+	workers := min(a.module.Banks()*a.module.Bank(0).Subarrays(), runtime.GOMAXPROCS(0), stripes)
+	if workers <= 1 || cols%64 != 0 || stripes*(cols/64) < fastSerialThresholdWords {
+		_, err := body(0, stripes)
+		return err
+	}
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -980,67 +927,24 @@ func (a *Accelerator) forEachRuns(runs [][2]int, body func(lo, hi int) (int, err
 		first  error
 	)
 	for w := 0; w < workers; w++ {
-		flo, fhi := w*total/workers, (w+1)*total/workers
-		if flo == fhi {
+		lo, hi := w*stripes/workers, (w+1)*stripes/workers
+		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(flo, fhi int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			base := 0
-			for _, r := range runs {
-				n := r[1] - r[0]
-				lo, hi := flo-base, fhi-base
-				if lo < 0 {
-					lo = 0
+			if s, err := body(lo, hi); err != nil {
+				mu.Lock()
+				if first == nil || s < failAt {
+					failAt, first = s, err
 				}
-				if hi > n {
-					hi = n
-				}
-				if lo < hi {
-					if s, err := body(r[0]+lo, r[0]+hi); err != nil {
-						mu.Lock()
-						if first == nil || s < failAt {
-							failAt, first = s, err
-						}
-						mu.Unlock()
-						return
-					}
-				}
-				base += n
-				if base >= fhi {
-					break
-				}
+				mu.Unlock()
 			}
-		}(flo, fhi)
+		}(lo, hi)
 	}
 	wg.Wait()
 	return first
-}
-
-// stripeRuns converts an ascending stripe list into maximal contiguous
-// [lo, hi) runs, the shape forEachRuns consumes, counted first so the
-// result is allocated once. A nil list means every stripe of
-// [0, stripes): the single run.
-func stripeRuns(stripes int, list []int) [][2]int {
-	if list == nil {
-		return [][2]int{{0, stripes}}
-	}
-	n := 0
-	for i, s := range list {
-		if i == 0 || list[i-1]+1 != s {
-			n++
-		}
-	}
-	runs := make([][2]int, 0, n)
-	for _, s := range list {
-		if n := len(runs); n > 0 && runs[n-1][1] == s {
-			runs[n-1][1] = s + 1
-			continue
-		}
-		runs = append(runs, [2]int{s, s + 1})
-	}
-	return runs
 }
 
 // runStripe executes fn on stripe s's home subarray while holding the
@@ -1059,11 +963,12 @@ func (a *Accelerator) runStripe(s int, buf *bitvec.Vector, fn stripeFn) error {
 	return fn(s, a.subarrayFor(s), buf)
 }
 
-// cmdRuns runs fn on every stripe of runs on the command-accurate path,
-// dispatched by forEachRuns: each run piece leases one row buffer and
-// runs its stripes in ascending order, each under its subarray's lock.
-func (a *Accelerator) cmdRuns(runs [][2]int, fn stripeFn) error {
-	return a.forEachRuns(runs, func(lo, hi int) (int, error) {
+// cmdStripes runs fn on every stripe of [0, stripes) on the
+// command-accurate path, dispatched by forEachStripe: each worker leases
+// one row buffer and runs its share in ascending order, each stripe
+// under its subarray's lock.
+func (a *Accelerator) cmdStripes(stripes int, fn stripeFn) error {
+	return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
 		buf := a.getBuf()
 		defer a.putBuf(buf)
 		for s := lo; s < hi; s++ {
@@ -1075,46 +980,39 @@ func (a *Accelerator) cmdRuns(runs [][2]int, fn stripeFn) error {
 	})
 }
 
-// execOpStripes executes dst = op(x, y) over the stripes in list (nil
-// means all of [0, stripes); y nil for unary ops) through whichever
-// execution mode is eligible — the compiled kernel fast path, or the
-// command-accurate device model — with no cost accounting: the execution
-// half of Accelerator.Op and Shard.Op. A Shard scatters one logical
-// operation across its accelerators and accounts it once, centrally, so
-// the merged Stats stay bit-identical to the single-module baseline.
-func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, stripes int, list []int) error {
+// execOpStripes executes dst = op(x, y) over every stripe (y nil for
+// unary ops) through whichever execution mode is eligible — the compiled
+// kernel fast path, or the command-accurate device model — with no cost
+// accounting: the execution half of Op.
+func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, stripes int) error {
 	cols := a.cfg.Module.Columns
-	runs := stripeRuns(stripes, list)
 	ex, wrapped := a.executor()
 	if k := a.fastKernel(iop, wrapped); k != nil {
 		a.fastHits.Inc()
-		return a.forEachRuns(runs, func(lo, hi int) (int, error) {
+		return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
 			fastOpRange(k, dst, x, y, lo, hi, cols)
 			return 0, nil
 		})
 	}
 	a.fastFallbacks.Inc()
-	return a.cmdRuns(runs, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+	return a.cmdStripes(stripes, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 		return a.opStripe(ex, iop, dst, x, y, s, sub, buf)
 	})
 }
 
 // execReduceStripes executes the staged reduction dst = vs[0] op vs[1] op
-// ... over the stripes in list (nil means all of [0, stripes)), with no
-// cost accounting: the execution half of Accelerator.Reduce and
-// Shard.Reduce (see execOpStripes). Each stripe runs its whole
-// copy-then-fold chain before the next, which is result-identical to a
-// sweep per operand because every chain step touches only its own
-// stripe.
-func (a *Accelerator) execReduceStripes(iop engine.Op, dst *BitVector, vs []*BitVector, stripes int, list []int) error {
+// ... over every stripe, with no cost accounting: the execution half of
+// Reduce. Each stripe runs its whole copy-then-fold chain before the
+// next, which is result-identical to a sweep per operand because every
+// chain step touches only its own stripe.
+func (a *Accelerator) execReduceStripes(iop engine.Op, dst *BitVector, vs []*BitVector, stripes int) error {
 	cols := a.cfg.Module.Columns
-	runs := stripeRuns(stripes, list)
 	ex, wrapped := a.executor()
 	k := a.fastKernel(iop, wrapped)
 	kcopy := a.fastKernel(engine.OpCOPY, wrapped)
 	if k != nil && kcopy != nil {
 		a.fastHits.Inc()
-		return a.forEachRuns(runs, func(lo, hi int) (int, error) {
+		return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
 			fastOpRange(kcopy, dst.v, vs[0].v, nil, lo, hi, cols)
 			for _, v := range vs[1:] {
 				fastFoldRange(k, dst.v, v.v, lo, hi, cols)
@@ -1124,7 +1022,7 @@ func (a *Accelerator) execReduceStripes(iop engine.Op, dst *BitVector, vs []*Bit
 	}
 	a.fastFallbacks.Inc()
 	ipe, inPlace := a.eng.(inPlaceExecutor)
-	return a.cmdRuns(runs, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
+	return a.cmdStripes(stripes, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 		if err := a.opStripe(ex, engine.OpCOPY, dst.v, vs[0].v, nil, s, sub, buf); err != nil {
 			return err
 		}

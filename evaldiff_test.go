@@ -5,7 +5,6 @@ package elp2im
 // struct-equal Stats across the three execution tiers — fused cluster
 // kernels, node-at-a-time kernels (DisableFusion), and the
 // command-accurate device model (DisableFastpath) — on every design,
-// through the synchronous, sharded, and batch-submission entry points,
 // all checked against the host parse-tree oracle.
 
 import (
@@ -105,63 +104,6 @@ func TestDifferentialEval(t *testing.T) {
 					} else if st != refStats {
 						t.Fatalf("%v %s %q n=%d: stats %+v != fused tier %+v",
 							d, tier.name, src, n, st, refStats)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDifferentialEvalSharded extends the eval differential across the
-// Shard router: for shard counts 1 and 4, the scattered EvalExpr must
-// match the oracle bit for bit, with Stats struct-equal to the
-// single-module baseline, whose totals must equal its call's Stats.
-func TestDifferentialEvalSharded(t *testing.T) {
-	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
-	exprs := []string{
-		"(dirty & ~referenced) | evicted",
-		"((a | b) & (c | d) & (e | f)) ^ g",
-		"((a ^ b) ^ (c ^ d)) ^ ((e ^ f) ^ (g ^ h))",
-	}
-	for _, d := range designs {
-		d := d
-		base := newAcc(t, evalDiffModule, func(c *Config) { c.Design = d })
-		for ei, src := range exprs {
-			ce, err := CompileExpr(src)
-			if err != nil {
-				t.Fatalf("compile %q: %v", src, err)
-			}
-			for _, n := range []int{3*128 + 17, 512} {
-				rng := rand.New(rand.NewSource(int64(9000*ei + n)))
-				vars, want := evalOracleVars(t, rng, src, n)
-
-				base.ResetTotals()
-				out, wantStats, err := base.EvalExpr(ce, vars)
-				if err != nil {
-					t.Fatalf("%v EvalExpr %q: %v", d, src, err)
-				}
-				if !out.Equal(want) {
-					t.Fatalf("%v EvalExpr %q n=%d diverges from oracle", d, src, n)
-				}
-				if got := base.Totals(); got != wantStats {
-					t.Fatalf("%v EvalExpr %q: totals %+v != stats %+v", d, src, got, wantStats)
-				}
-
-				for _, shards := range []int{1, 4} {
-					sh, err := NewShard(shards, evalDiffModule, func(c *Config) { c.Design = d })
-					if err != nil {
-						t.Fatalf("NewShard(%d): %v", shards, err)
-					}
-					sout, sst, err := sh.EvalExpr(ce, vars)
-					if err != nil {
-						t.Fatalf("%v shards=%d EvalExpr %q: %v", d, shards, src, err)
-					}
-					if !sout.Equal(want) {
-						t.Fatalf("%v shards=%d EvalExpr %q n=%d diverges", d, shards, src, n)
-					}
-					if sst != wantStats {
-						t.Fatalf("%v shards=%d EvalExpr %q: stats %+v != single-module %+v",
-							d, shards, src, sst, wantStats)
 					}
 				}
 			}

@@ -19,10 +19,10 @@ import (
 // 500; see internal/server).
 var ErrBadExpr = errors.New("bad expression")
 
-// CompiledExpr is a compiled, reusable expression: the fused plan shared
-// by every eval entry point (Accelerator.EvalExpr, Shard.EvalExpr).
-// Compile once with CompileExpr, evaluate many times over different
-// bindings. A CompiledExpr is immutable and safe for concurrent use.
+// CompiledExpr is a compiled, reusable expression: the fused plan every
+// eval call executes. Compile once with CompileExpr, evaluate many times
+// over different bindings. A CompiledExpr is immutable and safe for
+// concurrent use.
 type CompiledExpr struct {
 	plan *plan.Plan
 }
@@ -106,9 +106,8 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector,
 	if err != nil {
 		return Stats{}, err
 	}
-	cols := a.cfg.Module.Columns
-	stripes := (n + cols - 1) / cols
-	if err := a.evalExec(p, vars, out, stripes, nil); err != nil {
+	stripes := a.stripes(n)
+	if err := a.evalResolve(p, vars, out).exec(stripes); err != nil {
 		return Stats{}, err
 	}
 
@@ -119,7 +118,7 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector,
 	if err != nil {
 		return Stats{}, err
 	}
-	a.acct.add(total)
+	a.charge(total)
 	return total, nil
 }
 
@@ -143,9 +142,7 @@ func (a *Accelerator) evalOut(p *plan.Plan, vars map[string]*BitVector, out *Bit
 
 // evalPrep validates that every plan variable is bound to a vector of one
 // common length and checks the subarray row budget of the
-// command-accurate fallback. It returns the common length. Shared by
-// every eval entry point (the shard compiles once and scatters
-// execution).
+// command-accurate fallback. It returns the common length.
 func (a *Accelerator) evalPrep(p *plan.Plan, vars map[string]*BitVector) (int, error) {
 	n := -1
 	for _, name := range p.Vars {
@@ -534,22 +531,14 @@ func (pr *progRunner) release(scr *[]uint64, buf *bitvec.Vector) {
 	}
 }
 
-// exec runs the steps over the stripes in list (nil means all of
-// [0, stripes)) with one fork-join through forEachRuns: each worker
-// leases its state once per run piece it is dealt — once for the whole
-// call when the stripes are one run — and walks the piece block-major.
-// On failure the lowest failing stripe's error is returned.
-func (pr *progRunner) exec(stripes int, list []int) error {
-	return pr.a.forEachRuns(stripeRuns(stripes, list), func(lo, hi int) (int, error) {
+// exec runs the steps over the stripes [0, stripes) with one fork-join
+// through forEachStripe: each worker leases its state once and walks its
+// share block-major. On failure the lowest failing stripe's error is
+// returned.
+func (pr *progRunner) exec(stripes int) error {
+	return pr.a.forEachStripe(stripes, func(lo, hi int) (int, error) {
 		scr, buf := pr.lease()
 		defer pr.release(scr, buf)
 		return pr.walk(*scr, buf, lo, hi)
 	})
-}
-
-// evalExec executes the compiled plan over the stripes in list (nil
-// means all of [0, stripes)) with no cost accounting — the execution
-// half of EvalExpr, which a Shard scatters across its accelerators.
-func (a *Accelerator) evalExec(p *plan.Plan, vars map[string]*BitVector, out *BitVector, stripes int, list []int) error {
-	return a.evalResolve(p, vars, out).exec(stripes, list)
 }

@@ -145,10 +145,10 @@ func TestEvalProperty(t *testing.T) {
 }
 
 // TestEvalExprIntoOverwritesOut pins EvalExprInto's contract on every
-// tier and on a shard router: a result vector pre-filled with ones
-// (tail bits included) ends up word-for-word equal to a fresh EvalExpr
-// result with the same Stats, so callers may recycle result vectors
-// without clearing them. A wrong-length or aliased result is rejected.
+// tier: a result vector pre-filled with ones (tail bits included) ends
+// up word-for-word equal to a fresh EvalExpr result with the same Stats,
+// so callers may recycle result vectors without clearing them. A
+// wrong-length or aliased result is rejected.
 func TestEvalExprIntoOverwritesOut(t *testing.T) {
 	const src = "(a & ~b) | (c ^ a)"
 	ce, err := CompileExpr(src)
@@ -160,47 +160,38 @@ func TestEvalExprIntoOverwritesOut(t *testing.T) {
 	vars := map[string]*BitVector{
 		"a": RandomBitVector(rng, n), "b": RandomBitVector(rng, n), "c": RandomBitVector(rng, n),
 	}
-	type evaluator interface {
-		EvalExpr(*CompiledExpr, map[string]*BitVector) (*BitVector, Stats, error)
-		EvalExprInto(*CompiledExpr, map[string]*BitVector, *BitVector) (Stats, error)
-	}
 	tiers := map[string]func(*Config){
 		"fused":            func(*Config) {},
 		"node":             func(c *Config) { c.DisableFusion = true },
 		"command-accurate": func(c *Config) { c.DisableFastpath = true },
 	}
 	for name, tier := range tiers {
-		evs := map[string]evaluator{
-			"acc":     newAcc(t, smallModule, tier),
-			"shard=3": newShard(t, 3, tier),
+		acc := newAcc(t, smallModule, tier)
+		want, wantSt, err := acc.EvalExpr(ce, vars)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for evName, ev := range evs {
-			want, wantSt, err := ev.EvalExpr(ce, vars)
-			if err != nil {
-				t.Fatal(err)
+		out := NewBitVector(n)
+		for i := range out.Words() {
+			out.Words()[i] = ^uint64(0)
+		}
+		st, err := acc.EvalExprInto(ce, vars, out)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, w := range out.Words() {
+			if w != want.Words()[i] {
+				t.Fatalf("%s: word %d = %#x, want %#x", name, i, w, want.Words()[i])
 			}
-			out := NewBitVector(n)
-			for i := range out.Words() {
-				out.Words()[i] = ^uint64(0)
-			}
-			st, err := ev.EvalExprInto(ce, vars, out)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, evName, err)
-			}
-			for i, w := range out.Words() {
-				if w != want.Words()[i] {
-					t.Fatalf("%s/%s: word %d = %#x, want %#x", name, evName, i, w, want.Words()[i])
-				}
-			}
-			if st != wantSt {
-				t.Errorf("%s/%s: stats %+v, want %+v", name, evName, st, wantSt)
-			}
-			if _, err := ev.EvalExprInto(ce, vars, NewBitVector(n-1)); err == nil {
-				t.Errorf("%s/%s: accepted a result vector of the wrong length", name, evName)
-			}
-			if _, err := ev.EvalExprInto(ce, vars, vars["b"]); err == nil {
-				t.Errorf("%s/%s: accepted a result vector aliasing an operand", name, evName)
-			}
+		}
+		if st != wantSt {
+			t.Errorf("%s: stats %+v, want %+v", name, st, wantSt)
+		}
+		if _, err := acc.EvalExprInto(ce, vars, NewBitVector(n-1)); err == nil {
+			t.Errorf("%s: accepted a result vector of the wrong length", name)
+		}
+		if _, err := acc.EvalExprInto(ce, vars, vars["b"]); err == nil {
+			t.Errorf("%s: accepted a result vector aliasing an operand", name)
 		}
 	}
 }

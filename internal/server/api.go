@@ -238,8 +238,8 @@ type ServerStats struct {
 	FusionHits int64 `json:"fusion_hits"`
 	// FusionFallbacks counts eval/query plans that fell back to
 	// node-at-a-time kernels or the command-accurate model. A nonzero
-	// rate under -disable-fusion is expected; otherwise it means
-	// predicates are not inheriting the fused tier.
+	// rate under elp2im.Config.DisableFusion is expected; otherwise it
+	// means predicates are not inheriting the fused tier.
 	FusionFallbacks int64 `json:"fusion_fallbacks"`
 	// Vectors is the number of stored vectors.
 	Vectors int `json:"vectors"`

@@ -4,16 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"strings"
 	"sync"
 
 	elp2im "repro"
+	"repro/internal/wire"
 )
 
-// Serving-layer sentinel errors, mapped onto HTTP statuses by statusFor
-// (503 for admission/drain, 404 for unknown vectors) and onto wire
-// statuses by wireStatusFor.
+// Serving-layer sentinel errors, mapped onto HTTP and wire statuses by
+// errorClasses (503 for admission/drain, 404 for unknown vectors).
 var (
 	// ErrSaturated is returned when the destination's shard already has
 	// Config.MaxQueue requests in flight: the shard cannot keep up with
@@ -26,7 +27,7 @@ var (
 	// ErrUnknownVector wraps the name of an operand that is not in the
 	// store.
 	ErrUnknownVector = errors.New("server: unknown vector")
-	// errBadRequest tags request-validation failures so statusFor can
+	// errBadRequest tags request-validation failures so errorClasses can
 	// reserve 400 Bad Request for them; any error that reaches wrap
 	// untagged (and is none of the named sentinels) is a server fault and
 	// answers 500.
@@ -34,8 +35,8 @@ var (
 )
 
 // badRequest is a client-fault error: its message stands alone, but it
-// unwraps to errBadRequest so statusFor recognizes it through any further
-// wrapping.
+// unwraps to errBadRequest so errorClasses recognizes it through any
+// further wrapping.
 type badRequest struct{ msg string }
 
 // Error returns the validation failure's message.
@@ -52,6 +53,58 @@ func badRequestf(format string, args ...any) error {
 // unknownVector wraps a missing vector's name in the 404 sentinel.
 func unknownVector(name string) error {
 	return fmt.Errorf("%w: %q", ErrUnknownVector, name)
+}
+
+// errorClass is how both protocols answer one class of error: the HTTP
+// status, the wire status, and the backoff hint of the 503 class (sent
+// as Retry-After in whole seconds on HTTP, in milliseconds on the wire).
+type errorClass struct {
+	sentinel error
+	http     int
+	wire     uint8
+	retryMS  uint32
+}
+
+// wireRetryAfterMS is the backoff hint of saturated and draining
+// answers: "Retry-After: 1" on HTTP.
+const wireRetryAfterMS = 1000
+
+// errorClasses is the serving layer's one error table, matched in order
+// with errors.Is: admission and drain answer the 503 class with a
+// backoff hint, an expired deadline 504, a cancellation 499 (the nginx
+// client-closed-request convention), an unknown vector 404, and tagged
+// validation failures, malformed frames, bad expressions and bad arith
+// shapes 400. An error no row matches is a server fault: 500, internal.
+var errorClasses = []errorClass{
+	{ErrSaturated, http.StatusServiceUnavailable, wire.StatusSaturated, wireRetryAfterMS},
+	{ErrDraining, http.StatusServiceUnavailable, wire.StatusDraining, wireRetryAfterMS},
+	{context.DeadlineExceeded, http.StatusGatewayTimeout, wire.StatusDeadline, 0},
+	{context.Canceled, 499, wire.StatusCanceled, 0},
+	{ErrUnknownVector, http.StatusNotFound, wire.StatusNotFound, 0},
+	{errBadRequest, http.StatusBadRequest, wire.StatusBadRequest, 0},
+	{wire.ErrMalformed, http.StatusBadRequest, wire.StatusBadRequest, 0},
+	{elp2im.ErrBadExpr, http.StatusBadRequest, wire.StatusBadRequest, 0},
+	{elp2im.ErrBadArith, http.StatusBadRequest, wire.StatusBadRequest, 0},
+}
+
+// classify returns err's class: the first errorClasses row it matches,
+// or the server-fault class.
+func classify(err error) errorClass {
+	for _, c := range errorClasses {
+		if errors.Is(err, c.sentinel) {
+			return c
+		}
+	}
+	return errorClass{http: http.StatusInternalServerError, wire: wire.StatusInternal}
+}
+
+// statusFor maps err onto its HTTP status.
+func statusFor(err error) int { return classify(err).http }
+
+// wireStatusFor maps err onto its wire status and retry-after hint.
+func wireStatusFor(err error) (uint8, uint32) {
+	c := classify(err)
+	return c.wire, c.retryMS
 }
 
 // gate is one shard's admission control. Every request that executes on

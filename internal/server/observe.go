@@ -8,9 +8,9 @@ import (
 )
 
 // Metric series of the serving layer, registered in the owning
-// accelerator's (or, sharded, the Shard router's) observability context so
-// they appear on the same Snapshot / ServeDebug surface as the acc.*,
-// engine.* and sched.cache.* series:
+// accelerator's (or, sharded, the Shard deployment's) observability
+// context so they appear on the same Snapshot / ServeDebug surface as the
+// acc.*, engine.* and sched.cache.* series:
 //
 //	server.http.requests.<route>    counter   requests entering the route
 //	server.http.errors.<route>      counter   non-2xx responses

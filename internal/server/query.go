@@ -22,9 +22,9 @@ import (
 // set-bit positions.
 
 // Query sentinels. All four are request faults, so each wraps
-// errBadRequest — statusFor and wireStatusFor classify them as 400 /
-// bad_request with no new cases, and TestErrorStatusContract pins every
-// one by name.
+// errBadRequest — errorClasses classifies them as 400 / bad_request with
+// no rows of their own, and TestErrorStatusContract pins every one by
+// name.
 var (
 	// errUnknownNamespace tags a query whose namespace has no stored
 	// indices at all.
@@ -105,10 +105,10 @@ func putMatch(v *elp2im.BitVector) { matchPool.Put(v) }
 // and wire paths, mirroring evalCore's shape: compile the predicate
 // through the shared plan cache, pre-check the row budget, admit through
 // the namespace's home-shard gate, read-lock the index entries, and
-// evaluate the compiled plan — scatter-gather across every shard on a
-// sharded server, on the single accelerator otherwise. The match vector
-// is private to the call (nothing is stored) and comes from matchPool,
-// so the caller renders it lock-free and hands it back with putMatch.
+// evaluate the compiled plan on that shard's accelerator, which charges
+// it. The match vector is private to the call (nothing is stored) and
+// comes from matchPool, so the caller renders it lock-free and hands it
+// back with putMatch.
 func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2im.Stats, error) {
 	if namespace == "" || predicate == "" {
 		return nil, elp2im.Stats{}, badRequestf("server: query needs namespace and predicate")
@@ -120,7 +120,8 @@ func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2
 	// The command-accurate fallback's row demand is checked up front: the
 	// facade reports it as an untagged internal error mid-eval, but an
 	// over-deep predicate is the client's fault and must answer 400.
-	if need, have := s.acc.ExprRowDemand(ce); need > have {
+	g := s.gateFor(namespace)
+	if need, have := g.acc.ExprRowDemand(ce); need > have {
 		return nil, elp2im.Stats{}, fmt.Errorf("%w: predicate needs %d rows per subarray, module has %d",
 			errQueryBudget, need, have)
 	}
@@ -128,7 +129,6 @@ func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2
 	// gate: in-flight queries count against its bound and finish before
 	// Drain returns, and draining servers refuse new ones with the 503
 	// class.
-	g := s.gateFor(namespace)
 	if err := g.acquire(); err != nil {
 		return nil, elp2im.Stats{}, err
 	}
@@ -152,12 +152,7 @@ func (s *Server) queryCore(namespace, predicate string) (*elp2im.BitVector, elp2
 		return nil, elp2im.Stats{}, err
 	}
 	out := getMatch(universe)
-	var st elp2im.Stats
-	if s.shard != nil {
-		st, err = s.shard.EvalExprInto(ce, vars, out)
-	} else {
-		st, err = s.acc.EvalExprInto(ce, vars, out)
-	}
+	st, err := g.acc.EvalExprInto(ce, vars, out)
 	ls.unlock()
 	if err != nil {
 		putMatch(out)

@@ -67,7 +67,7 @@ var queryPredicates = []struct {
 // EvalExpr — and requires a bit-for-bit identical match vector from all
 // three, a byte-level host oracle agreeing with every one, and
 // struct-equal Stats across the two protocols. Shard widths 1 and 4 pin
-// both the single-accelerator path and the scatter-gather path.
+// both the single-accelerator path and the home-shard path.
 func TestQueryDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -573,5 +573,68 @@ func TestQueryPooledMatchVector(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestShardedQueryChargesHomeShard pins where a query's modeled cost
+// lands on a 4-shard server: the whole query runs on its namespace's
+// home shard. Over indices spanning more than 8 stripes, that shard's
+// per_shard modeled_busy_ns grows by exactly the response's latency_ns,
+// every other shard's stays put, fusion_hits moves by exactly one (one
+// fused plan on one accelerator), and the totals equal the per-shard
+// sum.
+func TestShardedQueryChargesHomeShard(t *testing.T) {
+	s, ts := newShardedTestServer(t, 4, nil)
+	c := ts.Client()
+	rng := rand.New(rand.NewSource(43))
+	// Give every shard a nonzero busy time first, so "stays put" is not
+	// trivially zero.
+	for i := 0; i < s.Shards(); i++ {
+		name := shardHomedName(t, s, "busy", i)
+		putRandom(t, c, ts.URL, name, rng, 256)
+		if code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
+			OpRequest{Op: "not", Dst: name, X: name}, nil); code != http.StatusOK {
+			t.Fatalf("op on shard %d: status %d", i, code)
+		}
+	}
+	const namespace = "charge"
+	home := s.store.shardOf(namespace)
+	n := 9*8192 + 77 // default module rows are 8,192 bits: 10 stripes
+	for _, name := range []string{"i0", "i1", "i2"} {
+		fillRandom(s.store, indexKey(namespace, name), rng, n)
+	}
+	stats := func() StatsPayload {
+		var sp StatsPayload
+		if code, _ := doJSON(t, c, http.MethodGet, ts.URL+"/v1/stats", nil, &sp); code != http.StatusOK {
+			t.Fatalf("stats: status %d", code)
+		}
+		return sp
+	}
+	before := stats()
+	var qr QueryResponse
+	if code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/query",
+		QueryRequest{Namespace: namespace, Predicate: "(i0 & i1) | ~i2"}, &qr); code != http.StatusOK {
+		t.Fatalf("query: status %d", code)
+	}
+	after := stats()
+	if qr.Stats.RowOps < 8 || qr.Stats.LatencyNS <= 0 {
+		t.Fatalf("query stats %+v: want a priced query over at least 8 stripes", qr.Stats)
+	}
+	sum := 0.0
+	for i, ss := range after.Server.PerShard {
+		want := before.Server.PerShard[i].ModeledBusyNS
+		if i == home {
+			want += qr.Stats.LatencyNS
+		}
+		if ss.ModeledBusyNS != want {
+			t.Errorf("shard %d (home %d): modeled_busy_ns %v, want %v", i, home, ss.ModeledBusyNS, want)
+		}
+		sum += ss.ModeledBusyNS
+	}
+	if after.Totals.LatencyNS != sum {
+		t.Errorf("totals latency_ns %v, want the per-shard sum %v", after.Totals.LatencyNS, sum)
+	}
+	if got := after.Server.FusionHits - before.Server.FusionHits; got != 1 {
+		t.Errorf("fusion_hits grew by %d, want 1", got)
 	}
 }

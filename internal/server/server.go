@@ -7,16 +7,20 @@
 // Every request executes synchronously on the goroutine that decoded it:
 // an ELP2IM op finishes in hundreds of modeled nanoseconds, so the
 // serving layer puts no queue in front of it. Each endpoint has one
-// protocol-independent core (opCore, evalCore, arithCore, queryCore)
-// that the JSON and wire codecs share. Around the cores sits the
-// robustness envelope a real service needs: a per-shard admission gate
-// bounding in-flight work (503 + Retry-After under saturation),
-// per-request deadlines propagated via context, panic-isolated handlers,
-// and graceful drain (stop admitting, wait for in-flight work, then
-// stop). Every serving-layer metric registers in the owning
-// accelerator's observability context, so the existing Snapshot /
-// ServeDebug surface shows the server.* series next to acc.* (see
-// observe.go for the name scheme).
+// protocol-independent core (opCore, evalCore, arithCore, queryCore,
+// readVector) that the JSON and wire codecs share, and errors map onto
+// both protocols' statuses through one table (errorClasses). Every
+// request runs whole on one shard: the home shard of its destination
+// vector (of its namespace, for a query) admits it, and that shard's
+// accelerator executes it and charges its modeled cost. Around the cores
+// sits the robustness envelope a real service needs: a per-shard
+// admission gate bounding in-flight work (503 + Retry-After under
+// saturation), per-request deadlines propagated via context,
+// panic-isolated handlers, and graceful drain (stop admitting, wait for
+// in-flight work, then stop). Every serving-layer metric registers in
+// the owning accelerator's (or deployment's) observability context, so
+// the existing Snapshot / ServeDebug surface shows the server.* series
+// next to acc.* (see observe.go for the name scheme).
 package server
 
 import (
@@ -34,6 +38,7 @@ import (
 	"time"
 
 	elp2im "repro"
+	"repro/internal/obs"
 	"repro/internal/vertical"
 	"repro/internal/wire"
 )
@@ -47,10 +52,11 @@ type Config struct {
 	// Shard, when set instead of Accelerator, fronts a sharded
 	// multi-accelerator deployment: every vector name is placed
 	// deterministically on a home shard (Store.shardOf), each shard has
-	// its own admission gate and metric series, and an operation executes
-	// on its destination's home shard. One hot shard saturating answers
-	// 503 + Retry-After without stalling the others. MaxQueue applies per
-	// shard.
+	// its own admission gate and metric series, and every request —
+	// queries included — executes whole on its destination's (a query's
+	// namespace's) home-shard accelerator, which charges its modeled
+	// cost. One hot shard saturating answers 503 + Retry-After without
+	// stalling the others. MaxQueue applies per shard.
 	Shard *elp2im.Shard
 	// MaxQueue bounds the requests in flight on one shard; beyond it
 	// requests fail fast with 503 + Retry-After. Default 1024.
@@ -90,15 +96,14 @@ func (c Config) withDefaults() Config {
 // (Config.Accelerator) has one gate; a sharded one (Config.Shard) has one
 // per shard, and requests route to their destination vector's home shard.
 type Server struct {
-	cfg   Config
-	acc   *elp2im.Accelerator // shard 0's accelerator (identity, Eval on single)
-	shard *elp2im.Shard       // nil for a single-module server
-	accs  []*elp2im.Accelerator
-	store *Store
-	gates []*gate
-	obs   *serverMetrics
-	cache *evalCache
-	mux   *http.ServeMux
+	cfg    Config
+	accs   []*elp2im.Accelerator // shard i's accelerator
+	totals func() elp2im.Stats   // the backend's session totals
+	store  *Store
+	gates  []*gate
+	obs    *serverMetrics
+	cache  *evalCache
+	mux    *http.ServeMux
 
 	// Wire-listener connection tracking (see wire.go): live connections
 	// accepted by ServeWire, so CloseWireConns can end them after Drain.
@@ -113,37 +118,37 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: exactly one of Config.Accelerator and Config.Shard is required")
 	}
 	cfg = cfg.withDefaults()
-	var accs []*elp2im.Accelerator
-	if cfg.Shard != nil {
-		accs = make([]*elp2im.Accelerator, cfg.Shard.Shards())
-		for i := range accs {
-			accs[i] = cfg.Shard.ShardAccelerator(i)
-		}
-	} else {
-		accs = []*elp2im.Accelerator{cfg.Accelerator}
-	}
-	// Serving-layer series register in the shard router's context when
+	// Serving-layer series register in the deployment's context when
 	// sharded (its Snapshot merges every shard accelerator's registry), in
 	// the accelerator's own otherwise.
-	var obs *serverMetrics
-	if cfg.Shard != nil {
-		obs = newServerMetrics(cfg.Shard.Observability(), len(accs))
+	var (
+		accs   []*elp2im.Accelerator
+		ctx    *obs.Context
+		totals func() elp2im.Stats
+	)
+	if sh := cfg.Shard; sh != nil {
+		accs = make([]*elp2im.Accelerator, sh.Shards())
+		for i := range accs {
+			accs[i] = sh.ShardAccelerator(i)
+		}
+		ctx, totals = sh.Observability(), sh.Totals
 	} else {
-		obs = newServerMetrics(cfg.Accelerator.Observability(), 1)
+		accs = []*elp2im.Accelerator{cfg.Accelerator}
+		ctx, totals = cfg.Accelerator.Observability(), cfg.Accelerator.Totals
 	}
+	sm := newServerMetrics(ctx, len(accs))
 	s := &Server{
 		cfg:       cfg,
-		acc:       accs[0],
-		shard:     cfg.Shard,
 		accs:      accs,
+		totals:    totals,
 		store:     NewStore(len(accs)),
-		obs:       obs,
-		cache:     newEvalCache(cfg.EvalCacheSize, obs.evalCacheHits, obs.evalCacheMisses),
+		obs:       sm,
+		cache:     newEvalCache(cfg.EvalCacheSize, sm.evalCacheHits, sm.evalCacheMisses),
 		wireConns: make(map[net.Conn]struct{}),
 	}
 	s.gates = make([]*gate, len(accs))
 	for i, acc := range accs {
-		s.gates[i] = newGate(acc, cfg.MaxQueue, obs.shards[i])
+		s.gates[i] = newGate(acc, cfg.MaxQueue, sm.shards[i])
 	}
 	s.mux = http.NewServeMux()
 	// Vector routes take rest-of-path names ({name...}) so namespaced
@@ -213,14 +218,8 @@ func (s *Server) Drain() {
 
 // Totals returns the accumulated modeled cost of every operation the
 // server executed: the single accelerator's session totals, or — sharded —
-// the merged totals across every shard accelerator (and the router's
-// central accounting, were any operation routed through it).
-func (s *Server) Totals() elp2im.Stats {
-	if s.shard != nil {
-		return s.shard.AggregateTotals()
-	}
-	return s.acc.Totals()
-}
+// the sum over every shard accelerator.
+func (s *Server) Totals() elp2im.Stats { return s.totals() }
 
 // Stats assembles the /v1/stats payload. The flat Server section
 // aggregates across shards (in-flight counts and rejections sum);
@@ -271,8 +270,8 @@ func (s *Server) Stats() StatsPayload {
 		agg.PerShard = perShard
 	}
 	return StatsPayload{
-		Design:       s.acc.Design(),
-		ReservedRows: s.acc.ReservedRows(),
+		Design:       s.accs[0].Design(),
+		ReservedRows: s.accs[0].ReservedRows(),
 		Totals:       statsJSON(s.Totals()),
 		Server:       agg,
 	}
@@ -321,7 +320,7 @@ func (s *Server) wrap(route string, h handlerFunc) http.HandlerFunc {
 				s.obs.panics.Inc()
 				err := fmt.Errorf("server: internal error: %v", rec)
 				debug.PrintStack()
-				s.writeError(cw, rs, http.StatusInternalServerError, err)
+				s.writeError(cw, rs, err)
 				handlerErr = err
 			}
 			rs.latency.Observe(float64(time.Since(start).Nanoseconds()))
@@ -330,47 +329,28 @@ func (s *Server) wrap(route string, h handlerFunc) http.HandlerFunc {
 		r.Body = http.MaxBytesReader(cw, r.Body, s.cfg.MaxBodyBytes)
 		handlerErr = h(cw, r)
 		if handlerErr != nil {
-			s.writeError(cw, rs, statusFor(handlerErr), handlerErr)
+			s.writeError(cw, rs, handlerErr)
 		}
 	}
 }
 
-// statusFor maps serving-layer errors onto HTTP statuses. 400 is
-// reserved for tagged request-validation failures (errBadRequest); an
-// unrecognized error is a server fault and reports 500.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrSaturated), errors.Is(err, ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499 // client closed request (nginx convention)
-	case errors.Is(err, ErrUnknownVector):
-		return http.StatusNotFound
-	case errors.Is(err, errBadRequest), errors.Is(err, elp2im.ErrBadExpr),
-		errors.Is(err, elp2im.ErrBadArith):
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
 // writeError records the error and renders it as the JSON error body for
-// the given status, attaching Retry-After on 503s so well-behaved clients
-// back off. If the handler already committed a response, only the error
-// counter moves — a late status line or JSON body would corrupt whatever
-// the client is reading.
-func (s *Server) writeError(w *committedWriter, rs *routeSeries, status int, err error) {
+// its class's status (errorClasses), attaching the class's backoff hint
+// as Retry-After (whole seconds) so well-behaved clients back off. If the
+// handler already committed a response, only the error counter moves — a
+// late status line or JSON body would corrupt whatever the client is
+// reading.
+func (s *Server) writeError(w *committedWriter, rs *routeSeries, err error) {
 	rs.errors.Inc()
 	if w.committed {
 		return
 	}
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+	c := classify(err)
+	if c.retryMS > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(c.retryMS/1000)))
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(c.http)
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
@@ -460,36 +440,55 @@ func (s *Server) handlePutVector(w http.ResponseWriter, r *http.Request) error {
 	return writeJSON(w, VectorInfo{Name: name, Bits: vec.Len()})
 }
 
-// handleGetVector returns a vector's contents. Plain vectors answer with
-// the bit payload, vertical ones with their element values and width.
-// Either way the entry is pinned only for a words-snapshot (or the
-// transpose back to element bytes); the base64 encode and the JSON write
-// happen outside the lock (see wordBufPool).
-func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
-	name := r.PathValue("name")
+// readVector is the one read core of the vector GETs (JSON GET, wire
+// GET and GET_VERT). It resolves name (404 when absent) and read-locks
+// the entry. A bit vector's words are copied into a pooled buffer and
+// the lock released before bits runs on the snapshot, so encoding never
+// stalls writers (see wordBufPool); bits must not keep the slice. A
+// vertical is handed to vert while the lock is held, so it can transpose
+// straight from the stored slices.
+func (s *Server) readVector(name string, bits func(words []uint64, n int) error, vert func(*elp2im.Vertical) error) error {
 	e := s.store.lookup(name)
 	if e == nil {
 		return unknownVector(name)
 	}
 	e.mu.RLock()
 	if v := e.vert; v != nil {
-		width, n := v.Width(), v.Len()
-		raw := make([]byte, 8*n)
-		vertical.UnsliceBytesInto(raw, sliceWords(v))
-		e.mu.RUnlock()
-		return writeJSON(w, VectorPayload{
-			Name: name, Bits: n * width,
-			ElemWidth: width, Elems: base64.StdEncoding.EncodeToString(raw),
-		})
+		defer e.mu.RUnlock()
+		return vert(v)
 	}
-	bits := e.vec.Len()
+	n := e.vec.Len()
 	bp := getWordBuf()
 	*bp = append(*bp, e.vec.Words()...)
 	e.mu.RUnlock()
-	data := encodeWordBits(*bp, bits)
-	pop := popcountWords(*bp)
-	putWordBuf(bp)
-	return writeJSON(w, VectorPayload{Name: name, Bits: bits, Data: data, Popcount: &pop})
+	defer putWordBuf(bp)
+	return bits(*bp, n)
+}
+
+// handleGetVector returns a vector's contents. Plain vectors answer with
+// the bit payload, vertical ones with their element values and width;
+// the base64 encode and the JSON write happen outside the entry lock.
+func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
+	name := r.PathValue("name")
+	var body VectorPayload
+	var raw []byte
+	err := s.readVector(name, func(words []uint64, n int) error {
+		pop := popcountWords(words)
+		body = VectorPayload{Name: name, Bits: n, Data: encodeWordBits(words, n), Popcount: &pop}
+		return nil
+	}, func(v *elp2im.Vertical) error {
+		raw = make([]byte, 8*v.Len())
+		vertical.UnsliceBytesInto(raw, sliceWords(v))
+		body = VectorPayload{Name: name, Bits: v.Len() * v.Width(), ElemWidth: v.Width()}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if raw != nil {
+		body.Elems = base64.StdEncoding.EncodeToString(raw)
+	}
+	return writeJSON(w, body)
 }
 
 // handleDeleteVector removes a vector.

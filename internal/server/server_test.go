@@ -490,7 +490,7 @@ func TestRouteMetricsRegistered(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
-	snap := s.acc.Snapshot()
+	snap := s.cfg.Accelerator.Snapshot()
 	for _, name := range sortedRouteNames() {
 		if _, ok := snap.Counters["server.http.requests."+name]; !ok {
 			t.Errorf("route series server.http.requests.%s missing from accelerator snapshot", name)

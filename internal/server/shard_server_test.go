@@ -16,7 +16,7 @@ import (
 	elp2im "repro"
 )
 
-// newShardedTestServer builds a Server over a fresh shard router of the
+// newShardedTestServer builds a Server over a fresh shard deployment of the
 // given width plus an httptest front end, draining both on cleanup.
 func newShardedTestServer(t *testing.T, shards int, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
@@ -331,7 +331,7 @@ func TestShardedStatsPayload(t *testing.T) {
 
 // TestShardedMetricNames checks the per-shard series registration: a
 // sharded server registers server.shard.<i>.* for every shard (visible in
-// the router's merged snapshot) and does not register the flat legacy
+// the deployment's merged snapshot) and does not register the flat legacy
 // queue names, which would double-count.
 func TestShardedMetricNames(t *testing.T) {
 	s, ts := newShardedTestServer(t, 3, nil)
@@ -343,7 +343,7 @@ func TestShardedMetricNames(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("op: status %d", code)
 	}
-	snap := s.shard.Snapshot()
+	snap := s.cfg.Shard.Snapshot()
 	for i := 0; i < 3; i++ {
 		name := fmt.Sprintf("server.shard.%d.queue.max", i)
 		if _, ok := snap.Gauges[name]; !ok {

@@ -18,13 +18,9 @@ import (
 // against the same store, request cores, per-shard admission gates and
 // drain semantics as the HTTP/JSON handlers — only the codec differs.
 // The differential tests in wire_server_test.go pin the two paths
-// bit-for-bit equal; the sentinel-error → wire-status mapping below is
-// the binary twin of statusFor, pinned by TestWireErrorStatusContract
-// exactly the way TestErrorStatusContract pins the HTTP one.
-
-// wireRetryAfterMS is the backoff hint carried by saturated/draining
-// responses, mirroring the HTTP path's "Retry-After: 1".
-const wireRetryAfterMS = 1000
+// bit-for-bit equal; wire statuses come from the same error table as
+// HTTP's (errorClasses), pinned by TestWireErrorStatusContract exactly
+// the way TestErrorStatusContract pins the HTTP one.
 
 // bitOps maps wire bitwise-operation codes onto the facade's ops. The
 // indices are the wire.Bit* constants — a stable protocol contract pinned
@@ -69,33 +65,6 @@ func arithOpFor(code uint8) (elp2im.ArithOp, bool) {
 		return 0, false
 	}
 	return arithOps[code], true
-}
-
-// wireStatusFor classifies serving-layer errors into wire response
-// statuses plus a retry-after hint — the same equivalence classes as
-// statusFor's HTTP mapping: admission/drain → saturated/draining (503
-// class, with backoff hint), deadline → deadline (504), cancellation →
-// canceled (499), unknown vector → not_found (404), tagged validation
-// and malformed frames → bad_request (400), anything unrecognized →
-// internal (500).
-func wireStatusFor(err error) (uint8, uint32) {
-	switch {
-	case errors.Is(err, ErrSaturated):
-		return wire.StatusSaturated, wireRetryAfterMS
-	case errors.Is(err, ErrDraining):
-		return wire.StatusDraining, wireRetryAfterMS
-	case errors.Is(err, context.DeadlineExceeded):
-		return wire.StatusDeadline, 0
-	case errors.Is(err, context.Canceled):
-		return wire.StatusCanceled, 0
-	case errors.Is(err, ErrUnknownVector):
-		return wire.StatusNotFound, 0
-	case errors.Is(err, errBadRequest), errors.Is(err, wire.ErrMalformed),
-		errors.Is(err, elp2im.ErrBadExpr), errors.Is(err, elp2im.ErrBadArith):
-		return wire.StatusBadRequest, 0
-	default:
-		return wire.StatusInternal, 0
-	}
 }
 
 // wireStats converts the facade's Stats into the wire encoding's shape.
@@ -236,29 +205,17 @@ func (wb *wireBackend) handlePut(req *wire.Request, resp *wire.Response) error {
 	return nil
 }
 
-// handleGet returns a vector's length, popcount and raw words. Like the
-// JSON GET, it pins the entry only long enough to snapshot the words into
-// a pooled buffer; the popcount and frame build run outside the lock.
+// handleGet returns a bit vector's length, popcount and raw words
+// through the shared read core; a vertical answers 400.
 func (wb *wireBackend) handleGet(req *wire.Request, resp *wire.Response) error {
-	e := wb.s.store.lookup(req.Name)
-	if e == nil {
-		return unknownVector(req.Name)
-	}
-	bp := getWordBuf()
-	e.mu.RLock()
-	if e.vert != nil {
-		e.mu.RUnlock()
-		putWordBuf(bp)
+	return wb.s.readVector(req.Name, func(words []uint64, n int) error {
+		resp.AppendU32(uint32(n))
+		resp.AppendU64(uint64(popcountWords(words)))
+		resp.AppendWords(words)
+		return nil
+	}, func(*elp2im.Vertical) error {
 		return badRequestf("server: %q is a vertical vector; use get_vert", req.Name)
-	}
-	bits := e.vec.Len()
-	*bp = append(*bp, e.vec.Words()...)
-	e.mu.RUnlock()
-	resp.AppendU32(uint32(bits))
-	resp.AppendU64(uint64(popcountWords(*bp)))
-	resp.AppendWords(*bp)
-	putWordBuf(bp)
-	return nil
+	})
 }
 
 // handleDelete removes a vector.
@@ -343,29 +300,24 @@ func (wb *wireBackend) handlePutVert(req *wire.Request, resp *wire.Response) err
 	return nil
 }
 
-// handleGetVert returns a vertical vector's element width and elements in
-// one pass: under one hold of the entry's read lock it reserves the whole
-// payload (refused up front when the frame would exceed the connection's
-// limit) and transposes every slice straight into it.
+// handleGetVert returns a vertical vector's element width and elements
+// through the shared read core, in one pass under its read lock: it
+// reserves the whole payload (refused up front when the frame would
+// exceed the connection's limit) and transposes every slice straight
+// into it. A bit vector answers 400.
 func (wb *wireBackend) handleGetVert(req *wire.Request, resp *wire.Response) error {
-	e := wb.s.store.lookup(req.Name)
-	if e == nil {
-		return unknownVector(req.Name)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	v := e.vert
-	if v == nil {
+	return wb.s.readVector(req.Name, func([]uint64, int) error {
 		return badRequestf("server: %q is a bit vector; use get", req.Name)
-	}
-	resp.AppendU8(uint8(v.Width()))
-	resp.AppendU32(uint32(v.Len()))
-	payload, err := resp.Extend(8 * v.Len())
-	if err != nil {
-		return err
-	}
-	vertical.UnsliceBytesInto(payload, sliceWords(v))
-	return nil
+	}, func(v *elp2im.Vertical) error {
+		resp.AppendU8(uint8(v.Width()))
+		resp.AppendU32(uint32(v.Len()))
+		payload, err := resp.Extend(8 * v.Len())
+		if err != nil {
+			return err
+		}
+		vertical.UnsliceBytesInto(payload, sliceWords(v))
+		return nil
+	})
 }
 
 // handleStats marshals the exact /v1/stats payload, so the two protocols

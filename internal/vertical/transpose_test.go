@@ -94,9 +94,9 @@ func TestSliceIntoReuse(t *testing.T) {
 	}
 }
 
-// splitmix64 is the transpose tests' element PRNG: deterministic per
+// splitMix is the transpose tests' element PRNG: deterministic per
 // seed and independent of math/rand's stream evolution.
-func splitmix64(s *uint64) uint64 {
+func splitMix(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -199,7 +199,7 @@ func TestTransposeSweep(t *testing.T) {
 		for _, n := range []int{1, 63, 64, 65, grp - 1, grp, grp + 1, blk - 1, blk, blk + 1, 3*4096 + 17, 3*blk + 17} {
 			elems := make([]uint64, n)
 			for i := range elems {
-				elems[i] = splitmix64(&seed)
+				elems[i] = splitMix(&seed)
 			}
 			checkTranspose(t, width, elems)
 			for i := range elems {
@@ -228,7 +228,7 @@ func FuzzTranspose(f *testing.F) {
 		width := int(wc)%64 + 1
 		elems := make([]uint64, int(nc)+1)
 		for i := range elems {
-			elems[i] = splitmix64(&seed)
+			elems[i] = splitMix(&seed)
 			if clean {
 				elems[i] &= WidthMask(width)
 			}

@@ -61,9 +61,8 @@ type opSeries struct {
 	energy    *obs.Histogram
 }
 
-// opSeriesSet holds one opSeries per op kind — the per-op accounting
-// surface shared by the Accelerator and the Shard router (which accounts
-// scattered operations centrally, in its own registry).
+// opSeriesSet holds one opSeries per op kind: an accelerator's per-op
+// accounting surface.
 type opSeriesSet [engine.OpCOPY + 1]opSeries
 
 // init resolves the series in m under the canonical acc.op.* names.
@@ -83,8 +82,8 @@ func (set *opSeriesSet) init(m *obs.Registry) {
 }
 
 // record folds one operation component's modeled cost into the per-op
-// metric series (called wherever session totals are updated, so the
-// single-module and sharded paths account identically).
+// metric series (called wherever Op and Reduce update the session
+// totals).
 func (set *opSeriesSet) record(op engine.Op, st Stats) {
 	s := &set[op]
 	s.count.Inc()
@@ -100,7 +99,7 @@ func (set *opSeriesSet) record(op engine.Op, st Stats) {
 func (a *Accelerator) initObs() {
 	a.obsc = obs.NewContext()
 	m := a.obsc.Metrics
-	a.acct.series.init(m)
+	a.series.init(m)
 	a.lockAcquire = m.Counter("acc.lock.acquire")
 	a.lockContended = m.Counter("acc.lock.contended")
 	a.fastHits = m.Counter("acc.fastpath.hit")
@@ -112,40 +111,28 @@ func (a *Accelerator) initObs() {
 	}
 }
 
-// opSpan emits the facade-level span of one completed operation when
-// tracing is on (startNS != 0 is SpanStart's signal).
-func (a *Accelerator) opSpan(startNS int64, op engine.Op, stripes int, st Stats, err error) {
+// callSpan emits the facade-level span of one completed Op or Reduce
+// call when tracing is on (startNS != 0 is SpanStart's signal), so the
+// span label is built only on the traced path.
+func (a *Accelerator) callSpan(startNS int64, reduce bool, op engine.Op, stripes int, st Stats, err error) {
 	if startNS == 0 {
 		return
 	}
-	callSpan(a.obsc, "facade", a.eng.Name(), startNS, a.acct.series[op].spanName, op, stripes, st, err)
-}
-
-// reduceSpan emits the facade-level span of one Reduce call when tracing
-// is on.
-func (a *Accelerator) reduceSpan(startNS int64, op engine.Op, stripes int, st Stats, err error) {
-	if startNS == 0 {
-		return
+	name := a.series[op].spanName
+	if reduce {
+		name = "Reduce(" + op.String() + ")"
 	}
-	callSpan(a.obsc, "facade", a.eng.Name(), startNS, "Reduce("+op.String()+")", op, stripes, st, err)
-}
-
-// callSpan emits the span of one completed Op or Reduce call into ctx,
-// under category cat — "facade" for an Accelerator, "shard" for a Shard
-// router. Callers run it only when tracing is on, so the design name and
-// the span label are built only on the traced path.
-func callSpan(ctx *obs.Context, cat, design string, startNS int64, name string, op engine.Op, stripes int, st Stats, err error) {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
-	ctx.Span(obs.SpanEvent{
+	a.obsc.Span(obs.SpanEvent{
 		Name:      name,
-		Cat:       cat,
+		Cat:       "facade",
 		StartNS:   startNS,
 		DurNS:     time.Now().UnixNano() - startNS,
 		Op:        op.String(),
-		Design:    design,
+		Design:    a.eng.Name(),
 		Stripes:   stripes,
 		LatencyNS: st.LatencyNS,
 		EnergyNJ:  st.EnergyNJ,

@@ -177,10 +177,10 @@ func TestRecordAllocatesNothing(t *testing.T) {
 		acc := newAcc(t, mut)
 		st := Stats{LatencyNS: 100, EnergyNJ: 5, RowOps: 1, Commands: 3, Wordlines: 5}
 		allocs := testing.AllocsPerRun(1000, func() {
-			acc.acct.series.record(OpAnd.internal(), st)
-			acc.opSpan(0, OpAnd.internal(), 1, st, nil)
+			acc.series.record(OpAnd.internal(), st)
+			acc.callSpan(0, false, OpAnd.internal(), 1, st, nil)
 			acc.stripeSpan(0, 0, nil)
-			acc.reduceSpan(0, OpAnd.internal(), 1, st, nil)
+			acc.callSpan(0, true, OpAnd.internal(), 1, st, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: metrics/span path with tracing off allocates %.1f/op, want 0", acc.Design(), allocs)

@@ -16,8 +16,8 @@
 #                    write-path coalescer (flusher, write-error latch,
 #                    drain-time flushing), the kernel-derivation
 #                    cache, the facade's fast-path/fallback concurrency
-#                    tests, the shard router + sharded differential
-#                    suite, the vertical-arith suites, and three
+#                    tests, the shard deployment tests + differential
+#                    suites, the vertical-arith suites, and three
 #                    iterations each of the multi-block arith
 #                    differential and the facade's forking-dispatcher
 #                    tests (concurrent ops + totals, lowest-stripe
@@ -148,8 +148,8 @@ if ! go test -race -count=1 -run 'Shard|Differential' .; then
 fi
 
 # The vertical arithmetic suite under the race detector: ArithProg's
-# sharded scatter and the forked block-major walk run steps concurrently
-# over disjoint stripe subsets.
+# forked block-major walk runs steps concurrently over disjoint stripe
+# shares.
 if ! go test -race -count=1 -run 'Arith|Vertical' .; then
     fail=1
 fi

@@ -253,50 +253,6 @@ func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVec
 	return binds, out, n, nil
 }
 
-// arithPrep runs each step's eval validation (binding completeness and
-// the command-accurate row budget) against the shared bindings.
-func (a *Accelerator) arithPrep(p *vertical.Program, binds map[string]*BitVector) error {
-	for i := range p.Steps {
-		if _, err := a.evalPrep(p.Steps[i].Plan, binds); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// arithCost sums the per-step program costs — the same node-at-a-time
-// pricing every eval tier shares, so vertical arithmetic accounts
-// identically on fused, node-kernel, and command-accurate execution.
-func (a *Accelerator) arithCost(p *vertical.Program, stripes int) (Stats, error) {
-	var total Stats
-	for i := range p.Steps {
-		st, err := a.evalCost(p.Steps[i].Plan.Prog, stripes)
-		if err != nil {
-			return Stats{}, err
-		}
-		total.add(st)
-	}
-	return total, nil
-}
-
-// arithResolve resolves every step of the µProgram once, for one call
-// over the shared bindings.
-func (a *Accelerator) arithResolve(p *vertical.Program, binds map[string]*BitVector) *progRunner {
-	return a.resolveSteps(len(p.Steps), binds, func(i int) (*plan.Plan, *BitVector) {
-		st := &p.Steps[i]
-		return st.Plan, binds[st.Dst]
-	})
-}
-
-// arithExec executes the µProgram over the stripes in list (nil means
-// all) — the execution half of ArithProg, which a Shard scatters. The
-// program runs as one unit: its steps resolve once, one set of workers
-// forks, and each worker runs every step on one cache-resident block of
-// its stripes before moving to the next (see progRunner).
-func (a *Accelerator) arithExec(p *vertical.Program, binds map[string]*BitVector, stripes int, list []int) error {
-	return a.arithResolve(p, binds).exec(stripes, list)
-}
-
 // Arith executes a vertical arithmetic operation entirely in DRAM: the
 // operation is synthesized for x's width, every µProgram step runs as a
 // bulk bitwise operation over all elements at once, and the result comes
@@ -318,65 +274,40 @@ func (a *Accelerator) Arith(op ArithOp, x, y *Vertical, m *BitVector) (*Vertical
 // node-at-a-time kernels, or the command-accurate device model — with
 // bit-identical results and modeled cost on every tier.
 func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
+	p := ca.prog
 	binds, out, n, err := ca.binds(x, y, m)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	if err := a.arithPrep(ca.prog, binds); err != nil {
-		return nil, Stats{}, err
+	// Every step passes eval's validation: binding completeness and the
+	// command-accurate row budget.
+	for i := range p.Steps {
+		if _, err := a.evalPrep(p.Steps[i].Plan, binds); err != nil {
+			return nil, Stats{}, err
+		}
 	}
-	cols := a.cfg.Module.Columns
-	stripes := (n + cols - 1) / cols
-	if err := a.arithExec(ca.prog, binds, stripes, nil); err != nil {
-		return nil, Stats{}, err
-	}
-	total, err := a.arithCost(ca.prog, stripes)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	a.acct.add(total)
-	return out, total, nil
-}
-
-// Arith executes a vertical arithmetic operation scattered across the
-// shards (see Accelerator.Arith). Results and modeled cost are identical
-// to a single module of the same configuration.
-func (sh *Shard) Arith(op ArithOp, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
-	if x == nil {
-		return nil, Stats{}, fmt.Errorf("elp2im: %w: operand x is required", ErrBadArith)
-	}
-	ca, err := CompileArith(op, x.Width())
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return sh.ArithProg(ca, x, y, m)
-}
-
-// ArithProg executes a compiled vertical operation scattered across the
-// shards. Every shard runs the full step sequence over its own stripe
-// subset — step data flow is stripe-local, so shard-parallel execution
-// needs no cross-shard barriers.
-func (sh *Shard) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
-	ref := sh.ref()
-	binds, out, n, err := ca.binds(x, y, m)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if err := ref.arithPrep(ca.prog, binds); err != nil {
-		return nil, Stats{}, err
-	}
-	cols := sh.cfg.Module.Columns
-	stripes := (n + cols - 1) / cols
-	err = sh.scatter(stripes, func(i int, list []int) error {
-		return sh.accs[i].arithExec(ca.prog, binds, stripes, list)
+	// The program runs as one unit: its steps resolve once, one set of
+	// workers forks, and each worker runs every step on one
+	// cache-resident block of its stripes before moving to the next (see
+	// progRunner).
+	stripes := a.stripes(n)
+	pr := a.resolveSteps(len(p.Steps), binds, func(i int) (*plan.Plan, *BitVector) {
+		return p.Steps[i].Plan, binds[p.Steps[i].Dst]
 	})
-	if err != nil {
+	if err := pr.exec(stripes); err != nil {
 		return nil, Stats{}, err
 	}
-	total, err := ref.arithCost(ca.prog, stripes)
-	if err != nil {
-		return nil, Stats{}, err
+	// Each step is priced as its node-at-a-time program, the cost source
+	// every eval tier shares, so arithmetic accounts identically on every
+	// tier.
+	var total Stats
+	for i := range p.Steps {
+		st, err := a.evalCost(p.Steps[i].Plan.Prog, stripes)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		total.add(st)
 	}
-	sh.acct.add(total)
+	a.charge(total)
 	return out, total, nil
 }

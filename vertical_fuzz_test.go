@@ -6,9 +6,9 @@ import (
 	"repro/internal/vertical"
 )
 
-// splitmix64 is the fuzz operand PRNG: deterministic per seed, cheap,
+// splitMix is the fuzz operand PRNG: deterministic per seed, cheap,
 // and independent of math/rand's stream evolution.
-func splitmix64(s *uint64) uint64 {
+func splitMix(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -18,8 +18,8 @@ func splitmix64(s *uint64) uint64 {
 
 // FuzzVerticalArith is the vertical-arithmetic differential fuzz target:
 // random (op, width, length, operands) executed on all three engine
-// designs at 1 and 4 shards, each result compared bit-for-bit against
-// the host uint64 reference.
+// designs, each result compared bit-for-bit against the host uint64
+// reference.
 func FuzzVerticalArith(f *testing.F) {
 	f.Add(uint8(0), uint8(8), uint16(130), uint64(1))  // add
 	f.Add(uint8(1), uint8(13), uint16(65), uint64(2))  // sub, ragged
@@ -39,12 +39,12 @@ func FuzzVerticalArith(f *testing.F) {
 		x := make([]uint64, n)
 		y := make([]uint64, n)
 		for i := range x {
-			x[i] = splitmix64(&s)
-			y[i] = splitmix64(&s)
+			x[i] = splitMix(&s)
+			y[i] = splitMix(&s)
 		}
 		m := NewBitVector(n)
 		for i := 0; i < n; i++ {
-			m.SetBit(i, splitmix64(&s)&1 != 0)
+			m.SetBit(i, splitMix(&s)&1 != 0)
 		}
 		want := vertical.Reference(op.internalV(), w, x, y, m.Words())
 
@@ -67,36 +67,16 @@ func FuzzVerticalArith(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		var first Stats
-		for di, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
-			design := func(c *Config) { c.Design = d }
-			acc := newAcc(t, smallModule, design)
-			sh, err := NewShard(4, smallModule, design)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out1, st1, err := acc.ArithProg(ca, xv, yv, mask)
+		for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
+			acc := newAcc(t, smallModule, func(c *Config) { c.Design = d })
+			out, _, err := acc.ArithProg(ca, xv, yv, mask)
 			if err != nil {
 				t.Fatalf("%s %s/%d: %v", d, op, w, err)
 			}
-			out4, st4, err := sh.ArithProg(ca, xv, yv, mask)
-			if err != nil {
-				t.Fatalf("%s shard4 %s/%d: %v", d, op, w, err)
-			}
-			if st1 != st4 {
-				t.Fatalf("%s %s/%d: shard stats %+v != single %+v", d, op, w, st4, st1)
-			}
-			if di == 0 {
-				first = st1
-			}
-			_ = first
-			for tag, out := range map[string]*Vertical{"1": out1, "4": out4} {
-				got := out.Elements()
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s shards=%s %s/%d element %d: %#x, want %#x",
-							d, tag, op, w, i, got[i], want[i])
-					}
+			got := out.Elements()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s %s/%d element %d: %#x, want %#x", d, op, w, i, got[i], want[i])
 				}
 			}
 		}

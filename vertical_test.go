@@ -139,8 +139,8 @@ func newArithInput(t *testing.T, rng *rand.Rand, tc arithCase, n int) arithInput
 
 // TestArithMatchesReference is the facade's differential harness: every
 // op, all three designs, both module geometries, every dispatch tier
-// (fused, node-kernel, command-accurate), sharded 1/4 — bit-identical
-// elements and struct-equal Stats throughout.
+// (fused, node-kernel, command-accurate) — bit-identical elements and
+// struct-equal Stats throughout.
 func TestArithMatchesReference(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	rng := rand.New(rand.NewSource(17))
@@ -150,10 +150,6 @@ func TestArithMatchesReference(t *testing.T) {
 			acc := newAcc(t, mod, design)
 			noFusion := newAcc(t, mod, design, func(c *Config) { c.DisableFusion = true })
 			noFast := newAcc(t, mod, design, func(c *Config) { c.DisableFastpath = true })
-			sh4, err := NewShard(4, mod, design)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, tc := range arithCases() {
 				in := newArithInput(t, rng, tc, 150+rng.Intn(150))
 				xv, yv, mask := in.xv, in.yv, in.mask
@@ -182,8 +178,6 @@ func TestArithMatchesReference(t *testing.T) {
 				run("node", out, st, err)
 				out, st, err = noFast.ArithProg(ca, xv, yv, mask)
 				run("cmd", out, st, err)
-				out, st, err = sh4.ArithProg(ca, xv, yv, mask)
-				run("shard4", out, st, err)
 
 				for _, r := range results {
 					tag := r.tag + "/" + d.String() + "/" + tc.op.String()
@@ -209,11 +203,10 @@ const multiBlockElems = 9*65536 + 77
 // TestArithMatchesReferenceMultiBlock is TestArithMatchesReference at a
 // size where the block-major walk crosses block boundaries, ends in a
 // ragged block, and runs on more than one worker: fused and node tiers,
-// 1 and 4 shards, every result checked against the host reference with
-// struct-equal Stats. Block boundaries and
-// worker splits do not depend on the design, so the default design
-// suffices; the command-accurate tier and the other designs are covered
-// by the small cases.
+// every result checked against the host reference with struct-equal
+// Stats. Block boundaries and worker splits do not depend on the design,
+// so the default design suffices; the command-accurate tier and the
+// other designs are covered by the small cases.
 func TestArithMatchesReferenceMultiBlock(t *testing.T) {
 	if words := (multiBlockElems + 63) / 64; words <= fastSerialThresholdWords || words%fusedChunkWords == 0 {
 		t.Fatal("multiBlockElems no longer crosses the serial threshold into a ragged block")
@@ -227,15 +220,8 @@ func TestArithMatchesReferenceMultiBlock(t *testing.T) {
 		name    string
 		disable bool
 	}{{"fused", false}, {"node", true}} {
-		noFusion := func(c *Config) { c.DisableFusion = tier.disable }
-		acc := newAcc(t, smallModule, noFusion)
-		sh4, err := NewShard(4, smallModule, noFusion)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners,
-			runner{tier.name + "/1", acc.ArithProg},
-			runner{tier.name + "/4", sh4.ArithProg})
+		acc := newAcc(t, smallModule, func(c *Config) { c.DisableFusion = tier.disable })
+		runners = append(runners, runner{tier.name, acc.ArithProg})
 	}
 	rng := rand.New(rand.NewSource(23))
 	// The carry chain, a signed compare, the longest program, and the
