@@ -535,7 +535,9 @@ func BenchmarkPipelinePerCallCached(b *testing.B) {
 // evalBenchExpr builds a complete binary gate tree of the given depth
 // over variables a–h. Leaves cycle through the eight variables and the
 // operator cycles &, |, ^ per gate in post order, so sibling subtrees
-// are structurally distinct and CSE cannot collapse the tree.
+// are structurally distinct up to depth 4 (15 gates); deeper trees
+// repeat subtrees, which CSE shares (depth 5 compiles to 16 gates,
+// depth 6 to 26).
 func evalBenchExpr(depth int) string {
 	leaf, gate := 0, 0
 	ops := []string{"&", "|", "^"}
@@ -554,21 +556,12 @@ func evalBenchExpr(depth int) string {
 	return build(depth)
 }
 
-// BenchmarkEvalDAG sweeps expression-DAG depth (a depth-d tree has 2^d-1
-// gates) through the two word-level execution tiers: fused cluster
-// kernels (default) vs node-at-a-time kernels (DisableFusion). The fused
-// tier's win is memory traffic — one blockwise pass per plan cluster
-// instead of one full-vector pass per gate — so the speedup grows with
-// gates-per-cluster. bench.sh part 5 turns this sweep into
-// BENCH_eval.json.
+// BenchmarkEvalDAG sweeps expression-DAG depth (a depth-d tree has up to
+// 2^d-1 gates) through the fused tier, reporting each depth's passes per block
+// beside its ns/op: the word loops are bound by memory traffic, so the
+// time tracks the pass count, not the gate count. bench.sh part 5 turns
+// this sweep into BENCH_eval.json.
 func BenchmarkEvalDAG(b *testing.B) {
-	tiers := []struct {
-		name   string
-		mutate []func(*Config)
-	}{
-		{"fused", nil},
-		{"nodekernel", []func(*Config){func(c *Config) { c.DisableFusion = true }}},
-	}
 	for _, depth := range []int{1, 2, 3, 4, 5, 6} {
 		src := evalBenchExpr(depth)
 		ce, err := CompileExpr(src)
@@ -581,20 +574,23 @@ func BenchmarkEvalDAG(b *testing.B) {
 		for _, name := range ce.Vars() {
 			vars[name] = RandomBitVector(rng, n)
 		}
-		for _, tier := range tiers {
-			b.Run(fmt.Sprintf("depth%d/%s", depth, tier.name), func(b *testing.B) {
-				acc, err := New(tier.mutate...)
-				if err != nil {
+		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
+			acc, err := New()
+			if err != nil {
+				b.Fatal(err)
+			}
+			passes, err := planPasses(acc, ce.plan)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(n / 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := acc.EvalExpr(ce, vars); err != nil {
 					b.Fatal(err)
 				}
-				b.SetBytes(n / 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := acc.EvalExpr(ce, vars); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+			b.ReportMetric(float64(passes), "passes")
+		})
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestRunRejectsUnknownFlags: a flag elpd does not define, such as
-// -wire-nocoalesce or -disable-fusion (a library and elpload knob, not a
-// daemon flag), fails at parse time, before any listener starts.
+// TestRunRejectsUnknownFlags: a flag elpd does not define, such as the
+// removed knobs -wire-nocoalesce and -disable-fusion, fails at parse
+// time, before any listener starts.
 func TestRunRejectsUnknownFlags(t *testing.T) {
 	for _, flag := range []string{"-wire-nocoalesce", "-disable-fusion"} {
 		err := run([]string{flag})

@@ -22,9 +22,6 @@
 //	                     KindQuery) with Zipfian index popularity and a mixed
 //	                     count/positions/bits result-mode draw, verifying
 //	                     responses bit-for-bit against a host-side oracle
-//	  -disable-fusion    self mode: spawn the server with expression-DAG
-//	                     fusion off (node-at-a-time kernels), the knob
-//	                     scripts/bench.sh flips for BENCH_query.json
 //	  -clients int       concurrent clients (default 64)
 //	  -duration duration load duration (default 2s)
 //	  -qps float         total offered open-loop rate; 0 = closed loop
@@ -83,20 +80,19 @@ func main() {
 
 // options are the parsed flags.
 type options struct {
-	addr          string
-	wireMode      bool
-	queryMode     bool
-	disableFusion bool
-	clients       int
-	wireConns     int
-	duration      time.Duration
-	qps           float64
-	bits          int
-	mix           []mixEntry
-	timeout       time.Duration
-	verifyEvery   int
-	seed          int64
-	shards        int
+	addr        string
+	wireMode    bool
+	queryMode   bool
+	clients     int
+	wireConns   int
+	duration    time.Duration
+	qps         float64
+	bits        int
+	mix         []mixEntry
+	timeout     time.Duration
+	verifyEvery int
+	seed        int64
+	shards      int
 }
 
 // wirePoolSize is the effective shared-connection count for wire mode:
@@ -272,7 +268,6 @@ func run(args []string, out io.Writer) error {
 	addr := fs.String("addr", "", "target elpd address (empty: in-process server)")
 	wireMode := fs.Bool("wire", false, "speak the elpwire binary protocol instead of HTTP/JSON")
 	queryMode := fs.Bool("query", false, "drive the bitmap-index query workload instead of the op mix")
-	disableFusion := fs.Bool("disable-fusion", false, "self mode: spawn the server with expression-DAG fusion disabled")
 	clients := fs.Int("clients", 64, "concurrent clients")
 	conns := fs.Int("conns", 0, "wire mode: multiplexed connections shared by all clients (0 = ceil(clients/16), the server's per-connection worker width; ignored for HTTP)")
 	duration := fs.Duration("duration", 2*time.Second, "load duration")
@@ -291,7 +286,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	opt := options{
-		addr: *addr, wireMode: *wireMode, queryMode: *queryMode, disableFusion: *disableFusion,
+		addr: *addr, wireMode: *wireMode, queryMode: *queryMode,
 		clients: *clients, wireConns: *conns,
 		duration: *duration,
 		qps:      *qps, bits: *bits, mix: mix, timeout: *timeout, verifyEvery: *verifyEvery,
@@ -356,17 +351,14 @@ func run(args []string, out io.Writer) error {
 // -shards > 1.
 func spawnServer(opt options) (*server.Server, net.Listener, error) {
 	cfg := server.Config{RequestTimeout: opt.timeout}
-	mutate := func(c *elp2im.Config) {
-		c.DisableFusion = opt.disableFusion
-	}
 	if opt.shards > 1 {
-		sh, err := elp2im.NewShard(opt.shards, mutate)
+		sh, err := elp2im.NewShard(opt.shards)
 		if err != nil {
 			return nil, nil, err
 		}
 		cfg.Shard = sh
 	} else {
-		acc, err := elp2im.New(mutate)
+		acc, err := elp2im.New()
 		if err != nil {
 			return nil, nil, err
 		}

@@ -17,7 +17,6 @@ func fromFile(f config.File) (Config, error) {
 		ReservedRows:       f.ReservedRows,
 		HighThroughputMode: f.HighThroughputMode,
 		DisableFastpath:    f.DisableFastpath,
-		DisableFusion:      f.DisableFusion,
 	}
 	switch f.Design {
 	case "elp2im":

@@ -187,21 +187,15 @@ type Config struct {
 	// memoization win (scripts/bench.sh); cached results are bit-identical
 	// to fresh ones.
 	DisableSchedCache bool
-	// DisableFastpath turns off the compiled word-level kernel fast path,
-	// forcing every stripe through the command-accurate device model the
-	// way the pre-kernel code did. Kernels are self-derived from the
-	// device model (see internal/kernel), so results and modeled costs are
-	// bit-identical either way; the knob exists for benchmarking the
-	// compiled-execution win and for differential testing.
+	// DisableFastpath turns off the compiled word-level kernels — Op and
+	// Reduce's 2-input kernels, and the fused cluster kernels of Eval and
+	// Arith — forcing every stripe through the command-accurate device
+	// model the way the pre-kernel code did. It is the only tier switch.
+	// Kernels are self-derived from the device model (see internal/kernel),
+	// so results and modeled costs are bit-identical either way; the knob
+	// exists for benchmarking the compiled-execution win and for
+	// differential testing.
 	DisableFastpath bool
-	// DisableFusion turns off expression-DAG fusion, forcing Eval through
-	// the node-at-a-time kernel path (one derived kernel per gate) instead
-	// of one fused k-input kernel per plan cluster (see internal/plan).
-	// Fused kernels are self-derived from the same device model, so
-	// results and modeled costs are bit-identical either way; the knob
-	// exists for benchmarking the fusion win and for differential testing.
-	// DisableFastpath implies it.
-	DisableFusion bool
 }
 
 // DefaultConfig returns ELP2IM on a DDR3-1600 module with 8 banks.

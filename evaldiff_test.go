@@ -2,10 +2,9 @@ package elp2im
 
 // Eval differential suite: every expression in the corpus (and every
 // random DAG the fuzzer draws) must produce bit-identical vectors and
-// struct-equal Stats across the three execution tiers — fused cluster
-// kernels, node-at-a-time kernels (DisableFusion), and the
-// command-accurate device model (DisableFastpath) — on every design,
-// all checked against the host parse-tree oracle.
+// struct-equal Stats across the two execution tiers — fused cluster
+// kernels and the command-accurate device model (DisableFastpath) — on
+// every design, all checked against the host parse-tree oracle.
 
 import (
 	"fmt"
@@ -65,10 +64,10 @@ func evalOracleVars(t *testing.T, rng *rand.Rand, src string, n int) (map[string
 	return vars, want
 }
 
-// TestDifferentialEval pins the three-tier equivalence: for every design
+// TestDifferentialEval pins the two-tier equivalence: for every design
 // and every corpus expression over word-aligned and ragged lengths, the
-// fused, node-kernel, and command-accurate tiers return bit-identical
-// vectors and struct-equal Stats.
+// fused and command-accurate tiers return bit-identical vectors and
+// struct-equal Stats.
 func TestDifferentialEval(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	tiers := []struct {
@@ -76,7 +75,6 @@ func TestDifferentialEval(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"fused", func(*Config) {}},
-		{"nodekernel", func(c *Config) { c.DisableFusion = true }},
 		{"cmdaccurate", func(c *Config) { c.DisableFastpath = true }},
 	}
 	for _, d := range designs {
@@ -131,11 +129,11 @@ func randDAGExpr(rng *rand.Rand, depth int) string {
 }
 
 // fuzzAccs lazily builds the fuzzer's accelerator pair (fused and
-// fusion-disabled) once per process.
+// command-accurate) once per process.
 var fuzzAccs struct {
 	once     sync.Once
 	fused    *Accelerator
-	unfused  *Accelerator
+	cmd      *Accelerator
 	buildErr error
 }
 
@@ -145,16 +143,16 @@ func fuzzAccPair() (*Accelerator, *Accelerator, error) {
 		if fuzzAccs.buildErr != nil {
 			return
 		}
-		fuzzAccs.unfused, fuzzAccs.buildErr = New(evalDiffModule,
-			func(c *Config) { c.DisableFusion = true })
+		fuzzAccs.cmd, fuzzAccs.buildErr = New(evalDiffModule,
+			func(c *Config) { c.DisableFastpath = true })
 	})
-	return fuzzAccs.fused, fuzzAccs.unfused, fuzzAccs.buildErr
+	return fuzzAccs.fused, fuzzAccs.cmd, fuzzAccs.buildErr
 }
 
 // FuzzEvalDAG generates random expression DAGs (depth ≤ 6 over eight
 // variables) and checks the fused tier bit-for-bit against both the
-// node-kernel tier and the host parse-tree oracle, with struct-equal
-// Stats.
+// command-accurate tier and the host parse-tree oracle, with
+// struct-equal Stats.
 func FuzzEvalDAG(f *testing.F) {
 	f.Add(int64(1), byte(3), uint16(200))
 	f.Add(int64(2), byte(6), uint16(401))
@@ -162,7 +160,7 @@ func FuzzEvalDAG(f *testing.F) {
 	f.Add(int64(11), byte(5), uint16(300))
 	f.Add(int64(23), byte(4), uint16(128))
 	f.Fuzz(func(t *testing.T, seed int64, depth byte, bits uint16) {
-		fused, unfused, err := fuzzAccPair()
+		fused, cmd, err := fuzzAccPair()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,15 +181,15 @@ func FuzzEvalDAG(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fused eval %q: %v", src, err)
 		}
-		uout, ust, err := unfused.Eval(src, vars)
+		cout, cst, err := cmd.Eval(src, vars)
 		if err != nil {
-			t.Fatalf("unfused eval %q: %v", src, err)
+			t.Fatalf("command-accurate eval %q: %v", src, err)
 		}
-		if !fout.Equal(uout) {
-			t.Fatalf("fused and node-kernel tiers diverge on %q (n=%d)", src, n)
+		if !fout.Equal(cout) {
+			t.Fatalf("fused and command-accurate tiers diverge on %q (n=%d)", src, n)
 		}
-		if fst != ust {
-			t.Fatalf("%q: fused stats %+v != node-kernel stats %+v", src, fst, ust)
+		if fst != cst {
+			t.Fatalf("%q: fused stats %+v != command-accurate stats %+v", src, fst, cst)
 		}
 		env := map[string]bool{}
 		for i := 0; i < n; i++ {

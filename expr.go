@@ -79,10 +79,9 @@ func (a *Accelerator) Eval(src string, vars map[string]*BitVector) (*BitVector, 
 }
 
 // EvalExpr evaluates a compiled expression over named bulk bit-vectors
-// (see Eval). Execution picks the best available tier per call — fused
-// cluster kernels, node-at-a-time kernels, or the command-accurate
-// device model — with bit-identical results and modeled cost on every
-// tier.
+// (see Eval). Execution picks the tier per call — fused cluster kernels,
+// or the command-accurate device model — with bit-identical results and
+// modeled cost on both.
 func (a *Accelerator) EvalExpr(ce *CompiledExpr, vars map[string]*BitVector) (*BitVector, Stats, error) {
 	n, err := a.evalPrep(ce.plan, vars)
 	if err != nil {
@@ -112,8 +111,9 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector,
 	}
 
 	// Cost: per-stripe program cost, bank parallelism applied per op mix.
-	// The node-at-a-time program is the single cost source for every
-	// execution tier, so fused and unfused runs account identically.
+	// The node-at-a-time program is the single cost source for both
+	// execution tiers, so fused and command-accurate runs account
+	// identically.
 	total, err := a.evalCost(p.Prog, stripes)
 	if err != nil {
 		return Stats{}, err
@@ -142,7 +142,7 @@ func (a *Accelerator) evalOut(p *plan.Plan, vars map[string]*BitVector, out *Bit
 
 // evalPrep validates that every plan variable is bound to a vector of one
 // common length and checks the subarray row budget of the
-// command-accurate fallback. It returns the common length.
+// command-accurate tier (rowDemand). It returns the common length.
 func (a *Accelerator) evalPrep(p *plan.Plan, vars map[string]*BitVector) (int, error) {
 	n := -1
 	for _, name := range p.Vars {
@@ -160,34 +160,31 @@ func (a *Accelerator) evalPrep(p *plan.Plan, vars map[string]*BitVector) (int, e
 		return 0, errors.New("elp2im: expression has no variables")
 	}
 
-	prog := p.Prog
-	needRows := len(prog.Vars) + prog.TempSlots
-	// Engines that consume XOR/XNOR's A row (ELP2IM two-buffer) make the
-	// command-accurate path re-stage live operands through one extra row.
-	if oc, ok := a.eng.(engine.OperandConsumer); ok {
-		for _, in := range prog.Instrs {
-			if oc.ConsumesOperandA(in.Op) {
-				needRows++
-				break
-			}
-		}
-	}
-	if needRows > a.cfg.Module.RowsPerSubarray {
+	if need := a.rowDemand(p.Prog); need > a.cfg.Module.RowsPerSubarray {
 		return 0, fmt.Errorf("elp2im: expression needs %d rows per subarray, module has %d",
-			needRows, a.cfg.Module.RowsPerSubarray)
+			need, a.cfg.Module.RowsPerSubarray)
 	}
 	return n, nil
 }
 
-// ExprRowDemand reports the subarray row demand of a compiled
-// expression's command-accurate fallback against this accelerator's
-// module: need is the variable count plus the compiled temp slots (plus
-// one when the engine consumes operand rows), have is the module's rows
-// per subarray. Serving layers use it to refuse over-deep predicates
-// with a client error instead of a mid-execution fault.
-func (a *Accelerator) ExprRowDemand(ce *CompiledExpr) (need, have int) {
-	prog := ce.plan.Prog
-	need = len(prog.Vars) + prog.TempSlots
+// rowReserver is implemented by engines whose functional executor keeps
+// rows of the data region for itself (Ambit's B-group, DRISA-NOR's
+// scratch rows): top rows at the top of the region that operands must
+// not occupy, and the fewest data rows the executor accepts.
+type rowReserver interface {
+	ReservedDataRows() (top, minRows int)
+}
+
+// rowDemand is the subarray row demand of prog's command-accurate
+// execution on this accelerator's engine: a row per variable and per
+// temp slot; one staging row when the engine consumes XOR/XNOR's A row
+// (engine.OperandConsumer — ELP2IM's two-buffer sequences), through which
+// the program re-stages live operands; and the rows the engine keeps at
+// the top of the data region for itself (rowReserver), with at least the
+// engine's minimum subarray size. Every tier checks it, so an eval that
+// runs fused would also run command-accurate.
+func (a *Accelerator) rowDemand(prog *expr.Program) int {
+	need := len(prog.Vars) + prog.TempSlots
 	if oc, ok := a.eng.(engine.OperandConsumer); ok {
 		for _, in := range prog.Instrs {
 			if oc.ConsumesOperandA(in.Op) {
@@ -196,15 +193,32 @@ func (a *Accelerator) ExprRowDemand(ce *CompiledExpr) (need, have int) {
 			}
 		}
 	}
-	return need, a.cfg.Module.RowsPerSubarray
+	if rr, ok := a.eng.(rowReserver); ok {
+		top, minRows := rr.ReservedDataRows()
+		need = max(need+top, minRows)
+	}
+	return need
+}
+
+// ExprRowDemand reports the subarray row demand of a compiled
+// expression's command-accurate execution against this accelerator's
+// module: need counts the rows the program's variables, temps and
+// operand staging take plus the rows the engine reserves for itself (see
+// rowDemand), have is the module's rows per subarray. Eval refuses an
+// expression with need > have on every tier; serving layers use the
+// pair to refuse over-deep predicates with a client error before
+// admission.
+func (a *Accelerator) ExprRowDemand(ce *CompiledExpr) (need, have int) {
+	return a.rowDemand(ce.plan.Prog), a.cfg.Module.RowsPerSubarray
 }
 
 // FusionCounters reports the accelerator's eval-tier resolution counts:
-// hits is the number of eval operations that ran on the fused-kernel
-// tier, fallbacks the number that fell back to node-at-a-time kernels or
-// the command-accurate model. The pair is the serving layer's visibility
-// into whether predicates compiled through the plan IR actually execute
-// fused.
+// hits is the number of eval and µProgram steps that ran on the
+// fused-kernel tier, fallbacks the number that ran on the
+// command-accurate model instead (DisableFastpath, a wrapped executor,
+// a geometry that is not word-aligned, or a cluster whose kernel did not
+// derive). The pair is the serving layer's visibility into whether
+// predicates compiled through the plan IR actually execute fused.
 func (a *Accelerator) FusionCounters() (hits, fallbacks int64) {
 	return a.fusionHits.Value(), a.fusionFalls.Value()
 }
@@ -229,7 +243,6 @@ type evalTier uint8
 // The eval tiers, in descending preference.
 const (
 	tierFused evalTier = iota
-	tierNode
 	tierCmd
 )
 
@@ -240,9 +253,7 @@ const (
 //
 //  1. fusion tier: one derived k-input kernel per plan cluster, with the
 //     cluster outputs in the walking worker's scratch;
-//  2. node-kernel tier: one derived kernel per program instruction, with
-//     the temp slots in the worker's scratch — the pre-fusion fast path;
-//  3. command-accurate tier: the node-at-a-time program executed through
+//  2. command-accurate tier: the node-at-a-time program executed through
 //     the device model's real command sequences, stripe by stripe.
 //
 // A runner is read-only once resolved. Every intermediate lives in the
@@ -255,10 +266,9 @@ type evalRunner struct {
 	out  *bitvec.Vector
 	tier evalTier
 
-	fused []*kernel.Fused  // fusion tier, one per cluster
-	kerns []*kernel.Kernel // node-kernel tier, one per instruction
-	ex    Executor         // command tier
-	rows  []int            // command tier: variable i's row, i
+	fused []*kernel.Fused // fusion tier, one per cluster
+	ex    Executor        // command tier
+	rows  []int           // command tier: variable i's row, i
 }
 
 // progRunner is one call's resolved step list — a single eval is one
@@ -273,11 +283,11 @@ type evalRunner struct {
 type progRunner struct {
 	a       *Accelerator
 	steps   []evalRunner
-	scratch int  // scratch words per worker: the widest word-tier step's
+	scratch int  // scratch words per worker: the widest fused step's
 	cmd     bool // some step runs on the command-accurate tier
 }
 
-// fusedChunkWords is the block size of the word tiers: 8 KiB per vector
+// fusedChunkWords is the block size of the fused tier: 8 KiB per vector
 // view and per scratch slot keeps a block's step outputs and
 // intermediates L1/L2-resident while still amortizing per-kernel setup
 // over a thousand words.
@@ -289,22 +299,22 @@ func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out 
 }
 
 // resolveSteps resolves a call of n steps over one binding set — step(i)
-// returns step i's plan and destination — and picks each step's tier. It
-// counts one fusion and one fastpath hit/fallback per step, as resolving
-// each step alone would; like Op and Reduce, it reads the executor once,
-// so SetExecutor takes effect for calls started after it. The
-// runners, bound-vector lists and kernel lists of all steps share one
-// allocation each.
+// returns step i's plan and destination — and picks each step's tier:
+// fused when the fast path is on (no DisableFastpath, no wrapped
+// executor, word-aligned rows) and every cluster's kernel derives, else
+// command-accurate. It counts one fusion hit, or one fusion and one
+// fastpath fallback, per step, as resolving each step alone would; like
+// Op and Reduce, it reads the executor once, so SetExecutor takes effect
+// for calls started after it. The runners, bound-vector lists and kernel
+// lists of all steps share one allocation each.
 func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(i int) (*plan.Plan, *BitVector)) *progRunner {
 	ex, wrapped := a.executor()
-	wordOK := !wrapped && !a.cfg.DisableFastpath && a.cfg.Module.Columns%64 == 0
-	fuse := wordOK && !a.cfg.DisableFusion
-	nVars, nClusters, nInstrs, maxVars := 0, 0, 0, 0
+	fuse := !wrapped && !a.cfg.DisableFastpath && a.cfg.Module.Columns%64 == 0
+	nVars, nClusters, maxVars := 0, 0, 0
 	for i := 0; i < n; i++ {
 		p, _ := step(i)
 		nVars += len(p.Vars)
 		nClusters += len(p.Clusters)
-		nInstrs += len(p.Prog.Instrs)
 		maxVars = max(maxVars, len(p.Vars))
 	}
 	pr := &progRunner{a: a, steps: make([]evalRunner, n)}
@@ -313,7 +323,6 @@ func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(
 	if fuse {
 		fused = make([]*kernel.Fused, nClusters)
 	}
-	var kerns []*kernel.Kernel
 	var rows []int
 	for i := range pr.steps {
 		p, out := step(i)
@@ -334,19 +343,6 @@ func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(
 			}
 		}
 		a.fusionFalls.Inc()
-
-		if wordOK {
-			if kerns == nil {
-				kerns = make([]*kernel.Kernel, nInstrs)
-			}
-			ks := kerns[:len(p.Prog.Instrs):len(p.Prog.Instrs)]
-			if a.nodeKernels(p.Prog, ks, wrapped) {
-				a.fastHits.Inc()
-				r.tier, r.kerns, kerns = tierNode, ks, kerns[len(ks):]
-				pr.scratch = max(pr.scratch, p.Prog.TempSlots*fusedChunkWords)
-				continue
-			}
-		}
 		a.fastFallbacks.Inc()
 
 		if rows == nil {
@@ -374,31 +370,15 @@ func (a *Accelerator) fusedKernels(p *plan.Plan, fs []*kernel.Fused) bool {
 	return true
 }
 
-// nodeKernels resolves one kernel per instruction of prog into ks,
-// reporting whether every instruction's kernel derived.
-func (a *Accelerator) nodeKernels(prog *expr.Program, ks []*kernel.Kernel, wrapped bool) bool {
-	for i := range prog.Instrs {
-		if ks[i] = a.fastKernel(prog.Instrs[i].Op, wrapped); ks[i] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// words runs a word-tier step over words [lo, hi) of its vectors (cut at
+// words runs a fused step over words [lo, hi) of its vectors (cut at
 // their length), fusedChunkWords at a time, with the worker's scratch scr
-// holding the cluster slots or temp slots. The destination's canonical
-// tail is re-masked when the range reaches its final word.
+// holding the cluster slots. The destination's canonical tail is
+// re-masked when the range reaches its final word.
 func (r *evalRunner) words(scr []uint64, lo, hi int) {
 	ow := r.out.Words()
 	hi = min(hi, len(ow))
 	for base := lo; base < hi; base += fusedChunkWords {
-		n := min(hi-base, fusedChunkWords)
-		if r.tier == tierFused {
-			r.fusedChunk(scr, base, n)
-		} else {
-			r.nodeChunk(scr, base, n)
-		}
+		r.fusedChunk(scr, base, min(hi-base, fusedChunkWords))
 	}
 	if lo < hi && hi == len(ow) {
 		r.out.MaskTail()
@@ -407,9 +387,7 @@ func (r *evalRunner) words(scr []uint64, lo, hi int) {
 
 // fusedChunk runs the cluster chain over the n words at base: every
 // inter-cluster value stays in the chunk-sized scratch slots, and only
-// variable reads and the final result touch the vectors. That traffic
-// reduction — not instruction count, which matches the node-at-a-time
-// program — is the fused tier's speedup.
+// variable reads and the final result touch the vectors.
 func (r *evalRunner) fusedChunk(scr []uint64, base, n int) {
 	p := r.p
 	view := func(ref plan.Ref) []uint64 {
@@ -441,27 +419,6 @@ func (r *evalRunner) fusedChunk(scr []uint64, base, n int) {
 	}
 }
 
-// nodeChunk runs the node-at-a-time program over the n words at base,
-// one kernel per instruction, with the temp slots in scratch.
-func (r *evalRunner) nodeChunk(scr []uint64, base, n int) {
-	prog := r.p.Prog
-	view := func(ref expr.Ref) []uint64 {
-		if ref.Temp {
-			off := ref.Index * fusedChunkWords
-			return scr[off : off+n]
-		}
-		return r.vars[ref.Index].Words()[base : base+n]
-	}
-	for i, in := range prog.Instrs {
-		var bw []uint64
-		if !in.Op.Unary() {
-			bw = view(in.B)
-		}
-		r.kerns[i].Apply(view(in.Dst), view(in.A), bw)
-	}
-	copy(r.out.Words()[base:base+n], view(prog.Result()))
-}
-
 // stripe runs a command-tier step on stripe s: load the variable rows,
 // execute the node-at-a-time program through the device model, store
 // the result row.
@@ -482,8 +439,8 @@ func (r *evalRunner) stripe(s int, sub *dram.Subarray, buf *bitvec.Vector) error
 // walk runs every step over the contiguous stripes [lo, hi) one block at
 // a time. A block is as many whole stripes as fit in fusedChunkWords
 // words (one stripe when a row is wider), and every step runs on it
-// before the walk moves on. Word-tier steps run on the block's words
-// with scr as their scratch; a command-tier step runs stripe by stripe,
+// before the walk moves on. Fused steps run on the block's words with
+// scr as their scratch; a command-tier step runs stripe by stripe,
 // each under its subarray's lock (runStripe), with row buffer buf. It
 // returns the first failing stripe and its error.
 func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, error) {
@@ -512,7 +469,7 @@ func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, e
 }
 
 // lease takes one worker's private state for its walks: a scratch slab
-// for the word tiers and, when a step runs on the command-accurate tier,
+// for the fused tier and, when a step runs on the command-accurate tier,
 // a row buffer. Both come from the accelerator's pools, so steady-state
 // calls allocate neither.
 func (pr *progRunner) lease() (*[]uint64, *bitvec.Vector) {

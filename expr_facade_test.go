@@ -1,7 +1,9 @@
 package elp2im
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -162,7 +164,6 @@ func TestEvalExprIntoOverwritesOut(t *testing.T) {
 	}
 	tiers := map[string]func(*Config){
 		"fused":            func(*Config) {},
-		"node":             func(c *Config) { c.DisableFusion = true },
 		"command-accurate": func(c *Config) { c.DisableFastpath = true },
 	}
 	for name, tier := range tiers {
@@ -192,6 +193,59 @@ func TestEvalExprIntoOverwritesOut(t *testing.T) {
 		}
 		if _, err := acc.EvalExprInto(ce, vars, vars["b"]); err == nil {
 			t.Errorf("%s: accepted a result vector aliasing an operand", name)
+		}
+	}
+}
+
+// TestRowDemandExact pins ExprRowDemand against the command-accurate
+// executor on every design. With rows per subarray set to the reported
+// demand, the command-accurate tier matches the fused tier bit for bit,
+// so the demand leaves every row the engine keeps for itself (Ambit's
+// B-group, DRISA-NOR's scratch rows) and meets its minimum subarray
+// size; with one row less, both tiers refuse the expression with the
+// row-budget error.
+func TestRowDemandExact(t *testing.T) {
+	exprs := []string{
+		"a ^ b",
+		"(dirty & ~referenced) | evicted",
+		"((a ^ b) ^ (c ^ d)) ^ ((e ^ f) ^ (g ^ h))",
+		"(a & b & c & d & e & f) | (c & d & e & f & g & h)",
+		"~(a & (b | ~(c ^ (d & ~e))))",
+	}
+	rows := func(n int) func(*Config) { return func(c *Config) { c.Module.RowsPerSubarray = n } }
+	cmd := func(c *Config) { c.DisableFastpath = true }
+	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
+		design := func(c *Config) { c.Design = d }
+		probe := newAcc(t, smallModule, design)
+		for i, src := range exprs {
+			ce, err := CompileExpr(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			need, _ := probe.ExprRowDemand(ce)
+			rng := rand.New(rand.NewSource(int64(i)))
+			vars := map[string]*BitVector{}
+			for _, name := range ce.Vars() {
+				vars[name] = RandomBitVector(rng, 5*128+77)
+			}
+			want, _, err := newAcc(t, smallModule, design, rows(need)).EvalExpr(ce, vars)
+			if err != nil {
+				t.Fatalf("%v %q fused at %d rows: %v", d, src, need, err)
+			}
+			got, _, err := newAcc(t, smallModule, design, rows(need), cmd).EvalExpr(ce, vars)
+			if err != nil {
+				t.Fatalf("%v %q command-accurate at its demand of %d rows: %v", d, src, need, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%v %q: command-accurate result at its demand of %d rows differs from the fused one", d, src, need)
+			}
+			budget := fmt.Sprintf("needs %d rows per subarray", need)
+			for _, tier := range []func(*Config){func(*Config) {}, cmd} {
+				_, _, err := newAcc(t, smallModule, design, rows(need-1), tier).EvalExpr(ce, vars)
+				if err == nil || !strings.Contains(err.Error(), budget) {
+					t.Fatalf("%v %q at %d rows: error %v, want the row-budget error (%s)", d, src, need-1, err, budget)
+				}
+			}
 		}
 	}
 }

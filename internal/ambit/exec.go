@@ -16,12 +16,25 @@ type BGroup struct {
 	DCC0, DCC1     int // dual-contact rows (-1 when absent)
 }
 
+// The B-group's T0–T3, C0 and C1 are the top dataGroupRows data rows of
+// every subarray, and Layout refuses a subarray of fewer than
+// minDataRows rows.
+const (
+	dataGroupRows = 6
+	minDataRows   = 8
+)
+
+// ReservedDataRows reports the data rows the functional executor keeps
+// for itself: the B-group's top six, which callers must leave free of
+// operands, and the 8-row minimum Layout enforces.
+func (e *Engine) ReservedDataRows() (top, minRows int) { return dataGroupRows, minDataRows }
+
 // Layout computes the B-group row indices for a subarray and validates the
 // geometry against the configured reserved-row count.
 func (e *Engine) Layout(sub *dram.Subarray) (BGroup, error) {
 	n := sub.Rows()
-	if n < 8 {
-		return BGroup{}, fmt.Errorf("ambit: subarray has %d rows; need at least 8", n)
+	if n < minDataRows {
+		return BGroup{}, fmt.Errorf("ambit: subarray has %d rows; need at least %d", n, minDataRows)
 	}
 	g := BGroup{
 		T0: n - 1, T1: n - 2, T2: n - 3, T3: n - 4,

@@ -41,11 +41,6 @@ type File struct {
 	// device model instead of the compiled word-level kernels. Results and
 	// modeled costs are bit-identical either way.
 	DisableFastpath bool `json:"disable_fastpath,omitempty"`
-	// DisableFusion forces expression evaluation through the
-	// node-at-a-time kernel path instead of fused k-input cluster kernels
-	// (see internal/plan). Results and modeled costs are bit-identical
-	// either way; DisableFastpath implies it.
-	DisableFusion bool `json:"disable_fusion,omitempty"`
 }
 
 // Default returns the fully populated DDR3-1600 parameter set.

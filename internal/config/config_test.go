@@ -78,6 +78,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"module":{"Banks":0}}`,
 		`{"timing":{"AccessSense":-1}}`,
 		`{"reserved_rows":-2}`,
+		`{"disable_fusion":true}`, // not a key of the schema
 	} {
 		if _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("Load(%q) accepted", src)

@@ -213,11 +213,24 @@ func (e *Engine) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error 
 	return err
 }
 
+// The executor's four scratch rows are the top scratchRows data rows of
+// every subarray, and it refuses a subarray of fewer than minDataRows
+// rows.
+const (
+	scratchRows = 4
+	minDataRows = 8
+)
+
+// ReservedDataRows reports the data rows the functional executor keeps
+// for itself: the four scratch rows at the top, which callers must leave
+// free of operands, and the 8-row minimum Execute enforces.
+func (e *Engine) ReservedDataRows() (top, minRows int) { return scratchRows, minDataRows }
+
 // execute is Execute's uninstrumented body.
 func (e *Engine) execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error {
 	n := sub.Rows()
-	if n < 8 {
-		return fmt.Errorf("drisa: subarray has %d rows; need at least 8", n)
+	if n < minDataRows {
+		return fmt.Errorf("drisa: subarray has %d rows; need at least %d", n, minDataRows)
 	}
 	s0, s1, s2, s3 := n-1, n-2, n-3, n-4
 

@@ -83,13 +83,14 @@ func (sp *FusedSpec) CacheKey() string {
 	return b.String()
 }
 
-// Execution geometry of a fused kernel's word loop. Packing keeps most
-// intermediates in machine registers, so the scratch file carries only
-// inter-pass values: blocks of 1024 words (8 KiB per register) amortize
-// the per-block view setup and indirect pass calls down to noise while
-// the few live scratch rows stay cache-resident. 32 scratch registers
-// bound the packed program's live values (a program needing more fails
-// derivation and the caller falls back to node-at-a-time kernels).
+// Execution geometry of a fused kernel's word loops. Packing keeps the
+// gate values inside a pass in machine registers, so the scratch file
+// carries only inter-pass values: blocks of 1024 words (8 KiB per
+// register) amortize the per-block view setup and indirect pass calls
+// down to noise while the few live scratch rows stay cache-resident. 32
+// scratch registers bound the packed program's live values (a program
+// needing more fails derivation and the caller runs the cluster on the
+// command-accurate tier).
 const (
 	fusedBlockWords = 1024
 	fusedMaxScratch = 32
@@ -112,37 +113,27 @@ const (
 // fusedInstr is one synthesized word-level operation: a 4-bit binary
 // truth table applied over whole words. Operand encoding: 0..k-1 are the
 // kernel inputs, k+r is scratch register r. The instruction list is the
-// kernel's gate-level IR; execution packs it into multi-gate passes
-// (see pack and fusedgen.go).
+// kernel's gate-level IR; execution packs it into passes (see pack).
 type fusedInstr struct {
 	tab       uint8
 	dst, a, b uint8
 }
 
-//go:generate go run ../../scripts/genfused -o fusedgen.go
-
-// fusedPass is one generated word loop from the pass library
-// (fusedgen.go): a straight-line evaluation of up to three composed
-// gates whose intermediate values live in machine registers. Trailing
-// operands a pass does not use are ignored (callers pass any valid
-// view).
-type fusedPass func(dst, a, b, c, d []uint64)
-
-// fusedMacro is one packed execution pass: a pass-library loop over up
-// to four operands. Operand encoding matches fusedInstr (0..k-1 inputs,
-// k+r scratch); unused operand slots hold 0, which is always a valid
-// view.
+// fusedMacro is one packed execution pass: a word loop (loops.go) over
+// up to four operands. Operand encoding matches fusedInstr (0..k-1
+// inputs, k+r scratch); operand slots the loop does not read hold 0,
+// which is always a valid view.
 type fusedMacro struct {
-	fn              fusedPass
+	fn              wordLoop
 	dst, a, b, c, d uint8
 }
 
 // Fused is a compiled k-input word-level kernel: the whole cluster of
-// gates collapses into one pass over the operand words. Like the 2-input
-// Kernel it is self-derived — DeriveFused probes the engine's real
-// command sequence and compiles the observed truth table — so a fused
-// kernel cannot disagree with the command-accurate execution of its
-// spec. Apply is safe for concurrent use.
+// gates runs as a few passes over each block of the operand words. Like
+// the 2-input Kernel it is self-derived — DeriveFused probes the
+// engine's real command sequence and compiles the observed truth table —
+// so a fused kernel cannot disagree with the command-accurate execution
+// of its spec. Apply is safe for concurrent use.
 type Fused struct {
 	k        int
 	table    uint64
@@ -160,15 +151,14 @@ func (f *Fused) K() int { return f.k }
 // where input j = (i>>j)&1, for i < 2^K.
 func (f *Fused) Table() uint64 { return f.table }
 
-// Ops returns the gate count of the compiled program — the cluster's
-// logical cost, to compare against one kernel per node on the
-// node-at-a-time path.
+// Ops returns the gate count of the compiled program: the cluster's
+// logical cost, NOT gates included.
 func (f *Fused) Ops() int { return len(f.code) }
 
-// Passes returns the number of packed word loops Apply runs per block.
-// Packing fuses up to three gates per pass, so Passes ≤ Ops; on a
-// memory-port-bound machine the pass count, not the gate count, is
-// what Apply's runtime scales with.
+// Passes returns the number of word loops Apply runs per block. A pass
+// covers at least one gate (a NOT folds into its consumer's pass), so
+// Passes ≤ Ops; the loops are bound by memory traffic, so the pass
+// count, not the gate count, is what Apply's runtime scales with.
 func (f *Fused) Passes() int { return len(f.macros) }
 
 // String renders the kernel for diagnostics.
@@ -176,11 +166,13 @@ func (f *Fused) String() string {
 	return fmt.Sprintf("fused(k=%d, table=%#x, ops=%d, passes=%d)", f.k, f.table, len(f.code), len(f.macros))
 }
 
-// Apply computes dst = f(srcs...) word-wise over len(dst) words. srcs
-// must hold K slices of at least len(dst) words; dst must not overlap
-// any source (sources are re-read throughout the fused program). Tail
-// bits beyond the caller's logical vector length are written like any
-// others — callers that maintain a canonical form must re-mask.
+// Apply computes dst = f(srcs...) word-wise over len(dst) words, running
+// the packed passes block by block: every pass over one block of at most
+// 1024 words before the next block. srcs must hold K slices of at least
+// len(dst) words, whole vectors or one block of them alike; dst must not
+// overlap any source (sources are re-read throughout the fused program).
+// Tail bits beyond the caller's logical vector length are written like
+// any others — callers that maintain a canonical form must re-mask.
 func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
 	if f.resConst != resOperand {
 		w := uint64(0)
@@ -225,29 +217,31 @@ func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
 	}
 }
 
-// pack tiles the kernel's gate-level program into multi-gate passes
-// from the generated library (fusedgen.go), so each pass streams its
-// operands once and keeps intermediate gate values in machine
-// registers. Apply's runtime scales with the pass count: on a
-// memory-port-bound word loop a three-gate pass costs the same as a
-// one-gate pass, so packing is where fusion's speedup over
-// node-at-a-time kernels actually comes from.
+// pack tiles the kernel's gate-level program into passes over the word
+// loops of loops.go, so each pass streams its operands once and keeps
+// the gate values inside it in machine registers. Apply's runtime scales
+// with the pass count: the loops are bound by memory traffic, so a
+// two-level pass costs about what a one-gate pass costs.
 //
-// The pass rebuilds SSA form from the register program, counts uses
-// over the values reachable from the result, and munches bottom-up: a
-// gate whose operands are both single-use gate values becomes a
-// balanced-tree pass q(f1(a,b), f2(c,d)); one fusable operand extends
-// into a chain pass h(g(f(a,b),c),d) when its own first operand is
-// fusable too, else a two-gate pass g(f(a,b),c); anything else is a
-// one-gate pass. A fusable value on the second operand is re-rooted to
-// the first by transposing the consumer's truth table (bit 1 ↔ bit 2).
-// Multi-use values are materialized exactly once, so the packed program
-// never duplicates gate work. A fresh liveness-scan register allocation
-// over the passes bounds scratch at fusedMaxScratch.
+// The pass rebuilds SSA form from the register program and counts uses
+// over the values reachable from the result. A single-use NOT folds into
+// its consumer's truth table (the consumer reads the NOT's operand with
+// that column inverted), and a NOT at the result into its operand's
+// gate. Tiling then runs from the result: a gate whose table is a core
+// (AND, OR or XOR) flattens the single-use gates of its own core below
+// it into one operand list, takes every single-use core gate in that
+// list as a child, and combines two children per pass with the
+// two-level loops q(l(a,b), r(c,d)), pairing bare operands into
+// children of its own core; any other gate runs as its own gate-loop
+// pass. Operands are materialized before the passes that read them, and
+// multi-use values exactly once, so the packed program never duplicates
+// gate work. A fresh liveness-scan register allocation over the passes
+// bounds scratch at fusedMaxScratch.
 func (f *Fused) pack() error {
 	if f.resConst != resOperand || len(f.code) == 0 {
 		return nil
 	}
+	k := f.k
 	// Rebuild SSA: the register allocator reuses registers, so resolve
 	// each operand to the value its register holds at that point.
 	type val struct {
@@ -257,15 +251,14 @@ func (f *Fused) pack() error {
 	vals := make([]val, 0, len(f.code))
 	regVal := make([]int, f.nscratch)
 	resolve := func(op uint8) int {
-		if int(op) < f.k {
+		if int(op) < k {
 			return int(op)
 		}
-		return regVal[int(op)-f.k]
+		return regVal[int(op)-k]
 	}
 	for _, in := range f.code {
-		v := val{tab: in.tab, a: resolve(in.a), b: resolve(in.b)}
-		vals = append(vals, v)
-		regVal[int(in.dst)-f.k] = f.k + len(vals) - 1
+		vals = append(vals, val{tab: in.tab, a: resolve(in.a), b: resolve(in.b)})
+		regVal[int(in.dst)-k] = k + len(vals) - 1
 	}
 	root := resolve(f.res)
 
@@ -275,10 +268,10 @@ func (f *Fused) pack() error {
 	uses := make([]int, len(vals))
 	var markUses func(op int)
 	markUses = func(op int) {
-		if op < f.k {
+		if op < k {
 			return
 		}
-		i := op - f.k
+		i := op - k
 		uses[i]++
 		if uses[i] > 1 {
 			return
@@ -287,64 +280,131 @@ func (f *Fused) pack() error {
 		markUses(vals[i].b)
 	}
 	markUses(root)
+	single := func(op int) bool { return op >= k && uses[op-k] == 1 }
 
-	// swap transposes a table's operands (bit 1 ↔ bit 2), matching the
-	// canonicalization in synState.emit.
-	swap := func(tab uint8) uint8 { return tab&0b1001 | tab&0b0010<<1 | tab&0b0100>>1 }
-	fusable := func(op int) bool { return op >= f.k && uses[op-f.k] == 1 }
+	// Fold NOTs (table 0b0101 is ¬a, 0b0011 is ¬b), in program order so
+	// that a NOT of a NOT folds away too. Inverting a consumer's a column
+	// swaps its table bits 0↔1 and 2↔3; its b column, bits 0↔2 and 1↔3.
+	notOf := func(op int) (int, bool) {
+		if !single(op) {
+			return 0, false
+		}
+		switch v := vals[op-k]; v.tab {
+		case 0b0101:
+			return v.a, true
+		case 0b0011:
+			return v.b, true
+		}
+		return 0, false
+	}
+	for i := range vals {
+		v := &vals[i]
+		for x, ok := notOf(v.a); ok; x, ok = notOf(v.a) {
+			v.a, v.tab = x, v.tab&0b0101<<1|v.tab&0b1010>>1
+		}
+		for x, ok := notOf(v.b); ok; x, ok = notOf(v.b) {
+			v.b, v.tab = x, v.tab&0b0011<<2|v.tab&0b1100>>2
+		}
+	}
+	for x, ok := notOf(root); ok && single(x); x, ok = notOf(root) {
+		vals[x-k].tab ^= 0b1111
+		root = x
+	}
 
-	// Tile bottom-up from the result. Operand space for macroIR: inputs
-	// 0..k-1, then k+i for pass i's output; -1 marks an unused slot.
+	// Tile from the result. Operand space for macroIR: inputs 0..k-1,
+	// then k+i for pass i's output; -1 marks an unused slot.
 	type macroIR struct {
-		fn  fusedPass
+		fn  wordLoop
 		ops [4]int
 	}
 	var macros []macroIR
+	pass := func(fn wordLoop, ops [4]int) int {
+		macros = append(macros, macroIR{fn, ops})
+		return k + len(macros) - 1
+	}
+	coreOf := func(op int) int {
+		for c, t := range coreTabs {
+			if vals[op-k].tab == t {
+				return c
+			}
+		}
+		return -1
+	}
+	// child is one side of a two-level pass: core gate l over the
+	// materialized operands a and b, or (l == coreBare) operand a alone.
+	type child struct{ l, a, b int }
 	memo := make([]int, len(vals))
 	for i := range memo {
 		memo[i] = -1
 	}
 	var emit func(op int) int
 	emit = func(op int) int {
-		if op < f.k {
+		if op < k {
 			return op
 		}
-		if m := memo[op-f.k]; m >= 0 {
+		if m := memo[op-k]; m >= 0 {
 			return m
 		}
-		v := vals[op-f.k]
-		tab, a, b := v.tab, v.a, v.b
-		if !fusable(a) && fusable(b) {
-			tab, a, b = swap(tab), b, a
+		v := vals[op-k]
+		q := coreOf(op)
+		if q < 0 {
+			memo[op-k] = pass(gateLoops[v.tab], [4]int{emit(v.a), emit(v.b), -1, -1})
+			return memo[op-k]
 		}
-		var m macroIR
-		switch {
-		case fusable(a) && fusable(b) && a != b:
-			A, B := vals[a-f.k], vals[b-f.k]
-			m.fn = quadTreeFns[int(tab)<<8|int(A.tab)<<4|int(B.tab)]
-			m.ops = [4]int{emit(A.a), emit(A.b), emit(B.a), emit(B.b)}
-		case fusable(a):
-			A := vals[a-f.k]
-			gtab, ga, gb := A.tab, A.a, A.b
-			if !fusable(ga) && fusable(gb) {
-				gtab, ga, gb = swap(gtab), gb, ga
+		var leaves []int
+		var flatten func(o int)
+		flatten = func(o int) {
+			if o != op && !(single(o) && vals[o-k].tab == v.tab) {
+				leaves = append(leaves, o)
+				return
 			}
-			if fusable(ga) && ga != gb {
-				G := vals[ga-f.k]
-				m.fn = quadChainFns[int(tab)<<8|int(gtab)<<4|int(G.tab)]
-				m.ops = [4]int{emit(G.a), emit(G.b), emit(gb), emit(b)}
+			flatten(vals[o-k].a)
+			flatten(vals[o-k].b)
+		}
+		flatten(op)
+		var gates []child
+		var bares []int
+		for _, o := range leaves {
+			if single(o) && coreOf(o) >= 0 {
+				gates = append(gates, child{coreOf(o), emit(vals[o-k].a), emit(vals[o-k].b)})
 			} else {
-				m.fn = ternFns[int(tab)<<4|int(A.tab)]
-				m.ops = [4]int{emit(A.a), emit(A.b), emit(b), -1}
+				bares = append(bares, emit(o))
 			}
-		default:
-			m.fn = ternFns[0b1010<<4|int(tab)]
-			m.ops = [4]int{emit(a), emit(b), -1, -1}
 		}
-		macros = append(macros, m)
-		enc := f.k + len(macros) - 1
-		memo[op-f.k] = enc
-		return enc
+		// take fills one side: a gate child first, else a pair of bare
+		// operands when pair allows it, else one bare operand.
+		take := func(pair bool) child {
+			var c child
+			switch {
+			case len(gates) > 0:
+				c, gates = gates[0], gates[1:]
+			case pair:
+				c, bares = child{q, bares[0], bares[1]}, bares[2:]
+			default:
+				c, bares = child{coreBare, bares[0], -1}, bares[1:]
+			}
+			return c
+		}
+		for {
+			// The first side takes a pair only if a bare operand is left
+			// for the second.
+			x := take(len(bares) >= 3)
+			y := take(len(bares) >= 2)
+			if x.l > y.l {
+				x, y = y, x
+			}
+			var out int
+			if x.l == coreBare {
+				out = pass(gateLoops[coreTabs[q]], [4]int{x.a, y.a, -1, -1})
+			} else {
+				out = pass(twoLevel[q][x.l][y.l], [4]int{x.a, x.b, y.a, y.b})
+			}
+			if len(gates)+len(bares) == 0 {
+				memo[op-k] = out
+				return out
+			}
+			bares = append([]int{out}, bares...)
+		}
 	}
 	emit(root)
 
@@ -353,8 +413,8 @@ func (f *Fused) pack() error {
 	last := make([]int, len(macros))
 	for i, m := range macros {
 		for _, op := range m.ops {
-			if op >= f.k {
-				last[op-f.k] = i
+			if op >= k {
+				last[op-k] = i
 			}
 		}
 	}
@@ -370,16 +430,16 @@ func (f *Fused) pack() error {
 			switch {
 			case op < 0:
 				enc[j] = 0 // unused slot: any valid view
-			case op < f.k:
+			case op < k:
 				enc[j] = uint8(op)
 			default:
-				enc[j] = uint8(f.k + reg[op-f.k])
+				enc[j] = uint8(k + reg[op-k])
 			}
 		}
 		// Free dying operands — each value once, however many slots it
 		// fills — so the destination may reuse a dying operand's register.
 		for j, op := range m.ops {
-			if op < f.k || last[op-f.k] != i {
+			if op < k || last[op-k] != i {
 				continue
 			}
 			dup := false
@@ -389,7 +449,7 @@ func (f *Fused) pack() error {
 				}
 			}
 			if !dup {
-				free = append(free, reg[op-f.k])
+				free = append(free, reg[op-k])
 			}
 		}
 		var r int
@@ -401,14 +461,14 @@ func (f *Fused) pack() error {
 			nscratch++
 		}
 		reg[i] = r
-		packed[i] = fusedMacro{fn: m.fn, dst: uint8(f.k + r), a: enc[0], b: enc[1], c: enc[2], d: enc[3]}
+		packed[i] = fusedMacro{fn: m.fn, dst: uint8(k + r), a: enc[0], b: enc[1], c: enc[2], d: enc[3]}
 	}
 	if nscratch > fusedMaxScratch {
 		return fmt.Errorf("kernel: fused packing needs %d scratch registers, max %d", nscratch, fusedMaxScratch)
 	}
 	f.macros = packed
 	f.nscratch = nscratch
-	f.res = uint8(f.k + reg[len(macros)-1])
+	f.res = uint8(k + reg[len(macros)-1])
 	return nil
 }
 
@@ -510,11 +570,13 @@ func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, err
 	// Shannon synthesis reconstructs the function from the table alone and
 	// can cost several times the cluster's own gate count. The spec's
 	// register program is a word-level implementation too; lower it
-	// directly and keep whichever compiles to fewer gates — but only after
-	// checking the lowering against the probed word, so a canonical-gate
-	// assumption that disagrees with the engine's observed behaviour is
-	// discarded (ties and degenerate collapses stay with the synthesis).
-	if g := compileSpec(&spec, table); g != nil && len(g.code) < len(f.code) && g.pack() == nil {
+	// directly and keep whichever packs to fewer passes, then fewer gates
+	// — but only after checking the lowering against the probed word, so
+	// a canonical-gate assumption that disagrees with the engine's
+	// observed behaviour is discarded (ties and degenerate collapses stay
+	// with the synthesis).
+	if g := compileSpec(&spec, table); g != nil && g.pack() == nil &&
+		(g.Passes() < f.Passes() || g.Passes() == f.Passes() && len(g.code) < len(f.code)) {
 		srcs := make([][]uint64, spec.K)
 		for j := range srcs {
 			srcs[j] = []uint64{varPat64[j]}

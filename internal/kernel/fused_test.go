@@ -303,37 +303,48 @@ func TestFusedApplyConcurrent(t *testing.T) {
 	}
 }
 
-// TestFusedPacking pins the pass-packing contract: balanced trees and
-// operand chains of three gates each collapse into one generated pass
-// (via the quad-tree and quad-chain shapes, the latter exercising the
-// operand-swap table transpose), and packing never runs more passes
-// than the program has gates.
+// TestFusedPacking pins the pass-packing contract by count: two-level
+// trees, same-core chains of three and four inputs, and a core gate over
+// a core child and a bare operand each take one pass; a single-use NOT
+// folds into its consumer; a gate over a child that has a child of its
+// own takes two; and packing never runs more passes than the program
+// has gates.
 func TestFusedPacking(t *testing.T) {
 	exec := elpim.MustNew(elpim.DefaultConfig())
 	mod := dram.Default()
-
-	// (a & b) | (c & d): three gates, one quad-tree pass.
-	tree := FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
-		{Op: engine.OpAND, Dst: 4, A: 0, B: 1},
-		{Op: engine.OpAND, Dst: 5, A: 2, B: 3},
-		{Op: engine.OpOR, Dst: 6, A: 4, B: 5},
-	}}
-	// d ^ (c & (a | b)): three gates, one quad-chain pass; the inner
-	// values sit on second operands, so packing must re-root them by
-	// transposing the consumers' tables.
-	chain := FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
-		{Op: engine.OpOR, Dst: 4, A: 0, B: 1},
-		{Op: engine.OpAND, Dst: 5, A: 2, B: 4},
-		{Op: engine.OpXOR, Dst: 6, A: 3, B: 5},
-	}}
-	for name, spec := range map[string]FusedSpec{"tree": tree, "chain": chain} {
-		f, err := DeriveFused(exec, spec, mod)
+	gate := func(op engine.Op, dst, a, b int) FusedOp { return FusedOp{Op: op, Dst: dst, A: a, B: b} }
+	cases := []struct {
+		name   string
+		spec   FusedSpec
+		passes int
+	}{
+		{"(a&b)|(c&d)", FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
+			gate(engine.OpAND, 4, 0, 1), gate(engine.OpAND, 5, 2, 3), gate(engine.OpOR, 6, 4, 5),
+		}}, 1},
+		{"a^b^c", FusedSpec{K: 3, Regs: 5, Result: 4, Ops: []FusedOp{
+			gate(engine.OpXOR, 3, 0, 1), gate(engine.OpXOR, 4, 3, 2),
+		}}, 1},
+		{"((a&b)&c)&d", FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
+			gate(engine.OpAND, 4, 0, 1), gate(engine.OpAND, 5, 4, 2), gate(engine.OpAND, 6, 5, 3),
+		}}, 1},
+		{"(a|b)&c", FusedSpec{K: 3, Regs: 5, Result: 4, Ops: []FusedOp{
+			gate(engine.OpOR, 3, 0, 1), gate(engine.OpAND, 4, 2, 3),
+		}}, 1},
+		{"~a&b", FusedSpec{K: 2, Regs: 4, Result: 3, Ops: []FusedOp{
+			gate(engine.OpNOT, 2, 0, 0), gate(engine.OpAND, 3, 2, 1),
+		}}, 1},
+		// The OR sits two levels below the XOR, so it is its own pass.
+		{"d^(c&(a|b))", FusedSpec{K: 4, Regs: 7, Result: 6, Ops: []FusedOp{
+			gate(engine.OpOR, 4, 0, 1), gate(engine.OpAND, 5, 2, 4), gate(engine.OpXOR, 6, 3, 5),
+		}}, 2},
+	}
+	for _, tc := range cases {
+		f, err := DeriveFused(exec, tc.spec, mod)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if f.Ops() != 3 || f.Passes() != 1 {
-			t.Fatalf("%s packs to ops=%d passes=%d, want 3 gates in 1 pass (%v)",
-				name, f.Ops(), f.Passes(), f)
+		if f.Passes() != tc.passes {
+			t.Fatalf("%s packs to %d passes, want %d (%v)", tc.name, f.Passes(), tc.passes, f)
 		}
 	}
 

@@ -9,12 +9,19 @@
 // probes the real engine once on a tiny scratch subarray: it loads the
 // input combinations into operand rows, executes the engine's actual
 // command sequence through the dram model, reads the truth table back
-// out of the destination row, and compiles it to a tight
-// func(dst, a, b []uint64) over whole words. A kernel therefore cannot
-// disagree with the engine that produced it — if the engine's sequences
-// change, re-derivation picks the change up automatically, and the
-// post-derivation verification pass rejects any operation whose
-// behaviour is not a pure per-bit function of its operands.
+// out of the destination row, and compiles it to the word loop of that
+// table. A kernel therefore cannot disagree with the engine that
+// produced it — if the engine's sequences change, re-derivation picks
+// the change up automatically, and the post-derivation verification pass
+// rejects any operation whose behaviour is not a pure per-bit function
+// of its operands.
+//
+// DeriveFused does the same for a whole plan cluster of up to
+// MaxFusedInputs inputs: it probes the cluster's command sequence for
+// its k-input truth table, compiles that to a gate program, and packs
+// the gates into passes over a small hand-written loop set (loops.go):
+// one 4×-unrolled loop per 2-input truth table, and one per two-level
+// composition q(l(a,b), r(c,d)) of the cores AND, OR and XOR.
 //
 // The facade uses these kernels as a compiled fast path for word-aligned
 // configurations, falling back to command-level execution whenever the
@@ -67,7 +74,7 @@ type Kernel struct {
 	op    engine.Op
 	table uint8
 	unary bool
-	fn    func(dst, a, b []uint64)
+	fn    wordLoop
 }
 
 // Op returns the operation the kernel implements.
@@ -93,7 +100,7 @@ func (k *Kernel) String() string {
 // kernels); dst may alias a or b. Tail bits beyond the caller's logical
 // vector length are written like any others — callers that maintain a
 // canonical form must re-mask the final word.
-func (k *Kernel) Apply(dst, a, b []uint64) { k.fn(dst, a, b) }
+func (k *Kernel) Apply(dst, a, b []uint64) { k.fn(dst, a, b, nil, nil) }
 
 // Derive probes exec's implementation of op on a scratch subarray and
 // compiles the observed truth table. module supplies the dual-contact
@@ -125,9 +132,10 @@ func Derive(exec Executor, op engine.Op, module dram.Config) (*Kernel, error) {
 	}
 	k := &Kernel{op: op, table: table, unary: op.Unary()}
 	if k.unary {
-		k.fn = unaryFn(table)
+		// A unary table f(a) is the binary table that ignores b.
+		k.fn = gateLoops[table|table<<2]
 	} else {
-		k.fn = binaryFn(table)
+		k.fn = gateLoops[table]
 	}
 	if err := verify(exec, k, sub); err != nil {
 		return nil, err
@@ -187,136 +195,6 @@ func verify(exec Executor, k *Kernel, sub *dram.Subarray) error {
 			k.op, got[0], want[0])
 	}
 	return nil
-}
-
-// binaryFn returns the word loop of one of the 16 binary boolean
-// functions, indexed by its truth table (bit i = f(a=i&1, b=i>>1&1)).
-// Each case is a single-pass loop the compiler vectorizes well; none
-// allocates.
-func binaryFn(table uint8) func(dst, a, b []uint64) {
-	switch table & 0xF {
-	case 0b0000:
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
-	case 0b0001: // NOR
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^(a[i] | b[i])
-			}
-		}
-	case 0b0010: // a AND NOT b
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = a[i] &^ b[i]
-			}
-		}
-	case 0b0011: // NOT b
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^b[i]
-			}
-		}
-	case 0b0100: // b AND NOT a
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = b[i] &^ a[i]
-			}
-		}
-	case 0b0101: // NOT a
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^a[i]
-			}
-		}
-	case 0b0110: // XOR
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = a[i] ^ b[i]
-			}
-		}
-	case 0b0111: // NAND
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^(a[i] & b[i])
-			}
-		}
-	case 0b1000: // AND
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = a[i] & b[i]
-			}
-		}
-	case 0b1001: // XNOR
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^(a[i] ^ b[i])
-			}
-		}
-	case 0b1010: // a
-		return func(dst, a, b []uint64) {
-			copy(dst, a)
-		}
-	case 0b1011: // a OR NOT b
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = a[i] | ^b[i]
-			}
-		}
-	case 0b1100: // b
-		return func(dst, a, b []uint64) {
-			copy(dst, b)
-		}
-	case 0b1101: // b OR NOT a
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = b[i] | ^a[i]
-			}
-		}
-	case 0b1110: // OR
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = a[i] | b[i]
-			}
-		}
-	default: // 0b1111
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^uint64(0)
-			}
-		}
-	}
-}
-
-// unaryFn returns the word loop of one of the 4 unary boolean functions,
-// indexed by its truth table (bit i = f(a=i)).
-func unaryFn(table uint8) func(dst, a, b []uint64) {
-	switch table & 0b11 {
-	case 0b00:
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = 0
-			}
-		}
-	case 0b01: // NOT
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^a[i]
-			}
-		}
-	case 0b10: // COPY
-		return func(dst, a, b []uint64) {
-			copy(dst, a)
-		}
-	default: // 0b11
-		return func(dst, a, b []uint64) {
-			for i := range dst {
-				dst[i] = ^uint64(0)
-			}
-		}
-	}
 }
 
 // Set lazily derives and memoizes the kernels of one executor. A Set is

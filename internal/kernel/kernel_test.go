@@ -128,41 +128,118 @@ func TestDeriveRejectsNonBitwise(t *testing.T) {
 	}
 }
 
-// TestAllBinaryTables exercises every one of the 16 binary and 4 unary
-// compiled loops directly (engines only produce 8 of them).
+// tableWord is the host oracle of a 4-entry truth table over words: the
+// OR of the minterms the table sets (bit i = t(a=i&1, b=i>>1&1)).
+func tableWord(t uint8, a, b uint64) uint64 {
+	var w uint64
+	for i, m := range [4]uint64{^a &^ b, a &^ b, ^a & b, a & b} {
+		if t>>uint(i)&1 == 1 {
+			w |= m
+		}
+	}
+	return w
+}
+
+// TestAllBinaryTables exercises all 16 gate loops directly (engines only
+// produce 8 of them), and the 4 unary tables through the same loops with
+// a nil second operand as unary kernels run them, at lengths 0–9: the
+// unrolled body and the tail each run alone and together.
 func TestAllBinaryTables(t *testing.T) {
-	a := []uint64{verifyA, 0, ^uint64(0), 0x1234_5678_9ABC_DEF0}
-	b := []uint64{verifyB, ^uint64(0), 0, 0x0F0F_0F0F_F0F0_F0F0}
-	for table := uint8(0); table < 16; table++ {
-		fn := binaryFn(table)
-		dst := make([]uint64, len(a))
-		fn(dst, a, b)
-		for w := range dst {
-			for bit := 0; bit < 64; bit++ {
-				ai := a[w] >> uint(bit) & 1
-				bi := b[w] >> uint(bit) & 1
-				want := uint64(table) >> (bi<<1 | ai) & 1
-				if dst[w]>>uint(bit)&1 != want {
-					t.Fatalf("table %04b: word %d bit %d: got %d want %d",
-						table, w, bit, dst[w]>>uint(bit)&1, want)
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n <= 9; n++ {
+		a, b := make([]uint64, n), make([]uint64, n)
+		for i := range a {
+			a[i], b[i] = rng.Uint64(), rng.Uint64()
+		}
+		for table := uint8(0); table < 16; table++ {
+			dst := make([]uint64, n)
+			gateLoops[table](dst, a, b, nil, nil)
+			for w := range dst {
+				if want := tableWord(table, a[w], b[w]); dst[w] != want {
+					t.Fatalf("table %04b n=%d: word %d = %016x, want %016x", table, n, w, dst[w], want)
+				}
+			}
+		}
+		for table := uint8(0); table < 4; table++ {
+			dst := make([]uint64, n)
+			gateLoops[table|table<<2](dst, a, nil, nil, nil)
+			for w := range dst {
+				if want := tableWord(table|table<<2, a[w], 0); dst[w] != want {
+					t.Fatalf("unary table %02b n=%d: word %d = %016x, want %016x", table, n, w, dst[w], want)
 				}
 			}
 		}
 	}
-	for table := uint8(0); table < 4; table++ {
-		fn := unaryFn(table)
-		dst := make([]uint64, len(a))
-		fn(dst, a, nil)
-		for w := range dst {
-			for bit := 0; bit < 64; bit++ {
-				ai := a[w] >> uint(bit) & 1
-				want := uint64(table) >> ai & 1
-				if dst[w]>>uint(bit)&1 != want {
-					t.Fatalf("unary table %02b: word %d bit %d: got %d want %d",
-						table, w, bit, dst[w]>>uint(bit)&1, want)
+}
+
+// TestTwoLevelLoops checks every two-level loop against its Go
+// expression q(l(a,b), r(c,d)) at lengths 0–9, into a fresh dst and
+// then with dst aliasing each operand the loop reads in turn (pack lets
+// a pass write over a dying operand's register).
+func TestTwoLevelLoops(t *testing.T) {
+	core := func(c int, x, y uint64) uint64 {
+		switch c {
+		case coreAnd:
+			return x & y
+		case coreOr:
+			return x | y
+		case coreXor:
+			return x ^ y
+		}
+		return x // coreBare: the operand alone
+	}
+	rng := rand.New(rand.NewSource(9))
+	loops := 0
+	for q := coreAnd; q <= coreXor; q++ {
+		for l := coreAnd; l <= coreBare; l++ {
+			for r := coreAnd; r <= coreBare; r++ {
+				fn := twoLevel[q][l][r]
+				if want := l <= r && l != coreBare; (fn != nil) != want {
+					t.Fatalf("twoLevel[%d][%d][%d]: present %v, want %v", q, l, r, fn != nil, want)
+				}
+				if fn == nil {
+					continue
+				}
+				loops++
+				reads := 4
+				if r == coreBare {
+					reads = 3
+				}
+				for n := 0; n <= 9; n++ {
+					var src [4][]uint64
+					want := make([]uint64, n)
+					for j := range src {
+						src[j] = make([]uint64, n)
+						for i := range src[j] {
+							src[j][i] = rng.Uint64()
+						}
+					}
+					for i := range want {
+						want[i] = core(q, core(l, src[0][i], src[1][i]), core(r, src[2][i], src[3][i]))
+					}
+					for alias := -1; alias < reads; alias++ {
+						var ops [4][]uint64
+						for j := range ops {
+							ops[j] = append([]uint64(nil), src[j]...)
+						}
+						dst := make([]uint64, n)
+						if alias >= 0 {
+							dst = ops[alias]
+						}
+						fn(dst, ops[0], ops[1], ops[2], ops[3])
+						for i := range want {
+							if dst[i] != want[i] {
+								t.Fatalf("twoLevel[%d][%d][%d] n=%d alias=%d: word %d = %016x, want %016x",
+									q, l, r, n, alias, i, dst[i], want[i])
+							}
+						}
+					}
 				}
 			}
 		}
+	}
+	if loops != 27 {
+		t.Fatalf("%d two-level loops, want 27", loops)
 	}
 }
 

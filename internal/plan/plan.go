@@ -7,16 +7,18 @@
 // sub-DAG — common subexpressions inside a cluster are emitted once,
 // dead stores are eliminated, and scratch registers are reused by
 // liveness — so the kernel fast path collapses the cluster into one
-// derived k-input word kernel: a single pass over the operands instead
-// of one per node. Cluster outputs live in liveness-allocated slots, the
-// plan-level analogue of the scratch-row allocator, so intermediates
-// reuse storage instead of materializing named vectors.
+// derived k-input word kernel, which packs the cluster's gates into a
+// few word-loop passes over each block. Cluster outputs live in
+// liveness-allocated slots, the plan-level analogue of the scratch-row
+// allocator, so intermediates reuse storage instead of materializing
+// named vectors.
 //
 // The plan also retains the node-at-a-time Program compiled from the
-// same DAG. That program is the single source of modeled cost — every
-// execution tier prices the identical instruction stream — and the
-// command-accurate fallback when fusion is unavailable, which is what
-// keeps Stats struct-equal between fused and unfused execution.
+// same DAG. That program is the single source of modeled cost — both
+// execution tiers price the identical instruction stream — and the
+// schedule the command-accurate tier executes when the fast path is off
+// or a cluster's kernel does not derive, which is what keeps Stats
+// struct-equal between fused and command-accurate execution.
 package plan
 
 import (
@@ -87,7 +89,7 @@ type Plan struct {
 	// Slots is the number of intermediate slots the schedule needs.
 	Slots int
 	// Prog is the node-at-a-time schedule of the same DAG: the cost
-	// source for every tier and the command-accurate fallback.
+	// source for both tiers and the command-accurate tier's program.
 	Prog *expr.Program
 	// Source is the original expression.
 	Source string

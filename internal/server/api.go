@@ -236,10 +236,10 @@ type ServerStats struct {
 	// FusionHits counts eval/query plans that executed on the fused-kernel
 	// tier, summed across shard accelerators.
 	FusionHits int64 `json:"fusion_hits"`
-	// FusionFallbacks counts eval/query plans that fell back to
-	// node-at-a-time kernels or the command-accurate model. A nonzero
-	// rate under elp2im.Config.DisableFusion is expected; otherwise it
-	// means predicates are not inheriting the fused tier.
+	// FusionFallbacks counts eval/query plans that ran on the
+	// command-accurate model instead. A nonzero rate under
+	// elp2im.Config.DisableFastpath is expected; otherwise it means
+	// predicates are not inheriting the fused tier.
 	FusionFallbacks int64 `json:"fusion_fallbacks"`
 	// Vectors is the number of stored vectors.
 	Vectors int `json:"vectors"`

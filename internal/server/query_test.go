@@ -350,10 +350,11 @@ func TestQueryErrorsEndToEnd(t *testing.T) {
 
 // TestQueryFusionCounters pins the /v1/stats fusion telemetry: fused
 // query evaluation increments fusion_hits, and the same workload on a
-// fusion-disabled server increments fusion_fallbacks instead.
+// command-accurate server (DisableFastpath) increments fusion_fallbacks
+// instead.
 func TestQueryFusionCounters(t *testing.T) {
 	run := func(disable bool) ServerStats {
-		acc, err := elp2im.New(func(c *elp2im.Config) { c.DisableFusion = disable })
+		acc, err := elp2im.New(func(c *elp2im.Config) { c.DisableFastpath = disable })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,10 +378,10 @@ func TestQueryFusionCounters(t *testing.T) {
 	if fused.FusionHits == 0 {
 		t.Errorf("fused query left fusion_hits at 0: %+v", fused)
 	}
-	unfused := run(true)
-	if unfused.FusionHits != 0 || unfused.FusionFallbacks == 0 {
-		t.Errorf("fusion-disabled query counters = hits %d fallbacks %d, want 0 and >0",
-			unfused.FusionHits, unfused.FusionFallbacks)
+	cmd := run(true)
+	if cmd.FusionHits != 0 || cmd.FusionFallbacks == 0 {
+		t.Errorf("command-accurate query counters = hits %d fallbacks %d, want 0 and >0",
+			cmd.FusionHits, cmd.FusionFallbacks)
 	}
 }
 

@@ -15,8 +15,8 @@
 // select/blend) as sequences of boolean steps, one internal/expr DAG per
 // produced bit slice, each compiled through plan.Compile — so vertical
 // arithmetic inherits clustering, common-subexpression elimination, and
-// the fused k-input kernels, and executes on every tier of the facade
-// (fused, node-at-a-time, command-accurate) with identical modeled cost.
+// the fused k-input kernels, and executes on both tiers of the facade
+// (fused, command-accurate) with identical modeled cost.
 //
 // The package is engine-agnostic: it emits plans over named slices and
 // leaves binding names to vectors, striping, and execution to the

@@ -1,0 +1,154 @@
+package elp2im
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/plan"
+	"repro/internal/vertical"
+)
+
+// planPasses sums the pass counts of p's fused cluster kernels on acc:
+// the word loops the fused tier runs per block of an eval of p.
+func planPasses(acc *Accelerator, p *plan.Plan) (int, error) {
+	n := 0
+	for i := range p.Clusters {
+		f, err := acc.fused.Fused(p.Clusters[i].Spec)
+		if err != nil {
+			return 0, err
+		}
+		n += f.Passes()
+	}
+	return n, nil
+}
+
+// arithPasses sums planPasses over a µProgram's steps.
+func arithPasses(acc *Accelerator, ca *CompiledArith) (int, error) {
+	n := 0
+	for i := range ca.prog.Steps {
+		m, err := planPasses(acc, ca.prog.Steps[i].Plan)
+		if err != nil {
+			return 0, err
+		}
+		n += m
+	}
+	return n, nil
+}
+
+// fig13Predicates returns Fig 13's queries over the last 2–8 of eight
+// weekly bitmaps w0–w7, in the form the query_json workload sends them:
+// Q1 is the left-deep AND of the weeks, Q2 ANDs the gender bitmap g
+// onto Q1.
+func fig13Predicates() []string {
+	var preds []string
+	for weeks := 2; weeks <= 8; weeks++ {
+		q1 := fmt.Sprintf("w%d", 8-weeks)
+		for i := 9 - weeks; i < 8; i++ {
+			q1 = fmt.Sprintf("(%s & w%d)", q1, i)
+		}
+		preds = append(preds, q1, "(g & "+q1+")")
+	}
+	return preds
+}
+
+// TestPassCounts pins how the fused tier packs the served traffic, by
+// count: the total passes of arith_wire's 18 µPrograms, of Fig 13's 14
+// predicates (query_json's fixed half), and of each BenchmarkEvalDAG
+// depth. A pass is one word loop over a block, so these totals are the
+// host work of the fused tier, deterministic and free of timing noise.
+func TestPassCounts(t *testing.T) {
+	acc := newAcc(t)
+	arith := 0
+	for _, op := range []ArithOp{ArithAdd, ArithSub, ArithLt, ArithEq, ArithPopcount, ArithSelect} {
+		for _, w := range []int{8, 16, 32} {
+			ca, err := CompileArith(op, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := arithPasses(acc, ca)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", op, w, err)
+			}
+			t.Logf("%s/%d: %d passes", op, w, n)
+			arith += n
+		}
+	}
+	if arith != 1200 {
+		t.Errorf("arith_wire µPrograms take %d passes, want 1200", arith)
+	}
+
+	preds := fig13Predicates()
+	if len(preds) != 14 {
+		t.Fatalf("%d Fig 13 predicates, want 14", len(preds))
+	}
+	fig13 := 0
+	for _, src := range preds {
+		ce, err := CompileExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := planPasses(acc, ce.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		fig13 += n
+	}
+	if fig13 != 28 {
+		t.Errorf("Fig 13 predicates take %d passes, want 28", fig13)
+	}
+
+	for depth, want := range []int{1: 1, 2: 1, 3: 4, 4: 5, 5: 6, 6: 12} {
+		if depth == 0 {
+			continue
+		}
+		ce, err := CompileExpr(evalBenchExpr(depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := planPasses(acc, ce.plan)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if n != want {
+			t.Errorf("BenchmarkEvalDAG depth %d takes %d passes, want %d", depth, n, want)
+		}
+	}
+}
+
+// TestArithClustersDerive checks that every cluster of every arith
+// µProgram at widths 1–64 derives a fused kernel on all three designs
+// (and ELP2IM's high-throughput sequences), so the fused tier serves
+// every arith step on a word-aligned module without falling back.
+func TestArithClustersDerive(t *testing.T) {
+	configs := map[string]func(*Config){
+		"elp2im":         func(c *Config) { c.Design = DesignELP2IM },
+		"elp2im/highthr": func(c *Config) { c.Design, c.HighThroughputMode = DesignELP2IM, true },
+		"ambit":          func(c *Config) { c.Design = DesignAmbit },
+		"drisa":          func(c *Config) { c.Design = DesignDrisaNOR },
+	}
+	accs := map[string]*Accelerator{}
+	for name, cfg := range configs {
+		accs[name] = newAcc(t, cfg)
+	}
+	clusters := 0
+	for op := ArithOp(0); int(op) < vertical.NumOps; op++ {
+		for w := 1; w <= 64; w++ {
+			ca, err := CompileArith(op, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si := range ca.prog.Steps {
+				p := ca.prog.Steps[si].Plan
+				for ci := range p.Clusters {
+					clusters++
+					for name, acc := range accs {
+						if _, err := acc.fused.Fused(p.Clusters[ci].Spec); err != nil {
+							t.Fatalf("%s: %s/%d step %d cluster %d does not derive: %v", name, op, w, si, ci, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d clusters derived on %d configurations", clusters, len(accs))
+}

@@ -44,16 +44,15 @@
 # GOMAXPROCS) so wall-clock numbers are interpretable across machines.
 #
 # Part 5 (BENCH_eval.json) sweeps BenchmarkEvalDAG: one expression DAG
-# per depth (1..6), evaluated over 1 Mbit operands through both
-# word-level tiers — the fused plan (packed multi-gate kernels, default)
-# and node-at-a-time kernels (DisableFusion) — recording ns/op per point
-# and the headline depth-4 fused speedup (see EXPERIMENTS.md "Reading
+# per depth (1..6), evaluated over 1 Mbit operands on the fused tier,
+# recording ns/op and the fused passes per block at each depth, and the
+# headline depth-4 pass count (see EXPERIMENTS.md "Reading
 # BENCH_eval.json").
 #
 # Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: a
 # vertical k-bit add and popcount (the longest µProgram) over 1M
-# elements per width (4/8/16/32), through both execution tiers (fused vs
-# node-at-a-time), with allocs/op, plus the transpose engine's
+# elements per width (4/8/16/32) on the fused tier, with allocs/op and
+# the program's fused passes per block, plus the transpose engine's
 # slice/unslice ns/elem at widths 1/8/32 (BenchmarkVerticalTranspose) —
 # the bit-serial arithmetic cost curve (see EXPERIMENTS.md "Reading
 # BENCH_vertical.json").
@@ -61,10 +60,10 @@
 # Part 7 (BENCH_query.json) drives elpload's bitmap-index query workload
 # (-query: boolean predicates over per-client namespaces through
 # POST /v1/query, Zipfian index popularity, mixed count/positions/bits
-# result modes, every response verified against a host oracle) across
-# shards {1, 4} × fusion {on, off}, recording achieved_qps, p99,
-# modeled_qps, and the server's fusion_hits / fusion_fallbacks counters
-# per point (see EXPERIMENTS.md "Reading BENCH_query.json").
+# result modes, every response verified against a host oracle) at
+# shards {1, 4}, recording achieved_qps, p99, modeled_qps, and the
+# server's fusion_hits / fusion_fallbacks counters per point (see
+# EXPERIMENTS.md "Reading BENCH_query.json").
 #
 # Usage: scripts/bench.sh [output.json]
 #   BENCHTIME        go test -benchtime value (default 200x)
@@ -310,10 +309,9 @@ END {
 echo "wrote $wire_out" >&2
 cat "$wire_out"
 
-# Part 5: fused eval vs node-at-a-time kernels over the DAG depth sweep.
-# Both tiers run the identical plan; the fused tier's advantage is pass
-# packing (up to three gates per generated word loop), so the speedup
-# grows with depth as clusters get more gates to pack.
+# Part 5: the fused eval tier over the DAG depth sweep. Host time tracks
+# the passes per block (two-level word loops pack up to three gates into
+# one pass), so every point carries its pass count beside its ns/op.
 eval_out="BENCH_eval.json"
 eval_benchtime="${EVAL_BENCHTIME:-1000x}"
 echo "bench.sh: eval DAG sweep (BenchmarkEvalDAG, ${eval_benchtime})" >&2
@@ -323,14 +321,19 @@ printf '%s\n' "$eval_raw" | awk -v out="$eval_out" -v host="$host_json" -v bench
 /^BenchmarkEvalDAG\// {
 	split($1, parts, "/")
 	depth = substr(parts[2], 6)
-	tier = parts[3]
-	sub(/-[0-9]+$/, "", tier)
-	if (tier == "fused") f[depth] = $3
-	else n[depth] = $3
+	sub(/-[0-9]+$/, "", depth)
+	f[depth] = $3
+	ps[depth] = field($0, "passes")
 	if (!(depth in seen)) { order[++np] = depth; seen[depth] = 1 }
 }
+function field(line, unit,   a, i, k) {
+	k = split(line, a, " ")
+	for (i = 1; i < k; i++)
+		if (a[i+1] == unit) return a[i]
+	return ""
+}
 END {
-	if (np < 1 || f[4] == "" || n[4] == "") {
+	if (np < 1 || f[4] == "" || ps[4] == "") {
 		print "bench.sh: missing eval benchmark output" > "/dev/stderr"
 		exit 1
 	}
@@ -341,11 +344,11 @@ END {
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		d = order[i]
-		printf "    {\"depth\": %s, \"fused_ns_op\": %s, \"node_ns_op\": %s, \"fused_speedup\": %.2f}%s\n",
-			d, f[d], n[d], n[d] / f[d], i < np ? "," : "" > out
+		printf "    {\"depth\": %s, \"fused_ns_op\": %s, \"passes\": %s}%s\n",
+			d, f[d], ps[d], i < np ? "," : "" > out
 	}
 	printf "  ],\n" > out
-	printf "  \"depth4_fused_speedup\": %.2f\n", n[4] / f[4] > out
+	printf "  \"depth4_passes\": %s\n", ps[4] > out
 	printf "}\n" > out
 }
 '
@@ -353,8 +356,8 @@ echo "wrote $eval_out" >&2
 cat "$eval_out"
 
 # Part 6: the vertical (bit-serial) arithmetic cost curve. A k-bit add
-# and popcount per width through both execution tiers — the µProgram's
-# step count grows with width, so ns/elem traces the bit-serial latency
+# and popcount per width on the fused tier — the µProgram's step and
+# pass counts grow with width, so ns/elem traces the bit-serial latency
 # model — plus the transpose engine's ingest/readback throughput per
 # element width. Points are keyed by op and width.
 vert_out="BENCH_vertical.json"
@@ -375,12 +378,11 @@ printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v bench
 	split($1, parts, "/")
 	op = parts[2]
 	w = substr(parts[3], 2)
+	sub(/-[0-9]+$/, "", w)
 	key = op "/" w
-	tier = parts[4]
-	sub(/-[0-9]+$/, "", tier)
-	if (tier == "fused") { f[key] = $3; fel[key] = field($0, "ns/elem"); fal[key] = field($0, "allocs/op") }
-	else { n[key] = $3; nel[key] = field($0, "ns/elem"); nal[key] = field($0, "allocs/op") }
+	f[key] = $3; fel[key] = field($0, "ns/elem"); fal[key] = field($0, "allocs/op")
 	steps[key] = field($0, "steps")
+	ps[key] = field($0, "passes")
 	modeled[key] = field($0, "modeled_ns")
 	if (!(key in seen)) { order[++np] = key; kop[key] = op; kw[key] = w; seen[key] = 1 }
 }
@@ -391,7 +393,7 @@ function field(line, unit,   a, i, k) {
 	return ""
 }
 END {
-	if (np < 1 || f["add/8"] == "" || n["add/8"] == "" || f["popcount/32"] == "" || n["popcount/32"] == "" || nt < 1) {
+	if (np < 1 || f["add/8"] == "" || ps["add/8"] == "" || f["popcount/32"] == "" || nt < 1) {
 		print "bench.sh: missing vertical benchmark output" > "/dev/stderr"
 		exit 1
 	}
@@ -408,12 +410,10 @@ END {
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		k = order[i]
-		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"node_ns_op\": %s, \"fused_ns_elem\": %s, \"node_ns_elem\": %s, \"fused_allocs_op\": %s, \"node_allocs_op\": %s, \"fused_speedup\": %.2f}%s\n",
-			kop[k], kw[k], steps[k], modeled[k], f[k], n[k], fel[k], nel[k], fal[k], nal[k], n[k] / f[k], i < np ? "," : "" > out
+		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"passes\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"fused_ns_elem\": %s, \"fused_allocs_op\": %s}%s\n",
+			kop[k], kw[k], steps[k], ps[k], modeled[k], f[k], fel[k], fal[k], i < np ? "," : "" > out
 	}
-	printf "  ],\n" > out
-	printf "  \"width32_fused_speedup\": %.2f,\n", n["add/32"] / f["add/32"] > out
-	printf "  \"popcount_width32_fused_speedup\": %.2f\n", n["popcount/32"] / f["popcount/32"] > out
+	printf "  ]\n" > out
 	printf "}\n" > out
 }
 '
@@ -421,11 +421,10 @@ echo "wrote $vert_out" >&2
 cat "$vert_out"
 
 # Part 7: the bitmap-index query workload. Each point self-spawns a
-# server with -shards n (and -disable-fusion for the "off" leg) and runs
-# elpload -query: boolean predicates through the plan IR with host-oracle
-# verification. fusion_hits / fusion_fallbacks come from the final
-# /v1/stats scrape embedded in the report, pinning which tier actually
-# served the point.
+# server with -shards n and runs elpload -query: boolean predicates
+# through the plan IR with host-oracle verification. fusion_hits /
+# fusion_fallbacks come from the final /v1/stats scrape embedded in the
+# report, pinning that the fused tier served the point.
 query_out="BENCH_query.json"
 query_shards="${QUERY_SHARDS:-1 4}"
 query_clients="${QUERY_CLIENTS:-32}"
@@ -433,39 +432,32 @@ query_duration="${QUERY_DURATION:-2s}"
 query_bits="${QUERY_BITS:-65536}"
 qpoints=""
 for n in $query_shards; do
-	for fusion in on off; do
-		fflag=""
-		if [ "$fusion" = "off" ]; then fflag="-disable-fusion"; fi
-		echo "bench.sh: elpload query sweep, $n shard(s), fusion $fusion (${query_clients} clients, ${query_duration})" >&2
-		go run ./cmd/elpload \
-			-query \
-			-shards "$n" \
-			-clients "$query_clients" \
-			-duration "$query_duration" \
-			-bits "$query_bits" \
-			$fflag \
-			>"$tmp_dir/query_${fusion}_$n.json"
-		vals=$(awk -F'[:,]' '
-			/"achieved_qps"/       { a = $2; gsub(/ /, "", a) }
-			/"modeled_qps"/        { m = $2; gsub(/ /, "", m) }
-			/"p99"/ && !p99done    { p = $2; gsub(/ /, "", p); p99done = 1 }
-			/"fusion_hits"/        { fh = $2; gsub(/ /, "", fh) }
-			/"fusion_fallbacks"/   { ff = $2; gsub(/ /, "", ff) }
-			/"verify_checks"/      { vc = $2; gsub(/ /, "", vc) }
-			END { print a, p, m, fh, ff, vc }' "$tmp_dir/query_${fusion}_$n.json")
-		qpoints="$qpoints$n $fusion $vals
+	echo "bench.sh: elpload query sweep, $n shard(s) (${query_clients} clients, ${query_duration})" >&2
+	go run ./cmd/elpload \
+		-query \
+		-shards "$n" \
+		-clients "$query_clients" \
+		-duration "$query_duration" \
+		-bits "$query_bits" \
+		>"$tmp_dir/query_$n.json"
+	vals=$(awk -F'[:,]' '
+		/"achieved_qps"/       { a = $2; gsub(/ /, "", a) }
+		/"modeled_qps"/        { m = $2; gsub(/ /, "", m) }
+		/"p99"/ && !p99done    { p = $2; gsub(/ /, "", p); p99done = 1 }
+		/"fusion_hits"/        { fh = $2; gsub(/ /, "", fh) }
+		/"fusion_fallbacks"/   { ff = $2; gsub(/ /, "", ff) }
+		/"verify_checks"/      { vc = $2; gsub(/ /, "", vc) }
+		END { print a, p, m, fh, ff, vc }' "$tmp_dir/query_$n.json")
+	qpoints="$qpoints$n $vals
 "
-	done
 done
 printf '%s' "$qpoints" | awk -v out="$query_out" -v host="$host_json" \
 	-v clients="$query_clients" -v duration="$query_duration" -v bits="$query_bits" '
-$2 == "on"  { oq[$1] = $3; op[$1] = $4; om[$1] = $5; oh[$1] = $6; ov[$1] = $8
-              if (!($1 in seen)) { order[++np] = $1; seen[$1] = 1 } }
-$2 == "off" { fq[$1] = $3; fp[$1] = $4; fm[$1] = $5; ff[$1] = $7
-              if (!($1 in seen)) { order[++np] = $1; seen[$1] = 1 } }
+{ q[$1] = $2; p[$1] = $3; m[$1] = $4; h[$1] = $5; fb[$1] = $6; v[$1] = $7
+  if (!($1 in seen)) { order[++np] = $1; seen[$1] = 1 } }
 END {
 	first = order[1]
-	if (np < 1 || om[first] == "" || fm[first] == "" || fm[first] + 0 <= 0) {
+	if (np < 1 || m[first] == "" || m[first] + 0 <= 0) {
 		print "bench.sh: missing query-sweep output" > "/dev/stderr"
 		exit 1
 	}
@@ -478,13 +470,10 @@ END {
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		n = order[i]
-		printf "    {\"shards\": %s, \"fused_qps\": %s, \"fused_p99_ms\": %s, \"fused_modeled_qps\": %s, \"fusion_hits\": %s, \"nofusion_qps\": %s, \"nofusion_p99_ms\": %s, \"nofusion_modeled_qps\": %s, \"fusion_fallbacks\": %s, \"verify_checks\": %s}%s\n",
-			n, oq[n], op[n], om[n], oh[n], fq[n], fp[n], fm[n], ff[n], ov[n], i < np ? "," : "" > out
+		printf "    {\"shards\": %s, \"qps\": %s, \"p99_ms\": %s, \"modeled_qps\": %s, \"fusion_hits\": %s, \"fusion_fallbacks\": %s, \"verify_checks\": %s}%s\n",
+			n, q[n], p[n], m[n], h[n], fb[n], v[n], i < np ? "," : "" > out
 	}
-	printf "  ],\n" > out
-	# Modeled costs are bit-identical across the two tiers by design, so
-	# the headline is the wall-clock throughput ratio (host-side fused win).
-	printf "  \"fused_qps_ratio_shards%s\": %.2f\n", first, oq[first] / fq[first] > out
+	printf "  ]\n" > out
 	printf "}\n" > out
 }
 '

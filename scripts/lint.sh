@@ -92,8 +92,9 @@ if ! go test -run '^$' -fuzz '^FuzzRoundTrip$' -fuzztime 5s ./internal/wire; the
     fail=1
 fi
 
-# The eval-DAG fuzzer pins the fused tier against the node-at-a-time tier
-# and the host oracle on random expression DAGs (depth ≤ 6).
+# The eval-DAG fuzzer pins the fused tier against the command-accurate
+# tier (the reference) and the host oracle on random expression DAGs
+# (depth ≤ 6).
 if ! go test -run '^$' -fuzz '^FuzzEvalDAG$' -fuzztime 5s .; then
     fail=1
 fi

@@ -270,9 +270,9 @@ func (a *Accelerator) Arith(op ArithOp, x, y *Vertical, m *BitVector) (*Vertical
 }
 
 // ArithProg executes a compiled vertical operation (see Arith).
-// Execution picks the best tier per step — fused cluster kernels,
-// node-at-a-time kernels, or the command-accurate device model — with
-// bit-identical results and modeled cost on every tier.
+// Execution picks the tier per step — fused cluster kernels, or the
+// command-accurate device model — with bit-identical results and modeled
+// cost on both.
 func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
 	p := ca.prog
 	binds, out, n, err := ca.binds(x, y, m)
@@ -298,8 +298,7 @@ func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector)
 		return nil, Stats{}, err
 	}
 	// Each step is priced as its node-at-a-time program, the cost source
-	// every eval tier shares, so arithmetic accounts identically on every
-	// tier.
+	// both eval tiers share, so arithmetic accounts identically on either.
 	var total Stats
 	for i := range p.Steps {
 		st, err := a.evalCost(p.Steps[i].Plan.Prog, stripes)

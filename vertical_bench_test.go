@@ -58,46 +58,46 @@ func BenchmarkVerticalTranspose(b *testing.B) {
 
 // BenchmarkVerticalArith sweeps two µPrograms over the element width
 // (the step count grows with width) — add, and popcount, the longest
-// program per width — through both word-level execution tiers: the
-// fused plan (default) and node-at-a-time kernels (DisableFusion), with
-// bit-identical results by construction (TestArithMatchesReference).
-// Each point reports ns/elem, allocs/op, the modeled latency and the
-// step count. bench.sh's Part 6 turns the sweep into BENCH_vertical.json.
+// program per width — on the fused tier, with results pinned against the
+// host reference and the command-accurate tier by
+// TestArithMatchesReference. Each point reports ns/elem, allocs/op, the
+// modeled latency, the step count and the program's fused passes per
+// block. bench.sh's Part 6 turns the sweep into BENCH_vertical.json.
 func BenchmarkVerticalArith(b *testing.B) {
 	for _, op := range []ArithOp{ArithAdd, ArithPopcount} {
 		for _, width := range []int{4, 8, 16, 32} {
 			rng := rand.New(rand.NewSource(int64(width)))
-			for _, tier := range []struct {
-				name    string
-				disable bool
-			}{{"fused", false}, {"node", true}} {
-				b.Run(fmt.Sprintf("%s/w%d/%s", op, width, tier.name), func(b *testing.B) {
-					acc, err := New(func(c *Config) { c.DisableFusion = tier.disable })
-					if err != nil {
+			b.Run(fmt.Sprintf("%s/w%d", op, width), func(b *testing.B) {
+				acc, err := New()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ca, err := CompileArith(op, width)
+				if err != nil {
+					b.Fatal(err)
+				}
+				passes, err := arithPasses(acc, ca)
+				if err != nil {
+					b.Fatal(err)
+				}
+				x := benchVertical(b, rng, width)
+				var y *Vertical
+				if op.Binary() {
+					y = benchVertical(b, rng, width)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var st Stats
+				for i := 0; i < b.N; i++ {
+					if _, st, err = acc.ArithProg(ca, x, y, nil); err != nil {
 						b.Fatal(err)
 					}
-					ca, err := CompileArith(op, width)
-					if err != nil {
-						b.Fatal(err)
-					}
-					x := benchVertical(b, rng, width)
-					var y *Vertical
-					if op.Binary() {
-						y = benchVertical(b, rng, width)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					var st Stats
-					for i := 0; i < b.N; i++ {
-						if _, st, err = acc.ArithProg(ca, x, y, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
-					b.ReportMetric(st.LatencyNS, "modeled_ns")
-					b.ReportMetric(float64(ca.Steps()), "steps")
-				})
-			}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
+				b.ReportMetric(st.LatencyNS, "modeled_ns")
+				b.ReportMetric(float64(ca.Steps()), "steps")
+				b.ReportMetric(float64(passes), "passes")
+			})
 		}
 	}
 }

@@ -138,9 +138,9 @@ func newArithInput(t *testing.T, rng *rand.Rand, tc arithCase, n int) arithInput
 }
 
 // TestArithMatchesReference is the facade's differential harness: every
-// op, all three designs, both module geometries, every dispatch tier
-// (fused, node-kernel, command-accurate) — bit-identical elements and
-// struct-equal Stats throughout.
+// op, all three designs, both module geometries, both dispatch tiers
+// (fused, command-accurate) — bit-identical elements and struct-equal
+// Stats throughout.
 func TestArithMatchesReference(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	rng := rand.New(rand.NewSource(17))
@@ -148,7 +148,6 @@ func TestArithMatchesReference(t *testing.T) {
 		for _, d := range designs {
 			design := func(c *Config) { c.Design = d }
 			acc := newAcc(t, mod, design)
-			noFusion := newAcc(t, mod, design, func(c *Config) { c.DisableFusion = true })
 			noFast := newAcc(t, mod, design, func(c *Config) { c.DisableFastpath = true })
 			for _, tc := range arithCases() {
 				in := newArithInput(t, rng, tc, 150+rng.Intn(150))
@@ -174,8 +173,6 @@ func TestArithMatchesReference(t *testing.T) {
 
 				out, st, err := acc.ArithProg(ca, xv, yv, mask)
 				run("fused", out, st, err)
-				out, st, err = noFusion.ArithProg(ca, xv, yv, mask)
-				run("node", out, st, err)
 				out, st, err = noFast.ArithProg(ca, xv, yv, mask)
 				run("cmd", out, st, err)
 
@@ -202,27 +199,16 @@ const multiBlockElems = 9*65536 + 77
 
 // TestArithMatchesReferenceMultiBlock is TestArithMatchesReference at a
 // size where the block-major walk crosses block boundaries, ends in a
-// ragged block, and runs on more than one worker: fused and node tiers,
-// every result checked against the host reference with struct-equal
-// Stats. Block boundaries and worker splits do not depend on the design,
-// so the default design suffices; the command-accurate tier and the
-// other designs are covered by the small cases.
+// ragged block, and runs on more than one worker: the fused tier, every
+// result checked against the host reference. Block boundaries and worker
+// splits do not depend on the design, so the default design suffices;
+// the command-accurate tier, its Stats, and the other designs are
+// covered by the small cases.
 func TestArithMatchesReferenceMultiBlock(t *testing.T) {
 	if words := (multiBlockElems + 63) / 64; words <= fastSerialThresholdWords || words%fusedChunkWords == 0 {
 		t.Fatal("multiBlockElems no longer crosses the serial threshold into a ragged block")
 	}
-	type runner struct {
-		tag string
-		run func(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error)
-	}
-	var runners []runner
-	for _, tier := range []struct {
-		name    string
-		disable bool
-	}{{"fused", false}, {"node", true}} {
-		acc := newAcc(t, smallModule, func(c *Config) { c.DisableFusion = tier.disable })
-		runners = append(runners, runner{tier.name, acc.ArithProg})
-	}
+	acc := newAcc(t, smallModule)
 	rng := rand.New(rand.NewSource(23))
 	// The carry chain, a signed compare, the longest program, and the
 	// masked select.
@@ -232,20 +218,11 @@ func TestArithMatchesReferenceMultiBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want Stats
-		for i, r := range runners {
-			tag := r.tag + "/" + tc.op.String()
-			out, st, err := r.run(ca, in.xv, in.yv, in.mask)
-			if err != nil {
-				t.Fatalf("%s/%d: %v", tag, tc.w, err)
-			}
-			checkArith(t, tag, out, tc.op, tc.w, in.x, in.y, in.m)
-			if i == 0 {
-				want = st
-			} else if st != want {
-				t.Fatalf("%s: stats %+v differ from %s's %+v", tag, st, runners[0].tag, want)
-			}
+		out, _, err := acc.ArithProg(ca, in.xv, in.yv, in.mask)
+		if err != nil {
+			t.Fatalf("fused/%s/%d: %v", tc.op, tc.w, err)
 		}
+		checkArith(t, "fused/"+tc.op.String(), out, tc.op, tc.w, in.x, in.y, in.m)
 	}
 }
 
