@@ -559,8 +559,10 @@ func evalBenchExpr(depth int) string {
 // BenchmarkEvalDAG sweeps expression-DAG depth (a depth-d tree has up to
 // 2^d-1 gates) through the fused tier, reporting each depth's passes per block
 // beside its ns/op: the word loops are bound by memory traffic, so the
-// time tracks the pass count, not the gate count. bench.sh part 5 turns
-// this sweep into BENCH_eval.json.
+// time tracks the pass count, not the gate count. Every call evaluates
+// into one reused result vector (EvalExprInto), so the allocator stays
+// out of the measurement. bench.sh part 5 turns this sweep into
+// BENCH_eval.json.
 func BenchmarkEvalDAG(b *testing.B) {
 	for _, depth := range []int{1, 2, 3, 4, 5, 6} {
 		src := evalBenchExpr(depth)
@@ -583,10 +585,11 @@ func BenchmarkEvalDAG(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			out := NewBitVector(n)
 			b.SetBytes(n / 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := acc.EvalExpr(ce, vars); err != nil {
+				if _, err := acc.EvalExprInto(ce, vars, out); err != nil {
 					b.Fatal(err)
 				}
 			}

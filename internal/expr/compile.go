@@ -116,7 +116,8 @@ type DAG struct {
 }
 
 // BuildDAG lowers a parse tree to the optimized DAG: CSE via structural
-// hash-consing, double-negation removal, and NOT-into-gate fusion.
+// hash-consing, double-negation removal, and NOT-into-gate fusion on a
+// gate's inputs and, where the gate has no other user, on its output.
 func BuildDAG(n *Node) (*DAG, error) {
 	if n == nil {
 		return nil, errors.New("expr: nil expression")
@@ -169,6 +170,17 @@ func BuildDAG(n *Node) (*DAG, error) {
 	if root.Leaf {
 		return d, nil
 	}
+	d.Order = postOrder(root)
+	if fuseOutputNots(d.Order) {
+		d.Order = postOrder(root)
+	}
+	return d, nil
+}
+
+// postOrder lists the interior nodes reachable from root, operands
+// before users: the emission order of every schedule.
+func postOrder(root *DAGNode) []*DAGNode {
+	var order []*DAGNode
 	seen := map[*DAGNode]bool{}
 	var walk func(*DAGNode)
 	walk = func(v *DAGNode) {
@@ -180,10 +192,48 @@ func BuildDAG(n *Node) (*DAG, error) {
 		if v.B != nil {
 			walk(v.B)
 		}
-		d.Order = append(d.Order, v) // post-order: operands first
+		order = append(order, v)
 	}
 	walk(root)
-	return d, nil
+	return order
+}
+
+// complementGate maps each binary gate to the gate computing its
+// negation.
+var complementGate = map[engine.Op]engine.Op{
+	engine.OpAND: engine.OpNAND, engine.OpNAND: engine.OpAND,
+	engine.OpOR: engine.OpNOR, engine.OpNOR: engine.OpOR,
+	engine.OpXOR: engine.OpXNOR, engine.OpXNOR: engine.OpXOR,
+}
+
+// fuseOutputNots rewrites, in place, every NOT over a binary gate that
+// has no other user into that gate's complement (~(a ^ b) → XNOR(a, b)),
+// and reports whether any node changed. The rewritten gate becomes
+// unreachable, so the caller rebuilds the order. A gate with other users
+// keeps its NOT: they still need the gate computed, and a NOT over it
+// costs less than computing its complement as well.
+func fuseOutputNots(order []*DAGNode) bool {
+	users := map[*DAGNode]int{}
+	for _, v := range order {
+		users[v.A]++
+		if v.B != nil {
+			users[v.B]++
+		}
+	}
+	changed := false
+	for _, v := range order {
+		if v.Op != engine.OpNOT || v.A.Leaf || users[v.A] != 1 {
+			continue
+		}
+		g := v.A
+		comp, ok := complementGate[g.Op]
+		if !ok {
+			continue
+		}
+		v.Op, v.A, v.B = comp, g.A, g.B
+		changed = true
+	}
+	return changed
 }
 
 // Schedule emits the DAG as a node-at-a-time Program: one engine
@@ -267,9 +317,10 @@ func Compile(n *Node) (*Program, error) {
 	return d.Schedule(), nil
 }
 
-// fuse applies gate fusion: a NOT on the output or inputs of a binary
-// gate collapses into the engine-native complement gate, saving a full
-// DCC round-trip per fused NOT.
+// fuse applies input-side gate fusion: NOTs on the inputs of a binary
+// gate collapse into the engine-native complement gate, saving a full
+// DCC round-trip per fused NOT (fuseOutputNots handles a NOT on the
+// output once every gate's users are known).
 //
 //	AND(¬x, ¬y) = NOR(x, y)      OR(¬x, ¬y) = NAND(x, y)
 //	XOR(¬x, y) = XOR(x, ¬y) = XNOR(x, y)

@@ -148,6 +148,93 @@ func TestCompileFusion(t *testing.T) {
 	}
 }
 
+// TestCompileOutputNotFusion: a NOT over a gate with no other user
+// compiles to the complement gate; a gate other users share keeps its
+// NOT.
+func TestCompileOutputNotFusion(t *testing.T) {
+	cases := map[string]engine.Op{
+		"~(a ^ b)":   engine.OpXNOR,
+		"~(a & b)":   engine.OpNAND,
+		"~(a | b)":   engine.OpNOR,
+		"~(~a & ~b)": engine.OpOR,
+		"~(~a | ~b)": engine.OpAND,
+		"~(~a ^ b)":  engine.OpXOR,
+	}
+	for src, want := range cases {
+		p, err := Compile(MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Instrs) != 1 || p.Instrs[0].Op != want {
+			t.Errorf("%q compiled to\n%s, want single %v", src, p, want)
+		}
+	}
+	p, err := Compile(MustParse("(a ^ b) | ~(a ^ b)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[engine.Op]int{}
+	for _, in := range p.Instrs {
+		ops[in.Op]++
+	}
+	if len(p.Instrs) != 3 || ops[engine.OpXOR] != 1 || ops[engine.OpNOT] != 1 || ops[engine.OpOR] != 1 {
+		t.Errorf("shared XOR under a NOT compiled to\n%s, want XOR, NOT, OR", p)
+	}
+}
+
+// TestCompiledTruthTables: random NOT-heavy expressions compile to
+// programs whose gate-by-gate host evaluation matches Eval on every
+// assignment of their variables.
+func TestCompiledTruthTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 3000; i++ {
+		n := randomExpr(rng, 5, 4)
+		p, err := Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Column c assigns variable j the value of bit j of c, so 2^k
+		// columns enumerate every assignment.
+		cols := 1 << len(p.Vars)
+		vars := make([]*bitvec.Vector, len(p.Vars))
+		for j := range vars {
+			vars[j] = bitvec.New(cols)
+			for c := 0; c < cols; c++ {
+				vars[j].SetBit(c, c>>j&1 != 0)
+			}
+		}
+		temps := make([]*bitvec.Vector, p.TempSlots)
+		for j := range temps {
+			temps[j] = bitvec.New(cols)
+		}
+		val := func(r Ref) *bitvec.Vector {
+			if r.Temp {
+				return temps[r.Index]
+			}
+			return vars[r.Index]
+		}
+		for _, in := range p.Instrs {
+			var b *bitvec.Vector
+			if !in.Op.Unary() {
+				b = val(in.B)
+			}
+			res := bitvec.New(cols)
+			in.Op.Golden(res, val(in.A), b)
+			temps[in.Dst.Index] = res
+		}
+		got := val(p.Result())
+		env := map[string]bool{}
+		for c := 0; c < cols; c++ {
+			for j, v := range p.Vars {
+				env[v] = c>>j&1 != 0
+			}
+			if got.Bit(c) != n.Eval(env) {
+				t.Fatalf("%s: assignment %d: program %v, Eval %v\n%s", n, c, got.Bit(c), n.Eval(env), p)
+			}
+		}
+	}
+}
+
 func TestCompileDoubleNegation(t *testing.T) {
 	p, err := Compile(MustParse("~~a & b"))
 	if err != nil {

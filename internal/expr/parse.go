@@ -4,8 +4,9 @@
 // primitive sequences.
 //
 // The pipeline is parse → DAG (common-subexpression elimination and
-// double-negation removal) → gate fusion (NOT feeding AND/OR/XOR becomes
-// the engine's native NAND/NOR/XNOR) → liveness-based scratch-row
+// double-negation removal) → gate fusion (NOT feeding AND/OR/XOR, or over
+// a gate nothing else reads, becomes the engine's native NAND/NOR/XNOR
+// or the gate's complement) → liveness-based scratch-row
 // allocation → a Program that any engine executes row-accurately on the
 // device model, with a per-design cost estimate.
 //

@@ -87,7 +87,7 @@ type bstep struct {
 // virtual id, and steps reference earlier values only through those ids.
 // assemble then maps ids to physical slice names with a last-use scan so
 // scratch slices are recycled instead of growing with program length
-// (popcount at width 64 runs hundreds of steps on a handful of temps).
+// (popcount at width 64 runs 183 steps on 12 temps).
 type builder struct {
 	steps []bstep
 }
@@ -201,169 +201,184 @@ func xj(j int) *expr.Node { return expr.Var(XVar(j)) }
 // yj builds the y operand-slice leaf for bit j.
 func yj(j int) *expr.Node { return expr.Var(YVar(j)) }
 
-// buildAdd emits the ripple-carry adder: sum_j = x_j ^ y_j ^ c, carry
-// c' = (x_j & y_j) | (c & (x_j ^ y_j)), with the final carry dropped
-// (modular arithmetic).
+// buildAdd emits the ripple-carry adder. A middle bit j writes its
+// half sum t = x_j ^ y_j as a step of its own, which the sum
+// z_j = t ^ c and the carry c' = (x_j & y_j) | (c & t) both read: 2 XOR
+// and 3 AND/OR per bit. Bit 0 has no carry in (z0 = x0 ^ y0,
+// c = x0 & y0), and the top bit drops its carry out (modular
+// arithmetic), so it sums in one step, z = x ^ y ^ c.
 func buildAdd(b *builder, outs map[int]string, w int) {
 	outs[b.emit(func(nm namer) *expr.Node { return expr.Xor(xj(0), yj(0)) })] = ZVar(0)
 	if w == 1 {
 		return
 	}
 	c := b.emit(func(nm namer) *expr.Node { return expr.And(xj(0), yj(0)) })
-	for j := 1; j < w; j++ {
-		j, cin := j, vsrc{vid: c}
+	for j := 1; j < w-1; j++ {
+		cin := vsrc{vid: c}
+		t := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.Xor(xj(j), yj(j)) })}
 		outs[b.emit(func(nm namer) *expr.Node {
-			return expr.Xor(expr.Xor(xj(j), yj(j)), cin.node(nm))
-		}, cin)] = ZVar(j)
-		if j < w-1 {
-			c = b.emit(func(nm namer) *expr.Node {
-				return expr.Or(expr.And(xj(j), yj(j)), expr.And(cin.node(nm), expr.Xor(xj(j), yj(j))))
-			}, cin)
-		}
+			return expr.Xor(t.node(nm), cin.node(nm))
+		}, t, cin)] = ZVar(j)
+		c = b.emit(func(nm namer) *expr.Node {
+			return expr.Or(expr.And(xj(j), yj(j)), expr.And(cin.node(nm), t.node(nm)))
+		}, cin, t)
 	}
+	top, cin := w-1, vsrc{vid: c}
+	outs[b.emit(func(nm namer) *expr.Node {
+		return expr.Xor(expr.Xor(xj(top), yj(top)), cin.node(nm))
+	}, cin)] = ZVar(top)
 }
 
-// buildSub emits the borrow-chain subtractor: diff_j = x_j ^ y_j ^ b,
-// borrow b' = (~x_j & y_j) | (b & ~(x_j ^ y_j)).
+// buildSub emits the borrow-chain subtractor, sharing the half
+// difference t = x_j ^ y_j of a middle bit as add shares its half sum:
+// z_j = t ^ b and b' = (t & y_j) | (~t & b) — a differing pair borrows
+// exactly when y_j is the set one, an equal pair passes the borrow in
+// through. Bit 0's borrow is z0 & y0 (= ~x0 & y0, read back from the
+// output slice it just wrote), and the top bit drops its borrow out.
 func buildSub(b *builder, outs map[int]string, w int) {
-	outs[b.emit(func(nm namer) *expr.Node { return expr.Xor(xj(0), yj(0)) })] = ZVar(0)
+	z0 := b.emit(func(nm namer) *expr.Node { return expr.Xor(xj(0), yj(0)) })
+	outs[z0] = ZVar(0)
 	if w == 1 {
 		return
 	}
-	bw := b.emit(func(nm namer) *expr.Node { return expr.And(expr.Not(xj(0)), yj(0)) })
-	for j := 1; j < w; j++ {
-		j, bin := j, vsrc{vid: bw}
+	d0 := vsrc{vid: z0}
+	bw := b.emit(func(nm namer) *expr.Node { return expr.And(d0.node(nm), yj(0)) }, d0)
+	for j := 1; j < w-1; j++ {
+		bin := vsrc{vid: bw}
+		t := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.Xor(xj(j), yj(j)) })}
 		outs[b.emit(func(nm namer) *expr.Node {
-			return expr.Xor(expr.Xor(xj(j), yj(j)), bin.node(nm))
-		}, bin)] = ZVar(j)
-		if j < w-1 {
-			bw = b.emit(func(nm namer) *expr.Node {
-				return expr.Or(expr.And(expr.Not(xj(j)), yj(j)), expr.And(bin.node(nm), expr.Not(expr.Xor(xj(j), yj(j)))))
-			}, bin)
-		}
+			return expr.Xor(t.node(nm), bin.node(nm))
+		}, t, bin)] = ZVar(j)
+		bw = b.emit(func(nm namer) *expr.Node {
+			return expr.Or(expr.And(t.node(nm), yj(j)), expr.And(expr.Not(t.node(nm)), bin.node(nm)))
+		}, t, bin)
 	}
+	top, bin := w-1, vsrc{vid: bw}
+	outs[b.emit(func(nm namer) *expr.Node {
+		return expr.Xor(expr.Xor(xj(top), yj(top)), bin.node(nm))
+	}, bin)] = ZVar(top)
 }
 
-// buildCompare emits the MSB-down lexicographic chain shared by
-// less-than and less-or-equal, unsigned and signed. At the sign bit a
-// two's-complement compare inverts the roles (a set x sign means x is
-// smaller); below it the chains are identical.
+// buildCompare emits less-than and less-or-equal, unsigned and signed,
+// as one LSB-up borrow chain: x < y exactly when x - y borrows out of
+// the top bit. Each bit folds into the borrow with a majority,
+// b' = maj(~x_j, y_j, b) = (~x_j & y_j) | (b & (~x_j | y_j)) — one step
+// per bit and no XOR. A signed compare orders like unsigned with both
+// sign bits flipped, so its top bit folds maj(x, ~y, b) instead. le
+// seeds a borrow in of 1 (x <= y exactly when x - y - 1 borrows), so
+// its bit-0 step is ~x0 | y0 where lt's is ~x0 & y0.
 func buildCompare(b *builder, outs map[int]string, w int, op Op) {
 	signed := op == OpLTS || op == OpLES
 	le := op == OpLE || op == OpLES
-	msb := w - 1
-	lt := b.emit(func(nm namer) *expr.Node {
-		if signed {
-			return expr.And(xj(msb), expr.Not(yj(msb)))
+	// pair returns bit j's majority inputs besides the borrow.
+	pair := func(j int) (p, q *expr.Node) {
+		if signed && j == w-1 {
+			return xj(j), expr.Not(yj(j))
 		}
-		return expr.And(expr.Not(xj(msb)), yj(msb))
+		return expr.Not(xj(j)), yj(j)
+	}
+	bw := b.emit(func(nm namer) *expr.Node {
+		p, q := pair(0)
+		if le {
+			return expr.Or(p, q)
+		}
+		return expr.And(p, q)
 	})
-	eq := -1
-	if w > 1 || le {
-		eq = b.emit(func(nm namer) *expr.Node { return expr.Not(expr.Xor(xj(msb), yj(msb))) })
+	for j := 1; j < w; j++ {
+		bin := vsrc{vid: bw}
+		bw = b.emit(func(nm namer) *expr.Node {
+			p, q := pair(j)
+			return expr.Or(expr.And(p, q), expr.And(bin.node(nm), expr.Or(p, q)))
+		}, bin)
 	}
-	for j := msb - 1; j >= 0; j-- {
-		j, ltin, eqin := j, vsrc{vid: lt}, vsrc{vid: eq}
-		lt = b.emit(func(nm namer) *expr.Node {
-			return expr.Or(ltin.node(nm), expr.And(eqin.node(nm), expr.And(expr.Not(xj(j)), yj(j))))
-		}, ltin, eqin)
-		if j > 0 || le {
-			eq = b.emit(func(nm namer) *expr.Node {
-				return expr.And(eqin.node(nm), expr.Not(expr.Xor(xj(j), yj(j))))
-			}, eqin)
-		}
-	}
-	if le {
-		ltin, eqin := vsrc{vid: lt}, vsrc{vid: eq}
-		outs[b.emit(func(nm namer) *expr.Node {
-			return expr.Or(ltin.node(nm), eqin.node(nm))
-		}, ltin, eqin)] = ZVar(0)
-		return
-	}
-	outs[lt] = ZVar(0)
+	outs[bw] = ZVar(0)
 }
 
-// buildEq emits equality as an XNOR-AND accumulator chain: the first
-// step folds three bit positions (six operand slices), every later step
-// ANDs two more positions into the accumulator (five slices) — each step
-// one fused-kernel pass, and the accumulator ping-pongs through two
-// recycled scratch slices regardless of width.
+// buildEq emits equality as an OR accumulator of the pairwise
+// differences x_j ^ y_j, complemented by the last step's OR becoming a
+// NOR: the first step folds three bit positions (six operand slices),
+// every later step ORs two more positions into the accumulator (five
+// slices) — one XOR and one OR per bit and no NOT, and the accumulator
+// ping-pongs through two recycled scratch slices regardless of width.
 func buildEq(b *builder, outs map[int]string, w int) {
-	hi := 3
-	if hi > w {
-		hi = w
-	}
-	first := hi
-	acc := b.emit(func(nm namer) *expr.Node {
-		n := expr.Not(expr.Xor(xj(0), yj(0)))
-		for j := 1; j < first; j++ {
-			n = expr.And(n, expr.Not(expr.Xor(xj(j), yj(j))))
-		}
-		return n
-	})
-	for lo := first; lo < w; lo += 2 {
-		end := lo + 2
-		if end > w {
-			end = w
-		}
-		lo, end, ain := lo, end, vsrc{vid: acc}
-		acc = b.emit(func(nm namer) *expr.Node {
-			n := ain.node(nm)
-			for j := lo; j < end; j++ {
-				n = expr.And(n, expr.Not(expr.Xor(xj(j), yj(j))))
+	// fold ORs the differences of positions lo..hi-1 into acc (nil for
+	// the first step), complementing the step that folds the last one.
+	fold := func(acc *expr.Node, lo, hi int) *expr.Node {
+		for j := lo; j < hi; j++ {
+			if d := expr.Xor(xj(j), yj(j)); acc == nil {
+				acc = d
+			} else {
+				acc = expr.Or(acc, d)
 			}
-			return n
-		}, ain)
+		}
+		if hi == w {
+			return expr.Not(acc)
+		}
+		return acc
+	}
+	first := min(3, w)
+	acc := b.emit(func(nm namer) *expr.Node { return fold(nil, 0, first) })
+	for lo := first; lo < w; lo += 2 {
+		end, ain := min(lo+2, w), vsrc{vid: acc}
+		acc = b.emit(func(nm namer) *expr.Node { return fold(ain.node(nm), lo, end) }, ain)
 	}
 	outs[acc] = ZVar(0)
 }
 
-// buildPopcount emits the bit-serial counter: a half-adder seeds a
-// two-bit counter from x0/x1, then every further operand bit increments
-// it through a carry chain, the counter growing one slice exactly when
-// the maximum count needs another bit. Width 1 degenerates to a single
-// identity pass (z0 = x0 & x0).
+// buildPopcount emits a carry-save counter. Column p holds pending bits
+// of weight 2^p; the operand bits arrive in column 0, and a column that
+// reaches three bits a, b, c reduces them with a full adder: t = a ^ b,
+// carry (a & b) | (c & t) into column p+1, then sum t ^ c back into
+// column p. The carry goes first so a and b die before the sum needs a
+// slice, which keeps width 64 within 12 temps. A half adder (a ^ b,
+// a & b) closes a column left with two bits. A column of n bits passes
+// n/2 carries up, so the top column, bits.Len(w)-1, receives
+// w >> (bits.Len(w)-1) = 1 bit and never carries; width 32 takes 26
+// full and 5 half adders. Width 1 degenerates to a single identity pass
+// (z0 = x0 & x0).
 func buildPopcount(b *builder, outs map[int]string, w int) {
 	if w == 1 {
 		outs[b.emit(func(nm namer) *expr.Node { return expr.And(xj(0), xj(0)) })] = ZVar(0)
 		return
 	}
-	cnt := []int{
-		b.emit(func(nm namer) *expr.Node { return expr.Xor(xj(0), xj(1)) }),
-		b.emit(func(nm namer) *expr.Node { return expr.And(xj(0), xj(1)) }),
-	}
-	for j := 2; j < w; j++ {
-		grow := bits.Len(uint(j+1)) > len(cnt)
-		carry := leaf(XVar(j))
-		next := make([]int, 0, len(cnt)+1)
-		for p := 0; p < len(cnt); p++ {
-			cp, cin := vsrc{vid: cnt[p]}, carry
-			next = append(next, b.emit(func(nm namer) *expr.Node {
-				return expr.Xor(cp.node(nm), cin.node(nm))
-			}, cp, cin))
-			if p < len(cnt)-1 || grow {
-				carry = vsrc{vid: b.emit(func(nm namer) *expr.Node {
-					return expr.And(cp.node(nm), cin.node(nm))
-				}, cp, cin)}
-			}
+	cols := make([][]vsrc, bits.Len(uint(w)))
+	var push func(p int, s vsrc)
+	push = func(p int, s vsrc) {
+		cols[p] = append(cols[p], s)
+		if len(cols[p]) < 3 {
+			return
 		}
-		if grow {
-			next = append(next, carry.vid)
-		}
-		cnt = next
+		x, y, c := cols[p][0], cols[p][1], cols[p][2]
+		t := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.Xor(x.node(nm), y.node(nm)) }, x, y)}
+		carry := vsrc{vid: b.emit(func(nm namer) *expr.Node {
+			return expr.Or(expr.And(x.node(nm), y.node(nm)), expr.And(c.node(nm), t.node(nm)))
+		}, x, y, c, t)}
+		sum := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.Xor(t.node(nm), c.node(nm)) }, t, c)}
+		cols[p] = append(cols[p][:0], sum)
+		push(p+1, carry)
 	}
-	for p, vid := range cnt {
-		outs[vid] = ZVar(p)
+	for j := 0; j < w; j++ {
+		push(0, leaf(XVar(j)))
+	}
+	for p := range cols {
+		if len(cols[p]) == 2 {
+			x, y := cols[p][0], cols[p][1]
+			sum := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.Xor(x.node(nm), y.node(nm)) }, x, y)}
+			carry := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.And(x.node(nm), y.node(nm)) }, x, y)}
+			cols[p] = append(cols[p][:0], sum)
+			push(p+1, carry)
+		}
+		outs[cols[p][0].vid] = ZVar(p)
 	}
 }
 
-// buildSelect emits the per-slice blend z_j = (m & x_j) | (~m & y_j).
+// buildSelect emits the per-slice blend z_j = (m & x_j) | (nm & y_j),
+// with the inverted mask nm = ~m computed once, as a step of its own.
 func buildSelect(b *builder, outs map[int]string, w int) {
+	inv := vsrc{vid: b.emit(func(nm namer) *expr.Node { return expr.Not(expr.Var(MaskVar)) })}
 	for j := 0; j < w; j++ {
-		j := j
 		outs[b.emit(func(nm namer) *expr.Node {
-			m := expr.Var(MaskVar)
-			return expr.Or(expr.And(m, xj(j)), expr.And(expr.Not(m), yj(j)))
-		})] = ZVar(j)
+			return expr.Or(expr.And(expr.Var(MaskVar), xj(j)), expr.And(inv.node(nm), yj(j)))
+		}, inv)] = ZVar(j)
 	}
 }

@@ -158,7 +158,8 @@ func TestProgramsMatchReference(t *testing.T) {
 }
 
 // TestProgramShape: scratch recycling keeps the temp pool logarithmic
-// and every step's expression narrow enough for one fused-kernel pass.
+// and every step's expression narrow enough for one fused kernel (at
+// most six distinct slices).
 func TestProgramShape(t *testing.T) {
 	for op := Op(0); int(op) < NumOps; op++ {
 		for _, w := range []int{4, 16, 64} {

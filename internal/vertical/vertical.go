@@ -11,12 +11,15 @@
 // slice words (64·64/p elements per transpose for widths up to a power
 // of two p), with ragged-tail zero padding.
 // The µProgram builder synthesizes k-bit operations (ripple-carry
-// add/sub, unsigned and signed compares, popcount accumulation,
-// select/blend) as sequences of boolean steps, one internal/expr DAG per
-// produced bit slice, each compiled through plan.Compile — so vertical
-// arithmetic inherits clustering, common-subexpression elimination, and
-// the fused k-input kernels, and executes on both tiers of the facade
-// (fused, command-accurate) with identical modeled cost.
+// add/sub, majority borrow-chain compares, an OR-accumulated equality, a
+// carry-save popcount, select/blend) as sequences of boolean steps, each
+// one internal/expr DAG writing one bit slice, compiled through
+// plan.Compile — so vertical arithmetic inherits clustering,
+// common-subexpression elimination, and the fused k-input kernels, and
+// executes on both tiers of the facade (fused, command-accurate) with
+// identical modeled cost. Elimination stops at step boundaries, so a
+// term two steps read (add's half sum x_j ^ y_j, select's ~m) is a step
+// of its own rather than computed twice.
 //
 // The package is engine-agnostic: it emits plans over named slices and
 // leaves binding names to vectors, striping, and execution to the

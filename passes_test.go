@@ -2,6 +2,7 @@ package elp2im
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/plan"
@@ -35,6 +36,13 @@ func arithPasses(acc *Accelerator, ca *CompiledArith) (int, error) {
 	return n, nil
 }
 
+// arithWireOps and arithWireWidths are the operations and element
+// widths of the µPrograms perfbench's arith_wire workload serves.
+var (
+	arithWireOps    = []ArithOp{ArithAdd, ArithSub, ArithLt, ArithEq, ArithPopcount, ArithSelect}
+	arithWireWidths = []int{8, 16, 32}
+)
+
 // fig13Predicates returns Fig 13's queries over the last 2–8 of eight
 // weekly bitmaps w0–w7, in the form the query_json workload sends them:
 // Q1 is the left-deep AND of the weeks, Q2 ANDs the gender bitmap g
@@ -56,11 +64,15 @@ func fig13Predicates() []string {
 // predicates (query_json's fixed half), and of each BenchmarkEvalDAG
 // depth. A pass is one word loop over a block, so these totals are the
 // host work of the fused tier, deterministic and free of timing noise.
+// It also pins the modeled DRAM latency and energy of the 18 µPrograms
+// over arith_wire's 1 Mi elements on the default module, so a dearer
+// µProgram fails here and not only in a benchmark run.
 func TestPassCounts(t *testing.T) {
 	acc := newAcc(t)
-	arith := 0
-	for _, op := range []ArithOp{ArithAdd, ArithSub, ArithLt, ArithEq, ArithPopcount, ArithSelect} {
-		for _, w := range []int{8, 16, 32} {
+	arith, stripes := 0, acc.stripes(benchElems)
+	var cost Stats
+	for _, op := range arithWireOps {
+		for _, w := range arithWireWidths {
 			ca, err := CompileArith(op, w)
 			if err != nil {
 				t.Fatal(err)
@@ -69,12 +81,20 @@ func TestPassCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", op, w, err)
 			}
-			t.Logf("%s/%d: %d passes", op, w, n)
+			st, err := acc.progCost(ca.prog, stripes)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", op, w, err)
+			}
+			t.Logf("%s/%d: %d passes, %.0f modeled ns", op, w, n, st.LatencyNS)
 			arith += n
+			cost.add(st)
 		}
 	}
-	if arith != 1200 {
-		t.Errorf("arith_wire µPrograms take %d passes, want 1200", arith)
+	if arith != 792 {
+		t.Errorf("arith_wire µPrograms take %d passes, want 792", arith)
+	}
+	if ns, nj := math.Round(cost.LatencyNS), math.Round(cost.EnergyNJ); ns != 4657217 || nj != 3217076 {
+		t.Errorf("arith_wire µPrograms model %.0f ns and %.0f nJ, want 4657217 ns and 3217076 nJ", ns, nj)
 	}
 
 	preds := fig13Predicates()

@@ -44,15 +44,16 @@
 # GOMAXPROCS) so wall-clock numbers are interpretable across machines.
 #
 # Part 5 (BENCH_eval.json) sweeps BenchmarkEvalDAG: one expression DAG
-# per depth (1..6), evaluated over 1 Mbit operands on the fused tier,
-# recording ns/op and the fused passes per block at each depth, and the
-# headline depth-4 pass count (see EXPERIMENTS.md "Reading
-# BENCH_eval.json").
+# per depth (1..6), evaluated over 1 Mbit operands on the fused tier into
+# one reused result vector, recording ns/op and the fused passes per
+# block at each depth, and the headline depth-4 pass count (see
+# EXPERIMENTS.md "Reading BENCH_eval.json").
 #
-# Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: a
-# vertical k-bit add and popcount (the longest µProgram) over 1M
-# elements per width (4/8/16/32) on the fused tier, with allocs/op and
-# the program's fused passes per block, plus the transpose engine's
+# Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: the six
+# vertical k-bit µPrograms arith_wire serves (add, sub, lt, eq,
+# popcount, select) over 1M elements at its widths 8/16/32 on the fused
+# tier, with the step count, the program's fused passes per block, its
+# modeled DRAM latency and allocs/op, plus the transpose engine's
 # slice/unslice ns/elem at widths 1/8/32 (BenchmarkVerticalTranspose) —
 # the bit-serial arithmetic cost curve (see EXPERIMENTS.md "Reading
 # BENCH_vertical.json").
@@ -311,7 +312,8 @@ cat "$wire_out"
 
 # Part 5: the fused eval tier over the DAG depth sweep. Host time tracks
 # the passes per block (two-level word loops pack up to three gates into
-# one pass), so every point carries its pass count beside its ns/op.
+# one pass), so every point carries its pass count beside its ns/op. The
+# result vector is reused across calls, so ns/op holds no allocation.
 eval_out="BENCH_eval.json"
 eval_benchtime="${EVAL_BENCHTIME:-1000x}"
 echo "bench.sh: eval DAG sweep (BenchmarkEvalDAG, ${eval_benchtime})" >&2
@@ -355,8 +357,8 @@ END {
 echo "wrote $eval_out" >&2
 cat "$eval_out"
 
-# Part 6: the vertical (bit-serial) arithmetic cost curve. A k-bit add
-# and popcount per width on the fused tier — the µProgram's step and
+# Part 6: the vertical (bit-serial) arithmetic cost curve. Each of
+# arith_wire's six µPrograms per width on the fused tier — the step and
 # pass counts grow with width, so ns/elem traces the bit-serial latency
 # model — plus the transpose engine's ingest/readback throughput per
 # element width. Points are keyed by op and width.

@@ -297,16 +297,25 @@ func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector)
 	if err := pr.exec(stripes); err != nil {
 		return nil, Stats{}, err
 	}
-	// Each step is priced as its node-at-a-time program, the cost source
-	// both eval tiers share, so arithmetic accounts identically on either.
+	total, err := a.progCost(p, stripes)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	a.charge(total)
+	return out, total, nil
+}
+
+// progCost prices a µProgram over `stripes` row operations. Each step is
+// priced as its node-at-a-time program, the cost source both eval tiers
+// share, so arithmetic accounts identically on either.
+func (a *Accelerator) progCost(p *vertical.Program, stripes int) (Stats, error) {
 	var total Stats
 	for i := range p.Steps {
 		st, err := a.evalCost(p.Steps[i].Plan.Prog, stripes)
 		if err != nil {
-			return nil, Stats{}, err
+			return Stats{}, err
 		}
 		total.add(st)
 	}
-	a.charge(total)
-	return out, total, nil
+	return total, nil
 }

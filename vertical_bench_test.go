@@ -56,16 +56,17 @@ func BenchmarkVerticalTranspose(b *testing.B) {
 	}
 }
 
-// BenchmarkVerticalArith sweeps two µPrograms over the element width
-// (the step count grows with width) — add, and popcount, the longest
-// program per width — on the fused tier, with results pinned against the
-// host reference and the command-accurate tier by
-// TestArithMatchesReference. Each point reports ns/elem, allocs/op, the
-// modeled latency, the step count and the program's fused passes per
-// block. bench.sh's Part 6 turns the sweep into BENCH_vertical.json.
+// BenchmarkVerticalArith sweeps the six µPrograms arith_wire serves —
+// add, sub, lt, eq, popcount and select — over its element widths 8, 16
+// and 32 (the step count grows with width) on the fused tier, with
+// results pinned against the host reference and the command-accurate
+// tier by TestArithMatchesReference. Each point reports ns/elem,
+// allocs/op, the modeled latency, the step count and the program's fused
+// passes per block. bench.sh's Part 6 turns the sweep into
+// BENCH_vertical.json.
 func BenchmarkVerticalArith(b *testing.B) {
-	for _, op := range []ArithOp{ArithAdd, ArithPopcount} {
-		for _, width := range []int{4, 8, 16, 32} {
+	for _, op := range arithWireOps {
+		for _, width := range arithWireWidths {
 			rng := rand.New(rand.NewSource(int64(width)))
 			b.Run(fmt.Sprintf("%s/w%d", op, width), func(b *testing.B) {
 				acc, err := New()
@@ -85,11 +86,15 @@ func BenchmarkVerticalArith(b *testing.B) {
 				if op.Binary() {
 					y = benchVertical(b, rng, width)
 				}
+				var m *BitVector
+				if op.Masked() {
+					m = RandomBitVector(rng, benchElems)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				var st Stats
 				for i := 0; i < b.N; i++ {
-					if _, st, err = acc.ArithProg(ca, x, y, nil); err != nil {
+					if _, st, err = acc.ArithProg(ca, x, y, m); err != nil {
 						b.Fatal(err)
 					}
 				}

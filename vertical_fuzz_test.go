@@ -31,6 +31,17 @@ func FuzzVerticalArith(f *testing.F) {
 	f.Add(uint8(7), uint8(16), uint16(128), uint64(8)) // popcount
 	f.Add(uint8(8), uint8(3), uint16(77), uint64(9))   // select
 	f.Add(uint8(0), uint8(64), uint16(33), uint64(10)) // full-width carry chain
+	f.Add(uint8(1), uint8(1), uint16(90), uint64(11))  // sub w2: no middle bit
+	f.Add(uint8(4), uint8(0), uint16(70), uint64(12))  // eq w1: one XNOR
+	f.Add(uint8(4), uint8(2), uint16(70), uint64(13))  // eq w3: one NOR step
+	f.Add(uint8(5), uint8(0), uint16(80), uint64(14))  // lts w1: sign bit is bit 0
+	f.Add(uint8(6), uint8(0), uint16(80), uint64(15))  // les w1
+	f.Add(uint8(7), uint8(0), uint16(60), uint64(16))  // popcount w1: identity
+	f.Add(uint8(7), uint8(1), uint16(60), uint64(17))  // popcount w2: half adder
+	f.Add(uint8(7), uint8(2), uint16(60), uint64(18))  // popcount w3: full adder
+	f.Add(uint8(7), uint8(6), uint16(99), uint64(19))  // popcount w7
+	f.Add(uint8(7), uint8(15), uint16(99), uint64(20)) // popcount w16
+	f.Add(uint8(7), uint8(32), uint16(99), uint64(21)) // popcount w33
 	f.Fuzz(func(t *testing.T, opc, wc uint8, nc uint16, seed uint64) {
 		op := ArithOp(int(opc) % vertical.NumOps)
 		w := int(wc)%64 + 1

@@ -64,15 +64,21 @@ type arithCase struct {
 	w  int
 }
 
-// arithCases samples every operation across mixed widths.
+// arithCases samples every operation across mixed widths, plus the
+// edges of the µProgram builders: sub's two-bit chain (no middle bit),
+// signed compares whose sign bit is bit 0, eq as a single NOR step, and
+// popcount as an identity pass (w1), a lone half adder (w2), a lone full
+// adder (w3), and carries rippling across three to six columns.
 func arithCases() []arithCase {
 	return []arithCase{
 		{ArithAdd, 4}, {ArithAdd, 8},
-		{ArithSub, 7},
+		{ArithSub, 2}, {ArithSub, 7},
 		{ArithLt, 5}, {ArithLe, 8},
-		{ArithEq, 9},
-		{ArithLts, 6}, {ArithLes, 4},
-		{ArithPopcount, 8},
+		{ArithEq, 1}, {ArithEq, 3}, {ArithEq, 9},
+		{ArithLts, 1}, {ArithLts, 6}, {ArithLes, 1}, {ArithLes, 4},
+		{ArithPopcount, 1}, {ArithPopcount, 2}, {ArithPopcount, 3},
+		{ArithPopcount, 7}, {ArithPopcount, 8}, {ArithPopcount, 16},
+		{ArithPopcount, 33},
 		{ArithSelect, 3},
 	}
 }
