@@ -152,7 +152,10 @@ func fuzzAccPair() (*Accelerator, *Accelerator, error) {
 // FuzzEvalDAG generates random expression DAGs (depth ≤ 6 over eight
 // variables) and checks the fused tier bit-for-bit against both the
 // command-accurate tier and the host parse-tree oracle, with
-// struct-equal Stats.
+// struct-equal Stats. It also requires the fused accelerator to run
+// every expression fused: a cluster whose kernel fails to derive would
+// fall back to the command-accurate tier silently, and the comparison
+// would then pit that tier against itself.
 func FuzzEvalDAG(f *testing.F) {
 	f.Add(int64(1), byte(3), uint16(200))
 	f.Add(int64(2), byte(6), uint16(401))
@@ -177,9 +180,13 @@ func FuzzEvalDAG(f *testing.F) {
 			vars[name] = RandomBitVector(rng, n)
 		}
 
+		_, falls := fused.FusionCounters()
 		fout, fst, err := fused.Eval(src, vars)
 		if err != nil {
 			t.Fatalf("fused eval %q: %v", src, err)
+		}
+		if _, after := fused.FusionCounters(); after != falls {
+			t.Fatalf("%q fell back to the command-accurate tier on the fused accelerator", src)
 		}
 		cout, cst, err := cmd.Eval(src, vars)
 		if err != nil {

@@ -128,41 +128,38 @@ func BuildDAG(n *Node) (*DAG, error) {
 		vidx[v] = i
 	}
 
-	// Build the DAG with structural sharing.
-	memo := map[string]*DAGNode{}
+	// Build the DAG with structural sharing: one leaf per variable, and
+	// every gate interned, so equal gates are one node — also gates the
+	// source spells differently, as ~a ^ b and a ^ ~b.
+	leaves := make([]*DAGNode, len(vars))
+	for i := range leaves {
+		leaves[i] = &DAGNode{Leaf: true, VarIndex: i}
+	}
+	gates := map[gateKey]*DAGNode{}
 	var build func(*Node) *DAGNode
 	build = func(x *Node) *DAGNode {
-		k := x.key()
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		var v *DAGNode
 		switch x.Kind {
 		case NodeVar:
-			v = &DAGNode{Leaf: true, VarIndex: vidx[x.Name]}
+			return leaves[vidx[x.Name]]
 		case NodeNot:
 			a := build(x.Left)
 			// Double negation: ~~e = e.
 			if !a.Leaf && a.Op == engine.OpNOT {
-				v = a.A
-			} else {
-				v = &DAGNode{Op: engine.OpNOT, A: a}
+				return a.A
 			}
-		default:
-			a, b := build(x.Left), build(x.Right)
-			var op engine.Op
-			switch x.Kind {
-			case NodeAnd:
-				op = engine.OpAND
-			case NodeOr:
-				op = engine.OpOR
-			case NodeXor:
-				op = engine.OpXOR
-			}
-			v = fuse(op, a, b)
+			return intern(gates, &DAGNode{Op: engine.OpNOT, A: a})
 		}
-		memo[k] = v
-		return v
+		a, b := build(x.Left), build(x.Right)
+		var op engine.Op
+		switch x.Kind {
+		case NodeAnd:
+			op = engine.OpAND
+		case NodeOr:
+			op = engine.OpOR
+		case NodeXor:
+			op = engine.OpXOR
+		}
+		return intern(gates, fuse(op, a, b))
 	}
 	root := build(n)
 
@@ -173,6 +170,9 @@ func BuildDAG(n *Node) (*DAG, error) {
 	d.Order = postOrder(root)
 	if fuseOutputNots(d.Order) {
 		d.Order = postOrder(root)
+		if mergeEqualGates(d.Order) {
+			d.Order = postOrder(root)
+		}
 	}
 	return d, nil
 }
@@ -234,6 +234,50 @@ func fuseOutputNots(order []*DAGNode) bool {
 		changed = true
 	}
 	return changed
+}
+
+// gateKey identifies a gate by its op and operand nodes: the key of
+// structural hash-consing.
+type gateKey struct {
+	op   engine.Op
+	a, b *DAGNode
+}
+
+// intern returns the gate in gates applying v's op to v's operands, in
+// either order (every binary gate is commutative), adding v if there is
+// none.
+func intern(gates map[gateKey]*DAGNode, v *DAGNode) *DAGNode {
+	if u, ok := gates[gateKey{v.Op, v.A, v.B}]; ok {
+		return u
+	}
+	if u, ok := gates[gateKey{v.Op, v.B, v.A}]; ok {
+		return u
+	}
+	gates[gateKey{v.Op, v.A, v.B}] = v
+	return v
+}
+
+// mergeEqualGates interns the gates of a post-order afresh after
+// fuseOutputNots has rewritten some in place: a rewritten gate can equal
+// one already in the DAG, as ~(a ^ b) becomes the XNOR that ~a ^ b
+// built. It reports whether any gate merged; merged-away gates become
+// unreachable, so the caller rebuilds the order. The root never merges:
+// every other gate is below it.
+func mergeEqualGates(order []*DAGNode) bool {
+	gates := map[gateKey]*DAGNode{}
+	rep := map[*DAGNode]*DAGNode{}
+	for _, v := range order {
+		if r, ok := rep[v.A]; ok {
+			v.A = r
+		}
+		if r, ok := rep[v.B]; ok {
+			v.B = r
+		}
+		if u := intern(gates, v); u != v {
+			rep[v] = u
+		}
+	}
+	return len(rep) > 0
 }
 
 // Schedule emits the DAG as a node-at-a-time Program: one engine

@@ -169,16 +169,35 @@ func TestCompileOutputNotFusion(t *testing.T) {
 			t.Errorf("%q compiled to\n%s, want single %v", src, p, want)
 		}
 	}
-	p, err := Compile(MustParse("(a ^ b) | ~(a ^ b)"))
-	if err != nil {
-		t.Fatal(err)
+	// A shared XOR keeps its NOT, also when input fusion spells the
+	// second copy differently.
+	for src, root := range map[string]engine.Op{
+		"(a ^ b) | ~(a ^ b)":   engine.OpOR,
+		"~(~a ^ ~b) & (a ^ b)": engine.OpAND,
+	} {
+		p, err := Compile(MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := map[engine.Op]int{}
+		for _, in := range p.Instrs {
+			ops[in.Op]++
+		}
+		if len(p.Instrs) != 3 || ops[engine.OpXOR] != 1 || ops[engine.OpNOT] != 1 || ops[root] != 1 {
+			t.Errorf("%q compiled to\n%s, want XOR, NOT, %v", src, p, root)
+		}
 	}
-	ops := map[engine.Op]int{}
-	for _, in := range p.Instrs {
-		ops[in.Op]++
-	}
-	if len(p.Instrs) != 3 || ops[engine.OpXOR] != 1 || ops[engine.OpNOT] != 1 || ops[engine.OpOR] != 1 {
-		t.Errorf("shared XOR under a NOT compiled to\n%s, want XOR, NOT, OR", p)
+	// Fusion spells one XNOR three ways: ~(a ^ b), ~a ^ b and a ^ ~b.
+	// Each pair is one gate, computed once.
+	for _, src := range []string{"~(a ^ b) & (~a ^ b)", "(~a ^ b) & (a ^ ~b)"} {
+		p, err := Compile(MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Instrs) != 2 || p.Instrs[0].Op != engine.OpXNOR || p.Instrs[1].Op != engine.OpAND ||
+			p.Instrs[1].A != p.Instrs[0].Dst || p.Instrs[1].B != p.Instrs[0].Dst {
+			t.Errorf("%q compiled to\n%s, want one XNOR feeding the AND", src, p)
+		}
 	}
 }
 

@@ -278,20 +278,3 @@ func (p *parser) parseUnary() (*Node, error) {
 		return nil, parseErrf("unexpected %q at offset %d", string(c), p.pos)
 	}
 }
-
-// key returns a structural hash key for CSE.
-func (n *Node) key() string {
-	switch n.Kind {
-	case NodeVar:
-		return "v:" + n.Name
-	case NodeNot:
-		return "~(" + n.Left.key() + ")"
-	default:
-		l, r := n.Left.key(), n.Right.key()
-		// AND/OR/XOR are commutative: canonicalize operand order.
-		if r < l {
-			l, r = r, l
-		}
-		return fmt.Sprintf("%s(%s,%s)", n.Kind, l, r)
-	}
-}

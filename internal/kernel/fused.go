@@ -103,17 +103,11 @@ var fusedScratch = sync.Pool{
 	New: func() any { return new([fusedMaxScratch][fusedBlockWords]uint64) },
 }
 
-// result-kind markers for Fused.resConst.
-const (
-	resOperand = -1 // result is f.res (an input or scratch operand)
-	resZero    = 0
-	resOne     = 1
-)
-
-// fusedInstr is one synthesized word-level operation: a 4-bit binary
-// truth table applied over whole words. Operand encoding: 0..k-1 are the
-// kernel inputs, k+r is scratch register r. The instruction list is the
-// kernel's gate-level IR; execution packs it into passes (see pack).
+// fusedInstr is one word-level gate: a 4-bit binary truth table applied
+// over whole words. Operand encoding: 0..k-1 are the kernel inputs, k+r
+// is scratch register r. The instruction list is the kernel's gate-level
+// IR, one instruction per spec op; execution packs it into passes (see
+// pack).
 type fusedInstr struct {
 	tab       uint8
 	dst, a, b uint8
@@ -129,11 +123,12 @@ type fusedMacro struct {
 }
 
 // Fused is a compiled k-input word-level kernel: the whole cluster of
-// gates runs as a few passes over each block of the operand words. Like
-// the 2-input Kernel it is self-derived — DeriveFused probes the
-// engine's real command sequence and compiles the observed truth table —
-// so a fused kernel cannot disagree with the command-accurate execution
-// of its spec. Apply is safe for concurrent use.
+// gates runs as a few passes over each block of the operand words. It
+// is the spec's own register program lowered gate for gate, kept only
+// after DeriveFused has checked it against the engine's real command
+// sequence on every input combination and on full-word patterns, so a
+// fused kernel cannot disagree with the command-accurate execution of
+// its spec. Apply is safe for concurrent use.
 type Fused struct {
 	k        int
 	table    uint64
@@ -141,7 +136,6 @@ type Fused struct {
 	macros   []fusedMacro // packed execution passes (see pack)
 	nscratch int
 	res      uint8
-	resConst int8
 }
 
 // K returns the kernel's input arity.
@@ -174,21 +168,6 @@ func (f *Fused) String() string {
 // Tail bits beyond the caller's logical vector length are written like
 // any others — callers that maintain a canonical form must re-mask.
 func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
-	if f.resConst != resOperand {
-		w := uint64(0)
-		if f.resConst == resOne {
-			w = ^uint64(0)
-		}
-		for i := range dst {
-			dst[i] = w
-		}
-		return
-	}
-	if len(f.code) == 0 {
-		// The function collapsed to one of its inputs.
-		copy(dst, srcs[f.res][:len(dst)])
-		return
-	}
 	// Block-wise evaluation: a pooled scratch register file, with every
 	// operand resolved once per block into a view slice. The result
 	// register's view aliases dst directly, so the final value needs no
@@ -238,9 +217,6 @@ func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
 // gate work. A fresh liveness-scan register allocation over the passes
 // bounds scratch at fusedMaxScratch.
 func (f *Fused) pack() error {
-	if f.resConst != resOperand || len(f.code) == 0 {
-		return nil
-	}
 	k := f.k
 	// Rebuild SSA: the register allocator reuses registers, so resolve
 	// each operand to the value its register holds at that point.
@@ -510,15 +486,17 @@ func tableMask(k int) uint64 {
 	return 1<<(1<<uint(k)) - 1
 }
 
-// DeriveFused probes exec's execution of the spec's command sequence on
-// a scratch subarray — all 2^K input combinations packed into one
-// 64-column run — reads the k-input truth table back from the result
-// row, and compiles it to a block-wise word-level program (Shannon
-// decomposition with subfunction sharing). Like Derive, the result is
-// grounded in the device model: a verification run on full-word operand
-// patterns cross-checks the compiled kernel against the engine, and any
-// disagreement (or non-uniform behaviour across bit positions) fails
-// derivation so the caller stays on a command-accurate path.
+// DeriveFused compiles the spec to a word-level kernel grounded in the
+// device model. It runs the spec's command sequence through exec on a
+// scratch subarray — all 2^K input combinations packed into one
+// 64-column run — and reads the k-input truth table back from the result
+// row. It then lowers the spec's own register program gate for gate
+// (compileSpec), packs the gates into passes, and keeps the kernel only
+// if it reproduces the probed word and agrees with a second engine run
+// on full-word operand patterns. An engine error, behaviour that is not
+// uniform across bit positions, a spec with no word-level lowering, or a
+// kernel that disagrees with the device fails derivation, so the caller
+// stays on a command-accurate path.
 func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("kernel: nil executor")
@@ -528,6 +506,8 @@ func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, err
 	}
 	dcc := module.DualContactRows
 	if dcc < 2 {
+		// Ambit's NOT path and the two-buffer ELP2IM sequences need up to
+		// two dual-contact rows; granting the probe both is always legal.
 		dcc = 2
 	}
 	// Registers live in rows 0..Regs-1. Engines stage scratch in the top
@@ -560,48 +540,39 @@ func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, err
 		}
 	}
 
-	f, err := synthesize(table, spec.K)
+	f, err := compileSpec(&spec, table)
 	if err != nil {
 		return nil, err
 	}
 	if err := f.pack(); err != nil {
 		return nil, err
 	}
-	// Shannon synthesis reconstructs the function from the table alone and
-	// can cost several times the cluster's own gate count. The spec's
-	// register program is a word-level implementation too; lower it
-	// directly and keep whichever packs to fewer passes, then fewer gates
-	// — but only after checking the lowering against the probed word, so
-	// a canonical-gate assumption that disagrees with the engine's
-	// observed behaviour is discarded (ties and degenerate collapses stay
-	// with the synthesis).
-	if g := compileSpec(&spec, table); g != nil && g.pack() == nil &&
-		(g.Passes() < f.Passes() || g.Passes() == f.Passes() && len(g.code) < len(f.code)) {
-		srcs := make([][]uint64, spec.K)
-		for j := range srcs {
-			srcs[j] = []uint64{varPat64[j]}
-		}
-		var got [1]uint64
-		g.Apply(got[:], srcs)
-		if got[0] == word {
-			f = g
-		}
+	// The lowering assumes canonical gate semantics; the probe word is
+	// what the engine computes on every input combination.
+	if got := f.applyWord(varPat64[:spec.K]); got != word {
+		return nil, fmt.Errorf("kernel: fused spec's gate lowering disagrees with the device: device %016x, lowering %016x",
+			word, got)
 	}
 	got, err := runFusedProbe(exec, &spec, sub, fusedVerifyWords[:spec.K])
 	if err != nil {
 		return nil, fmt.Errorf("kernel: verifying fused spec: %w", err)
 	}
-	srcs := make([][]uint64, spec.K)
-	for j := range srcs {
-		srcs[j] = []uint64{fusedVerifyWords[j]}
-	}
-	var want [1]uint64
-	f.Apply(want[:], srcs)
-	if got != want[0] {
-		return nil, fmt.Errorf("kernel: fused spec is not a pure bitwise function: device %016x, compiled table %016x",
-			got, want[0])
+	if want := f.applyWord(fusedVerifyWords[:spec.K]); got != want {
+		return nil, fmt.Errorf("kernel: fused spec is not a pure bitwise function: device %016x, compiled %016x",
+			got, want)
 	}
 	return f, nil
+}
+
+// applyWord runs the kernel over one word per input.
+func (f *Fused) applyWord(inputs []uint64) uint64 {
+	srcs := make([][]uint64, len(inputs))
+	for j := range srcs {
+		srcs[j] = inputs[j : j+1]
+	}
+	var out [1]uint64
+	f.Apply(out[:], srcs)
+	return out[0]
 }
 
 // specTab maps an engine op to its canonical 4-bit word truth table
@@ -628,35 +599,38 @@ func specTab(op engine.Op) (tab uint8, unary, ok bool) {
 	return 0, false, false
 }
 
-// compileSpec lowers the spec's own register program gate-for-gate to a
+// compileSpec lowers the spec's own register program gate for gate to a
 // word-level fused program over the same register numbering (inputs
 // 0..K-1, scratch K..Regs-1). The lowering assumes canonical gate
-// semantics, so the caller must validate the result against the probed
-// truth table before trusting it. Returns nil when the spec cannot be
-// lowered: an unknown op, a read of a never-written scratch register
-// (pooled register files are not zeroed), too much scratch, or a result
-// left in an input register (the result view must alias dst).
-func compileSpec(spec *FusedSpec, table uint64) *Fused {
+// semantics, so DeriveFused checks it against the probed truth table
+// before trusting it. It fails on a spec it cannot lower: too much
+// scratch, a result left in an input register (the result view must
+// alias dst), an op with no word gate, or a read of a never-written
+// scratch register (pooled register files are not zeroed).
+func compileSpec(spec *FusedSpec, table uint64) (*Fused, error) {
 	nscratch := spec.Regs - spec.K
-	if nscratch > fusedMaxScratch || spec.Result < spec.K || len(spec.Ops) == 0 {
-		return nil
+	if nscratch > fusedMaxScratch {
+		return nil, fmt.Errorf("kernel: fused spec has %d scratch registers, max %d", nscratch, fusedMaxScratch)
+	}
+	if spec.Result < spec.K {
+		return nil, fmt.Errorf("kernel: fused spec leaves its result in input register %d", spec.Result)
 	}
 	defined := make([]bool, spec.Regs)
 	for j := 0; j < spec.K; j++ {
 		defined[j] = true
 	}
 	code := make([]fusedInstr, 0, len(spec.Ops))
-	for _, op := range spec.Ops {
+	for i, op := range spec.Ops {
 		tab, unary, ok := specTab(op.Op)
 		if !ok {
-			return nil
+			return nil, fmt.Errorf("kernel: fused spec op %d: %v has no word gate", i, op.Op)
 		}
 		b := op.B
 		if unary {
 			b = op.A
 		}
 		if !defined[op.A] || !defined[b] {
-			return nil
+			return nil, fmt.Errorf("kernel: fused spec op %d reads a register no earlier op writes", i)
 		}
 		code = append(code, fusedInstr{
 			tab: tab,
@@ -667,7 +641,7 @@ func compileSpec(spec *FusedSpec, table uint64) *Fused {
 		defined[op.Dst] = true
 	}
 	if !defined[spec.Result] {
-		return nil
+		return nil, fmt.Errorf("kernel: fused spec never writes its result register %d", spec.Result)
 	}
 	return &Fused{
 		k:        spec.K,
@@ -675,8 +649,7 @@ func compileSpec(spec *FusedSpec, table uint64) *Fused {
 		code:     code,
 		nscratch: nscratch,
 		res:      uint8(spec.Result),
-		resConst: resOperand,
-	}
+	}, nil
 }
 
 // runFusedProbe loads the K input rows with the given words, executes the
@@ -710,281 +683,6 @@ func runFusedProbe(exec Executor, spec *FusedSpec, sub *dram.Subarray, inputs []
 		}
 	}
 	return sub.RowData(spec.Result).Words()[0], nil
-}
-
-// Synthesis operand encoding: non-negative values are inputs (0..k-1)
-// then SSA values (k+i for the value defined by instruction i); the two
-// negatives are the constant functions.
-const (
-	synConst0 = -1
-	synConst1 = -2
-)
-
-// synKey memoizes one subfunction during Shannon decomposition.
-type synKey struct {
-	table uint64
-	n     int
-}
-
-// opKey memoizes one emitted word operation (value numbering).
-type opKey struct {
-	tab  uint8
-	a, b int
-}
-
-// synState carries one synthesis run.
-type synState struct {
-	k     int
-	code  []opKey // SSA program: instruction i defines value k+i
-	funcs map[synKey]int
-	ops   map[opKey]int
-	nots  map[int]int
-}
-
-// synthesize compiles a 2^k-entry truth table to a word-level program:
-// Shannon decomposition on the highest variable with memoized
-// subfunctions, constant/identity folding, and a liveness-based register
-// allocation bounded by fusedMaxScratch.
-func synthesize(table uint64, k int) (*Fused, error) {
-	s := &synState{
-		k:     k,
-		funcs: map[synKey]int{},
-		ops:   map[opKey]int{},
-		nots:  map[int]int{},
-	}
-	res := s.rec(table&tableMask(k), k)
-	return s.compile(table&tableMask(k), res)
-}
-
-// rec returns the operand computing the n-variable subfunction `table`.
-func (s *synState) rec(table uint64, n int) int {
-	mask := tableMask2(n)
-	table &= mask
-	if table == 0 {
-		return synConst0
-	}
-	if table == mask {
-		return synConst1
-	}
-	key := synKey{table: table, n: n}
-	if v, ok := s.funcs[key]; ok {
-		return v
-	}
-	// Identity or complement of a single input.
-	for j := 0; j < n; j++ {
-		if pat := varPat64[j] & mask; table == pat {
-			s.funcs[key] = j
-			return j
-		} else if table == ^pat&mask {
-			v := s.not(j)
-			s.funcs[key] = v
-			return v
-		}
-	}
-	// Shannon on the highest variable: table = hi·x_{n-1} + lo·¬x_{n-1}.
-	half := uint(1) << uint(n-1)
-	loMask := tableMask2(n - 1)
-	lo := table & loMask
-	hi := (table >> half) & loMask
-	var v int
-	switch {
-	case lo == hi:
-		v = s.rec(lo, n-1)
-	case hi == ^lo&loMask:
-		// f = lo ⊕ x_{n-1}: the selector toggles the subfunction.
-		v = s.emit(0b0110, s.rec(lo, n-1), n-1)
-	default:
-		// General mux; emit's constant folding collapses the degenerate
-		// halves (lo==0 → sel∧hi, hi==1 → lo∨sel, ...) for free.
-		l, h := s.rec(lo, n-1), s.rec(hi, n-1)
-		sel := n - 1
-		v = s.emit(0b1110, s.emit(0b1000, sel, h), s.emit(0b0010, l, sel))
-	}
-	s.funcs[key] = v
-	return v
-}
-
-// tableMask2 is tableMask for subfunction widths (n may reach 6).
-func tableMask2(n int) uint64 {
-	if n >= 6 {
-		return ^uint64(0)
-	}
-	return 1<<(1<<uint(n)) - 1
-}
-
-// not returns the operand computing ¬x, memoized.
-func (s *synState) not(x int) int {
-	switch x {
-	case synConst0:
-		return synConst1
-	case synConst1:
-		return synConst0
-	}
-	if v, ok := s.nots[x]; ok {
-		return v
-	}
-	v := s.define(opKey{tab: 0b0101, a: x, b: x})
-	s.nots[x] = v
-	return v
-}
-
-// emit returns the operand computing tab(a, b), folding constants,
-// equal operands, and degenerate tables, and value-numbering the rest.
-// Table bit i = f(a=i&1, b=i>>1&1), matching binaryFn.
-func (s *synState) emit(tab uint8, a, b int) int {
-	t0, t1, t2, t3 := tab&1, tab>>1&1, tab>>2&1, tab>>3&1
-	switch {
-	case a == b:
-		return s.foldUnary(t0|t3<<1, a)
-	case a == synConst0:
-		return s.foldUnary(t0|t2<<1, b)
-	case a == synConst1:
-		return s.foldUnary(t1|t3<<1, b)
-	case b == synConst0:
-		return s.foldUnary(t0|t1<<1, a)
-	case b == synConst1:
-		return s.foldUnary(t2|t3<<1, a)
-	}
-	switch tab {
-	case 0b0000:
-		return synConst0
-	case 0b1111:
-		return synConst1
-	case 0b1010:
-		return a
-	case 0b1100:
-		return b
-	case 0b0101:
-		return s.not(a)
-	case 0b0011:
-		return s.not(b)
-	}
-	// Canonicalize under operand swap (bit1 ↔ bit2) so a∧b and b∧a — and
-	// a∧¬b vs ¬b∧a — value-number identically.
-	swapped := tab&0b1001 | tab&0b0010<<1 | tab&0b0100>>1
-	if swapped < tab || (swapped == tab && a > b) {
-		tab, a, b = swapped, b, a
-	}
-	return s.define(opKey{tab: tab, a: a, b: b})
-}
-
-// foldUnary reduces a 2-entry table over one operand: bit 0 = g(0),
-// bit 1 = g(1).
-func (s *synState) foldUnary(u uint8, x int) int {
-	switch u {
-	case 0b00:
-		return synConst0
-	case 0b11:
-		return synConst1
-	case 0b10:
-		return x
-	default: // 0b01
-		return s.not(x)
-	}
-}
-
-// define appends one SSA instruction (or returns its memoized value).
-func (s *synState) define(k opKey) int {
-	if v, ok := s.ops[k]; ok {
-		return v
-	}
-	v := s.k + len(s.code)
-	s.code = append(s.code, k)
-	s.ops[k] = v
-	return v
-}
-
-// compile finishes a synthesis: dead-code elimination over the SSA
-// program, then a liveness-scan register allocation into at most
-// fusedMaxScratch scratch registers (word loops are element-wise, so a
-// destination may reuse a dying operand's register).
-func (s *synState) compile(table uint64, res int) (*Fused, error) {
-	f := &Fused{k: s.k, table: table, resConst: resOperand}
-	switch {
-	case res == synConst0:
-		f.resConst = resZero
-		return f, nil
-	case res == synConst1:
-		f.resConst = resOne
-		return f, nil
-	case res < s.k:
-		f.res = uint8(res)
-		return f, nil
-	}
-
-	// Mark live SSA values backward from the result.
-	live := make([]bool, len(s.code))
-	live[res-s.k] = true
-	for i := len(s.code) - 1; i >= 0; i-- {
-		if !live[i] {
-			continue
-		}
-		if a := s.code[i].a; a >= s.k {
-			live[a-s.k] = true
-		}
-		if b := s.code[i].b; b >= s.k {
-			live[b-s.k] = true
-		}
-	}
-
-	// Last use per live value (the result lives to the end).
-	lastUse := make([]int, len(s.code))
-	for i, in := range s.code {
-		if !live[i] {
-			continue
-		}
-		if a := in.a; a >= s.k {
-			lastUse[a-s.k] = i
-		}
-		if b := in.b; b >= s.k {
-			lastUse[b-s.k] = i
-		}
-	}
-	lastUse[res-s.k] = len(s.code)
-
-	reg := make([]int, len(s.code))
-	var free []int
-	alloc := func() int {
-		if n := len(free); n > 0 {
-			r := free[n-1]
-			free = free[:n-1]
-			return r
-		}
-		r := f.nscratch
-		f.nscratch++
-		return r
-	}
-	operand := func(v, at int) uint8 {
-		if v < s.k {
-			return uint8(v)
-		}
-		if lastUse[v-s.k] == at {
-			free = append(free, reg[v-s.k])
-		}
-		return uint8(s.k + reg[v-s.k])
-	}
-	for i, in := range s.code {
-		if !live[i] {
-			continue
-		}
-		a := operand(in.a, i)
-		b := a
-		if in.b != in.a {
-			b = operand(in.b, i)
-		}
-		reg[i] = alloc()
-		f.code = append(f.code, fusedInstr{
-			tab: in.tab,
-			dst: uint8(s.k + reg[i]),
-			a:   a,
-			b:   b,
-		})
-	}
-	if f.nscratch > fusedMaxScratch {
-		return nil, fmt.Errorf("kernel: fused synthesis needs %d scratch registers, max %d", f.nscratch, fusedMaxScratch)
-	}
-	f.res = uint8(s.k + reg[res-s.k])
-	return f, nil
 }
 
 // fusedEntry is one cached derivation outcome.

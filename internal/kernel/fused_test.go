@@ -122,8 +122,9 @@ func TestDeriveFusedMatchesSoftware(t *testing.T) {
 	}
 }
 
-// TestDeriveFusedDegenerate covers functions that collapse below a full
-// program: constants, a bare input, and a complemented input.
+// TestDeriveFusedDegenerate covers specs whose function is degenerate —
+// a constant, a bare input, a complemented input: they derive like any
+// other spec and run their own gates.
 func TestDeriveFusedDegenerate(t *testing.T) {
 	exec := elpim.MustNew(elpim.DefaultConfig())
 	mod := dram.Default()

@@ -251,10 +251,11 @@ func TestApplyAliasing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := []uint64{verifyA, verifyB}
-	a := []uint64{verifyB, verifyA}
+	x, y := fusedVerifyWords[0], fusedVerifyWords[1]
+	dst := []uint64{x, y}
+	a := []uint64{y, x}
 	k.Apply(dst, a, dst)
-	if dst[0] != verifyA&verifyB || dst[1] != verifyB&verifyA {
+	if dst[0] != x&y || dst[1] != y&x {
 		t.Fatalf("aliased apply wrong: %x", dst)
 	}
 }

@@ -4,14 +4,13 @@
 // A plan partitions the DAG into clusters of at most
 // kernel.MaxFusedInputs distinct sources each. Every cluster carries the
 // engine command sequence (kernel.FusedSpec) that computes its whole
-// sub-DAG — common subexpressions inside a cluster are emitted once,
-// dead stores are eliminated, and scratch registers are reused by
-// liveness — so the kernel fast path collapses the cluster into one
-// derived k-input word kernel, which packs the cluster's gates into a
-// few word-loop passes over each block. Cluster outputs live in
-// liveness-allocated slots, the plan-level analogue of the scratch-row
-// allocator, so intermediates reuse storage instead of materializing
-// named vectors.
+// sub-DAG — common subexpressions inside a cluster are emitted once and
+// scratch registers are reused by liveness — so the kernel fast path
+// collapses the cluster into one derived k-input word kernel, which
+// packs the cluster's gates into a few word-loop passes over each block.
+// Cluster outputs live in liveness-allocated slots, the plan-level
+// analogue of the scratch-row allocator, so intermediates reuse storage
+// instead of materializing named vectors.
 //
 // The plan also retains the node-at-a-time Program compiled from the
 // same DAG. That program is the single source of modeled cost — both
@@ -243,9 +242,10 @@ func Compile(d *expr.DAG) (*Plan, error) {
 
 // buildCluster compiles one materialized node's sub-DAG — bounded by its
 // frozen source list — to a fused spec: intra-cluster CSE (each shared
-// gate is emitted once), dead-store elimination, and liveness-reused
-// scratch registers. Cluster inputs are returned with cluster indices in
-// Ref.Index for non-variable sources; Compile renames them to slots.
+// gate is emitted once) and liveness-reused scratch registers. Every
+// emitted gate feeds the materialized node, so the spec has no dead
+// stores. Cluster inputs are returned with cluster indices in Ref.Index
+// for non-variable sources; Compile renames them to slots.
 func buildCluster(m *expr.DAGNode, sources []*expr.DAGNode, clusterOf map[*expr.DAGNode]int) (Cluster, error) {
 	k := len(sources)
 	if k > kernel.MaxFusedInputs {
@@ -336,7 +336,7 @@ func buildCluster(m *expr.DAGNode, sources []*expr.DAGNode, clusterOf map[*expr.
 	spec := kernel.FusedSpec{
 		K:      k,
 		Regs:   k + len(free),
-		Ops:    EliminateDeadStores(ops, res),
+		Ops:    ops,
 		Result: res,
 	}
 	// The cache key is computed here, once per compiled cluster, rather
@@ -397,39 +397,4 @@ func clusterTable(m *expr.DAGNode, sources []*expr.DAGNode) uint64 {
 		t &= 1<<(1<<uint(k)) - 1
 	}
 	return t
-}
-
-// EliminateDeadStores returns ops with every store no later operation
-// (or the result register) observes removed: a write to a register that
-// is rewritten, or never read again, before reaching the result is dead.
-// The cluster emitter never produces dead stores — every emitted gate
-// feeds the materialized output — so this is the defensive half of the
-// pass, applied to every spec and testable in isolation.
-func EliminateDeadStores(ops []kernel.FusedOp, result int) []kernel.FusedOp {
-	live := map[int]bool{result: true}
-	keep := make([]bool, len(ops))
-	n := 0
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
-		if !live[op.Dst] {
-			continue
-		}
-		keep[i] = true
-		n++
-		delete(live, op.Dst) // the definition satisfies the demand ...
-		live[op.A] = true    // ... and demands its own operands
-		if !op.Op.Unary() {
-			live[op.B] = true
-		}
-	}
-	if n == len(ops) {
-		return ops
-	}
-	out := make([]kernel.FusedOp, 0, n)
-	for i, op := range ops {
-		if keep[i] {
-			out = append(out, op)
-		}
-	}
-	return out
 }

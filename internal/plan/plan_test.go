@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/elpim"
-	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/kernel"
 )
@@ -244,56 +243,6 @@ func TestPlanLeaf(t *testing.T) {
 	}
 	if _, err := Compile(nil); err == nil {
 		t.Fatal("Compile(nil) should error")
-	}
-}
-
-// TestEliminateDeadStores covers the defensive DSE pass on hand-built
-// register programs (the emitter itself never produces dead stores).
-func TestEliminateDeadStores(t *testing.T) {
-	and := func(dst, a, b int) kernel.FusedOp {
-		return kernel.FusedOp{Op: engine.OpAND, Dst: dst, A: a, B: b}
-	}
-	not := func(dst, a int) kernel.FusedOp {
-		return kernel.FusedOp{Op: engine.OpNOT, Dst: dst, A: a}
-	}
-	cases := []struct {
-		name   string
-		ops    []kernel.FusedOp
-		result int
-		want   int // surviving op count
-	}{
-		{"all-live", []kernel.FusedOp{and(2, 0, 1), not(3, 2)}, 3, 2},
-		{"unread", []kernel.FusedOp{and(2, 0, 1), and(3, 0, 1)}, 3, 1},
-		{"overwritten", []kernel.FusedOp{and(2, 0, 1), not(2, 0), not(3, 2)}, 3, 2},
-		{"kept-self-read", []kernel.FusedOp{not(2, 0), not(2, 2)}, 2, 2},
-		{"dead-chain", []kernel.FusedOp{and(2, 0, 1), not(3, 2), and(4, 0, 1)}, 4, 1},
-		{"empty", nil, 0, 0},
-	}
-	for _, tc := range cases {
-		got := EliminateDeadStores(tc.ops, tc.result)
-		if len(got) != tc.want {
-			t.Fatalf("%s: %d ops survive, want %d (%v)", tc.name, len(got), tc.want, got)
-		}
-	}
-	// The surviving program must still compute the same function (checked
-	// on the overwritten case by software evaluation).
-	full := []kernel.FusedOp{and(2, 0, 1), not(2, 0), not(3, 2)}
-	pruned := EliminateDeadStores(full, 3)
-	evalOps := func(ops []kernel.FusedOp, a, b uint64) uint64 {
-		regs := []uint64{a, b, 0, 0}
-		for _, op := range ops {
-			switch op.Op {
-			case engine.OpAND:
-				regs[op.Dst] = regs[op.A] & regs[op.B]
-			case engine.OpNOT:
-				regs[op.Dst] = ^regs[op.A]
-			}
-		}
-		return regs[3]
-	}
-	a, b := uint64(0xF0F0), uint64(0xCCCC)
-	if evalOps(full, a, b) != evalOps(pruned, a, b) {
-		t.Fatal("DSE changed program semantics")
 	}
 }
 

@@ -19,17 +19,10 @@ import (
 //	server.evalcache.hit            counter   compiled-program cache hits
 //	server.evalcache.miss           counter   compiled-program cache misses
 //
-// plus, per shard gate, the admission series. A single-module server has
-// one gate and keeps the flat names; a sharded server (Config.Shard) runs
-// one gate per shard and prefixes each shard's series with its index, so
-// a hot shard is visible on its own:
+// plus, per shard gate, the admission series, prefixed with the shard's
+// index so a hot shard is visible on its own. A single-module server has
+// one gate, shard 0:
 //
-//	server.queue.depth                gauge     requests in flight
-//	server.queue.max                  gauge     configured in-flight bound
-//	server.queue.rejected             counter   503s from admission control
-//	server.deadline.expired           counter   504s (deadline passed before execution)
-//	server.ops.executed               counter   op/reduce requests executed
-//	server.draining                   gauge     1 while draining
 //	server.shard.<i>.queue.depth      gauge     shard i's requests in flight
 //	server.shard.<i>.queue.max        gauge     shard i's in-flight bound
 //	server.shard.<i>.queue.rejected   counter   shard i's admission 503s
@@ -97,8 +90,7 @@ func (w *wireSeries) onFlush(n int) {
 	w.framesPerFlush.Observe(float64(n))
 }
 
-// gateSeries is one shard gate's admission series. With a single gate
-// the names are the flat server.* set; per-shard gates register under
+// gateSeries is one shard gate's admission series, registered under
 // server.shard.<i>.* so saturation and drain are observable shard by
 // shard.
 type gateSeries struct {
@@ -118,7 +110,7 @@ func httpLatencyBuckets() []float64 { return obs.ExpBuckets(10_000, 2.5, 16) }
 func framesPerFlushBuckets() []float64 { return obs.ExpBuckets(1, 2, 11) }
 
 // newServerMetrics resolves every serving-layer series in ctx, with one
-// gateSeries per shard (shards == 1 keeps the flat names).
+// gateSeries per shard.
 func newServerMetrics(ctx *obs.Context, shards int) *serverMetrics {
 	m := ctx.Metrics
 	sm := &serverMetrics{
@@ -137,11 +129,7 @@ func newServerMetrics(ctx *obs.Context, shards int) *serverMetrics {
 		evalCacheMisses: m.Counter("server.evalcache.miss"),
 	}
 	for i := range sm.shards {
-		prefix := "server."
-		if shards > 1 {
-			prefix = fmt.Sprintf("server.shard.%d.", i)
-		}
-		sm.shards[i] = newGateSeries(ctx.Metrics, prefix)
+		sm.shards[i] = newGateSeries(ctx.Metrics, fmt.Sprintf("server.shard.%d.", i))
 	}
 	for _, name := range routeNames {
 		sm.routes[name] = &routeSeries{
@@ -154,7 +142,7 @@ func newServerMetrics(ctx *obs.Context, shards int) *serverMetrics {
 }
 
 // newGateSeries resolves one gate's series under the given name prefix
-// ("server." or "server.shard.<i>.").
+// ("server.shard.<i>.").
 func newGateSeries(m *obs.Registry, prefix string) *gateSeries {
 	return &gateSeries{
 		inFlight:        m.Gauge(prefix + "queue.depth"),

@@ -329,32 +329,40 @@ func TestShardedStatsPayload(t *testing.T) {
 	}
 }
 
-// TestShardedMetricNames checks the per-shard series registration: a
-// sharded server registers server.shard.<i>.* for every shard (visible in
-// the deployment's merged snapshot) and does not register the flat legacy
-// queue names, which would double-count.
+// TestShardedMetricNames checks the per-shard series registration: every
+// server registers server.shard.<i>.* for each of its shards (visible in
+// the deployment's merged snapshot) — a single-module server and a
+// 1-shard deployment as shard 0 — and no flat server.queue.* names,
+// which would double-count.
 func TestShardedMetricNames(t *testing.T) {
-	s, ts := newShardedTestServer(t, 3, nil)
-	c := ts.Client()
-	rng := rand.New(rand.NewSource(31))
-	putRandom(t, c, ts.URL, "mn.a", rng, 128)
-	code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
-		OpRequest{Op: "not", Dst: "mn.r", X: "mn.a"}, nil)
-	if code != http.StatusOK {
-		t.Fatalf("op: status %d", code)
-	}
-	snap := s.cfg.Shard.Snapshot()
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("server.shard.%d.queue.max", i)
-		if _, ok := snap.Gauges[name]; !ok {
-			t.Errorf("gauge %s missing from shard snapshot", name)
+	check := func(name string, shards int, snap elp2im.MetricsSnapshot) {
+		t.Helper()
+		for i := 0; i < shards; i++ {
+			gauge := fmt.Sprintf("server.shard.%d.queue.max", i)
+			if _, ok := snap.Gauges[gauge]; !ok {
+				t.Errorf("%s: gauge %s missing from snapshot", name, gauge)
+			}
+		}
+		if _, ok := snap.Gauges["server.queue.max"]; ok {
+			t.Errorf("%s: server registered the flat server.queue.max gauge", name)
+		}
+		if _, ok := snap.Counters["server.http.requests.op"]; !ok {
+			t.Errorf("%s: route counters missing from snapshot", name)
 		}
 	}
-	if _, ok := snap.Gauges["server.queue.max"]; ok {
-		t.Error("sharded server registered the flat server.queue.max gauge")
-	}
-	if _, ok := snap.Counters["server.http.requests.op"]; !ok {
-		t.Error("route counters missing from shard snapshot")
+	single, _ := newTestServer(t, nil)
+	check("single-module", 1, single.cfg.Accelerator.Snapshot())
+	for _, n := range []int{1, 3} {
+		s, ts := newShardedTestServer(t, n, nil)
+		c := ts.Client()
+		rng := rand.New(rand.NewSource(31))
+		putRandom(t, c, ts.URL, "mn.a", rng, 128)
+		code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
+			OpRequest{Op: "not", Dst: "mn.r", X: "mn.a"}, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%d shards: op: status %d", n, code)
+		}
+		check(fmt.Sprintf("%d-shard", n), n, s.cfg.Shard.Snapshot())
 	}
 }
 

@@ -59,11 +59,33 @@ func fig13Predicates() []string {
 	return preds
 }
 
+// adhocPredicates are the 12 most frequent ad-hoc predicates of
+// query_json's mix at seed 13 — 25.6% of its requests — with the passes
+// each packs to.
+var adhocPredicates = []struct {
+	src    string
+	passes int
+}{
+	{"((~w5 & w1) | g)", 2},
+	{"(((w2 | g) ^ w3) & w4)", 2},
+	{"((w0 | w1) ^ ((w5 ^ w4) & g))", 2},
+	{"(~w3 | ((w2 & w1) & (w4 ^ (g | w5))))", 3},
+	{"(w6 | ((w3 ^ w5) & g))", 2},
+	{"((w5 | w1) ^ g)", 1},
+	{"(((~w3 | w2) ^ w6) & (w0 & w5))", 2},
+	{"(((w7 ^ (w4 | w5)) | (w0 & w1)) ^ w6)", 3},
+	{"((w0 ^ w3) & w4)", 1},
+	{"(~w6 ^ (w1 | (w2 & w3)))", 2},
+	{"(((~w6 ^ w7) & w1) | ((w5 & w4) | w2))", 3},
+	{"((((g ^ w0) & w1) | w7) & (w5 ^ w2))", 2},
+}
+
 // TestPassCounts pins how the fused tier packs the served traffic, by
 // count: the total passes of arith_wire's 18 µPrograms, of Fig 13's 14
-// predicates (query_json's fixed half), and of each BenchmarkEvalDAG
-// depth. A pass is one word loop over a block, so these totals are the
-// host work of the fused tier, deterministic and free of timing noise.
+// predicates (query_json's fixed half), of the ad-hoc half's 12 most
+// frequent predicates, and of each BenchmarkEvalDAG depth. A pass is
+// one word loop over a block, so these totals are the host work of the
+// fused tier, deterministic and free of timing noise.
 // It also pins the modeled DRAM latency and energy of the 18 µPrograms
 // over arith_wire's 1 Mi elements on the default module, so a dearer
 // µProgram fails here and not only in a benchmark run.
@@ -115,6 +137,25 @@ func TestPassCounts(t *testing.T) {
 	}
 	if fig13 != 28 {
 		t.Errorf("Fig 13 predicates take %d passes, want 28", fig13)
+	}
+
+	adhoc := 0
+	for _, pred := range adhocPredicates {
+		ce, err := CompileExpr(pred.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := planPasses(acc, ce.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", pred.src, err)
+		}
+		if n != pred.passes {
+			t.Errorf("ad-hoc predicate %s takes %d passes, want %d", pred.src, n, pred.passes)
+		}
+		adhoc += n
+	}
+	if adhoc != 25 {
+		t.Errorf("ad-hoc predicates take %d passes, want 25", adhoc)
 	}
 
 	for depth, want := range []int{1: 1, 2: 1, 3: 4, 4: 5, 5: 6, 6: 12} {
