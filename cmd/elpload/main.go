@@ -821,8 +821,8 @@ func newTransportFactory(opt options, target string) func() (transport, error) {
 	if opt.wireMode {
 		// Workers share a bounded pool of multiplexed connections instead
 		// of dialing one each: with many in-flight requests per connection
-		// the server's response coalescer (and the client's request
-		// writer) batch frames into shared writev syscalls. The default
+		// the frame writers on both ends (the server's responses, the
+		// client's requests) batch frames into shared writev syscalls. The default
 		// pool size matches the server's per-connection worker width, so
 		// pipelining depth is preserved. Sharing a *wire.Client across
 		// transports is safe (it is concurrency-safe and Close is

@@ -300,28 +300,15 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// parseOp maps a wire mnemonic onto the facade's Op.
+// parseOp maps a JSON op name onto the facade's Op, case-insensitively,
+// through the wire op table, so both protocols share one op vocabulary.
 func parseOp(s string) (elp2im.Op, error) {
-	switch strings.ToLower(s) {
-	case "not":
-		return elp2im.OpNot, nil
-	case "and":
-		return elp2im.OpAnd, nil
-	case "or":
-		return elp2im.OpOr, nil
-	case "nand":
-		return elp2im.OpNand, nil
-	case "nor":
-		return elp2im.OpNor, nil
-	case "xor":
-		return elp2im.OpXor, nil
-	case "xnor":
-		return elp2im.OpXnor, nil
-	case "copy":
-		return elp2im.OpCopy, nil
-	default:
-		return 0, badRequestf("server: unknown op %q", s)
+	for _, op := range bitOps {
+		if strings.EqualFold(s, op.String()) {
+			return op, nil
+		}
 	}
+	return 0, badRequestf("server: unknown op %q", s)
 }
 
 // EncodeBits renders a vector's contents in the wire format: base64 of
@@ -364,15 +351,25 @@ func DecodeBits(data string, bits int) (*elp2im.BitVector, error) {
 	if want := (bits + 7) / 8; len(raw) != want {
 		return nil, badRequestf("server: vector data is %d bytes, want %d for %d bits", len(raw), want, bits)
 	}
-	if rem := bits % 8; rem != 0 {
-		if tail := raw[len(raw)-1] >> rem; tail != 0 {
-			return nil, badRequestf("server: vector data has bits set beyond length %d", bits)
-		}
-	}
+	return bitsFromLE(raw, bits)
+}
+
+// bitsFromLE builds a bits-long vector from little-endian bytes (bit i is
+// bit i%8 of byte i/8), the one builder behind both protocols' PUT. raw
+// holds at most the vector's words; a short raw leaves the rest zero, and
+// a bit set at or beyond the length is rejected.
+func bitsFromLE(raw []byte, bits int) (*elp2im.BitVector, error) {
 	v := elp2im.NewBitVector(bits)
 	words := v.Words()
-	for i, b := range raw {
-		words[i/8] |= uint64(b) << (8 * (i % 8))
+	n := len(raw) / 8
+	for i := 0; i < n; i++ {
+		words[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	for i, b := range raw[8*n:] {
+		words[n] |= uint64(b) << (8 * i)
+	}
+	if rem := bits % 64; rem != 0 && words[len(words)-1]>>rem != 0 {
+		return nil, badRequestf("server: vector data has bits set beyond length %d", bits)
 	}
 	return v, nil
 }

@@ -83,8 +83,8 @@ type wireSeries struct {
 }
 
 // onFlush observes one response flush carrying n frames. It is handed to
-// wire.ServerConfig.OnFlush, so it runs on every connection's flusher
-// goroutine: counter and histogram writes only.
+// wire.ServerConfig.OnFlush, so it runs on every connection's frame
+// writer goroutine: counter and histogram writes only.
 func (w *wireSeries) onFlush(n int) {
 	w.flushes.Inc()
 	w.framesPerFlush.Observe(float64(n))

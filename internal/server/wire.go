@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net"
@@ -118,10 +117,10 @@ func (s *Server) ServeWire(ln net.Listener) error {
 // CloseWireConns ends every live wire connection and waits for their
 // serving goroutines to exit. Call it after the listener is closed and
 // Drain has settled admitted work. Responses for that work can still be
-// sitting in per-connection flush queues, so rather than closing sockets
-// under the flusher (truncating frames mid-write) this nudges each
+// sitting in per-connection frame writers, so rather than closing sockets
+// under a writer (truncating frames mid-write) this nudges each
 // connection's read loop with an already-expired read deadline: the
-// serving loop unwinds, drains its workers and flusher — delivering
+// serving loop unwinds, drains its workers and frame writer — delivering
 // every queued response un-truncated — and closes the socket itself. A
 // bounded write deadline guards against peers that stopped reading;
 // their connections end with a write error instead of wedging shutdown.
@@ -184,21 +183,13 @@ func (wb *wireBackend) Handle(ctx context.Context, req *wire.Request, resp *wire
 	return err
 }
 
-// handlePut stores a vector from its raw word payload, mirroring the
-// JSON path's DecodeBits contract: an empty payload stores an all-zero
-// vector, and bits set beyond the declared length are rejected.
+// handlePut stores a vector from its raw word payload through the same
+// builder as the JSON path's DecodeBits: an empty payload stores an
+// all-zero vector, and bits set beyond the declared length are rejected.
 func (wb *wireBackend) handlePut(req *wire.Request, resp *wire.Response) error {
-	vec := elp2im.NewBitVector(req.Bits)
-	if n := req.WordCount(); n > 0 {
-		words := vec.Words()
-		for i := 0; i < n; i++ {
-			words[i] = binary.LittleEndian.Uint64(req.WordData[i*8:])
-		}
-		if rem := req.Bits % 64; rem != 0 {
-			if tail := words[n-1] >> rem; tail != 0 {
-				return badRequestf("server: vector data has bits set beyond length %d", req.Bits)
-			}
-		}
+	vec, err := bitsFromLE(req.WordData, req.Bits)
+	if err != nil {
+		return err
 	}
 	wb.s.store.set(req.Name, vec)
 	resp.AppendU32(uint32(vec.Len()))
@@ -227,9 +218,9 @@ func (wb *wireBackend) handleDelete(req *wire.Request) error {
 }
 
 // handleOp executes an op or reduce through opCore — the wire hot path.
-// A zero TimeoutMS executes under the connection's base context (no
-// timer, no allocation); a nonzero one buys a per-request deadline
-// exactly like the JSON ?timeout_ms.
+// A zero TimeoutMS executes with no deadline (no timer, no allocation); a
+// nonzero one buys a per-request deadline exactly like the JSON
+// ?timeout_ms.
 func (wb *wireBackend) handleOp(ctx context.Context, req *wire.Request, resp *wire.Response) error {
 	op, ok := bitOpFor(req.Op)
 	if !ok {

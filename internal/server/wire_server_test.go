@@ -440,10 +440,10 @@ func TestWireDrainingStatus(t *testing.T) {
 }
 
 // TestWireDrainDeliversPendingResponses pins the graceful-shutdown
-// contract with the response coalescer in play: every request admitted
+// contract with the frame writer in play: every request admitted
 // before Drain must settle with a real answer (OK or an in-band wire
 // status), never a truncated stream, even when CloseWireConns runs while
-// responses are still queued in per-connection flush queues. The ops
+// responses are still queued in per-connection frame writers. The ops
 // are all dispatched before Drain, so their responses complete and
 // coalesce right as shutdown begins.
 func TestWireDrainDeliversPendingResponses(t *testing.T) {

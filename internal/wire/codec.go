@@ -340,6 +340,16 @@ func (d *decoder) u64() uint64 {
 	return binary.LittleEndian.Uint64(v)
 }
 
+// stats reads a 48-byte stats block.
+func (d *decoder) stats() Stats {
+	st, _ := DecodeStats(d.take(statsWireLen)) // take records a short block
+	return st
+}
+
+// wordBytes reads a word payload (u32 count + raw LE words) and returns
+// the words' raw bytes (aliasing d.b).
+func (d *decoder) wordBytes() []byte { return d.take(int(d.u32()) * 8) }
+
 // str16Bytes reads a str16 and returns its byte view (aliasing d.b).
 func (d *decoder) str16Bytes() ([]byte, bool) {
 	n := d.u16()

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 )
 
@@ -36,6 +35,19 @@ func defaultStatusOf(err error) (uint8, uint32) {
 	return StatusInternal, 0
 }
 
+// Per-connection serving constants.
+const (
+	// connWorkers is the number of requests one connection executes
+	// concurrently — the multiplexing width. Decoded requests are handed
+	// to a fixed worker pool, so many requests execute at once while the
+	// reader keeps draining frames.
+	connWorkers = 16
+	// maxInterned bounds the per-connection name-intern cache that makes
+	// repeated vector names allocation-free; beyond it, new names fall
+	// back to plain copies.
+	maxInterned = 4096
+)
+
 // ServerConfig parameterizes ServeConn. Zero values select documented
 // defaults.
 type ServerConfig struct {
@@ -46,25 +58,12 @@ type ServerConfig struct {
 	StatusOf StatusFunc
 	// MaxFrame bounds accepted frame bodies. Default DefaultMaxFrame.
 	MaxFrame int
-	// Workers is the number of concurrent in-flight requests one
-	// connection executes — the multiplexing width. Decoded requests are
-	// handed to a fixed worker pool, so many requests execute
-	// concurrently while the reader keeps draining frames. Default 16.
-	Workers int
-	// BaseContext is the root context requests execute under; closing the
-	// connection does not cancel it (the backend settles admitted work).
-	// Default context.Background().
-	BaseContext context.Context
-	// MaxInterned bounds the per-connection name-intern cache that makes
-	// repeated vector names allocation-free; beyond it, new names fall
-	// back to plain copies. Default 4096.
-	MaxInterned int
 	// OnFlush, when set, observes every write-path flush with the number
-	// of response frames it carried. Under load the flusher coalesces
-	// many frames into one writev, so frames-per-flush > 1 measures how
-	// well syscalls are being amortized. Called from the flusher
-	// goroutine after each successful flush; it must be fast and must not
-	// block.
+	// of response frames it carried. Under load the frame writer
+	// coalesces many frames into one writev, so frames-per-flush > 1
+	// measures how well syscalls are being amortized. Called from the
+	// writer goroutine after each successful flush; it must be fast and
+	// must not block.
 	OnFlush func(frames int)
 }
 
@@ -75,15 +74,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.Workers <= 0 {
-		c.Workers = 16
-	}
-	if c.BaseContext == nil {
-		c.BaseContext = context.Background()
-	}
-	if c.MaxInterned <= 0 {
-		c.MaxInterned = 4096
 	}
 	return c
 }
@@ -176,28 +166,14 @@ type connReq struct {
 
 // serverConn is one connection's serving state.
 type serverConn struct {
-	nc   net.Conn
 	br   *bufio.Reader
 	cfg  ServerConfig
 	work chan *connReq
 	wg   sync.WaitGroup
-
-	// Response coalescer. Workers enqueue completed frames under fmu;
-	// the flusher goroutine drains the whole queue per wakeup and writes
-	// it in one writev. fmu also guards werr (the connection's first
-	// write error — once set, frames are dropped instead of queued into a
-	// dead socket) and closing (set at teardown to let the flusher park
-	// out after its final drain).
-	fmu         sync.Mutex
-	fcond       *sync.Cond
-	pending     []*[]byte
-	werr        error
-	closing     bool
-	iov         net.Buffers   // flusher-only writev scratch, reused across flushes
-	flusherDone chan struct{} // closed when the flusher exits
+	w    *frameWriter // the response write path
 
 	// names interns decoded strings so the steady-state loop does not
-	// allocate per request. Reader-goroutine-only; bounded by MaxInterned.
+	// allocate per request. Reader-goroutine-only; bounded by maxInterned.
 	names map[string]string
 }
 
@@ -206,8 +182,10 @@ type serverConn struct {
 // (oversize or undersize frame) makes the stream untrustworthy. It
 // returns nil on a clean peer close (EOF between frames) with every
 // queued response flushed. Responses are written as requests complete —
-// out of order when the Workers pool executes several concurrently —
-// matched to requests by their echoed id.
+// out of order when the worker pool executes several concurrently —
+// matched to requests by their echoed id. Requests run under
+// context.Background(): closing the connection does not cancel admitted
+// work.
 func ServeConn(nc net.Conn, cfg ServerConfig) error {
 	cfg = cfg.withDefaults()
 	if cfg.Backend == nil {
@@ -217,20 +195,17 @@ func ServeConn(nc net.Conn, cfg ServerConfig) error {
 }
 
 // newServerConn builds one connection's serving state and starts its
-// worker pool and flusher goroutine. cfg must already be normalized and
-// carry a Backend.
+// worker pool and frame writer. cfg must already be normalized and carry
+// a Backend.
 func newServerConn(nc net.Conn, cfg ServerConfig) *serverConn {
 	c := &serverConn{
-		nc:    nc,
 		br:    bufio.NewReaderSize(nc, 64<<10),
 		cfg:   cfg,
-		work:  make(chan *connReq, cfg.Workers),
+		work:  make(chan *connReq, connWorkers),
+		w:     newFrameWriter(nc, cfg.OnFlush),
 		names: make(map[string]string),
 	}
-	c.fcond = sync.NewCond(&c.fmu)
-	c.flusherDone = make(chan struct{})
-	go c.flusher()
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < connWorkers; i++ {
 		c.wg.Add(1)
 		go c.worker()
 	}
@@ -238,7 +213,7 @@ func newServerConn(nc net.Conn, cfg ServerConfig) *serverConn {
 }
 
 // serve runs the read loop, then unwinds: workers drain the in-flight
-// requests, the flusher writes out every response they queued, and only
+// requests, the writer writes out every response they sent, and only
 // then does the connection report its terminal error. A write error
 // takes precedence over the read-side error it usually causes (closing
 // the socket under the reader).
@@ -246,15 +221,8 @@ func (c *serverConn) serve() error {
 	err := c.readLoop()
 	close(c.work)
 	c.wg.Wait()
-	c.fmu.Lock()
-	c.closing = true
-	c.fmu.Unlock()
-	c.fcond.Signal()
-	<-c.flusherDone
-	c.fmu.Lock()
-	werr := c.werr
-	c.fmu.Unlock()
-	if werr != nil {
+	c.w.close()
+	if werr := c.w.wait(); werr != nil {
 		return werr
 	}
 	return err
@@ -267,7 +235,7 @@ func (c *serverConn) intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	if len(c.names) < c.cfg.MaxInterned {
+	if len(c.names) < maxInterned {
 		c.names[s] = s
 	}
 	return s
@@ -328,8 +296,7 @@ func (c *serverConn) release(cr *connReq) {
 	connReqPool.Put(cr)
 }
 
-// handle runs one request through the backend and hands its response to
-// the write path. A response whose frame body outgrew MaxFrame is
+// handle runs one request through the backend and sends its response. A response whose frame body outgrew MaxFrame is
 // replaced by a StatusBadRequest answer naming the limit: the peer would
 // refuse the frame and drop the connection, so the limit is enforced on
 // the sending side, in band, and the connection stays usable. That
@@ -338,7 +305,7 @@ func (c *serverConn) handle(cr *connReq) {
 	rp := getBuf(0)
 	cr.resp.b = BeginFrame(*rp, cr.req.ID, StatusOK)
 	cr.resp.limit = c.cfg.MaxFrame
-	err := c.cfg.Backend.Handle(c.cfg.BaseContext, &cr.req, &cr.resp)
+	err := c.cfg.Backend.Handle(context.Background(), &cr.req, &cr.resp)
 	if body := len(cr.resp.b) - frameLenSize; err == nil && body > c.cfg.MaxFrame {
 		err = responseTooLarge(body, c.cfg.MaxFrame)
 	}
@@ -353,7 +320,7 @@ func (c *serverConn) handle(cr *connReq) {
 	cr.resp.b = FinishFrame(cr.resp.b, 0)
 	*rp = cr.resp.b // the frame may have outgrown the pooled buffer
 	cr.resp.b = nil
-	c.send(rp)
+	_ = c.w.send(rp) // a failed writer drops the frame
 }
 
 // writeError answers a request that failed before reaching the backend.
@@ -364,111 +331,5 @@ func (c *serverConn) writeError(id uint64, err error) {
 	b = AppendErrorPayload(b, retry, err.Error())
 	b = FinishFrame(b, 0)
 	*rp = b
-	c.send(rp)
-}
-
-// send hands one completed response frame to the write path, taking
-// ownership of the pooled buffer: it appends to the pending queue and
-// wakes the flusher. Once the connection's writer has failed the frame
-// is dropped on the spot — workers stop growing the queue for a dead
-// peer.
-func (c *serverConn) send(rp *[]byte) {
-	c.fmu.Lock()
-	if c.werr != nil {
-		c.fmu.Unlock()
-		putBuf(rp)
-		return
-	}
-	c.pending = append(c.pending, rp)
-	c.fmu.Unlock()
-	c.fcond.Signal()
-}
-
-// fail records the connection's first write error and closes the socket,
-// which unblocks the read loop so the whole connection unwinds promptly.
-func (c *serverConn) fail(err error) {
-	c.fmu.Lock()
-	first := c.werr == nil
-	if first {
-		c.werr = err
-	}
-	c.fmu.Unlock()
-	if first {
-		_ = c.nc.Close()
-	}
-}
-
-// pendingLen reports the number of queued-but-unflushed response frames.
-func (c *serverConn) pendingLen() int {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return len(c.pending)
-}
-
-// flusher is the connection's single writer: it parks while the pending
-// queue is empty, and on each wakeup swaps the whole queue out and
-// writes it as one writev ("flush-on-empty"). An idle connection
-// therefore flushes every response immediately — single-request latency
-// is one wakeup away from the old direct write — while under load
-// responses that complete during an in-flight writev pile up and ride
-// the next one, amortizing syscalls automatically. Runs until serve
-// sets closing and the queue is empty, so teardown drains every
-// admitted response before the connection reports its terminal state.
-func (c *serverConn) flusher() {
-	defer close(c.flusherDone)
-	var queue []*[]byte
-	for {
-		c.fmu.Lock()
-		for len(c.pending) == 0 && !c.closing {
-			c.fcond.Wait()
-		}
-		if len(c.pending) == 0 {
-			c.fmu.Unlock()
-			return
-		}
-		c.fmu.Unlock()
-		// Signal parks the flusher in the scheduler's run-next slot, so
-		// without this yield it would wake after the first enqueue and
-		// write a 1-frame batch while sibling workers finishing at the
-		// same time are still queued behind it. One Gosched lets
-		// them append their frames first (the loopy-writer trick), at the
-		// cost of a sub-microsecond yield on the idle path.
-		runtime.Gosched()
-		c.fmu.Lock()
-		queue, c.pending = c.pending, queue[:0]
-		failed := c.werr != nil
-		c.fmu.Unlock()
-		if !failed {
-			if err := c.writeBatch(queue); err != nil {
-				c.fail(err)
-			} else if c.cfg.OnFlush != nil {
-				c.cfg.OnFlush(len(queue))
-			}
-		}
-		for i, bp := range queue {
-			putBuf(bp)
-			queue[i] = nil
-		}
-	}
-}
-
-// writeBatch writes every frame in queue with one syscall: a plain
-// Write for a single frame, a net.Buffers writev otherwise (net.Buffers
-// falls back to sequential writes on connections without vectored I/O,
-// such as net.Pipe). The iovec scratch is reused across flushes so the
-// steady-state path does not allocate.
-func (c *serverConn) writeBatch(queue []*[]byte) error {
-	if len(queue) == 1 {
-		_, err := c.nc.Write(*queue[0])
-		return err
-	}
-	c.iov = c.iov[:0]
-	for _, bp := range queue {
-		c.iov = append(c.iov, *bp)
-	}
-	// WriteTo consumes and mutates the slice it is called on, so hand it
-	// a view; the backing array is re-filled from scratch next flush.
-	v := c.iov
-	_, err := v.WriteTo(c.nc)
-	return err
+	_ = c.w.send(rp)
 }

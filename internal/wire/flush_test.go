@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -114,16 +115,16 @@ func TestFlushCoalescing(t *testing.T) {
 		t.Fatalf("OnFlush fired before the write completed: %v", got)
 	}
 
-	// Eight more requests complete while the flusher is parked: they must
+	// Eight more requests complete while the writer is parked: they must
 	// queue, not write.
 	for i := 0; i < 8; i++ {
 		go op()
 	}
 	waitUntil(t, "8 responses queued behind the in-flight flush", func() bool {
-		return sc.pendingLen() == 8
+		return sc.w.pending() == 8
 	})
 
-	// Release the parked write: the flusher finishes the 1-frame flush,
+	// Release the parked write: the writer finishes the 1-frame flush,
 	// then drains all 8 queued frames in a single writev.
 	close(g.gate)
 	for i := 0; i < 9; i++ {
@@ -153,7 +154,7 @@ func TestWriteErrorEndsServe(t *testing.T) {
 	go func() { done <- sc.serve() }()
 
 	// Deliver four requests, then hang up without reading any response.
-	// net.Pipe is unbuffered, so the flusher's first write parks until the
+	// net.Pipe is unbuffered, so the writer's first write parks until the
 	// close fails it.
 	var frame []byte
 	for id := uint64(1); id <= 4; id++ {
@@ -175,7 +176,7 @@ func TestWriteErrorEndsServe(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeConn did not end after the peer hung up")
 	}
-	if n := sc.pendingLen(); n != 0 {
+	if n := sc.w.pending(); n != 0 {
 		t.Fatalf("%d frames left in the flush queue after teardown, want 0", n)
 	}
 }
@@ -305,4 +306,118 @@ func TestClientUsableAfterWriteError(t *testing.T) {
 		t.Fatal("second Ping succeeded against a closed peer")
 	}
 	_ = c.Close()
+}
+
+// recConn is a net.Conn stand-in for the frame writer alone: it records
+// the bytes written and the Close calls, and fails every Write with err
+// when set.
+type recConn struct {
+	net.Conn
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	err    error
+	closes int
+}
+
+func (r *recConn) Write(p []byte) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return 0, r.err
+	}
+	return r.buf.Write(p)
+}
+
+func (r *recConn) Close() error {
+	r.mu.Lock()
+	r.closes++
+	r.mu.Unlock()
+	return nil
+}
+
+func (r *recConn) closeCount() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.closes
+}
+
+// frameOf returns a pooled buffer holding one ping frame with the given id.
+func frameOf(id uint64) *[]byte {
+	bp := getBuf(0)
+	*bp = AppendPingRequest(*bp, id)
+	return bp
+}
+
+// TestFrameWriter pins the write path's contract, which the server's
+// responses and the client's requests both rely on: close drains every
+// queued frame, a send after close fails with net.ErrClosed, and the
+// first write error latches, failing later sends, closing the conn once
+// and coming back from wait.
+func TestFrameWriter(t *testing.T) {
+	t.Run("close drains the queue", func(t *testing.T) {
+		rc := &recConn{}
+		g := newGatedConn(rc)
+		w := newFrameWriter(g, nil)
+		var want []byte
+		g.arm()
+		for id := uint64(1); id <= 6; id++ {
+			want = AppendPingRequest(want, id)
+			if err := w.send(frameOf(id)); err != nil {
+				t.Fatalf("send %d: %v", id, err)
+			}
+			if id == 1 {
+				<-g.blocked // frames 2..6 queue behind the parked write
+			}
+		}
+		w.close()
+		close(g.gate)
+		if err := w.wait(); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		if !bytes.Equal(rc.buf.Bytes(), want) {
+			t.Fatalf("wrote %x, want %x", rc.buf.Bytes(), want)
+		}
+		if n := rc.closeCount(); n != 0 {
+			t.Fatalf("clean close closed the conn %d times, want 0", n)
+		}
+	})
+	t.Run("send after close", func(t *testing.T) {
+		w := newFrameWriter(&recConn{}, nil)
+		w.close()
+		bp := frameOf(1)
+		if err := w.send(bp); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("send after close: %v, want net.ErrClosed", err)
+		}
+		if len(*bp) != 0 {
+			t.Fatal("refused frame was not recycled")
+		}
+		if err := w.wait(); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+	})
+	t.Run("write error latches", func(t *testing.T) {
+		boom := errors.New("boom")
+		rc := &recConn{err: boom}
+		w := newFrameWriter(rc, func(int) { t.Error("flush hook ran for a failed write") })
+		if err := w.send(frameOf(1)); err != nil {
+			t.Fatalf("first send: %v", err)
+		}
+		waitUntil(t, "the failed write to close the conn", func() bool { return rc.closeCount() > 0 })
+		for id := uint64(2); id <= 3; id++ {
+			bp := frameOf(id)
+			if err := w.send(bp); !errors.Is(err, boom) {
+				t.Fatalf("send %d after the write error: %v, want %v", id, err, boom)
+			}
+			if len(*bp) != 0 {
+				t.Fatalf("refused frame %d was not recycled", id)
+			}
+		}
+		w.close()
+		if err := w.wait(); !errors.Is(err, boom) {
+			t.Fatalf("wait: %v, want %v", err, boom)
+		}
+		if n := rc.closeCount(); n != 1 {
+			t.Fatalf("conn closed %d times, want 1", n)
+		}
+	})
 }

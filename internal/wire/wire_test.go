@@ -337,7 +337,7 @@ func TestClientServerErrorStatus(t *testing.T) {
 // goroutines: request-id multiplexing must match every response to its
 // caller even when the worker pool completes them out of order.
 func TestPipelinedConcurrentCalls(t *testing.T) {
-	c := startStub(t, ServerConfig{Workers: 8})
+	c := startStub(t, ServerConfig{})
 	var wg sync.WaitGroup
 	errCh := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -419,14 +419,14 @@ func TestUndersizeFrameClosesConn(t *testing.T) {
 // the same connection, which stays usable.
 func TestMalformedFrameAnsweredInBand(t *testing.T) {
 	c := startStub(t, ServerConfig{})
-	// Reach into the connection to enqueue a raw frame with an unknown
+	// Reach into the connection to send a raw frame with an unknown
 	// kind, then a valid ping: the ping must still succeed.
 	body := appendHeader(nil, 999, 0xEE)
 	frame := appendU32(nil, uint32(len(body)))
 	frame = append(frame, body...)
 	bp := getBuf(0)
 	*bp = append(*bp, frame...)
-	if err := c.enqueue(bp); err != nil {
+	if err := c.w.send(bp); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Ping(); err != nil {
@@ -443,7 +443,7 @@ func TestWireHandlerAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the gate runs in the plain pass")
 	}
-	c := startStub(t, ServerConfig{Workers: 1})
+	c := startStub(t, ServerConfig{})
 	// Warm every pool and the connection's name interner.
 	for i := 0; i < 64; i++ {
 		if _, err := c.Op(BitAnd, 0, "dst", "x", "y"); err != nil {
@@ -461,18 +461,17 @@ func TestWireHandlerAllocFree(t *testing.T) {
 }
 
 // TestInternBounded checks the per-connection name cache stops growing at
-// MaxInterned instead of letting a hostile client exhaust memory.
+// maxInterned instead of letting a hostile client exhaust memory.
 func TestInternBounded(t *testing.T) {
-	c := &serverConn{cfg: ServerConfig{MaxInterned: 4}.withDefaults(), names: make(map[string]string)}
-	c.cfg.MaxInterned = 4
-	for i := 0; i < 100; i++ {
+	c := &serverConn{names: make(map[string]string)}
+	for i := 0; i < maxInterned+100; i++ {
 		name := fmt.Sprintf("v%d", i)
 		if got := c.intern([]byte(name)); got != name {
 			t.Fatalf("intern(%q) = %q", name, got)
 		}
 	}
-	if len(c.names) > 4 {
-		t.Fatalf("intern cache grew to %d entries, bound is 4", len(c.names))
+	if len(c.names) > maxInterned {
+		t.Fatalf("intern cache grew to %d entries, bound is %d", len(c.names), maxInterned)
 	}
 }
 

@@ -13,8 +13,9 @@
 #                    op/reduce/PUT stress and vertical torn-read tests,
 #                    the wire codec/conn suite
 #                    plus a dedicated multi-iteration run over the
-#                    write-path coalescer (flusher, write-error latch,
-#                    drain-time flushing), the kernel-derivation
+#                    one frame writer both connection ends write
+#                    through (flush-on-empty coalescing, write-error
+#                    latch, drain-time flushing), the kernel-derivation
 #                    cache, the facade's fast-path/fallback concurrency
 #                    tests, the shard deployment tests + differential
 #                    suites, the vertical-arith suites, and three
@@ -73,11 +74,12 @@ if ! go test -race -count=10 -run 'Deadline|Backpressure|Saturation|Drain|PutAnd
     fail=1
 fi
 
-# The write-path coalescers are pure concurrency machinery (cond-parked
-# flusher goroutines, double-buffered frame queues, write-error
-# latching, drain-time flushing), so their suites get extra iterations
-# under the race detector beyond the package-wide pass above.
-if ! go test -race -count=3 -run 'Flush|Coalescing|WriteError|DrainDelivers|ServeConnDrains' ./internal/wire ./internal/server; then
+# The frame writer that both connection ends write through is pure
+# concurrency machinery (a cond-parked writer goroutine, a
+# double-buffered frame queue, write-error latching, drain-time
+# flushing), so its suites get extra iterations under the race detector
+# beyond the package-wide pass above.
+if ! go test -race -count=3 -run 'Flush|Coalescing|WriteError|DrainDelivers|ServeConnDrains|FrameWriter' ./internal/wire ./internal/server; then
     fail=1
 fi
 
@@ -160,7 +162,7 @@ fi
 # two dispatcher tests size their calls so the stripe dispatcher forks
 # (concurrent command-path Op/Reduce against Totals/Snapshot readers, and
 # the lowest-stripe error across worker shares), so all three get extra
-# iterations under the race detector, like the coalescers.
+# iterations under the race detector, like the frame writer.
 if ! go test -race -count=3 -run '^(TestArithMatchesReferenceMultiBlock|TestConcurrentOpsAndTotals|TestForEachStripeFirstErrorDeterministic)$' .; then
     fail=1
 fi
