@@ -315,6 +315,11 @@ type Accelerator struct {
 	fastFallbacks *obs.Counter
 	fusionHits    *obs.Counter
 	fusionFalls   *obs.Counter
+
+	// slicePool recycles the n-bit slices (*BitVector) that ArithProg
+	// leases for its results and temps: temps come back when a call
+	// returns, results when the caller hands them to Recycle.
+	slicePool sync.Pool
 }
 
 // costKey identifies one memoized cost unit.
@@ -493,6 +498,19 @@ func (a *Accelerator) getScratch(words int) *[]uint64 {
 
 // putScratch returns a leased scratch slab.
 func (a *Accelerator) putScratch(s *[]uint64) { a.scratchPool.Put(s) }
+
+// getSlice leases an n-bit slice from the pool, dropping a pooled slice
+// of another length. Callers must not assume it is zeroed — every
+// µProgram step writes every word of its destination before a later
+// step reads it — but it is canonical: bits beyond n are zero, because
+// every tier keeps them so (word-aligned stripes re-mask the tail,
+// unaligned ones never write past n).
+func (a *Accelerator) getSlice(n int) *BitVector {
+	if s, ok := a.slicePool.Get().(*BitVector); ok && s.Len() == n {
+		return s
+	}
+	return NewBitVector(n)
+}
 
 // Design returns the modeled design's name.
 func (a *Accelerator) Design() string { return a.eng.Name() }

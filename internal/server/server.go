@@ -618,11 +618,11 @@ func (s *Server) handleArith(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	st, out, err := s.arithCore(op, body.Dst, body.X, body.Y, body.Mask)
+	st, width, elems, err := s.arithCore(op, body.Dst, body.X, body.Y, body.Mask)
 	if err != nil {
 		return err
 	}
-	return writeJSON(w, OpResponse{Stats: statsJSON(st), Elems: out.Len(), ElemWidth: out.Width()})
+	return writeJSON(w, OpResponse{Stats: statsJSON(st), Elems: elems, ElemWidth: width})
 }
 
 // arithCore is the protocol-independent arith body shared by the HTTP
@@ -630,15 +630,19 @@ func (s *Server) handleArith(w http.ResponseWriter, r *http.Request) error {
 // destination's home-shard gate, read-lock the operands, fetch the
 // compiled µProgram for (op, x's width) through the shared program
 // cache, execute it on the shard's accelerator, and store the result
-// vertical under dst. Operand-shape mistakes surface as
+// vertical under dst. The vertical the result replaces goes back to the
+// accelerator's slice pool, where the next arith on this shard leases
+// its result and temp slices. It returns the result's element width and
+// count rather than the vertical: once published, a concurrent arith on
+// dst may replace and recycle it. Operand-shape mistakes surface as
 // elp2im.ErrBadArith, which both transports report as 400.
-func (s *Server) arithCore(op elp2im.ArithOp, dst, x, y, mask string) (elp2im.Stats, *elp2im.Vertical, error) {
+func (s *Server) arithCore(op elp2im.ArithOp, dst, x, y, mask string) (st elp2im.Stats, width, elems int, err error) {
 	if dst == "" || x == "" {
-		return elp2im.Stats{}, nil, badRequestf("server: arith needs dst and x")
+		return elp2im.Stats{}, 0, 0, badRequestf("server: arith needs dst and x")
 	}
 	g := s.gateFor(dst)
 	if err := g.acquire(); err != nil {
-		return elp2im.Stats{}, nil, err
+		return elp2im.Stats{}, 0, 0, err
 	}
 	defer g.release()
 
@@ -646,17 +650,18 @@ func (s *Server) arithCore(op elp2im.ArithOp, dst, x, y, mask string) (elp2im.St
 	ls := lockSet{refs: refs[:0]}
 	for _, name := range [...]string{x, y, mask} {
 		if name != "" && ls.add(s.store, name, false) == nil {
-			return elp2im.Stats{}, nil, unknownVector(name)
+			return elp2im.Stats{}, 0, 0, unknownVector(name)
 		}
 	}
 	ls.lock()
 	out, st, err := s.execArith(g.acc, &ls, op, x, y, mask)
 	ls.unlock()
 	if err != nil {
-		return elp2im.Stats{}, nil, err
+		return elp2im.Stats{}, 0, 0, err
 	}
-	s.store.setVert(dst, out)
-	return st, out, nil
+	width, elems = out.Width(), out.Len()
+	g.acc.Recycle(s.store.setVert(dst, out))
+	return st, width, elems, nil
 }
 
 // execArith binds the arith operands out of the locked entries and runs

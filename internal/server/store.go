@@ -118,19 +118,24 @@ func (s *Store) set(name string, vec *elp2im.BitVector) {
 }
 
 // setVert stores a vertical vector under name, replacing any previous
-// contents (of either kind) under the entry lock, exactly like set.
-func (s *Store) setVert(name string, v *elp2im.Vertical) {
+// contents (of either kind) under the entry lock, exactly like set. It
+// returns the vertical it replaced (nil when there was none). Every
+// reader of a vertical holds the entry's read lock, so once the swap
+// lands no one else holds the old one: the caller owns it.
+func (s *Store) setVert(name string, v *elp2im.Vertical) *elp2im.Vertical {
 	s.mu.Lock()
 	e, ok := s.m[name]
 	if !ok {
 		s.m[name] = &entry{name: name, shard: s.shardOf(name), vert: v}
 		s.mu.Unlock()
-		return
+		return nil
 	}
 	s.mu.Unlock()
 	e.mu.Lock()
+	old := e.vert
 	e.vec, e.vert = nil, v
 	e.mu.Unlock()
+	return old
 }
 
 // adopt publishes a detached entry (a destination created by an
@@ -169,7 +174,10 @@ func (s *Store) hasPrefix(prefix string) bool {
 
 // remove deletes the named vector and reports whether it existed. An
 // in-flight operation that already resolved the entry keeps the orphaned
-// vector alive until it completes; its result is simply discarded.
+// vector alive until it completes; its result is simply discarded. That
+// is why a deleted vertical goes to the GC rather than to an
+// accelerator's slice pool: a request that resolved the entry before the
+// delete may still read it.
 func (s *Store) remove(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -244,6 +245,22 @@ func TestVerticalKindGuards(t *testing.T) {
 	if _, _, err := wc.GetVert("nope", nil); !errors.As(err, &se) || se.Code != wire.StatusNotFound {
 		t.Errorf("wire GetVert of missing: %v, want not_found", err)
 	}
+	// GET_VERT answers in slices, but a vertical whose elements would
+	// not fit one frame at 8 bytes each is refused in band, so a
+	// client's element buffer stays within the frame limit: 8 Mi 1-bit
+	// elements are 1 MiB of slices and 64 MiB of elements.
+	huge, err := elp2im.NewVertical(wire.DefaultMaxFrame/8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.store.setVert("huge", huge)
+	if _, _, err := wc.GetVert("huge", nil); !errors.As(err, &se) || se.Code != wire.StatusBadRequest ||
+		!strings.Contains(se.Msg, fmt.Sprintf("(limit %d)", wire.DefaultMaxFrame)) {
+		t.Errorf("wire GetVert of %d elements: %v, want bad_request naming the frame limit", huge.Len(), err)
+	}
+	if w, elems, err := wc.GetVert("v", nil); err != nil || w != 8 || len(elems) == 0 {
+		t.Errorf("wire GetVert after a refused one: width=%d elems=%d err=%v", w, len(elems), err)
+	}
 	// A vertical PUT over an existing plain name swaps the entry's kind,
 	// and back.
 	putVertJSON(t, client, ts.URL, "p", 4, []uint64{9, 10})
@@ -432,16 +449,20 @@ func TestConcurrentPutGetConsistency(t *testing.T) {
 // TestConcurrentPutGetConsistency: one writer replaces a vertical vector
 // by cycling through wire PutVerts of three element patterns (two at
 // width 8, one at width 16) and arith selects that write either width-8
-// pattern under the same name, while a wire GetVert reader and a JSON GET
-// reader fetch it. Every answer must be one whole pattern at its own
-// width: a read that mixed two versions — a width from one and slices
-// from another, or slices from each — matches none of them. That pins
-// that a vertical GET reads the width, the length and every slice under
-// one hold of the entry's read lock. Runs under the race detector in the
-// lint gate.
+// pattern under the same name, and a second wire writer issues only such
+// selects, while a wire GetVert reader and a JSON GET reader fetch it.
+// Every answer must be one whole pattern at its own width: a read that
+// mixed two versions — a width from one and slices from another, or
+// slices from each — matches none of them. That pins that a vertical GET
+// reads the width, the length and every slice under one hold of the
+// entry's read lock. An arith that replaces an arith result recycles the
+// old slices into the shard's slice pool, and the next select leases
+// them while the readers are in flight, so the test also pins that no
+// reader still holds a vertical once it is recycled. Runs under the race
+// detector in the lint gate.
 func TestConcurrentVerticalPutGetConsistency(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	writer, reader := startWire(t, s), startWire(t, s)
+	writer, selector, reader := startWire(t, s), startWire(t, s), startWire(t, s)
 	client := ts.Client()
 	const n, rounds = 4096 + 77, 200
 	type pattern struct {
@@ -485,7 +506,7 @@ func TestConcurrentVerticalPutGetConsistency(t *testing.T) {
 	// lands while reads are in flight.
 	writing := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(4)
 	go func() {
 		defer wg.Done()
 		defer close(writing)
@@ -502,6 +523,16 @@ func TestConcurrentVerticalPutGetConsistency(t *testing.T) {
 			}
 			if err != nil {
 				t.Errorf("writer round %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		masks := [...]string{"ones", "zeros"}
+		for i := 0; !closed(writing); i++ {
+			if _, _, _, err := selector.Arith(wire.ArithSelect, 0, "hot", "pa", "pb", masks[i%2]); err != nil {
+				t.Errorf("selector round %d: %v", i, err)
 				return
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	elp2im "repro"
-	"repro/internal/vertical"
 	"repro/internal/wire"
 )
 
@@ -267,13 +266,13 @@ func (wb *wireBackend) handleArith(req *wire.Request, resp *wire.Response) error
 	if !ok {
 		return badRequestf("server: unknown wire arith code %d", req.Op)
 	}
-	st, out, err := wb.s.arithCore(op, req.Dst, req.X, req.Y, req.Mask)
+	st, width, elems, err := wb.s.arithCore(op, req.Dst, req.X, req.Y, req.Mask)
 	if err != nil {
 		return err
 	}
 	resp.AppendStats(wireStats(st))
-	resp.AppendU8(uint8(out.Width()))
-	resp.AppendU32(uint32(out.Len()))
+	resp.AppendU8(uint8(width))
+	resp.AppendU32(uint32(elems))
 	return nil
 }
 
@@ -291,23 +290,15 @@ func (wb *wireBackend) handlePutVert(req *wire.Request, resp *wire.Response) err
 	return nil
 }
 
-// handleGetVert returns a vertical vector's element width and elements
-// through the shared read core, in one pass under its read lock: it
-// reserves the whole payload (refused up front when the frame would
-// exceed the connection's limit) and transposes every slice straight
-// into it. A bit vector answers 400.
+// handleGetVert returns a vertical vector's element width, element count
+// and stored bit slices through the shared read core, copying the slice
+// words into the payload under the read lock; the client transposes them
+// (see wire.KindGetVert). A bit vector answers 400.
 func (wb *wireBackend) handleGetVert(req *wire.Request, resp *wire.Response) error {
 	return wb.s.readVector(req.Name, func([]uint64, int) error {
 		return badRequestf("server: %q is a bit vector; use get", req.Name)
 	}, func(v *elp2im.Vertical) error {
-		resp.AppendU8(uint8(v.Width()))
-		resp.AppendU32(uint32(v.Len()))
-		payload, err := resp.Extend(8 * v.Len())
-		if err != nil {
-			return err
-		}
-		vertical.UnsliceBytesInto(payload, sliceWords(v))
-		return nil
+		return resp.AppendVert(v.Len(), sliceWords(v))
 	})
 }
 

@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/vertical"
 )
 
 // Client is a multiplexing elpwire client: one persistent connection
@@ -319,22 +321,46 @@ func (c *Client) PutVert(name string, width int, elems []uint64) error {
 	}, nil)
 }
 
-// GetVert fetches a vertical vector's element width and values, the
-// values decoded into dst's storage, which is reused when its capacity
-// suffices (pass nil to allocate).
+// GetVert fetches a vertical vector's element width and values. The
+// response carries the stored bit slices (see KindGetVert), which
+// GetVert decodes into a pooled buffer and transposes into dst's
+// storage, reused when its capacity suffices (pass nil to allocate).
 func (c *Client) GetVert(name string, dst []uint64) (width int, elems []uint64, err error) {
 	err = c.call(func(id uint64, b []byte) []byte {
 		return AppendGetVertRequest(b, id, name)
 	}, func(p []byte) error {
-		d := decoder{b: p}
-		w, raw := int(d.u8()), d.wordBytes()
-		d.done()
-		if d.err == nil {
-			width, elems = w, decodeWords(dst, raw)
+		w, n, raw, err := decodeGetVert(p)
+		if err != nil {
+			return err
 		}
-		return d.err
+		width, elems = w, unsliceInto(dst, raw, w, n)
+		return nil
 	})
 	return width, elems, err
+}
+
+// sliceBufPool recycles GetVert's slice-word buffers (*[]uint64), so a
+// steady stream of read-backs decodes without allocating.
+var sliceBufPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// unsliceInto decodes width bit slices of n elements from their
+// little-endian bytes and transposes them into dst's storage, which is
+// reused when its capacity suffices, and returns the n elements.
+func unsliceInto(dst []uint64, raw []byte, width, n int) []uint64 {
+	bp := sliceBufPool.Get().(*[]uint64)
+	defer sliceBufPool.Put(bp)
+	*bp = decodeWords(*bp, raw)
+	var slices [64][]uint64
+	words := vertical.SliceWords(n)
+	for j := range slices[:width] {
+		slices[j] = (*bp)[j*words : (j+1)*words]
+	}
+	if cap(dst) < n {
+		dst = make([]uint64, n)
+	}
+	dst = dst[:n]
+	vertical.UnsliceInto(dst, slices[:width])
+	return dst
 }
 
 // QueryResult is a decoded KindQuery response. Bits and Count are always

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+
+	"repro/internal/vertical"
 )
 
 // This file is the codec: append-style encoders shared by the client and
@@ -74,11 +77,15 @@ func DecodeStats(b []byte) (Stats, error) {
 func AppendWords(b []byte, words []uint64) []byte {
 	b = appendU32(b, uint32(len(words)))
 	b = grow(b, 8*len(words))
-	raw := b[len(b)-8*len(words):]
+	putWords(b[len(b)-8*len(words):], words)
+	return b
+}
+
+// putWords writes words into raw as little-endian uint64s.
+func putWords(raw []byte, words []uint64) {
 	for i, w := range words {
 		binary.LittleEndian.PutUint64(raw[8*i:], w)
 	}
-	return b
 }
 
 // grow extends b by n bytes, reallocating at most once and then to
@@ -105,6 +112,51 @@ func decodeWords(dst []uint64, raw []byte) []uint64 {
 		dst[i] = binary.LittleEndian.Uint64(raw[8*i:])
 	}
 	return dst
+}
+
+// AppendVert appends a KindGetVert OK payload: the element width
+// len(slices), the element count n, and the bit slices, each
+// vertical.SliceWords(n) words. A vector whose frame would exceed the
+// connection's limit with its n elements at 8 bytes each is refused, so
+// every answer stays within the bound a client sizes its element buffer
+// from (see KindGetVert); the payload is then reserved through Extend.
+// Either refusal writes nothing and is tagged ErrFrameTooLarge.
+func (r *Response) AppendVert(n int, slices [][]uint64) error {
+	const header = 1 + 4 // elem_width, elems
+	if body := len(r.b) - frameLenSize + header + 8*n; r.limit > 0 && body > r.limit {
+		return fmt.Errorf("%w: %d elements at 8 bytes each make a %d-byte frame body (limit %d)", ErrFrameTooLarge, n, body, r.limit)
+	}
+	words := vertical.SliceWords(n)
+	payload, err := r.Extend(header + 8*words*len(slices))
+	if err != nil {
+		return err
+	}
+	payload[0] = uint8(len(slices))
+	binary.LittleEndian.PutUint32(payload[1:], uint32(n))
+	for j, s := range slices {
+		putWords(payload[header+8*words*j:], s)
+	}
+	return nil
+}
+
+// decodeGetVert validates a KindGetVert OK payload and returns its
+// element width, element count and slice bytes (aliasing p). It checks
+// everything before the caller sizes an element buffer: the width, a
+// nonzero element count whose 8-byte elements fit DefaultMaxFrame (the
+// bound the server answers within), and exactly elem_width slices of
+// ceil(elems/64) words with nothing after them.
+func decodeGetVert(p []byte) (width, elems int, slices []byte, err error) {
+	d := decoder{b: p}
+	w, n := int(d.u8()), int(d.u32())
+	if d.err == nil && (w == 0 || w > 64) {
+		d.fail("get_vert element width %d out of range [1, 64]", w)
+	}
+	if d.err == nil && (n == 0 || 8*n > DefaultMaxFrame) {
+		d.fail("get_vert declares %d elements, want 1 to %d (8 bytes each within the frame limit)", n, DefaultMaxFrame/8)
+	}
+	raw := d.take(w * vertical.SliceWords(n) * 8)
+	d.done()
+	return w, n, raw, d.err
 }
 
 // appendHeader appends the 9-byte frame body prefix (id + kind). The

@@ -23,7 +23,9 @@
 // that many bytes of UTF-8. Bit payloads are a uint32 LE word count
 // followed by count raw little-endian uint64 words (bit i of the vector
 // is bit i%64 of word i/64 — the accelerator's native layout, so neither
-// side re-packs anything).
+// side re-packs anything). A vertical read-back likewise carries the
+// stored bit slices as they are, and the client transposes them into
+// elements (KindGetVert).
 //
 // The package is pure protocol: it knows nothing about the store or the
 // accelerator. The serving side (ServeConn) executes decoded requests
@@ -79,8 +81,17 @@ const (
 	// (1..64), elems u32 (≥ 1), elems raw LE uint64 element values, each
 	// < 2^elem_width. OK response: elems u32.
 	KindPutVert uint8 = 0x0A
-	// KindGetVert fetches a vertical vector's elements: name str16. OK
-	// response: elem_width u8, elems u32, elems raw LE uint64 values.
+	// KindGetVert fetches a vertical vector in its stored bit-slice
+	// layout: name str16. OK response: elem_width u8 (1..64), elems u32
+	// (≥ 1), then elem_width bit slices, slice 0 first, each
+	// ceil(elems/64) raw LE uint64 words with no count before it. Slice
+	// j holds bit j of every element: bit j of element i is bit i%64 of
+	// word i/64 of slice j, and the bits of a slice's last word at or
+	// beyond elems are zero, so element i is the OR over j of that bit
+	// shifted left by j. The server answers within the element form's
+	// bound: a vector whose elems × 8 bytes would not fit a frame is
+	// refused with StatusBadRequest, so a client may size its element
+	// buffer from elems once it has checked elems × 8 ≤ DefaultMaxFrame.
 	KindGetVert uint8 = 0x0B
 	// KindQuery evaluates a boolean predicate over the bitmap indices of a
 	// namespace: timeout_ms u32, namespace str16, predicate str16, mode u8

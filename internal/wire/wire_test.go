@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/vertical"
 )
 
 // reqEqual compares two decoded requests, treating nil and empty Srcs as
@@ -221,8 +224,7 @@ func (e *echoBackend) Handle(_ context.Context, req *Request, resp *Response) er
 		if req.Name == "missing" {
 			return errStubNotFound
 		}
-		resp.AppendU8(8)
-		resp.AppendWords([]uint64{5, 250})
+		return resp.AppendVert(2, vertical.Slice([]uint64{5, 250}, 8))
 	case KindStats:
 		resp.AppendBytes([]byte(`{"stub":true}`))
 	}
@@ -504,8 +506,8 @@ func TestRequestReset(t *testing.T) {
 // sizedBackend answers KindGet and KindGetVert with payloads of a size
 // chosen by name: "big" outgrows the test's frame limit, anything else
 // fits. Get builds its words with AppendWords, so only the finished frame
-// can be checked; GetVert reserves its payload through Extend, which
-// refuses before anything is written (filled counts the fills).
+// can be checked; GetVert reserves its eight bit slices through Extend,
+// which refuses before anything is written (filled counts the fills).
 type sizedBackend struct {
 	filled atomic.Int64
 }
@@ -513,7 +515,7 @@ type sizedBackend struct {
 func (sb *sizedBackend) Handle(_ context.Context, req *Request, resp *Response) error {
 	n := 2
 	if req.Name == "big" {
-		n = 200
+		n = 1025 // 8 slices of 17 words: 1,088 bytes
 	}
 	switch req.Kind {
 	case KindGet:
@@ -523,7 +525,7 @@ func (sb *sizedBackend) Handle(_ context.Context, req *Request, resp *Response) 
 	case KindGetVert:
 		resp.AppendU8(8)
 		resp.AppendU32(uint32(n))
-		payload, err := resp.Extend(8 * n)
+		payload, err := resp.Extend(8 * 8 * vertical.SliceWords(n))
 		if err != nil {
 			return err
 		}
@@ -562,5 +564,93 @@ func TestOversizeResponseAnsweredInBand(t *testing.T) {
 	}
 	if width, elems, err := c.GetVert("small", nil); err != nil || width != 8 || len(elems) != 2 {
 		t.Fatalf("GetVert after oversized responses: width=%d elems=%d err=%v", width, len(elems), err)
+	}
+}
+
+// TestAppendVert: AppendVert writes the slice layout decodeGetVert reads
+// back, and refuses both a vector whose elements would not fit the frame
+// limit at 8 bytes each and one whose slices would not fit it, leaving
+// the response as it was.
+func TestAppendVert(t *testing.T) {
+	const limit = 1024
+	for _, tc := range []struct {
+		name     string
+		width, n int
+		refused  bool
+	}{
+		{"fits", 7, 100, false},
+		// A 9-byte header and 5 bytes of width and count leave room for
+		// 126 elements at 8 bytes each.
+		{"elements over the limit", 1, 127, true}, // 16 bytes of slices
+		{"slices over the limit", 64, 126, true},  // 1,024 bytes of slices
+	} {
+		elems := make([]uint64, tc.n)
+		for i := range elems {
+			elems[i] = uint64(37*i) & vertical.WidthMask(tc.width)
+		}
+		r := Response{b: BeginFrame(nil, 1, StatusOK), limit: limit}
+		before := len(r.b)
+		err := r.AppendVert(tc.n, vertical.Slice(elems, tc.width))
+		if tc.refused {
+			if !errors.Is(err, ErrFrameTooLarge) || len(r.b) != before {
+				t.Errorf("%s: err = %v after writing %d bytes, want ErrFrameTooLarge and nothing written", tc.name, err, len(r.b)-before)
+			}
+			continue
+		}
+		w, n, raw, err := decodeGetVert(r.b[before:])
+		if err != nil || w != tc.width || n != tc.n || !reflect.DeepEqual(unsliceInto(nil, raw, w, n), elems) {
+			t.Errorf("%s: decoded width %d, %d elements, err %v; want width %d and the %d elements back", tc.name, w, n, err, tc.width, tc.n)
+		}
+	}
+}
+
+// rawBackend answers every request with the OK payload stored under its
+// name.
+type rawBackend map[string][]byte
+
+func (rb rawBackend) Handle(_ context.Context, req *Request, resp *Response) error {
+	resp.AppendBytes(rb[req.Name])
+	return nil
+}
+
+// TestGetVertResponseMalformed: a GET_VERT answer that breaks the slice
+// layout fails the call with ErrMalformed — no panic, and no element
+// buffer sized from its element count. Each answer but the empty one
+// declares at least 4 Mi elements, so such a buffer (32 MiB or more)
+// would dwarf the frame buffers the call allocates.
+func TestGetVertResponseMalformed(t *testing.T) {
+	const many = 4 << 20
+	header := func(w, n int) []byte { return appendU32([]byte{byte(w)}, uint32(n)) }
+	withSlices := func(w, n, sliceWidth int) []byte {
+		return append(header(w, n), make([]byte, sliceWidth*vertical.SliceWords(n)*8)...)
+	}
+	tooMany := DefaultMaxFrame/8 + 1
+	rb := rawBackend{
+		"no elements":                header(8, 0),
+		"width 0":                    header(0, many),
+		"width 65":                   header(65, many),
+		"slices of a narrower width": withSlices(2, many, 1),
+		"short slices":               withSlices(1, many, 1)[:5+vertical.SliceWords(many)*8-8],
+		"elems beyond the limit":     withSlices(1, tooMany, 1),
+		"trailing bytes":             append(withSlices(1, many, 1), 0),
+	}
+	c := startStub(t, ServerConfig{Backend: rb})
+	for name := range rb {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		width, elems, err := c.GetVert(name, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+		if width != 0 || elems != nil {
+			t.Errorf("%s: returned width %d and %d elements with the error", name, width, len(elems))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+			t.Errorf("%s: the call allocated %d bytes, want less than an element buffer", name, grew)
+		}
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("Ping after malformed answers: %v", err)
 	}
 }

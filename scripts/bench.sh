@@ -52,8 +52,9 @@
 # Part 6 (BENCH_vertical.json) sweeps BenchmarkVerticalArith: the six
 # vertical k-bit µPrograms arith_wire serves (add, sub, lt, eq,
 # popcount, select) over 1M elements at its widths 8/16/32 on the fused
-# tier, with the step count, the program's fused passes per block, its
-# modeled DRAM latency and allocs/op, plus the transpose engine's
+# tier, each iteration recycling its result as elpd does, with the step
+# count, the program's fused passes per block, its modeled DRAM latency,
+# B/op and allocs/op, plus the transpose engine's
 # slice/unslice ns/elem at widths 1/8/32 (BenchmarkVerticalTranspose) —
 # the bit-serial arithmetic cost curve (see EXPERIMENTS.md "Reading
 # BENCH_vertical.json").
@@ -382,7 +383,7 @@ printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v bench
 	w = substr(parts[3], 2)
 	sub(/-[0-9]+$/, "", w)
 	key = op "/" w
-	f[key] = $3; fel[key] = field($0, "ns/elem"); fal[key] = field($0, "allocs/op")
+	f[key] = $3; fel[key] = field($0, "ns/elem"); fal[key] = field($0, "allocs/op"); fby[key] = field($0, "B/op")
 	steps[key] = field($0, "steps")
 	ps[key] = field($0, "passes")
 	modeled[key] = field($0, "modeled_ns")
@@ -412,8 +413,8 @@ END {
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		k = order[i]
-		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"passes\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"fused_ns_elem\": %s, \"fused_allocs_op\": %s}%s\n",
-			kop[k], kw[k], steps[k], ps[k], modeled[k], f[k], fel[k], fal[k], i < np ? "," : "" > out
+		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"passes\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"fused_ns_elem\": %s, \"fused_bytes_op\": %s, \"fused_allocs_op\": %s}%s\n",
+			kop[k], kw[k], steps[k], ps[k], modeled[k], f[k], fel[k], fby[k], fal[k], i < np ? "," : "" > out
 	}
 	printf "  ]\n" > out
 	printf "}\n" > out

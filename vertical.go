@@ -190,11 +190,11 @@ func (ca *CompiledArith) Steps() int { return ca.prog.Len() }
 
 // binds validates the operands against the compiled program and builds
 // the slice-name bindings: operand slices under their contract names,
-// plus a freshly allocated result vertical (z slices) and scratch
-// vectors (the result is never an operand, so steps cannot alias their
-// own inputs on any tier). It returns the bindings, the result, and the
-// element count.
-func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVector, *Vertical, int, error) {
+// plus a result vertical (z slices) and scratch slices leased from a's
+// slice pool (the result is never an operand, so steps cannot alias
+// their own inputs on any tier). It returns the bindings, the result,
+// and the element count.
+func (ca *CompiledArith) binds(a *Accelerator, x, y *Vertical, m *BitVector) (map[string]*BitVector, *Vertical, int, error) {
 	p := ca.prog
 	if x == nil {
 		return nil, nil, 0, fmt.Errorf("elp2im: %w: operand x is required", ErrBadArith)
@@ -244,11 +244,11 @@ func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVec
 		binds[vertical.MaskVar] = m
 	}
 	for j := range out.slices {
-		out.slices[j] = NewBitVector(n)
+		out.slices[j] = a.getSlice(n)
 		binds[ca.zs[j]] = out.slices[j]
 	}
 	for _, t := range p.Temps {
-		binds[t] = NewBitVector(n)
+		binds[t] = a.getSlice(n)
 	}
 	return binds, out, n, nil
 }
@@ -256,8 +256,9 @@ func (ca *CompiledArith) binds(x, y *Vertical, m *BitVector) (map[string]*BitVec
 // Arith executes a vertical arithmetic operation entirely in DRAM: the
 // operation is synthesized for x's width, every µProgram step runs as a
 // bulk bitwise operation over all elements at once, and the result comes
-// back as a fresh vertical vector plus the modeled cost. Callers looping
-// one operation should CompileArith once and use ArithProg.
+// back as a new vertical vector, owned by the caller, plus the modeled
+// cost. Callers looping one operation should CompileArith once and use
+// ArithProg.
 func (a *Accelerator) Arith(op ArithOp, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
 	if x == nil {
 		return nil, Stats{}, fmt.Errorf("elp2im: %w: operand x is required", ErrBadArith)
@@ -272,13 +273,26 @@ func (a *Accelerator) Arith(op ArithOp, x, y *Vertical, m *BitVector) (*Vertical
 // ArithProg executes a compiled vertical operation (see Arith).
 // Execution picks the tier per step — fused cluster kernels, or the
 // command-accurate device model — with bit-identical results and modeled
-// cost on both.
-func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (*Vertical, Stats, error) {
+// cost on both. The result's slices and the program's temps are leased
+// from the accelerator's slice pool, so a caller that hands each result
+// it retires to Recycle runs steady-state calls without allocating or
+// clearing a slice.
+func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector) (_ *Vertical, _ Stats, err error) {
 	p := ca.prog
-	binds, out, n, err := ca.binds(x, y, m)
+	binds, out, n, err := ca.binds(a, x, y, m)
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	// The temps go back to the pool however the call ends, and the
+	// result does too when the call fails.
+	defer func() {
+		for _, t := range p.Temps {
+			a.slicePool.Put(binds[t])
+		}
+		if err != nil {
+			a.Recycle(out)
+		}
+	}()
 	// Every step passes eval's validation: binding completeness and the
 	// command-accurate row budget.
 	for i := range p.Steps {
@@ -303,6 +317,22 @@ func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector)
 	}
 	a.charge(total)
 	return out, total, nil
+}
+
+// Recycle returns v's bit slices to the accelerator's slice pool, from
+// which Arith and ArithProg lease their result and temp slices. A caller
+// that retires a result — elpd replacing a stored arith destination —
+// hands it back here, and a later call of the same element count reuses
+// its storage instead of allocating and zeroing new slices. v, and any
+// Slice(j) taken from it, must not be used afterwards: a later call
+// overwrites them. A nil v is ignored.
+func (a *Accelerator) Recycle(v *Vertical) {
+	if v == nil {
+		return
+	}
+	for _, s := range v.slices {
+		a.slicePool.Put(s)
+	}
 }
 
 // progCost prices a µProgram over `stripes` row operations. Each step is

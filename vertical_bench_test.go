@@ -60,10 +60,12 @@ func BenchmarkVerticalTranspose(b *testing.B) {
 // add, sub, lt, eq, popcount and select — over its element widths 8, 16
 // and 32 (the step count grows with width) on the fused tier, with
 // results pinned against the host reference and the command-accurate
-// tier by TestArithMatchesReference. Each point reports ns/elem,
-// allocs/op, the modeled latency, the step count and the program's fused
-// passes per block. bench.sh's Part 6 turns the sweep into
-// BENCH_vertical.json.
+// tier by TestArithMatchesReference. Each iteration recycles its result,
+// the steady state elpd runs when an arith replaces a stored
+// destination, so the result and temp slices come from the slice pool.
+// Each point reports ns/elem, B/op, allocs/op, the modeled latency, the
+// step count and the program's fused passes per block. bench.sh's Part
+// 6 turns the sweep into BENCH_vertical.json.
 func BenchmarkVerticalArith(b *testing.B) {
 	for _, op := range arithWireOps {
 		for _, width := range arithWireWidths {
@@ -94,9 +96,11 @@ func BenchmarkVerticalArith(b *testing.B) {
 				b.ResetTimer()
 				var st Stats
 				for i := 0; i < b.N; i++ {
-					if _, st, err = acc.ArithProg(ca, x, y, m); err != nil {
+					var out *Vertical
+					if out, st, err = acc.ArithProg(ca, x, y, m); err != nil {
 						b.Fatal(err)
 					}
+					acc.Recycle(out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchElems, "ns/elem")
 				b.ReportMetric(st.LatencyNS, "modeled_ns")

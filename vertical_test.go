@@ -2,6 +2,7 @@ package elp2im
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ type arithCase struct {
 // popcount as an identity pass (w1), a lone half adder (w2), a lone full
 // adder (w3), and carries rippling across three to six columns.
 func arithCases() []arithCase {
-	return []arithCase{
+	cases := []arithCase{
 		{ArithAdd, 4}, {ArithAdd, 8},
 		{ArithSub, 2}, {ArithSub, 7},
 		{ArithLt, 5}, {ArithLe, 8},
@@ -81,6 +82,14 @@ func arithCases() []arithCase {
 		{ArithPopcount, 33},
 		{ArithSelect, 3},
 	}
+	// Every op at a bit, an odd width and both word-size widths, so the
+	// pooled slices a call leases include up to 64 results.
+	for op := ArithOp(0); op < ArithOp(vertical.NumOps); op++ {
+		for _, w := range []int{1, 7, 32, 64} {
+			cases = append(cases, arithCase{op, w})
+		}
+	}
+	return cases
 }
 
 // randomOperands builds random x/y element arrays and a mask vector.
@@ -146,7 +155,10 @@ func newArithInput(t *testing.T, rng *rand.Rand, tc arithCase, n int) arithInput
 // TestArithMatchesReference is the facade's differential harness: every
 // op, all three designs, both module geometries, both dispatch tiers
 // (fused, command-accurate) — bit-identical elements and struct-equal
-// Stats throughout.
+// Stats throughout. Before each call the accelerator's slice pool is
+// filled with stale slices of the case's length, so the results and
+// temps the call leases start out as garbage, and every result slice
+// must still end in zero tail bits.
 func TestArithMatchesReference(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	rng := rand.New(rand.NewSource(17))
@@ -156,11 +168,25 @@ func TestArithMatchesReference(t *testing.T) {
 			acc := newAcc(t, mod, design)
 			noFast := newAcc(t, mod, design, func(c *Config) { c.DisableFastpath = true })
 			for _, tc := range arithCases() {
-				in := newArithInput(t, rng, tc, 150+rng.Intn(150))
+				n := 150 + rng.Intn(150)
+				in := newArithInput(t, rng, tc, n)
 				xv, yv, mask := in.xv, in.yv, in.mask
 				ca, err := CompileArith(tc.op, tc.w)
 				if err != nil {
 					t.Fatal(err)
+				}
+				// stale recycles a width-64 vertical of random canonical
+				// contents into a's slice pool.
+				stale := func(a *Accelerator) {
+					junk := make([]uint64, n)
+					for i := range junk {
+						junk[i] = rng.Uint64()
+					}
+					v, err := VerticalFromElements(junk, 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.Recycle(v)
 				}
 
 				type result struct {
@@ -177,14 +203,22 @@ func TestArithMatchesReference(t *testing.T) {
 					results = append(results, result{tag, out, st})
 				}
 
+				stale(acc)
 				out, st, err := acc.ArithProg(ca, xv, yv, mask)
 				run("fused", out, st, err)
+				stale(noFast)
 				out, st, err = noFast.ArithProg(ca, xv, yv, mask)
 				run("cmd", out, st, err)
 
 				for _, r := range results {
-					tag := r.tag + "/" + d.String() + "/" + tc.op.String()
+					tag := fmt.Sprintf("%s/%s/%s/%d", r.tag, d, tc.op, tc.w)
 					checkArith(t, tag, r.out, tc.op, tc.w, in.x, in.y, in.m)
+					for j, sl := range r.out.slices {
+						words := sl.Words()
+						if tail := n % 64; tail != 0 && words[len(words)-1]>>tail != 0 {
+							t.Fatalf("%s: slice %d has bits set beyond element %d", tag, j, n-1)
+						}
+					}
 					if r.st != results[0].st {
 						t.Fatalf("%s: stats %+v differ from %s's %+v", tag, r.st, results[0].tag, results[0].st)
 					}
