@@ -312,19 +312,25 @@ func parseOp(s string) (elp2im.Op, error) {
 }
 
 // EncodeBits renders a vector's contents in the wire format: base64 of
-// ceil(bits/8) little-endian bytes.
+// ceil(bits/8) little-endian bytes. The server's responses stream the
+// same bytes through writePayloadJSON instead.
 func EncodeBits(v *elp2im.BitVector) string {
-	return encodeWordBits(v.Words(), v.Len())
+	raw := make([]byte, (v.Len()+7)/8)
+	putLE(raw, v.Words())
+	return base64.StdEncoding.EncodeToString(raw)
 }
 
-// encodeWordBits is the word-level core of EncodeBits, so the GET path
-// can encode from a snapshot buffer instead of a live vector.
-func encodeWordBits(words []uint64, n int) string {
-	raw := make([]byte, (n+7)/8)
-	for i := range raw {
-		raw[i] = byte(words[i/8] >> (8 * (i % 8)))
+// putLE writes the first len(dst) little-endian bytes of words into dst
+// (bit i of the words is bit i%8 of byte i/8): the byte order of the
+// bit payload, and the inverse of bitsFromLE.
+func putLE(dst []byte, words []uint64) {
+	n := len(dst) / 8
+	for i, w := range words[:n] {
+		binary.LittleEndian.PutUint64(dst[8*i:], w)
 	}
-	return base64.StdEncoding.EncodeToString(raw)
+	for i := range dst[8*n:] {
+		dst[8*n+i] = byte(words[n] >> (8 * i))
+	}
 }
 
 // popcountWords counts the set bits across a word snapshot. Stored

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -102,9 +103,18 @@ func assertKeys(t *testing.T, label string, m map[string]json.RawMessage, want [
 
 func TestEncodeDecodeBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, bits := range []int{1, 7, 8, 63, 64, 65, 8192, 100_000} {
+	chunk := 8 * payloadChunk // bits in one streamed chunk
+	for _, bits := range []int{1, 7, 8, 63, 64, 65, 8192, 100_000,
+		chunk - 1, chunk, chunk + 1, chunk - 64, chunk + 64, 3 * chunk} {
 		v := elp2im.RandomBitVector(rng, bits)
 		enc := EncodeBits(v)
+		raw := make([]byte, (bits+7)/8)
+		for i := range raw {
+			raw[i] = byte(v.Words()[i/8] >> (8 * (i % 8)))
+		}
+		if enc != base64.StdEncoding.EncodeToString(raw) {
+			t.Fatalf("bits=%d: encoding differs from the byte-wise little-endian reference", bits)
+		}
 		back, err := DecodeBits(enc, bits)
 		if err != nil {
 			t.Fatalf("bits=%d: decode: %v", bits, err)

@@ -181,7 +181,12 @@ func TestDrainDuringSubmit(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(5 * time.Millisecond) // let some requests land pre-drain
+	// Let some requests land pre-drain.
+	for deadline := time.Now().Add(10 * time.Second); completed.Load() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no request completed within 10s")
+		}
+	}
 	s.Drain()
 	// Drain returned: nothing may still be executing.
 	if n := s.gates[0].obs.inFlight.Value(); n != 0 {

@@ -212,6 +212,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
+	defer putMatch(match)
 	resp := QueryResponse{
 		Stats: statsJSON(st),
 		Bits:  match.Len(),
@@ -219,10 +220,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	}
 	switch mode {
 	case wire.QueryBits:
-		resp.Data = encodeWordBits(match.Words(), match.Len())
+		words := match.Words()
+		return writePayloadJSON(w, resp, "data", (match.Len()+7)/8, func(dst []byte, off int) {
+			putLE(dst, words[off/8:])
+		})
 	case wire.QueryPositions:
 		if body.Cursor > match.Len() {
-			putMatch(match)
 			return fmt.Errorf("%w: cursor %d beyond universe %d", errBadCursor, body.Cursor, match.Len())
 		}
 		positions, next := queryPage(match, body.Cursor, pageLimit(body.Limit))
@@ -232,7 +235,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		}
 		resp.NextCursor = int(next)
 	}
-	putMatch(match)
 	return writeJSON(w, resp)
 }
 

@@ -553,7 +553,7 @@ func TestQueryPooledMatchVector(t *testing.T) {
 					if got.Popcount() != want.Popcount() {
 						t.Fatalf("%q: count %d, want %d", p.src, got.Popcount(), want.Popcount())
 					}
-					if encodeWordBits(got.Words(), n) != EncodeBits(want) {
+					if EncodeBits(got) != EncodeBits(want) {
 						t.Fatalf("%q: bits differ from a fresh evaluation", p.src)
 					}
 					for cursor := 0; ; {

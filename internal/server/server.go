@@ -32,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -360,6 +361,61 @@ func writeJSON(w http.ResponseWriter, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
 
+// payloadChunk is the number of payload bytes writePayloadJSON encodes
+// per write: a multiple of 3, so every chunk but the last encodes to
+// whole base64 groups, and of 512, so every chunk of a vertical payload
+// starts on a 64-element transpose group.
+const payloadChunk = 24 << 10
+
+// payloadBuf is writePayloadJSON's working set: one chunk of payload
+// bytes, and the buffer its base64 is written from, with room for the
+// JSON before the first chunk and after the last.
+type payloadBuf struct {
+	raw [payloadChunk]byte
+	out []byte
+}
+
+// payloadBufPool recycles writePayloadJSON's working sets.
+var payloadBufPool = sync.Pool{New: func() any {
+	return &payloadBuf{out: make([]byte, 0, base64.StdEncoding.EncodedLen(payloadChunk)+512)}
+}}
+
+// writePayloadJSON renders a 200 JSON response that carries a bit
+// payload (query bits, a vector's data, a vertical's elems): v, a struct
+// with at least one field that is always marshalled, is marshalled with
+// its payload field empty, so omitempty drops it, and the payload is
+// spliced in as key's value before v's closing brace. The payload is the
+// standard base64 of n > 0 bytes, which fill writes into dst as bytes
+// [off, off+len(dst)), one chunk at a time in order, so the answer
+// streams to w through one pooled chunk buffer with its Content-Length
+// set up front, instead of being built whole.
+func writePayloadJSON(w http.ResponseWriter, v any, key string, n int, fill func(dst []byte, off int)) error {
+	head, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	const tail = "\"}\n"
+	pb := payloadBufPool.Get().(*payloadBuf)
+	defer payloadBufPool.Put(pb)
+	out := append(append(pb.out[:0], head[:len(head)-1]...), `,"`...)
+	out = append(append(out, key...), `":"`...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)+base64.StdEncoding.EncodedLen(n)+len(tail)))
+	for off := 0; off < n; off += payloadChunk {
+		raw := pb.raw[:min(payloadChunk, n-off)]
+		fill(raw, off)
+		out = base64.StdEncoding.AppendEncode(out, raw)
+		if off+len(raw) == n {
+			out = append(out, tail...)
+		}
+		if _, err := w.Write(out); err != nil {
+			return err
+		}
+		out = out[:0]
+	}
+	return nil
+}
+
 // requestContext applies the per-request deadline: ?timeout_ms when the
 // client passed one, the configured default otherwise.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
@@ -442,11 +498,13 @@ func (s *Server) handlePutVector(w http.ResponseWriter, r *http.Request) error {
 
 // readVector is the one read core of the vector GETs (JSON GET, wire
 // GET and GET_VERT). It resolves name (404 when absent) and read-locks
-// the entry. A bit vector's words are copied into a pooled buffer and
-// the lock released before bits runs on the snapshot, so encoding never
-// stalls writers (see wordBufPool); bits must not keep the slice. A
-// vertical is handed to vert while the lock is held, so it can transpose
-// straight from the stored slices.
+// the entry. A bit vector's words are snapshotted: copied into a pooled
+// buffer under the lock, which is released before bits runs on the copy,
+// so neither encoding nor the response write stalls writers (see
+// wordBufPool); bits must not keep the slice. A vertical is handed to
+// vert while the lock is held, and vert copies out what it answers with
+// in that one hold: the wire GET_VERT copies the slices into its frame,
+// the JSON GET into a snapshot it transposes once the lock is released.
 func (s *Server) readVector(name string, bits func(words []uint64, n int) error, vert func(*elp2im.Vertical) error) error {
 	e := s.store.lookup(name)
 	if e == nil {
@@ -466,29 +524,41 @@ func (s *Server) readVector(name string, bits func(words []uint64, n int) error,
 }
 
 // handleGetVector returns a vector's contents. Plain vectors answer with
-// the bit payload, vertical ones with their element values and width;
-// the base64 encode and the JSON write happen outside the entry lock.
+// the bit payload, vertical ones with their element values and width.
+// Both stream from a snapshot of the stored words taken in one hold of
+// the entry's read lock, so the transpose, the base64 encode and every
+// write of the body run after the lock is released.
 func (s *Server) handleGetVector(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
-	var body VectorPayload
-	var raw []byte
+	var snap *[]uint64
+	var elems, width int
 	err := s.readVector(name, func(words []uint64, n int) error {
 		pop := popcountWords(words)
-		body = VectorPayload{Name: name, Bits: n, Data: encodeWordBits(words, n), Popcount: &pop}
-		return nil
+		body := VectorPayload{Name: name, Bits: n, Popcount: &pop}
+		return writePayloadJSON(w, body, "data", (n+7)/8, func(dst []byte, off int) {
+			putLE(dst, words[off/8:])
+		})
 	}, func(v *elp2im.Vertical) error {
-		raw = make([]byte, 8*v.Len())
-		vertical.UnsliceBytesInto(raw, sliceWords(v))
-		body = VectorPayload{Name: name, Bits: v.Len() * v.Width(), ElemWidth: v.Width()}
+		snap, elems, width = getWordBuf(), v.Len(), v.Width()
+		*snap = slices.Grow(*snap, width*vertical.SliceWords(elems))
+		for j := 0; j < width; j++ {
+			*snap = append(*snap, v.Slice(j).Words()...)
+		}
 		return nil
 	})
-	if err != nil {
+	if err != nil || snap == nil {
 		return err
 	}
-	if raw != nil {
-		body.Elems = base64.StdEncoding.EncodeToString(raw)
-	}
-	return writeJSON(w, body)
+	defer putWordBuf(snap)
+	sw := vertical.SliceWords(elems)
+	sub := make([][]uint64, width)
+	body := VectorPayload{Name: name, Bits: elems * width, ElemWidth: width}
+	return writePayloadJSON(w, body, "elems", 8*elems, func(dst []byte, off int) {
+		for j := range sub {
+			sub[j] = (*snap)[j*sw+off/8/64 : (j+1)*sw]
+		}
+		vertical.UnsliceBytesInto(dst, sub)
+	})
 }
 
 // handleDeleteVector removes a vector.

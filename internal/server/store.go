@@ -230,13 +230,15 @@ func (s *Store) sizeByShard() []int {
 	return counts
 }
 
-// wordBufPool recycles GET-snapshot word buffers. The GET paths (JSON
-// and wire) pin an entry only long enough to memcpy its words into one
-// of these buffers, then popcount and encode outside the lock — an op
-// mutates stored vectors in place under the entry write lock, so
+// wordBufPool recycles GET-snapshot word buffers. The bit-vector GETs
+// (JSON and wire) and the JSON vertical GET pin an entry only long
+// enough to memcpy its words (a vertical's slices, one after another)
+// into one of these buffers, then popcount, transpose, encode and write
+// outside the lock — an op mutates stored vectors in place under the
+// entry write lock and an arith recycles the vertical it replaces, so
 // encoding directly from the live words outside the lock would race,
 // while encoding under the lock would stall writers for the whole
-// base64/frame build.
+// base64/frame build and, over JSON, for the response write.
 var wordBufPool = sync.Pool{New: func() any {
 	s := make([]uint64, 0, 1024)
 	return &s

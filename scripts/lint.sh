@@ -10,7 +10,8 @@
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite) plus ten
 #                    iterations of its admission-gate, synchronous
-#                    op/reduce/PUT stress and vertical torn-read tests,
+#                    op/reduce/PUT stress, vertical torn-read and
+#                    blocked-writer GET tests,
 #                    the wire codec/conn suite
 #                    plus a dedicated multi-iteration run over the
 #                    one frame writer both connection ends write
@@ -67,10 +68,11 @@ fi
 # Requests execute synchronously on their handler goroutines, so the
 # serving layer's concurrency envelope is the per-shard admission gate
 # (in-flight bound, deadline, drain) and the entry lock sets. Their suites,
-# the op/reduce/PUT stress test and the vertical torn-read test (one-pass
-# GETs under one hold of the entry read lock) get ten iterations under the
-# race detector.
-if ! go test -race -count=10 -run 'Deadline|Backpressure|Saturation|Drain|PutAndOp|FailedOp|SyncStress|VerticalPutGetConsistency' ./internal/server; then
+# the op/reduce/PUT stress test, the vertical torn-read test (one-pass
+# GETs under one hold of the entry read lock) and the blocked-writer test
+# (a JSON GET writes its body holding no entry lock) get ten iterations
+# under the race detector.
+if ! go test -race -count=10 -run 'Deadline|Backpressure|Saturation|Drain|PutAndOp|FailedOp|SyncStress|VerticalPutGetConsistency|GetWriteHoldsNoEntryLock' ./internal/server; then
     fail=1
 fi
 
