@@ -187,7 +187,7 @@ func BenchmarkFig14TableScan(b *testing.B) {
 	mod := dram.Default()
 	tp := timing.DDR31600()
 	m := cpu.KabyLake()
-	designs := []tablescan.Design{
+	designs := []engine.Engine{
 		elpim.MustNew(elpim.DefaultConfig()),
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),
@@ -211,7 +211,7 @@ func BenchmarkFig14TableScan(b *testing.B) {
 	b.ReportMetric(results[2].SpeedupOver(base), "drisa_vs_cpu_x")
 }
 
-func cnnDesigns(b *testing.B) (cnn.Design, cnn.Design, cnn.Design) {
+func cnnDesigns(b *testing.B) (engine.Engine, engine.Engine, engine.Engine) {
 	b.Helper()
 	ecfg := elpim.DefaultConfig()
 	ecfg.ReservedRows = 2
@@ -282,13 +282,15 @@ func BenchmarkAcceleratorBulkAND(b *testing.B) {
 }
 
 // BenchmarkAcceleratorBulkANDFallback is the same 8 Mbit AND forced
-// through the command-accurate device model (DisableFastpath) — the
-// pre-kernel baseline the fast path's speedup is measured against.
+// through the command-accurate device model (the engine installed with
+// SetExecutor) — the pre-kernel baseline the fast path's speedup is
+// measured against.
 func BenchmarkAcceleratorBulkANDFallback(b *testing.B) {
-	acc, err := New(func(c *Config) { c.DisableFastpath = true })
+	acc, err := New()
 	if err != nil {
 		b.Fatal(err)
 	}
+	acc.SetExecutor(acc.BaseExecutor())
 	rng := rand.New(rand.NewSource(1))
 	const n = 1 << 23
 	x := RandomBitVector(rng, n)
@@ -487,21 +489,22 @@ func BenchmarkEngineSimulation(b *testing.B) {
 	}
 }
 
-// benchAcc builds a full-size accelerator for the pipeline benchmarks.
-func benchAcc(b *testing.B, mutators ...func(*Config)) *Accelerator {
+// benchAcc builds a full-size accelerator for the per-call benchmarks.
+func benchAcc(b *testing.B) *Accelerator {
 	b.Helper()
-	acc, err := New(mutators...)
+	acc, err := New()
 	if err != nil {
 		b.Fatal(err)
 	}
 	return acc
 }
 
-// BenchmarkPipelinePerCallUncached is the seed-equivalent baseline: every
-// Op re-simulates its scheduling profile (DisableSchedCache bypasses both
-// the process-wide scheduler memo and the per-accelerator cost memo).
-func BenchmarkPipelinePerCallUncached(b *testing.B) {
-	acc := benchAcc(b, func(c *Config) { c.DisableSchedCache = true })
+// BenchmarkOpSchedUncached is the seed-equivalent baseline: every Op
+// re-simulates its scheduling profile, because both cost memo layers —
+// the process-wide scheduler memo and the accelerator's cost units — are
+// cleared before each call.
+func BenchmarkOpSchedUncached(b *testing.B) {
+	acc := benchAcc(b)
 	n := acc.cfg.Module.Columns
 	rng := rand.New(rand.NewSource(1))
 	x := RandomBitVector(rng, n)
@@ -509,15 +512,16 @@ func BenchmarkPipelinePerCallUncached(b *testing.B) {
 	dst := NewBitVector(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		resetCostMemo(acc)
 		if _, err := acc.Op(OpAnd, dst, x, y); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkPipelinePerCallCached: the synchronous path with the scheduler
-// and cost memos on (the default).
-func BenchmarkPipelinePerCallCached(b *testing.B) {
+// BenchmarkOpSchedCached: the per-call Op with both cost memo layers
+// serving every call after the first.
+func BenchmarkOpSchedCached(b *testing.B) {
 	acc := benchAcc(b)
 	n := acc.cfg.Module.Columns
 	rng := rand.New(rand.NewSource(1))

@@ -37,10 +37,7 @@ func compileExpr(src string) error {
 	}
 	fmt.Print(prog)
 	fmt.Println("per-stripe cost by design:")
-	for _, d := range []interface {
-		expr.CostEstimator
-		Name() string
-	}{
+	for _, d := range []engine.Engine{
 		elpim.MustNew(elpim.DefaultConfig()),
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),

@@ -16,7 +16,6 @@ func fromFile(f config.File) (Config, error) {
 		PowerConstrained:   f.PowerConstrained,
 		ReservedRows:       f.ReservedRows,
 		HighThroughputMode: f.HighThroughputMode,
-		DisableFastpath:    f.DisableFastpath,
 	}
 	switch f.Design {
 	case "elp2im":

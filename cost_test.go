@@ -10,31 +10,52 @@ import (
 	"repro/internal/sched"
 )
 
-// TestCachedCostEqualsFreshAllDesigns compares the memoized cost path
-// against a cache-disabled accelerator for every (design, op) pair, and
-// the process-wide scheduler memo against fresh simulations of every
-// engine's compiled profile, constrained and unconstrained.
+// resetCostMemo clears both cost memo layers — the process-wide scheduler
+// memo and a's per-row cost units — so a's next cost query re-simulates
+// its scheduling profile.
+func resetCostMemo(a *Accelerator) {
+	sched.ResetCache()
+	a.costMu.Lock()
+	clear(a.costUnits)
+	a.costMu.Unlock()
+}
+
+// TestCachedCostEqualsFreshAllDesigns compares every memoized cost — each
+// op's three-operand form and the chained AND and OR folds, on every
+// design — with the cost recomputed after both memo layers are cleared,
+// and with a second accelerator's cost served by the scheduler memo
+// alone. It also compares the process-wide scheduler memo against fresh
+// simulations of every engine's compiled profile, constrained and
+// unconstrained.
 func TestCachedCostEqualsFreshAllDesigns(t *testing.T) {
-	allOps := []Op{OpNot, OpAnd, OpOr, OpNand, OpNor, OpXor, OpXnor, OpCopy}
+	keys := []costKey{{op: engine.OpAND, chained: true}, {op: engine.OpOR, chained: true}}
+	for op := engine.OpNOT; op <= engine.OpCOPY; op++ {
+		keys = append(keys, costKey{op: op})
+	}
 	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
-		cached := newAcc(t, smallModule, func(c *Config) { c.Design = d })
-		fresh := newAcc(t, smallModule, func(c *Config) {
-			c.Design = d
-			c.DisableSchedCache = true
-		})
-		for _, op := range allOps {
-			iop := op.internal()
-			for pass := 0; pass < 2; pass++ { // first fills the memo, second hits it
-				cs, err := cached.opCost(iop, 7)
+		design := func(c *Config) { c.Design = d }
+		acc := newAcc(t, smallModule, design)
+		for _, k := range keys {
+			var memo [2]Stats
+			for pass := range memo { // first fills the memo, second hits it
+				st, err := acc.cost(k, 7)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fs, err := fresh.opCost(iop, 7)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cs != fs {
-					t.Fatalf("%v %v pass %d: cached cost %+v != fresh %+v", d, op, pass, cs, fs)
+				memo[pass] = st
+			}
+			resetCostMemo(acc)
+			fresh, err := acc.cost(k, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, err := newAcc(t, smallModule, design).cost(k, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []Stats{memo[0], memo[1], shared} {
+				if st != fresh {
+					t.Fatalf("%v %+v: memoized cost %+v != fresh %+v", d, k, st, fresh)
 				}
 			}
 		}
@@ -80,12 +101,13 @@ func TestCachedCostEqualsFreshAllDesigns(t *testing.T) {
 // flag from the start.
 func TestSetPowerConstrainedInvalidates(t *testing.T) {
 	acc := newAcc(t)
-	un, err := acc.opCost(engine.OpAND, 64)
+	andKey := costKey{op: engine.OpAND}
+	un, err := acc.cost(andKey, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	acc.SetPowerConstrained(true)
-	con, err := acc.opCost(engine.OpAND, 64)
+	con, err := acc.cost(andKey, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +116,7 @@ func TestSetPowerConstrainedInvalidates(t *testing.T) {
 			con.LatencyNS, un.LatencyNS)
 	}
 	ref := newAcc(t, func(c *Config) { c.PowerConstrained = true })
-	want, err := ref.opCost(engine.OpAND, 64)
+	want, err := ref.cost(andKey, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

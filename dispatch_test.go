@@ -98,7 +98,7 @@ func TestForEachStripeFirstErrorDeterministic(t *testing.T) {
 // equal the sum of the Stats the calls returned.
 func TestConcurrentOpsAndTotals(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	acc := newAcc(t, smallModule, func(c *Config) { c.DisableFastpath = true })
+	acc := newCmdAcc(t, smallModule)
 	stripes, _ := forkedStripes(t, acc)
 	n := stripes*acc.cfg.Module.Columns - 37
 
@@ -236,7 +236,10 @@ func TestFailedReduceChargesNothing(t *testing.T) {
 func TestReduceOneSpanOneDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, slow := range []bool{false, true} {
-		acc := newAcc(t, smallModule, func(c *Config) { c.DisableFastpath = slow })
+		acc := newAcc(t, smallModule)
+		if slow {
+			acc.SetExecutor(acc.BaseExecutor())
+		}
 		tr := &collectTracer{}
 		acc.SetTracer(tr)
 		n := 3*acc.cfg.Module.Columns + 7

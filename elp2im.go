@@ -181,21 +181,6 @@ type Config struct {
 	// HighThroughputMode selects ELP2IM's AAP-APP-AP sequences
 	// (power-optimal) instead of the overlapped reduced-latency ones.
 	HighThroughputMode bool
-	// DisableSchedCache turns off the scheduler memoization layer, forcing
-	// every operation to re-run the full 200k-ns scheduling simulation the
-	// way the pre-pipeline code did. Only useful for benchmarking the
-	// memoization win (scripts/bench.sh); cached results are bit-identical
-	// to fresh ones.
-	DisableSchedCache bool
-	// DisableFastpath turns off the compiled word-level kernels — Op and
-	// Reduce's 2-input kernels, and the fused cluster kernels of Eval and
-	// Arith — forcing every stripe through the command-accurate device
-	// model the way the pre-kernel code did. It is the only tier switch.
-	// Kernels are self-derived from the device model (see internal/kernel),
-	// so results and modeled costs are bit-identical either way; the knob
-	// exists for benchmarking the compiled-execution win and for
-	// differential testing.
-	DisableFastpath bool
 }
 
 // DefaultConfig returns ELP2IM on a DDR3-1600 module with 8 banks.
@@ -270,9 +255,9 @@ type Accelerator struct {
 	fused *kernel.FusedSet
 
 	// execMu guards the functional executor. execr is the engine by
-	// default; SetExecutor installs a wrapper (fault injection/detection),
-	// which also forces command-level execution so the wrapper keeps
-	// seeing real commands.
+	// default; SetExecutor installs another executor (the engine itself,
+	// or a fault injection/detection wrapper), which also forces
+	// command-level execution so the executor keeps seeing real commands.
 	execMu  sync.RWMutex
 	execr   Executor
 	wrapped bool
@@ -420,24 +405,27 @@ func NewWithConfig(cfg Config) (*Accelerator, error) {
 }
 
 // Executor is the functional command-level execution surface: everything
-// that can perform dst = op(a, b) on a subarray of the device model. The
-// engines implement it, as do the wrappers in internal/fault.
-type Executor interface {
-	Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error
-}
+// that can perform dst = op(a, b) on a subarray of the device model (see
+// engine.Executor). The engines implement it, as do the wrappers in
+// internal/fault.
+type Executor = engine.Executor
 
 // BaseExecutor returns the engine's own command-level executor — the
 // inner executor to hand to a wrapper such as fault.New or
-// fault.NewDetecting before installing it with SetExecutor.
+// fault.NewDetecting before installing it with SetExecutor, or to install
+// as it is to run every call command-accurate.
 func (a *Accelerator) BaseExecutor() Executor { return a.eng }
 
 // SetExecutor installs exec as the accelerator's functional executor
-// (nil restores the engine). Installing a non-nil wrapper forces every
-// operation onto the command-accurate path — wrappers observe and mutate
-// real per-command row state, which the compiled kernels bypass — until
-// SetExecutor(nil) re-enables the fast path. The swap takes effect for
-// operations started after the call; modeled costs are unaffected either
-// way.
+// (nil restores the engine). It is the one execution-tier switch:
+// installing any non-nil executor forces every operation — Op, Reduce,
+// Eval and Arith — onto the command-accurate path, since an executor
+// observes (and a wrapper may mutate) real per-command row state, which
+// the compiled kernels bypass, until SetExecutor(nil) re-enables the fast
+// path. SetExecutor(a.BaseExecutor()) is the command-accurate twin of the
+// default: results and modeled costs are bit-identical on both tiers, and
+// reductions still fold in place where the engine has an in-place form.
+// The swap takes effect for operations started after the call.
 func (a *Accelerator) SetExecutor(exec Executor) {
 	a.execMu.Lock()
 	defer a.execMu.Unlock()
@@ -448,8 +436,8 @@ func (a *Accelerator) SetExecutor(exec Executor) {
 	a.execr, a.wrapped = exec, true
 }
 
-// executor returns the current functional executor and whether it is a
-// wrapper (a wrapper disables the fast path).
+// executor returns the current functional executor and whether one was
+// installed with SetExecutor (which disables the fast path).
 func (a *Accelerator) executor() (Executor, bool) {
 	a.execMu.RLock()
 	defer a.execMu.RUnlock()
@@ -457,12 +445,11 @@ func (a *Accelerator) executor() (Executor, bool) {
 }
 
 // fastKernel returns op's compiled kernel when the fast path is eligible:
-// word-aligned rows, no wrapped executor, fast path not disabled, and the
-// kernel derivable from the engine. A nil return means "use the
-// command-level path" (where unsupported ops also surface their real
-// errors).
+// word-aligned rows, no installed executor, and the kernel derivable from
+// the engine. A nil return means "use the command-level path" (where
+// unsupported ops also surface their real errors).
 func (a *Accelerator) fastKernel(op engine.Op, wrapped bool) *kernel.Kernel {
-	if a.cfg.DisableFastpath || wrapped || a.cfg.Module.Columns%64 != 0 {
+	if wrapped || a.cfg.Module.Columns%64 != 0 {
 		return nil
 	}
 	k, err := a.kerns.Kernel(op)
@@ -609,14 +596,6 @@ func vecOf(v *BitVector) *bitvec.Vector {
 	return v.v
 }
 
-// chainProvider is implemented by engines with a cheaper chained
-// (accumulator-resident) fold: ELP2IM's in-place APP-AP, Ambit's
-// B-group-resident TRA, DRISA's latched accumulator.
-type chainProvider interface {
-	ChainStats(op engine.Op) (engine.Stats, error)
-	ChainSeq(op engine.Op) (primitive.Seq, error)
-}
-
 // inPlaceExecutor is implemented by engines whose chained fold executes
 // literally in place on the device model (ELP2IM).
 type inPlaceExecutor interface {
@@ -656,7 +635,7 @@ func (a *Accelerator) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, er
 // op's series and one addition to the totals. A pricing failure charges
 // nothing.
 func (a *Accelerator) chargeOp(op engine.Op, stripes int) (Stats, error) {
-	st, err := a.opCost(op, stripes)
+	st, err := a.cost(costKey{op: op}, stripes)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -667,21 +646,15 @@ func (a *Accelerator) chargeOp(op engine.Op, stripes int) (Stats, error) {
 
 // chargeReduce prices a reduction of `operands` vectors over `stripes`
 // stripes and charges it. The staging copy is recorded in the COPY
-// series and each fold in op's, priced as the engine's chained form
-// where it has one. The call's Stats sum the copy and then every fold,
-// in that order, and are added to the totals in one step. A pricing
-// failure charges nothing.
+// series and each fold in op's, priced as the engine's chained form.
+// The call's Stats sum the copy and then every fold, in that order, and
+// are added to the totals in one step. A pricing failure charges nothing.
 func (a *Accelerator) chargeReduce(op engine.Op, operands, stripes int) (Stats, error) {
-	cp, err := a.opCost(engine.OpCOPY, stripes)
+	cp, err := a.cost(costKey{op: engine.OpCOPY}, stripes)
 	if err != nil {
 		return Stats{}, err
 	}
-	var fold Stats
-	if chain, ok := a.eng.(chainProvider); ok {
-		fold, err = a.chainCost(chain, op, stripes)
-	} else {
-		fold, err = a.opCost(op, stripes)
-	}
+	fold, err := a.cost(costKey{op: op, chained: true}, stripes)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -700,39 +673,40 @@ func (a *Accelerator) chargeReduce(op engine.Op, operands, stripes int) (Stats, 
 // simulation behind every op-cost query.
 const schedHorizonNS = 200_000
 
-// simulate runs the scheduler for seq's profile, through the process-wide
-// memo unless the configuration disables it.
-func (a *Accelerator) simulate(seq primitive.Seq) (sched.Result, error) {
-	profile := sched.ProfileFromSeq(seq, a.cfg.Timing)
-	cfg := sched.Config{
+// unit returns k's memoized per-row cost unit: the engine's per-row stats
+// of the three-operand op, or of its chained fold, plus the effective-bank
+// count the scheduler finds for that command sequence (with or without the
+// power constraint). Both memo layers sit behind it: a repeated key costs
+// one map lookup here, and a key new to this accelerator one lookup in the
+// process-wide scheduler memo, instead of a fresh 200k-ns scheduling
+// simulation.
+func (a *Accelerator) unit(k costKey) (costUnit, error) {
+	a.costMu.Lock()
+	defer a.costMu.Unlock()
+	if u, ok := a.costUnits[k]; ok {
+		return u, nil
+	}
+	var (
+		per engine.Stats
+		seq primitive.Seq
+		err error
+	)
+	if k.chained {
+		if per, err = a.eng.ChainStats(k.op); err != nil {
+			return costUnit{}, err
+		}
+		if seq, err = a.eng.ChainSeq(k.op); err != nil {
+			return costUnit{}, err
+		}
+	} else {
+		per, seq = a.eng.OpStats(k.op), a.eng.Seq(k.op)
+	}
+	res, err := sched.CachedSimulate(sched.ProfileFromSeq(seq, a.cfg.Timing), sched.Config{
 		Banks:            a.module.Banks(),
 		Timing:           a.cfg.Timing,
 		PowerConstrained: a.cfg.PowerConstrained,
 		Ranks:            a.cfg.Ranks,
-	}
-	if a.cfg.DisableSchedCache {
-		return sched.Simulate(profile, cfg, schedHorizonNS)
-	}
-	return sched.CachedSimulate(profile, cfg, schedHorizonNS)
-}
-
-// chainUnit returns the memoized per-row cost unit of the chained fold.
-func (a *Accelerator) chainUnit(cp chainProvider, op engine.Op) (costUnit, error) {
-	a.costMu.Lock()
-	defer a.costMu.Unlock()
-	k := costKey{op: op, chained: true}
-	if u, ok := a.costUnits[k]; ok && !a.cfg.DisableSchedCache {
-		return u, nil
-	}
-	per, err := cp.ChainStats(op)
-	if err != nil {
-		return costUnit{}, err
-	}
-	seq, err := cp.ChainSeq(op)
-	if err != nil {
-		return costUnit{}, err
-	}
-	res, err := a.simulate(seq)
+	}, schedHorizonNS)
 	if err != nil {
 		return costUnit{}, err
 	}
@@ -745,9 +719,10 @@ func (a *Accelerator) chainUnit(cp chainProvider, op engine.Op) (costUnit, error
 	return u, nil
 }
 
-// chainCost computes the scheduled cost of `stripes` chained folds.
-func (a *Accelerator) chainCost(cp chainProvider, op engine.Op, stripes int) (Stats, error) {
-	u, err := a.chainUnit(cp, op)
+// cost computes the scheduled latency and energy of `stripes` row
+// operations of k.
+func (a *Accelerator) cost(k costKey, stripes int) (Stats, error) {
+	u, err := a.unit(k)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -824,8 +799,9 @@ func (a *Accelerator) opStripe(ex Executor, iop engine.Op, dst, x, y *bitvec.Vec
 }
 
 // foldStripe executes one stripe of the reduction fold dst = op(v, dst)
-// on the device model, via the engine's in-place form when available. A
-// wrapped executor takes the three-operand form instead, so the wrapper
+// on the device model, via the engine's in-place form when available and
+// the executor is an engine (the default, or BaseExecutor installed with
+// SetExecutor). A wrapper takes the three-operand form instead, so it
 // observes (and may corrupt) the fold like any other operation.
 func (a *Accelerator) foldStripe(ex Executor, iop engine.Op, ipe inPlaceExecutor, inPlace bool, dst, v *bitvec.Vector, s int, sub *dram.Subarray, buf *bitvec.Vector) error {
 	cols := a.cfg.Module.Columns
@@ -867,26 +843,6 @@ func fastOpRange(k *kernel.Kernel, dst, x, y *bitvec.Vector, lo, hi, cols int) {
 		yw = y.Words()[wlo:whi]
 	}
 	k.Apply(dw[wlo:whi], x.Words()[wlo:whi], yw)
-	if whi == len(dw) {
-		dst.MaskTail()
-	}
-}
-
-// fastFoldRange applies a compiled kernel to the contiguous stripe range
-// [lo, hi) of the reduction fold dst = op(v, dst), in place on the
-// accumulator words.
-func fastFoldRange(k *kernel.Kernel, dst, v *bitvec.Vector, lo, hi, cols int) {
-	wpr := cols / 64
-	dw := dst.Words()
-	wlo := lo * wpr
-	if wlo >= len(dw) {
-		return
-	}
-	whi := hi * wpr
-	if whi > len(dw) {
-		whi = len(dw)
-	}
-	k.Apply(dw[wlo:whi], v.Words()[wlo:whi], dw[wlo:whi])
 	if whi == len(dw) {
 		dst.MaskTail()
 	}
@@ -1027,7 +983,7 @@ func (a *Accelerator) execReduceStripes(iop engine.Op, dst *BitVector, vs []*Bit
 		return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
 			fastOpRange(kcopy, dst.v, vs[0].v, nil, lo, hi, cols)
 			for _, v := range vs[1:] {
-				fastFoldRange(k, dst.v, v.v, lo, hi, cols)
+				fastOpRange(k, dst.v, v.v, dst.v, lo, hi, cols)
 			}
 			return 0, nil
 		})
@@ -1094,49 +1050,6 @@ func storeStripe(dst *bitvec.Vector, row *bitvec.Vector, s, cols int) {
 	for i := 0; i < cols && base+i < dst.Len(); i++ {
 		dst.SetBit(base+i, row.Bit(i))
 	}
-}
-
-// seqProvider is implemented by every engine: the canonical command
-// sequence of a three-operand op, for the scheduler profile.
-type seqProvider interface {
-	Seq(op engine.Op) primitive.Seq
-}
-
-// opUnit returns the memoized per-row cost unit of the three-operand op:
-// the engine's canonical per-row stats plus the scheduled effective-bank
-// count (with or without the power constraint). Repeated operations cost
-// one map lookup here instead of a fresh 200k-ns scheduling simulation.
-func (a *Accelerator) opUnit(op engine.Op) (costUnit, error) {
-	a.costMu.Lock()
-	defer a.costMu.Unlock()
-	k := costKey{op: op}
-	if u, ok := a.costUnits[k]; ok && !a.cfg.DisableSchedCache {
-		return u, nil
-	}
-	per := a.eng.OpStats(op)
-	banks := float64(a.module.Banks())
-	if sp, ok := a.eng.(seqProvider); ok {
-		res, err := a.simulate(sp.Seq(op))
-		if err != nil {
-			return costUnit{}, err
-		}
-		banks = res.EffectiveBanks
-	}
-	if banks <= 0 {
-		banks = 1
-	}
-	u := costUnit{per: per, banks: banks}
-	a.costUnits[k] = u
-	return u, nil
-}
-
-// opCost computes the scheduled latency and energy of `stripes` row ops.
-func (a *Accelerator) opCost(op engine.Op, stripes int) (Stats, error) {
-	u, err := a.opUnit(op)
-	if err != nil {
-		return Stats{}, err
-	}
-	return a.scaleUnit(u, stripes), nil
 }
 
 // CPUBaseline returns the Kaby-Lake-class roofline model used by the

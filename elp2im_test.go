@@ -18,6 +18,15 @@ func newAcc(t *testing.T, mutators ...func(*Config)) *Accelerator {
 	return acc
 }
 
+// newCmdAcc is newAcc on the command-accurate tier: the engine's own
+// executor is installed with SetExecutor, the one tier switch.
+func newCmdAcc(t *testing.T, mutators ...func(*Config)) *Accelerator {
+	t.Helper()
+	acc := newAcc(t, mutators...)
+	acc.SetExecutor(acc.BaseExecutor())
+	return acc
+}
+
 func smallModule(c *Config) {
 	c.Module.Banks = 2
 	c.Module.SubarraysPerBank = 2

@@ -3,8 +3,9 @@ package elp2im
 // Eval differential suite: every expression in the corpus (and every
 // random DAG the fuzzer draws) must produce bit-identical vectors and
 // struct-equal Stats across the two execution tiers — fused cluster
-// kernels and the command-accurate device model (DisableFastpath) — on
-// every design, all checked against the host parse-tree oracle.
+// kernels and the command-accurate device model (the engine installed
+// with SetExecutor) — on every design, all checked against the host
+// parse-tree oracle.
 
 import (
 	"fmt"
@@ -71,17 +72,17 @@ func evalOracleVars(t *testing.T, rng *rand.Rand, src string, n int) (map[string
 func TestDifferentialEval(t *testing.T) {
 	designs := []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR}
 	tiers := []struct {
-		name   string
-		mutate func(*Config)
+		name  string
+		build func(*testing.T, ...func(*Config)) *Accelerator
 	}{
-		{"fused", func(*Config) {}},
-		{"cmdaccurate", func(c *Config) { c.DisableFastpath = true }},
+		{"fused", newAcc},
+		{"cmdaccurate", newCmdAcc},
 	}
 	for _, d := range designs {
 		d := d
 		accs := make([]*Accelerator, len(tiers))
 		for i, tier := range tiers {
-			accs[i] = newAcc(t, evalDiffModule, tier.mutate, func(c *Config) { c.Design = d })
+			accs[i] = tier.build(t, evalDiffModule, func(c *Config) { c.Design = d })
 		}
 		for ei, src := range evalDiffExprs {
 			for _, n := range []int{50, 128, 3*128 + 17, 256} {
@@ -143,8 +144,10 @@ func fuzzAccPair() (*Accelerator, *Accelerator, error) {
 		if fuzzAccs.buildErr != nil {
 			return
 		}
-		fuzzAccs.cmd, fuzzAccs.buildErr = New(evalDiffModule,
-			func(c *Config) { c.DisableFastpath = true })
+		fuzzAccs.cmd, fuzzAccs.buildErr = New(evalDiffModule)
+		if fuzzAccs.buildErr == nil {
+			fuzzAccs.cmd.SetExecutor(fuzzAccs.cmd.BaseExecutor())
+		}
 	})
 	return fuzzAccs.fused, fuzzAccs.cmd, fuzzAccs.buildErr
 }

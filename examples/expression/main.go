@@ -17,6 +17,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/power"
 	"repro/internal/timing"
@@ -53,15 +54,14 @@ func main() {
 	fmt.Println("compiled in-DRAM program (CSE + gate fusion + row reuse):")
 	fmt.Print(prog)
 	fmt.Println("per-stripe cost by design:")
-	for _, d := range []expr.CostEstimator{
+	for _, d := range []engine.Engine{
 		elpim.MustNew(elpim.DefaultConfig()),
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),
 	} {
 		c := prog.Cost(d)
-		name := d.(interface{ Name() string }).Name()
 		fmt.Printf("  %-10s %7.1f ns  %2d commands  %2d wordlines\n",
-			name, c.LatencyNS, c.Commands, c.Wordlines)
+			d.Name(), c.LatencyNS, c.Commands, c.Wordlines)
 	}
 
 	// 3. Low-level: a hand-written controller program (Figure 8 sequence 5,

@@ -17,6 +17,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 	"repro/internal/timing"
 )
 
@@ -90,7 +91,7 @@ func main() {
 	mod := dram.Default()
 	tp := timing.DDR31600()
 	m := cpu.KabyLake()
-	designs := []tablescan.Design{
+	designs := []engine.Engine{
 		elpim.MustNew(elpim.DefaultConfig()),
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),

@@ -215,10 +215,11 @@ func (a *Accelerator) ExprRowDemand(ce *CompiledExpr) (need, have int) {
 // FusionCounters reports the accelerator's eval-tier resolution counts:
 // hits is the number of eval and µProgram steps that ran on the
 // fused-kernel tier, fallbacks the number that ran on the
-// command-accurate model instead (DisableFastpath, a wrapped executor,
-// a geometry that is not word-aligned, or a cluster whose kernel did not
-// derive). The pair is the serving layer's visibility into whether
-// predicates compiled through the plan IR actually execute fused.
+// command-accurate model instead (an executor installed with
+// SetExecutor, a geometry that is not word-aligned, or a cluster whose
+// kernel did not derive). The pair is the serving layer's visibility
+// into whether predicates compiled through the plan IR actually execute
+// fused.
 func (a *Accelerator) FusionCounters() (hits, fallbacks int64) {
 	return a.fusionHits.Value(), a.fusionFalls.Value()
 }
@@ -228,7 +229,7 @@ func (a *Accelerator) FusionCounters() (hits, fallbacks int64) {
 func (a *Accelerator) evalCost(prog *expr.Program, stripes int) (Stats, error) {
 	var total Stats
 	for _, in := range prog.Instrs {
-		st, err := a.opCost(in.Op, stripes)
+		st, err := a.cost(costKey{op: in.Op}, stripes)
 		if err != nil {
 			return Stats{}, err
 		}
@@ -300,16 +301,17 @@ func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out 
 
 // resolveSteps resolves a call of n steps over one binding set — step(i)
 // returns step i's plan and destination — and picks each step's tier:
-// fused when the fast path is on (no DisableFastpath, no wrapped
-// executor, word-aligned rows) and every cluster's kernel derives, else
-// command-accurate. It counts one fusion hit, or one fusion and one
-// fastpath fallback, per step, as resolving each step alone would; like
-// Op and Reduce, it reads the executor once, so SetExecutor takes effect
-// for calls started after it. The runners, bound-vector lists and kernel
-// lists of all steps share one allocation each.
+// fused when the fast path is on (no executor installed with SetExecutor,
+// word-aligned rows) and every cluster's kernel derives, else
+// command-accurate. It counts one fusion hit or one fusion fallback per
+// step, as resolving each step alone would (the fastpath counters count
+// Op and Reduce dispatches only); like Op and Reduce, it reads the
+// executor once, so SetExecutor takes effect for calls started after it.
+// The runners, bound-vector lists and kernel lists of all steps share one
+// allocation each.
 func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(i int) (*plan.Plan, *BitVector)) *progRunner {
 	ex, wrapped := a.executor()
-	fuse := !wrapped && !a.cfg.DisableFastpath && a.cfg.Module.Columns%64 == 0
+	fuse := !wrapped && a.cfg.Module.Columns%64 == 0
 	nVars, nClusters, maxVars := 0, 0, 0
 	for i := 0; i < n; i++ {
 		p, _ := step(i)
@@ -343,7 +345,6 @@ func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(
 			}
 		}
 		a.fusionFalls.Inc()
-		a.fastFallbacks.Inc()
 
 		if rows == nil {
 			rows = make([]int, maxVars)

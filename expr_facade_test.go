@@ -162,12 +162,12 @@ func TestEvalExprIntoOverwritesOut(t *testing.T) {
 	vars := map[string]*BitVector{
 		"a": RandomBitVector(rng, n), "b": RandomBitVector(rng, n), "c": RandomBitVector(rng, n),
 	}
-	tiers := map[string]func(*Config){
-		"fused":            func(*Config) {},
-		"command-accurate": func(c *Config) { c.DisableFastpath = true },
+	tiers := map[string]func(*testing.T, ...func(*Config)) *Accelerator{
+		"fused":            newAcc,
+		"command-accurate": newCmdAcc,
 	}
-	for name, tier := range tiers {
-		acc := newAcc(t, smallModule, tier)
+	for name, build := range tiers {
+		acc := build(t, smallModule)
 		want, wantSt, err := acc.EvalExpr(ce, vars)
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +213,6 @@ func TestRowDemandExact(t *testing.T) {
 		"~(a & (b | ~(c ^ (d & ~e))))",
 	}
 	rows := func(n int) func(*Config) { return func(c *Config) { c.Module.RowsPerSubarray = n } }
-	cmd := func(c *Config) { c.DisableFastpath = true }
 	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
 		design := func(c *Config) { c.Design = d }
 		probe := newAcc(t, smallModule, design)
@@ -232,7 +231,7 @@ func TestRowDemandExact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %q fused at %d rows: %v", d, src, need, err)
 			}
-			got, _, err := newAcc(t, smallModule, design, rows(need), cmd).EvalExpr(ce, vars)
+			got, _, err := newCmdAcc(t, smallModule, design, rows(need)).EvalExpr(ce, vars)
 			if err != nil {
 				t.Fatalf("%v %q command-accurate at its demand of %d rows: %v", d, src, need, err)
 			}
@@ -240,8 +239,8 @@ func TestRowDemandExact(t *testing.T) {
 				t.Fatalf("%v %q: command-accurate result at its demand of %d rows differs from the fused one", d, src, need)
 			}
 			budget := fmt.Sprintf("needs %d rows per subarray", need)
-			for _, tier := range []func(*Config){func(*Config) {}, cmd} {
-				_, _, err := newAcc(t, smallModule, design, rows(need-1), tier).EvalExpr(ce, vars)
+			for _, build := range []func(*testing.T, ...func(*Config)) *Accelerator{newAcc, newCmdAcc} {
+				_, _, err := build(t, smallModule, design, rows(need-1)).EvalExpr(ce, vars)
 				if err == nil || !strings.Contains(err.Error(), budget) {
 					t.Fatalf("%v %q at %d rows: error %v, want the row-budget error (%s)", d, src, need-1, err, budget)
 				}

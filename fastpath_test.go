@@ -23,13 +23,10 @@ func fastpathConfigs() map[string][]func(*Config) {
 }
 
 // fastSlowPair builds two accelerators from one configuration: the default
-// (compiled-kernel) one and its DisableFastpath twin.
+// (compiled-kernel) one and its command-accurate twin.
 func fastSlowPair(t *testing.T, muts []func(*Config)) (fast, slow *Accelerator) {
 	t.Helper()
-	fast = newAcc(t, muts...)
-	slow = newAcc(t, append(append([]func(*Config){}, muts...),
-		func(c *Config) { c.DisableFastpath = true })...)
-	return fast, slow
+	return newAcc(t, muts...), newCmdAcc(t, muts...)
 }
 
 // TestFastpathMatchesCommandPath is the differential gate of the compiled
@@ -258,6 +255,119 @@ func TestFaultWrapperForcesCommandPath(t *testing.T) {
 	}
 }
 
+// TestFastpathCountsOnlyOpAndReduce pins the tier counters' split on the
+// command-accurate tier: Eval and Arith steps tick acc.fusion.fallback —
+// one per EvalExpr, one per µProgram step of an ArithProg — and leave
+// acc.fastpath.*, which counts Op and Reduce dispatches only, alone.
+func TestFastpathCountsOnlyOpAndReduce(t *testing.T) {
+	acc := newCmdAcc(t, smallModule)
+	rng := rand.New(rand.NewSource(18))
+	n := 3*acc.cfg.Module.Columns + 5
+	counters := func(stage string, fusion, fastpath int64) {
+		t.Helper()
+		s := acc.Snapshot()
+		for name, want := range map[string]int64{
+			"acc.fusion.hit": 0, "acc.fusion.fallback": fusion,
+			"acc.fastpath.hit": 0, "acc.fastpath.fallback": fastpath,
+		} {
+			if got := s.Counter(name); got != want {
+				t.Errorf("after %s: %s = %d, want %d", stage, name, got, want)
+			}
+		}
+	}
+
+	ce, err := CompileExpr("(a & ~b) | c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := map[string]*BitVector{
+		"a": RandomBitVector(rng, n), "b": RandomBitVector(rng, n), "c": RandomBitVector(rng, n),
+	}
+	if _, _, err := acc.EvalExpr(ce, vars); err != nil {
+		t.Fatal(err)
+	}
+	counters("EvalExpr", 1, 0)
+
+	tc := arithCase{ArithAdd, 8}
+	ca, err := CompileArith(tc.op, tc.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := newArithInput(t, rng, tc, n)
+	if _, _, err := acc.ArithProg(ca, in.xv, in.yv, in.mask); err != nil {
+		t.Fatal(err)
+	}
+	counters("ArithProg", 1+int64(ca.Steps()), 0)
+
+	if _, err := acc.Op(OpAnd, NewBitVector(n), vars["a"], vars["b"]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := acc.Reduce(OpOr, NewBitVector(n), vars["a"], vars["b"], vars["c"]); err != nil {
+		t.Fatal(err)
+	}
+	counters("Op and Reduce", 1+int64(ca.Steps()), 2)
+}
+
+// TestFastpathOffReduceFoldsInPlace pins the paper's in-place fold on the
+// command-accurate tier. With ELP2IM's engine installed as the executor,
+// Reduce(AND) over k vectors and s stripes runs each fold as Figure
+// 5(a)'s APP-AP through ExecuteInPlace, which records ChainStats: it adds
+// s·(k−1)·ChainStats(AND).Commands to engine.commands.ELP2IM.AND. Under a
+// wrapper that is not an engine, the same Reduce takes the three-operand
+// form, so the wrapper sees every fold, and adds
+// s·(k−1)·OpStats(AND).Commands.
+func TestFastpathOffReduceFoldsInPlace(t *testing.T) {
+	const k = 4
+	acc := newAcc(t, smallModule)
+	n := 3*acc.cfg.Module.Columns + 7
+	stripes := int64(acc.stripes(n))
+	rng := rand.New(rand.NewSource(19))
+	vs := make([]*BitVector, k)
+	for i := range vs {
+		vs[i] = RandomBitVector(rng, n)
+	}
+	want := NewBitVector(n)
+	golden(OpCopy, want, vs[0], nil)
+	for _, v := range vs[1:] {
+		golden(OpAnd, want, want, v)
+	}
+
+	chain, err := acc.eng.ChainStats(engine.OpAND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := acc.eng.OpStats(engine.OpAND)
+	if chain.Commands == three.Commands {
+		t.Fatalf("chained and three-operand AND both take %d commands; the counter cannot tell them apart", chain.Commands)
+	}
+	inj, err := fault.New(acc.BaseExecutor(), 0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ex   Executor
+		per  engine.Stats
+	}{
+		{"engine", acc.BaseExecutor(), chain},
+		{"wrapper", inj, three},
+	} {
+		acc.SetExecutor(tc.ex)
+		before := acc.Snapshot().Counter("engine.commands.ELP2IM.AND")
+		dst := NewBitVector(n)
+		if _, err := acc.Reduce(OpAnd, dst, vs...); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !dst.Equal(want) {
+			t.Fatalf("%s: reduction result wrong", tc.name)
+		}
+		got := acc.Snapshot().Counter("engine.commands.ELP2IM.AND") - before
+		if want := stripes * (k - 1) * int64(tc.per.Commands); got != want {
+			t.Errorf("%s: engine.commands.ELP2IM.AND rose by %d, want %d", tc.name, got, want)
+		}
+	}
+}
+
 // TestFastpathStripeAllocFree is the zero-allocation gate on the fast
 // path's body, run one stripe at a time as a traced call runs it.
 func TestFastpathStripeAllocFree(t *testing.T) {
@@ -280,7 +390,7 @@ func TestFastpathStripeAllocFree(t *testing.T) {
 		for s := 0; s < stripes; s++ {
 			fastOpRange(kAnd, dst.v, x.v, y.v, s, s+1, cols)
 			fastOpRange(kNot, dst.v, x.v, nil, s, s+1, cols)
-			fastFoldRange(kAnd, dst.v, x.v, s, s+1, cols)
+			fastOpRange(kAnd, dst.v, x.v, dst.v, s, s+1, cols)
 		}
 	})
 	if allocs != 0 {

@@ -55,6 +55,9 @@ type Engine struct {
 	obs *engine.ObsSeries
 }
 
+// The design implements the whole engine contract.
+var _ engine.Engine = (*Engine)(nil)
+
 // New returns an engine for cfg.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Timing.Validate(); err != nil {
@@ -223,7 +226,7 @@ func (e *Engine) OpStats(op engine.Op) engine.Stats {
 	}
 }
 
-// ChainStats implements engine.Reducer: the cost of folding one more
+// ChainStats implements engine.Engine: the cost of folding one more
 // operand into a resident accumulator (acc = acc op v), the inner loop of
 // the Bitmap and BitWeaving case studies.
 //

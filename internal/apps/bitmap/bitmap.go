@@ -54,14 +54,6 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// Design is the PIM-engine surface the case study needs: engine metadata
-// plus the chained-fold command sequence (for latency and the power
-// model's activation profile).
-type Design interface {
-	engine.Engine
-	ChainSeq(op engine.Op) (primitive.Seq, error)
-}
-
 // scanFuser is implemented by designs that can fold one operand into two
 // resident accumulators with a single fused command sequence (Ambit with
 // 10 reserved rows).
@@ -101,7 +93,7 @@ func (r Result) SpeedupOver(base Result) float64 {
 }
 
 // Run evaluates the query pair on a PIM design.
-func Run(w Workload, d Design, mod dram.Config, tp timing.Params, pp power.Params, m cpu.Model, constrained bool) (Result, error) {
+func Run(w Workload, d engine.Engine, mod dram.Config, tp timing.Params, pp power.Params, m cpu.Model, constrained bool) (Result, error) {
 	if err := pp.Validate(); err != nil {
 		return Result{}, err
 	}

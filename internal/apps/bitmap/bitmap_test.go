@@ -16,19 +16,19 @@ import (
 
 func module() dram.Config { return dram.Default() }
 
-func elp(t *testing.T) Design {
+func elp(t *testing.T) engine.Engine {
 	t.Helper()
 	return elpim.MustNew(elpim.DefaultConfig())
 }
 
-func amb(t *testing.T, reserved int) Design {
+func amb(t *testing.T, reserved int) engine.Engine {
 	t.Helper()
 	cfg := ambit.DefaultConfig()
 	cfg.ReservedRows = reserved
 	return ambit.MustNew(cfg)
 }
 
-func run(t *testing.T, d Design, constrained bool) Result {
+func run(t *testing.T, d engine.Engine, constrained bool) Result {
 	t.Helper()
 	r, err := Run(Default(), d, module(), timing.DDR31600(), power.DDR31600(), cpu.KabyLake(), constrained)
 	if err != nil {
@@ -68,7 +68,7 @@ func TestPIMBeatsCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range []Design{elp(t), amb(t, 4), amb(t, 6), amb(t, 10)} {
+	for _, d := range []engine.Engine{elp(t), amb(t, 4), amb(t, 6), amb(t, 10)} {
 		r := run(t, d, false)
 		if s := r.SpeedupOver(cpuRes); s <= 1 {
 			t.Errorf("%s speedup over CPU = %v, want > 1", r.Name, s)

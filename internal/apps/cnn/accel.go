@@ -9,14 +9,6 @@ import (
 	"repro/internal/timing"
 )
 
-// Design is the engine surface the accelerator models need.
-type Design interface {
-	engine.Engine
-	// CompoundOverheadFactor scales compound-expression command sequences
-	// for engines whose pipelines cannot merge commands (DRISA: >1).
-	CompoundOverheadFactor() float64
-}
-
 // AccelConfig describes the in-DRAM accelerator fabric. Both case studies
 // run without the power constraint (§6.3.3: "we do not set the limitation
 // of power constraint in the simulation" — accelerators may strengthen
@@ -58,7 +50,7 @@ func (c AccelConfig) Validate() error {
 // avgBasicLatency returns the mean three-operand latency across the seven
 // Figure 12 operations — the design's "logic work rate" used to scale
 // Dracc's fixed command budget.
-func avgBasicLatency(d Design) float64 {
+func avgBasicLatency(d engine.Engine) float64 {
 	total := 0.0
 	ops := engine.BasicOps()
 	for _, op := range ops {
@@ -81,7 +73,7 @@ const (
 // the given design. ambitRef anchors the command budget: the 11-command
 // core takes 11 × tRC on Ambit, and other designs scale it by their
 // relative logic rate and compound-overhead factor.
-func DraccAddNS(d, ambitRef Design, tp timing.Params) float64 {
+func DraccAddNS(d, ambitRef engine.Engine, tp timing.Params) float64 {
 	fixed := float64(draccFixedCommands) * primitive.AP.Duration(tp)
 	core := float64(draccLogicCommands) * primitive.AP.Duration(tp)
 	scale := avgBasicLatency(d) / avgBasicLatency(ambitRef)
@@ -91,7 +83,7 @@ func DraccAddNS(d, ambitRef Design, tp timing.Params) float64 {
 // NID's kernels: per binary MAC, one row-wide XOR plus one half-adder
 // step (XOR + AND) of the count reduction tree — "it decomposes the count
 // operation into minimum number of AND and XOR operations".
-func nidMACNS(d Design, tp timing.Params) float64 {
+func nidMACNS(d engine.Engine, tp timing.Params) float64 {
 	xor := d.OpStats(engine.OpXOR).LatencyNS
 	ha := (d.OpStats(engine.OpXOR).LatencyNS + d.OpStats(engine.OpAND).LatencyNS) *
 		d.CompoundOverheadFactor()
@@ -138,7 +130,7 @@ func computeSlices(n Network, lanes int) float64 {
 // RunDracc evaluates one network on the Dracc accelerator realized with
 // the given design (Table 2). Ternary weights cost 2 bits, partial sums
 // 16; each MAC is one in-DRAM addition.
-func RunDracc(n Network, d, ambitRef Design, cfg AccelConfig) (Result, error) {
+func RunDracc(n Network, d, ambitRef engine.Engine, cfg AccelConfig) (Result, error) {
 	if err := n.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -159,7 +151,7 @@ func RunDracc(n Network, d, ambitRef Design, cfg AccelConfig) (Result, error) {
 // RunNID evaluates one network on the NID binary-CNN accelerator realized
 // with the given design (Table 3). Binary weights and activations cost
 // one bit each; each MAC is one XOR plus one half-adder count step.
-func RunNID(n Network, d Design, cfg AccelConfig) (Result, error) {
+func RunNID(n Network, d engine.Engine, cfg AccelConfig) (Result, error) {
 	if err := n.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -194,7 +186,7 @@ type LayerCost struct {
 // DraccBreakdown returns the per-layer frame cost of a network on the
 // Dracc accelerator — where the time goes, and which layers underutilize
 // the lane fabric.
-func DraccBreakdown(n Network, d, ambitRef Design, cfg AccelConfig) ([]LayerCost, error) {
+func DraccBreakdown(n Network, d, ambitRef engine.Engine, cfg AccelConfig) ([]LayerCost, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
@@ -233,9 +225,9 @@ type TableRow struct {
 }
 
 // runner abstracts RunDracc/RunNID for the table builders.
-type runner func(n Network, d Design) (Result, error)
+type runner func(n Network, d engine.Engine) (Result, error)
 
-func buildTable(nets []Network, ambitD, elpimD, drisaD Design, run runner) ([]TableRow, error) {
+func buildTable(nets []Network, ambitD, elpimD, drisaD engine.Engine, run runner) ([]TableRow, error) {
 	rows := make([]TableRow, 0, len(nets))
 	for _, n := range nets {
 		ra, err := run(n, ambitD)
@@ -263,13 +255,13 @@ func buildTable(nets []Network, ambitD, elpimD, drisaD Design, run runner) ([]Ta
 }
 
 // Table2 reproduces Table 2: Dracc on the three designs.
-func Table2(ambitD, elpimD, drisaD Design, cfg AccelConfig) ([]TableRow, error) {
+func Table2(ambitD, elpimD, drisaD engine.Engine, cfg AccelConfig) ([]TableRow, error) {
 	return buildTable(DraccNetworks(), ambitD, elpimD, drisaD,
-		func(n Network, d Design) (Result, error) { return RunDracc(n, d, ambitD, cfg) })
+		func(n Network, d engine.Engine) (Result, error) { return RunDracc(n, d, ambitD, cfg) })
 }
 
 // Table3 reproduces Table 3: NID on the three designs.
-func Table3(ambitD, elpimD, drisaD Design, cfg AccelConfig) ([]TableRow, error) {
+func Table3(ambitD, elpimD, drisaD engine.Engine, cfg AccelConfig) ([]TableRow, error) {
 	return buildTable(NIDNetworks(), ambitD, elpimD, drisaD,
-		func(n Network, d Design) (Result, error) { return RunNID(n, d, cfg) })
+		func(n Network, d engine.Engine) (Result, error) { return RunNID(n, d, cfg) })
 }

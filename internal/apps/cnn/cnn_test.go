@@ -7,9 +7,10 @@ import (
 	"repro/internal/ambit"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 )
 
-func accelDesigns(t *testing.T) (ambitD, elpimD, drisaD Design) {
+func accelDesigns(t *testing.T) (ambitD, elpimD, drisaD engine.Engine) {
 	t.Helper()
 	// Accelerator configurations use two reserved rows for ELP2IM (§6.3:
 	// "we construct ELP2IM with two reserved rows").

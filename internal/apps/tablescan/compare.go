@@ -83,7 +83,7 @@ func (w Workload) GoldenCompare(values []uint64, op CmpOp) *bitvec.Vector {
 // comparison: the equality chain always advances; the lt accumulator
 // updates only on the constant's one-bits, the gt accumulator only on its
 // zero-bits.
-func compareSeq(w Workload, op CmpOp, d Design) (primitive.Seq, error) {
+func compareSeq(w Workload, op CmpOp, d engine.Engine) (primitive.Seq, error) {
 	andChain, err := d.ChainSeq(engine.OpAND)
 	if err != nil {
 		return nil, fmt.Errorf("tablescan: %w", err)
@@ -132,7 +132,7 @@ func compareSeq(w Workload, op CmpOp, d Design) (primitive.Seq, error) {
 
 // RunCompare evaluates an arbitrary comparison scan on a PIM design under
 // the power constraint. CmpLT reproduces the Figure 14 configuration.
-func RunCompare(w Workload, op CmpOp, d Design, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
+func RunCompare(w Workload, op CmpOp, d engine.Engine, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -151,7 +151,7 @@ func RunCompare(w Workload, op CmpOp, d Design, mod dram.Config, tp timing.Param
 
 // RunBetween evaluates `lo <= col <= hi` as two comparison scans plus one
 // AND of the match vectors — the BitWeaving range predicate.
-func RunBetween(w Workload, lo, hi uint64, d Design, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
+func RunBetween(w Workload, lo, hi uint64, d engine.Engine, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -182,7 +182,7 @@ func RunBetween(w Workload, lo, hi uint64, d Design, mod dram.Config, tp timing.
 // ExecuteBetween runs the range predicate functionally: the two bounds'
 // match vectors are computed in turn and ANDed into rows.LT. rows.T3 holds
 // the first bound's matches between the passes.
-func ExecuteBetween(sub *dram.Subarray, ex Executor, w Workload, lo, hi uint64, rows PredicateRows, t3 int) error {
+func ExecuteBetween(sub *dram.Subarray, ex engine.Executor, w Workload, lo, hi uint64, rows PredicateRows, t3 int) error {
 	mask := uint64(1)<<uint(w.Width) - 1
 	if lo&mask > hi&mask {
 		return fmt.Errorf("tablescan: empty range [%d,%d]", lo&mask, hi&mask)
@@ -206,7 +206,7 @@ func ExecuteBetween(sub *dram.Subarray, ex Executor, w Workload, lo, hi uint64, 
 // ExecuteCompare runs the bit-serial comparison functionally on a
 // subarray through an engine. rows.LT receives the final match vector for
 // every operator (reusing the LT slot as the result row).
-func ExecuteCompare(sub *dram.Subarray, ex Executor, w Workload, op CmpOp, rows PredicateRows) error {
+func ExecuteCompare(sub *dram.Subarray, ex engine.Executor, w Workload, op CmpOp, rows PredicateRows) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 	"repro/internal/timing"
 )
 
@@ -67,7 +68,7 @@ func TestFunctionalCompareAllOpsAllEngines(t *testing.T) {
 	}
 	w := Workload{Tuples: tuples, Width: width, Constant: 0b01101}
 
-	engines := map[string]Executor{
+	engines := map[string]engine.Executor{
 		"elpim": elpim.MustNew(elpim.DefaultConfig()),
 		"ambit": ambit.MustNew(ambit.DefaultConfig()),
 		"drisa": drisa.MustNew(drisa.DefaultConfig()),

@@ -67,20 +67,9 @@ func (w Workload) Validate() error {
 // ConstBit returns bit i (0 = LSB) of the comparison constant.
 func (w Workload) ConstBit(i int) bool { return w.Constant>>uint(i)&1 == 1 }
 
-// Design is the PIM-engine surface the scan needs: three-operand, chained
-// and complement-fold command sequences.
-type Design interface {
-	engine.Engine
-	Seq(op engine.Op) primitive.Seq
-	ChainSeq(op engine.Op) (primitive.Seq, error)
-	// NotChainSeq folds the complement of an operand into a resident
-	// accumulator (acc = acc op ¬src).
-	NotChainSeq(op engine.Op) (primitive.Seq, error)
-}
-
 // predicateSeq builds the full per-stripe command sequence of the
 // bit-serial LESS-THAN (all Width bit positions).
-func predicateSeq(w Workload, d Design) (primitive.Seq, error) {
+func predicateSeq(w Workload, d engine.Engine) (primitive.Seq, error) {
 	andChain, err := d.ChainSeq(engine.OpAND)
 	if err != nil {
 		return nil, fmt.Errorf("tablescan: %w", err)
@@ -140,7 +129,7 @@ func (r Result) SpeedupOver(base Result) float64 {
 
 // Run evaluates the LESS-THAN scan (the Figure 14 configuration) on a PIM
 // design under the power constraint.
-func Run(w Workload, d Design, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
+func Run(w Workload, d engine.Engine, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -158,7 +147,7 @@ func Run(w Workload, d Design, mod dram.Config, tp timing.Params, m cpu.Model) (
 }
 
 // runWithSeq prices an assembled per-stripe predicate sequence.
-func runWithSeq(w Workload, d Design, seq primitive.Seq, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
+func runWithSeq(w Workload, d engine.Engine, seq primitive.Seq, mod dram.Config, tp timing.Params, m cpu.Model) (Result, error) {
 	latency := seq.Duration(tp)
 	stripes := (w.Tuples + mod.Columns - 1) / mod.Columns
 

@@ -10,17 +10,18 @@ import (
 	"repro/internal/dram"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 	"repro/internal/timing"
 )
 
-func designs(t *testing.T) (Design, Design, Design) {
+func designs(t *testing.T) (engine.Engine, engine.Engine, engine.Engine) {
 	t.Helper()
 	return elpim.MustNew(elpim.DefaultConfig()),
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig())
 }
 
-func run(t *testing.T, d Design, width int) Result {
+func run(t *testing.T, d engine.Engine, width int) Result {
 	t.Helper()
 	r, err := Run(Default(width), d, dram.Default(), timing.DDR31600(), cpu.KabyLake())
 	if err != nil {
@@ -178,7 +179,7 @@ func TestFunctionalPredicateAllEngines(t *testing.T) {
 	}
 	w := Workload{Tuples: tuples, Width: width, Constant: 0b101101}
 
-	engines := []Executor{
+	engines := []engine.Executor{
 		elpim.MustNew(elpim.DefaultConfig()),
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),

@@ -39,11 +39,6 @@ func (w Workload) GoldenPredicate(values []uint64) *bitvec.Vector {
 	return out
 }
 
-// Executor is the functional execution surface of an engine.
-type Executor interface {
-	Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error
-}
-
 // PredicateRows names the subarray rows the functional predicate uses.
 type PredicateRows struct {
 	// Bits[i] is the row holding bit position i of the column.
@@ -58,7 +53,7 @@ type PredicateRows struct {
 // subarray through an engine: the in-DRAM dataflow of the Figure 14
 // workload at device fidelity. The accumulators are initialized through
 // the host path (data preparation); every logic step runs in-array.
-func ExecutePredicate(sub *dram.Subarray, ex Executor, w Workload, rows PredicateRows) error {
+func ExecutePredicate(sub *dram.Subarray, ex engine.Executor, w Workload, rows PredicateRows) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}

@@ -37,10 +37,6 @@ type File struct {
 	ReservedRows int `json:"reserved_rows,omitempty"`
 	// HighThroughputMode selects ELP2IM's AAP-APP-AP sequences.
 	HighThroughputMode bool `json:"high_throughput,omitempty"`
-	// DisableFastpath forces every stripe through the command-accurate
-	// device model instead of the compiled word-level kernels. Results and
-	// modeled costs are bit-identical either way.
-	DisableFastpath bool `json:"disable_fastpath,omitempty"`
 }
 
 // Default returns the fully populated DDR3-1600 parameter set.

@@ -78,7 +78,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"module":{"Banks":0}}`,
 		`{"timing":{"AccessSense":-1}}`,
 		`{"reserved_rows":-2}`,
-		`{"disable_fusion":true}`, // not a key of the schema
+		// Not keys of the schema.
+		`{"disable_fusion":true}`,
+		`{"disable_fastpath":true}`,
 	} {
 		if _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("Load(%q) accepted", src)

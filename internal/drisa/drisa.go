@@ -44,6 +44,9 @@ type Engine struct {
 	obs *engine.ObsSeries
 }
 
+// The design implements the whole engine contract.
+var _ engine.Engine = (*Engine)(nil)
+
 // New returns an engine for cfg.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Timing.Validate(); err != nil {
@@ -186,7 +189,7 @@ func (e *Engine) ChainSeq(op engine.Op) (primitive.Seq, error) {
 	return q, nil
 }
 
-// ChainStats implements engine.Reducer: with the accumulator resident in
+// ChainStats implements engine.Engine: with the accumulator resident in
 // the compute region, AND costs three cycles per folded operand
 // (¬acc, ¬v, NOR) and OR two (NOR, ¬).
 func (e *Engine) ChainStats(op engine.Op) (engine.Stats, error) {

@@ -104,6 +104,9 @@ type Engine struct {
 	obs *engine.ObsSeries
 }
 
+// The design implements the whole engine contract.
+var _ engine.Engine = (*Engine)(nil)
+
 // New returns an engine for cfg.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.Timing.Validate(); err != nil {
@@ -393,7 +396,7 @@ func (e *Engine) InPlaceStats(op engine.Op) (engine.Stats, error) {
 	return e.SeqStats(q), nil
 }
 
-// ChainStats implements engine.Reducer: ELP2IM folds an operand into a
+// ChainStats implements engine.Engine: ELP2IM folds an operand into a
 // resident accumulator with the in-place APP-AP form of Figure 5(a) —
 // two commands, two single-wordline activations.
 func (e *Engine) ChainStats(op engine.Op) (engine.Stats, error) {

@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/dram"
+	"repro/internal/obs"
+	"repro/internal/primitive"
 )
 
 // Op is a bulk bitwise logic operation over full DRAM rows.
@@ -129,16 +131,6 @@ func (s Stats) Scale(n int) Stats {
 	}
 }
 
-// Reducer is implemented by engines that support folding a stream of
-// operands into a resident accumulator (acc = acc op v) at a cost below
-// repeated three-operand ops — the inner loop of the Bitmap and BitWeaving
-// case studies.
-type Reducer interface {
-	// ChainStats returns the cost of folding one more operand into the
-	// accumulator. It errors for operations without a chained form.
-	ChainStats(op Op) (Stats, error)
-}
-
 // OperandConsumer is implemented by engines whose command sequence for
 // some operation destroys the A-operand row (ELP2IM's two-buffer
 // XOR/XNOR land an in-place partial product there). Executors that must
@@ -149,18 +141,43 @@ type OperandConsumer interface {
 	ConsumesOperandA(op Op) bool
 }
 
-// Engine is one in-DRAM bitwise design.
-type Engine interface {
-	// Name returns the design name as used in the paper's figures.
-	Name() string
-	// OpStats returns the canonical cost of one three-operand
-	// (C = f(A,B)) row-wide operation.
-	OpStats(op Op) Stats
+// Executor is the functional command-level execution surface: everything
+// that can perform dst = op(a, b) on a subarray of the device model. The
+// engines implement it, as do the wrappers in internal/fault; the kernel
+// prober, expression programs and case-study predicates run on it.
+type Executor interface {
 	// Execute performs the operation functionally on a subarray:
 	// dst = op(a, b) at row granularity (b ignored for unary ops).
 	// Data rows other than dst (and any reserved rows) are preserved
 	// unless the engine documents otherwise.
 	Execute(sub *dram.Subarray, op Op, dst, a, b int) error
+}
+
+// Engine is one in-DRAM bitwise design: the whole surface ELP2IM, Ambit
+// and DRISA-NOR share. Capabilities only some designs have stay separate
+// optional interfaces (OperandConsumer here; reserved data rows, in-place
+// execution and fused scans where they are used).
+type Engine interface {
+	Executor
+	// Name returns the design name as used in the paper's figures.
+	Name() string
+	// OpStats returns the canonical cost of one three-operand
+	// (C = f(A,B)) row-wide operation.
+	OpStats(op Op) Stats
+	// Seq returns the canonical command sequence of the three-operand op,
+	// the scheduler's and the power model's activation profile.
+	Seq(op Op) primitive.Seq
+	// ChainStats returns the cost of folding one more operand into a
+	// resident accumulator (acc = acc op v) — ELP2IM's in-place APP-AP,
+	// Ambit's B-group-resident TRA, DRISA's latched accumulator — the
+	// inner loop of the Bitmap and BitWeaving case studies. It errors for
+	// operations without a chained form.
+	ChainStats(op Op) (Stats, error)
+	// ChainSeq returns the command sequence of one chained fold.
+	ChainSeq(op Op) (primitive.Seq, error)
+	// NotChainSeq returns the command sequence folding the complement of
+	// an operand into a resident accumulator (acc = acc op ¬src).
+	NotChainSeq(op Op) (primitive.Seq, error)
 	// ReservedRows is the number of subarray rows the design reserves
 	// (Figure 13(c)/14(c)).
 	ReservedRows() int
@@ -169,4 +186,11 @@ type Engine interface {
 	AreaOverheadPercent() float64
 	// BackgroundFactor scales the module background power (DRISA > 1).
 	BackgroundFactor() float64
+	// CompoundOverheadFactor scales compound-expression command sequences
+	// for designs whose pipelines cannot merge commands (DRISA: > 1).
+	CompoundOverheadFactor() float64
+	// Instrument re-points the design's observability series (see
+	// ObsSeries) at ctx, the accelerator-local context when a facade
+	// Accelerator owns the engine.
+	Instrument(ctx *obs.Context)
 }

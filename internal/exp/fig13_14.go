@@ -11,6 +11,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 	"repro/internal/power"
 	"repro/internal/timing"
 )
@@ -28,13 +29,13 @@ func init() {
 	})
 }
 
-func bitmapDesigns() []bitmap.Design {
-	mk := func(reserved int) bitmap.Design {
+func bitmapDesigns() []engine.Engine {
+	mk := func(reserved int) engine.Engine {
 		cfg := ambit.DefaultConfig()
 		cfg.ReservedRows = reserved
 		return ambit.MustNew(cfg)
 	}
-	return []bitmap.Design{
+	return []engine.Engine{
 		mk(4), mk(6), mk(10),
 		elpim.MustNew(elpim.DefaultConfig()),
 	}
@@ -105,8 +106,8 @@ func runFig13(w io.Writer) error {
 }
 
 // fig14Designs returns the table-scan designs in display order.
-func fig14Designs() []tablescan.Design {
-	return []tablescan.Design{
+func fig14Designs() []engine.Engine {
+	return []engine.Engine{
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),
 		elpim.MustNew(elpim.DefaultConfig()),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/cnn"
 	"repro/internal/drisa"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 )
 
 func init() {
@@ -23,7 +24,7 @@ func init() {
 	})
 }
 
-func accelDesigns() (ambitD, elpimD, drisaD cnn.Design) {
+func accelDesigns() (ambitD, elpimD, drisaD engine.Engine) {
 	ecfg := elpim.DefaultConfig()
 	ecfg.ReservedRows = 2 // §6.3: accelerators buffer more data
 	return ambit.MustNew(ambit.DefaultConfig()),

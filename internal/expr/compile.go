@@ -395,14 +395,9 @@ func fuse(op engine.Op, a, b *DAGNode) *DAGNode {
 	return &DAGNode{Op: op, A: a, B: b}
 }
 
-// CostEstimator prices one three-operand operation (every engine does).
-type CostEstimator interface {
-	OpStats(op engine.Op) engine.Stats
-}
-
 // Cost returns the program's total modeled cost on a design (per stripe of
 // row width).
-func (p *Program) Cost(d CostEstimator) engine.Stats {
+func (p *Program) Cost(d engine.Engine) engine.Stats {
 	var total engine.Stats
 	for _, in := range p.Instrs {
 		total.Add(d.OpStats(in.Op))
@@ -410,15 +405,10 @@ func (p *Program) Cost(d CostEstimator) engine.Stats {
 	return total
 }
 
-// Executor is the functional engine surface programs run on.
-type Executor interface {
-	Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error
-}
-
 // Execute runs the program on a subarray: varRows[i] is the row holding
 // Vars[i]; scratch rows scratchBase, scratchBase+1, ... hold the temps.
 // It returns the row holding the result. Input rows are preserved.
-func (p *Program) Execute(sub *dram.Subarray, ex Executor, varRows []int, scratchBase int) (int, error) {
+func (p *Program) Execute(sub *dram.Subarray, ex engine.Executor, varRows []int, scratchBase int) (int, error) {
 	if len(varRows) != len(p.Vars) {
 		return 0, fmt.Errorf("expr: %d var rows for %d variables", len(varRows), len(p.Vars))
 	}

@@ -323,7 +323,7 @@ func TestCostComparesDesigns(t *testing.T) {
 
 // executeOn runs a program on a fresh subarray with random inputs and
 // checks every bit against Node.Eval.
-func executeOn(t *testing.T, ex Executor, n *Node, seed int64) {
+func executeOn(t *testing.T, ex engine.Executor, n *Node, seed int64) {
 	t.Helper()
 	p, err := Compile(n)
 	if err != nil {
@@ -375,7 +375,7 @@ func TestExecuteOnAllEngines(t *testing.T) {
 		"~a & ~b & ~c",                // NOR chain
 		"(a | b) & (a | c) & (b | c)", // majority, OR form
 	}
-	engines := map[string]Executor{
+	engines := map[string]engine.Executor{
 		"elpim": elpim.MustNew(elpim.DefaultConfig()),
 		"ambit": ambit.MustNew(ambit.DefaultConfig()),
 		"drisa": drisa.MustNew(drisa.DefaultConfig()),

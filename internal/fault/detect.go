@@ -19,7 +19,7 @@ import (
 
 // DetectingExecutor wraps an executor with dual-execution fault detection.
 type DetectingExecutor struct {
-	inner Executor
+	inner engine.Executor
 	// ShadowRow and DiffRow are the subarray rows used for the redundant
 	// result and the XOR difference.
 	ShadowRow, DiffRow int
@@ -35,7 +35,7 @@ type DetectingExecutor struct {
 
 // NewDetecting wraps an executor. shadowRow and diffRow must be distinct
 // scratch rows reserved for the detector.
-func NewDetecting(inner Executor, shadowRow, diffRow int) (*DetectingExecutor, error) {
+func NewDetecting(inner engine.Executor, shadowRow, diffRow int) (*DetectingExecutor, error) {
 	if inner == nil {
 		return nil, errors.New("fault: nil executor")
 	}
@@ -50,10 +50,10 @@ func NewDetecting(inner Executor, shadowRow, diffRow int) (*DetectingExecutor, e
 	}, nil
 }
 
-// Execute implements Executor: run the operation into dst and again into
-// the shadow row, XOR the two in DRAM, and flag a detection if any bit
-// differs. The dst row keeps the FIRST execution's result (detection, not
-// correction).
+// Execute implements engine.Executor: run the operation into dst and
+// again into the shadow row, XOR the two in DRAM, and flag a detection if
+// any bit differs. The dst row keeps the FIRST execution's result
+// (detection, not correction).
 func (d *DetectingExecutor) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error {
 	if dst == d.ShadowRow || dst == d.DiffRow || a == d.ShadowRow || b == d.ShadowRow {
 		return errors.New("fault: operand/destination collides with detector scratch rows")

@@ -20,15 +20,10 @@ import (
 	"repro/internal/engine"
 )
 
-// Executor is the functional engine surface being wrapped.
-type Executor interface {
-	Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error
-}
-
 // Injector wraps an executor and corrupts each result bit independently
 // with the configured probability after every operation.
 type Injector struct {
-	inner Executor
+	inner engine.Executor
 	rate  float64
 	rng   *rand.Rand
 
@@ -39,7 +34,7 @@ type Injector struct {
 }
 
 // New returns an injector with an explicit per-bit error rate.
-func New(inner Executor, rate float64, seed int64) (*Injector, error) {
+func New(inner engine.Executor, rate float64, seed int64) (*Injector, error) {
 	if inner == nil {
 		return nil, errors.New("fault: nil executor")
 	}
@@ -51,7 +46,7 @@ func New(inner Executor, rate float64, seed int64) (*Injector, error) {
 
 // FromCircuit returns an injector whose error rate comes from the analog
 // Monte-Carlo model for the given device and process-variation corner.
-func FromCircuit(inner Executor, c analog.Circuit, d analog.Device, vk analog.Variation,
+func FromCircuit(inner engine.Executor, c analog.Circuit, d analog.Device, vk analog.Variation,
 	sigma float64, seed int64) (*Injector, error) {
 	rate := analog.ErrorRate(c, d, vk, sigma, 20000, seed)
 	return New(inner, rate, seed)
@@ -60,8 +55,8 @@ func FromCircuit(inner Executor, c analog.Circuit, d analog.Device, vk analog.Va
 // Rate returns the per-bit error probability.
 func (in *Injector) Rate() float64 { return in.rate }
 
-// Execute implements Executor: run the real operation, then corrupt the
-// destination row.
+// Execute implements engine.Executor: run the real operation, then
+// corrupt the destination row.
 func (in *Injector) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error {
 	if err := in.inner.Execute(sub, op, dst, a, b); err != nil {
 		return err

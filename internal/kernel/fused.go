@@ -497,7 +497,7 @@ func tableMask(k int) uint64 {
 // uniform across bit positions, a spec with no word-level lowering, or a
 // kernel that disagrees with the device fails derivation, so the caller
 // stays on a command-accurate path.
-func DeriveFused(exec Executor, spec FusedSpec, module dram.Config) (*Fused, error) {
+func DeriveFused(exec engine.Executor, spec FusedSpec, module dram.Config) (*Fused, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("kernel: nil executor")
 	}
@@ -654,7 +654,7 @@ func compileSpec(spec *FusedSpec, table uint64) (*Fused, error) {
 
 // runFusedProbe loads the K input rows with the given words, executes the
 // spec's command sequence, and returns the result row's first word.
-func runFusedProbe(exec Executor, spec *FusedSpec, sub *dram.Subarray, inputs []uint64) (uint64, error) {
+func runFusedProbe(exec engine.Executor, spec *FusedSpec, sub *dram.Subarray, inputs []uint64) (uint64, error) {
 	sub.Precharge()
 	for j, w := range inputs {
 		sub.LoadRow(j, bitvec.FromWords([]uint64{w}, probeCols))
@@ -701,7 +701,7 @@ const fusedCacheCap = 1024
 // Set, derivation failures are cached so the caller's fallback decision
 // stays O(1). A FusedSet is safe for concurrent use.
 type FusedSet struct {
-	exec   Executor
+	exec   engine.Executor
 	module dram.Config
 
 	mu      sync.Mutex
@@ -710,7 +710,7 @@ type FusedSet struct {
 
 // NewFusedSet returns a fused-kernel cache probing exec under module's
 // dual-contact geometry.
-func NewFusedSet(exec Executor, module dram.Config) *FusedSet {
+func NewFusedSet(exec engine.Executor, module dram.Config) *FusedSet {
 	return &FusedSet{exec: exec, module: module, entries: map[string]fusedEntry{}}
 }
 

@@ -36,12 +36,6 @@ import (
 	"repro/internal/engine"
 )
 
-// Executor is the functional command-level surface probed during
-// derivation (implemented by every engine).
-type Executor interface {
-	Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error
-}
-
 // Probe geometry: the scratch subarray every derivation runs on. 16 data
 // rows satisfy the row-hungriest engine (Ambit's 6-row B-group plus the
 // three operand rows, DRISA's 4 scratch rows); one 64-bit word of columns
@@ -90,7 +84,7 @@ func (k *Kernel) Apply(dst, a, b []uint64) { k.fn(dst, a, b, nil, nil) }
 // engine was configured against. Derivation fails — and the caller must
 // stay on the command-level path — when the engine rejects the operation
 // or does not compute the operation's gate on every bit position.
-func Derive(exec Executor, op engine.Op, module dram.Config) (*Kernel, error) {
+func Derive(exec engine.Executor, op engine.Op, module dram.Config) (*Kernel, error) {
 	k := 2
 	if op.Unary() {
 		k = 1
@@ -115,7 +109,7 @@ func Derive(exec Executor, op engine.Op, module dram.Config) (*Kernel, error) {
 // derivation failure (unsupported op, non-bitwise behaviour) is cached so
 // the caller's fallback decision stays O(1) too.
 type Set struct {
-	exec   Executor
+	exec   engine.Executor
 	module dram.Config
 
 	mu      sync.Mutex
@@ -126,7 +120,7 @@ type Set struct {
 
 // NewSet returns a kernel cache probing exec under module's dual-contact
 // geometry.
-func NewSet(exec Executor, module dram.Config) *Set {
+func NewSet(exec engine.Executor, module dram.Config) *Set {
 	return &Set{exec: exec, module: module}
 }
 

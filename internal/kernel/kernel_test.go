@@ -23,14 +23,14 @@ var allOps = []engine.Op{
 
 // engines returns the derivation targets: each design under every
 // reserved-row configuration the facade exposes.
-func engines(t *testing.T) map[string]Executor {
+func engines(t *testing.T) map[string]engine.Executor {
 	t.Helper()
 	one := elpim.DefaultConfig()
 	two := elpim.DefaultConfig()
 	two.ReservedRows = 2
 	ht := elpim.DefaultConfig()
 	ht.Mode = elpim.HighThroughput
-	return map[string]Executor{
+	return map[string]engine.Executor{
 		"elpim-1":  elpim.MustNew(one),
 		"elpim-2":  elpim.MustNew(two),
 		"elpim-ht": elpim.MustNew(ht),

@@ -237,9 +237,9 @@ type ServerStats struct {
 	// tier, summed across shard accelerators.
 	FusionHits int64 `json:"fusion_hits"`
 	// FusionFallbacks counts eval/query plans that ran on the
-	// command-accurate model instead. A nonzero rate under
-	// elp2im.Config.DisableFastpath is expected; otherwise it means
-	// predicates are not inheriting the fused tier.
+	// command-accurate model instead. A nonzero rate is expected on an
+	// accelerator with an executor installed (Accelerator.SetExecutor);
+	// otherwise it means predicates are not inheriting the fused tier.
 	FusionFallbacks int64 `json:"fusion_fallbacks"`
 	// Vectors is the number of stored vectors.
 	Vectors int `json:"vectors"`

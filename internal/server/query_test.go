@@ -350,13 +350,16 @@ func TestQueryErrorsEndToEnd(t *testing.T) {
 
 // TestQueryFusionCounters pins the /v1/stats fusion telemetry: fused
 // query evaluation increments fusion_hits, and the same workload on a
-// command-accurate server (DisableFastpath) increments fusion_fallbacks
-// instead.
+// command-accurate server (the engine installed with SetExecutor)
+// increments fusion_fallbacks instead.
 func TestQueryFusionCounters(t *testing.T) {
-	run := func(disable bool) ServerStats {
-		acc, err := elp2im.New(func(c *elp2im.Config) { c.DisableFastpath = disable })
+	run := func(cmd bool) ServerStats {
+		acc, err := elp2im.New()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cmd {
+			acc.SetExecutor(acc.BaseExecutor())
 		}
 		_, ts := newTestServer(t, func(c *Config) { c.Accelerator = acc })
 		client := ts.Client()

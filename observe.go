@@ -106,9 +106,7 @@ func (a *Accelerator) initObs() {
 	a.fastFallbacks = m.Counter("acc.fastpath.fallback")
 	a.fusionHits = m.Counter("acc.fusion.hit")
 	a.fusionFalls = m.Counter("acc.fusion.fallback")
-	if ie, ok := a.eng.(interface{ Instrument(*obs.Context) }); ok {
-		ie.Instrument(a.obsc)
-	}
+	a.eng.Instrument(a.obsc)
 }
 
 // callSpan emits the facade-level span of one completed Op or Reduce

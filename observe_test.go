@@ -75,12 +75,14 @@ func TestSnapshotPerOpSeries(t *testing.T) {
 		t.Errorf("fresh accelerator starts with count %d, want 0", got)
 	}
 
-	// With the fast path disabled the engine-level execution counters
-	// advance per stripe again, and every dispatch counts as a fallback.
-	slow, err := New(func(c *Config) { c.DisableFastpath = true })
+	// With the engine installed as the executor the engine-level execution
+	// counters advance per stripe again, and every dispatch counts as a
+	// fallback.
+	slow, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	slow.SetExecutor(slow.BaseExecutor())
 	for i := 0; i < 3; i++ {
 		if _, err := slow.Op(OpAnd, dst, x, y); err != nil {
 			t.Fatal(err)

@@ -3,15 +3,18 @@
 # BENCH_server.json.
 #
 # Part 1 (BENCH_pipeline.json) compares per-call Op with and without the
-# scheduler memo:
-#   single_call_uncached : per-call Op with the scheduler memo disabled
-#                          (the pre-memoization baseline)
-#   single_call_cached   : per-call Op with the memo on (default)
+# cost memos (BenchmarkOpSchedUncached / BenchmarkOpSchedCached):
+#   single_call_uncached : per-call Op with both memo layers — the
+#                          scheduler memo and the accelerator's cost
+#                          units — cleared before every call (the
+#                          pre-memoization baseline)
+#   single_call_cached   : per-call Op with the memos serving (default)
 #
 # plus the two execution modes of the functional hot loop on an 8 Mbit AND
 # (see DESIGN.md "Execution modes"):
 #   fastpath             : compiled word-level kernels (default)
-#   fallback             : command-accurate device model (DisableFastpath)
+#   fallback             : command-accurate device model (the engine
+#                          installed with Accelerator.SetExecutor)
 #
 # When the output file already exists, its previous values are echoed as a
 # before/after delta so regressions are visible at a glance.
@@ -112,7 +115,7 @@ if [ -f "$out" ]; then
 fi
 
 raw=$(go test -run '^$' \
-	-bench 'BenchmarkPipeline(PerCallUncached|PerCallCached)$|BenchmarkAcceleratorBulkAND(Fallback)?$' \
+	-bench 'BenchmarkOpSched(Uncached|Cached)$|BenchmarkAcceleratorBulkAND(Fallback)?$' \
 	-benchtime "$benchtime" -benchmem .)
 printf '%s\n' "$raw" >&2
 
@@ -120,8 +123,8 @@ printf '%s\n' "$raw" >&2
 # (e.g. ...BulkAND-8) and bare otherwise, so the AND / ANDFallback pair
 # must be anchored through the end of the name to avoid a prefix collision.
 printf '%s\n' "$raw" | awk -v out="$out" -v host="$host_json" '
-/^BenchmarkPipelinePerCallUncached/                  { uncached = $3 }
-/^BenchmarkPipelinePerCallCached/                    { cached = $3 }
+/^BenchmarkOpSchedUncached/                          { uncached = $3 }
+/^BenchmarkOpSchedCached/                            { cached = $3 }
 /^BenchmarkAcceleratorBulkAND(-[0-9]+)?[ \t]/         { fastpath = $3 }
 /^BenchmarkAcceleratorBulkANDFallback(-[0-9]+)?[ \t]/ { fallback = $3 }
 END {

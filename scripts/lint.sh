@@ -5,7 +5,9 @@
 #   3. doccheck    — godoc completeness for the packages whose documentation
 #                    the project guarantees (root facade, internal/obs,
 #                    internal/server, internal/wire, internal/plan,
-#                    internal/kernel, internal/vertical)
+#                    internal/kernel, internal/vertical, and the engine
+#                    contract's internal/engine, internal/expr and
+#                    internal/fault)
 #   4. race tests  — the serving-layer suite (including the wire
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite) plus ten
@@ -53,7 +55,7 @@ if ! go vet ./...; then
     fail=1
 fi
 
-if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical; then
+if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical internal/engine internal/expr internal/fault; then
     fail=1
 fi
 

@@ -166,7 +166,7 @@ func TestArithMatchesReference(t *testing.T) {
 		for _, d := range designs {
 			design := func(c *Config) { c.Design = d }
 			acc := newAcc(t, mod, design)
-			noFast := newAcc(t, mod, design, func(c *Config) { c.DisableFastpath = true })
+			noFast := newCmdAcc(t, mod, design)
 			for _, tc := range arithCases() {
 				n := 150 + rng.Intn(150)
 				in := newArithInput(t, rng, tc, n)
