@@ -48,7 +48,7 @@ func main() {
 	pp := power.DDR31600()
 	fmt.Print(prog)
 	fmt.Printf("commands: %d   latency: %.1f ns   dynamic energy: %.2f nJ\n",
-		len(prog.Commands), prog.Duration(tp), prog.Energy(pp))
+		len(prog.Seq), prog.Seq.Duration(tp), prog.Seq.Energy(pp))
 
 	if !*trace {
 		return
@@ -61,7 +61,7 @@ func main() {
 	rows := map[string]int{}
 	next, dcc := 0, 0
 	rng := rand.New(rand.NewSource(*seed))
-	for _, sym := range prog.Symbols() {
+	for _, sym := range prog.Symbols {
 		if strings.HasPrefix(sym, "R") && dcc < 2 {
 			rows[sym] = sub.DCCRow(dcc)
 			dcc++
@@ -73,7 +73,7 @@ func main() {
 	}
 
 	fmt.Println("\nrow bindings and initial contents:")
-	for _, sym := range prog.Symbols() {
+	for _, sym := range prog.Symbols {
 		fmt.Printf("  %-6s row %2d  %s\n", sym, rows[sym], sub.RowData(rows[sym]))
 	}
 	tr, err := prog.Run(sub, rows, tp, pp)
@@ -84,7 +84,7 @@ func main() {
 	fmt.Println("\ntrace:")
 	fmt.Print(tr)
 	fmt.Println("final contents:")
-	for _, sym := range prog.Symbols() {
+	for _, sym := range prog.Symbols {
 		fmt.Printf("  %-6s row %2d  %s\n", sym, rows[sym], sub.RowData(rows[sym]))
 	}
 }

@@ -82,15 +82,16 @@ func compile() {
 	a := ambit.MustNew(ambit.DefaultConfig())
 	d := drisa.MustNew(drisa.DefaultConfig())
 
+	names := elpim.SlotNames()
 	fmt.Println("ELP2IM compiled sequences (1 reserved row); slots: A,B operands, C dest, R0/R1 reserved")
 	for _, op := range engine.BasicOps() {
 		q := e1.Compile(op)
-		fmt.Printf("  %-5s %6.1f ns  %s\n", op, q.Duration(tp), q)
+		fmt.Printf("  %-5s %6.1f ns  %s\n", op, q.Duration(tp), q.Format(names))
 	}
 	fmt.Println("\nELP2IM with two reserved rows (XOR = Figure 8 sequence 6)")
 	for _, op := range []engine.Op{engine.OpXOR, engine.OpXNOR} {
 		q := e2.Compile(op)
-		fmt.Printf("  %-5s %6.1f ns  %s\n", op, q.Duration(tp), q)
+		fmt.Printf("  %-5s %6.1f ns  %s\n", op, q.Duration(tp), q.Format(names))
 	}
 	fmt.Println("\nAmbit canonical sequences")
 	for _, op := range engine.BasicOps() {

@@ -29,65 +29,18 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/power"
 	"repro/internal/primitive"
-	"repro/internal/timing"
 )
 
-// Operand is a symbolic row reference.
-type Operand struct {
-	// Name is the symbol ("A", "R0", "week3", ...).
-	Name string
-	// Negated selects the dual-contact complementary wordline.
-	Negated bool
-}
-
-// String renders the operand.
-func (o Operand) String() string {
-	if o.Negated {
-		return "~" + o.Name
-	}
-	return o.Name
-}
-
-// Command is one parsed controller command.
-type Command struct {
-	// Kind is the primitive this command issues.
-	Kind primitive.Kind
-	// Dst is the copy target ([dst]); nil when absent.
-	Dst *Operand
-	// Src is the (first) activated row; for TRA the first of the triple.
-	Src Operand
-	// Aux2, Aux3 complete a TRA triple.
-	Aux2, Aux3 Operand
-	// RetainZeros selects the AND retain mode for APP-class commands.
-	RetainZeros bool
-}
-
-// String renders the command in the source notation.
-func (c Command) String() string {
-	mode := ""
-	if c.Kind.IsPseudo() {
-		mode = ":ones"
-		if c.RetainZeros {
-			mode = ":zeros"
-		}
-	}
-	switch c.Kind {
-	case primitive.TRAAP:
-		return fmt.Sprintf("TRA(%s,%s,%s)", c.Src, c.Aux2, c.Aux3)
-	case primitive.TRAAAP:
-		return fmt.Sprintf("TRA([%s],%s,%s,%s)", c.Dst, c.Src, c.Aux2, c.Aux3)
-	}
-	if c.Dst != nil {
-		return fmt.Sprintf("%s([%s],%s)%s", c.Kind, c.Dst, c.Src, mode)
-	}
-	return fmt.Sprintf("%s(%s)%s", c.Kind, c.Src, mode)
-}
-
-// Program is a validated command sequence.
+// Program is a validated command sequence: a primitive.Seq whose row
+// slots index its symbol table.
 type Program struct {
-	Commands []Command
+	// Seq is the assembled sequence; slot i names the row Symbols[i].
+	Seq primitive.Seq
+	// Symbols are the distinct row names in first-appearance order,
+	// each command contributing its source, then its [dst], then a TRA's
+	// other two rows.
+	Symbols []string
 	// Source is the assembled text.
 	Source string
 }
@@ -113,14 +66,14 @@ func Assemble(src string) (*Program, error) {
 			line = line[:i]
 		}
 		for _, tok := range strings.Fields(line) {
-			cmd, err := parseCommand(tok)
+			step, err := p.parseCommand(tok)
 			if err != nil {
 				return nil, fmt.Errorf("controller: line %d: %w", lineNo+1, err)
 			}
-			p.Commands = append(p.Commands, cmd)
+			p.Seq = append(p.Seq, step)
 		}
 	}
-	if len(p.Commands) == 0 {
+	if len(p.Seq) == 0 {
 		return nil, errors.New("controller: empty program")
 	}
 	if err := p.Validate(); err != nil {
@@ -138,141 +91,145 @@ func MustAssemble(src string) *Program {
 	return p
 }
 
-// parseCommand parses one PRIM(...)[:mode] token.
-func parseCommand(tok string) (Command, error) {
+// operand is a parsed row reference.
+type operand struct {
+	name    string
+	negated bool
+}
+
+// slot returns o's slot in the program's symbol table, appending o's
+// name on its first appearance.
+func (p *Program) slot(o operand) int {
+	for i, name := range p.Symbols {
+		if name == o.name {
+			return i
+		}
+	}
+	p.Symbols = append(p.Symbols, o.name)
+	return len(p.Symbols) - 1
+}
+
+// parseCommand parses one PRIM(...)[:mode] token into a step over the
+// program's symbol table.
+func (p *Program) parseCommand(tok string) (primitive.Step, error) {
+	var step primitive.Step
 	open := strings.IndexByte(tok, '(')
 	closeIdx := strings.LastIndexByte(tok, ')')
 	if open < 0 || closeIdx < open {
-		return Command{}, fmt.Errorf("malformed command %q", tok)
+		return step, fmt.Errorf("malformed command %q", tok)
 	}
 	name := strings.ToUpper(tok[:open])
 	kind, ok := kindNames[name]
 	if !ok {
-		return Command{}, fmt.Errorf("unknown primitive %q", tok[:open])
+		return step, fmt.Errorf("unknown primitive %q", tok[:open])
 	}
 	args := tok[open+1 : closeIdx]
 	tail := tok[closeIdx+1:]
 
-	cmd := Command{Kind: kind}
 	switch tail {
 	case "":
 	case ":ones":
 	case ":zeros":
-		cmd.RetainZeros = true
+		step.RetainZeros = true
 	default:
-		return Command{}, fmt.Errorf("bad mode suffix %q in %q", tail, tok)
+		return step, fmt.Errorf("bad mode suffix %q in %q", tail, tok)
 	}
 	if tail != "" && !kind.IsPseudo() {
-		return Command{}, fmt.Errorf("mode suffix on non-pseudo command %q", tok)
+		return step, fmt.Errorf("mode suffix on non-pseudo command %q", tok)
 	}
 
 	// Optional [dst] prefix.
+	var dst *operand
 	rest := args
 	if strings.HasPrefix(rest, "[") {
 		end := strings.IndexByte(rest, ']')
 		if end < 0 {
-			return Command{}, fmt.Errorf("unterminated [dst] in %q", tok)
+			return step, fmt.Errorf("unterminated [dst] in %q", tok)
 		}
-		dst, err := parseOperand(rest[1:end])
+		o, err := parseOperand(rest[1:end])
 		if err != nil {
-			return Command{}, err
+			return step, err
 		}
-		cmd.Dst = &dst
+		dst = &o
 		rest = strings.TrimPrefix(rest[end+1:], ",")
 	}
 	parts := strings.Split(rest, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
+	rows := make([]operand, len(parts))
+	for i, part := range parts {
+		o, err := parseOperand(part)
+		if err != nil {
+			return step, err
+		}
+		rows[i] = o
 	}
 
-	switch kind {
-	case primitive.TRAAP:
-		if len(parts) != 3 {
-			return Command{}, fmt.Errorf("TRA needs 3 rows in %q", tok)
+	if kind == primitive.TRAAP {
+		if len(rows) != 3 {
+			return step, fmt.Errorf("TRA needs 3 rows in %q", tok)
 		}
-		var err error
-		if cmd.Src, err = parseOperand(parts[0]); err != nil {
-			return Command{}, err
+		if rows[0].negated || rows[1].negated || rows[2].negated {
+			return step, fmt.Errorf("TRA rows cannot be negated in %q", tok)
 		}
-		if cmd.Aux2, err = parseOperand(parts[1]); err != nil {
-			return Command{}, err
+		if dst != nil {
+			kind = primitive.TRAAAP
 		}
-		if cmd.Aux3, err = parseOperand(parts[2]); err != nil {
-			return Command{}, err
-		}
-		if cmd.Dst != nil {
-			cmd.Kind = primitive.TRAAAP
-		}
-		if cmd.Src.Negated || cmd.Aux2.Negated || cmd.Aux3.Negated {
-			return Command{}, fmt.Errorf("TRA rows cannot be negated in %q", tok)
-		}
-		return cmd, nil
+	} else if len(rows) != 1 {
+		return step, fmt.Errorf("%s needs exactly one source row in %q", kind, tok)
+	}
+	// [dst] is required by the copies, refused by the single-row
+	// accesses, and turns APP/oAPP into the merged-copy form of Figure 8
+	// sequence 6, a distinct primitive with two activations.
+	switch {
+	case (kind == primitive.AAP || kind == primitive.OAAP) && dst == nil:
+		return step, fmt.Errorf("%s needs a [dst] in %q", kind, tok)
+	case (kind == primitive.AP || kind == primitive.TAPP || kind == primitive.OTAPP) && dst != nil:
+		return step, fmt.Errorf("%s cannot take [dst] in %q", kind, tok)
+	case kind == primitive.APP && dst != nil:
+		kind = primitive.APPM
+	case kind == primitive.OAPP && dst != nil:
+		kind = primitive.OAPPM
+	}
 
-	case primitive.AAP, primitive.OAAP:
-		if cmd.Dst == nil {
-			return Command{}, fmt.Errorf("%s needs a [dst] in %q", kind, tok)
-		}
-	case primitive.AP, primitive.TAPP, primitive.OTAPP:
-		if cmd.Dst != nil {
-			return Command{}, fmt.Errorf("%s cannot take [dst] in %q", kind, tok)
-		}
-	case primitive.APP, primitive.OAPP:
-		// [dst] selects the merged-copy form (Figure 8 sequence 6), a
-		// distinct primitive with two activations.
-		if cmd.Dst != nil {
-			if kind == primitive.OAPP {
-				cmd.Kind = primitive.OAPPM
-			} else {
-				cmd.Kind = primitive.APPM
-			}
-		}
+	step.Kind = kind
+	step.Src, step.SrcNegated = p.slot(rows[0]), rows[0].negated
+	if dst != nil {
+		step.Dst, step.DstNegated = p.slot(*dst), dst.negated
 	}
-	if len(parts) != 1 || parts[0] == "" {
-		return Command{}, fmt.Errorf("%s needs exactly one source row in %q", kind, tok)
+	if kind.IsTRA() {
+		step.Aux2, step.Aux3 = p.slot(rows[1]), p.slot(rows[2])
 	}
-	var err error
-	cmd.Src, err = parseOperand(parts[0])
-	if err != nil {
-		return Command{}, err
-	}
-	return cmd, nil
+	return step, nil
 }
 
-func parseOperand(s string) (Operand, error) {
+func parseOperand(s string) (operand, error) {
 	s = strings.TrimSpace(s)
 	neg := strings.HasPrefix(s, "~")
 	if neg {
 		s = s[1:]
 	}
 	if s == "" {
-		return Operand{}, errors.New("empty row operand")
+		return operand{}, errors.New("empty row operand")
 	}
 	for _, r := range s {
 		if !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9') {
-			return Operand{}, fmt.Errorf("bad row name %q", s)
+			return operand{}, fmt.Errorf("bad row name %q", s)
 		}
 	}
-	return Operand{Name: s, Negated: neg}, nil
+	return operand{name: s, negated: neg}, nil
 }
 
 // Validate checks the program against the subarray state machine:
 // a TRA needs a precharged array (no pending pseudo-precharge state), and
-// the program must not end with a dangling regulated bitline.
+// the program must not end with a dangling regulated bitline. Every
+// APP-class step, merged copies included, leaves a pseudo-precharge
+// pending; every other step consumes it.
 func (p *Program) Validate() error {
 	pseudo := false
-	for i, c := range p.Commands {
-		switch c.Kind {
-		case primitive.TRAAP, primitive.TRAAAP:
-			if pseudo {
-				return fmt.Errorf("controller: command %d (%s): TRA requires a precharged subarray but a pseudo-precharge is pending", i, c)
-			}
-			pseudo = false
-		case primitive.APP, primitive.OAPP, primitive.TAPP, primitive.OTAPP:
-			// Consumes any pending regulation, then regulates again.
-			pseudo = true
-		default:
-			pseudo = false
+	for i, s := range p.Seq {
+		if s.Kind.IsTRA() && pseudo {
+			return fmt.Errorf("controller: command %d (%s): TRA requires a precharged subarray but a pseudo-precharge is pending", i, s.Format(p.Symbols))
 		}
+		pseudo = s.Kind.IsPseudo()
 	}
 	if pseudo {
 		return errors.New("controller: program ends with a pending pseudo-precharge (dangling bitline regulation)")
@@ -280,50 +237,12 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Duration returns the program latency in ns.
-func (p *Program) Duration(tp timing.Params) float64 {
-	total := 0.0
-	for _, c := range p.Commands {
-		total += c.Kind.Duration(tp)
-	}
-	return total
-}
-
-// Energy returns the program's dynamic energy in nJ.
-func (p *Program) Energy(pp power.Params) float64 {
-	total := 0.0
-	for _, c := range p.Commands {
-		total += c.Kind.Energy(pp)
-	}
-	return total
-}
-
-// Symbols returns the distinct row names in first-appearance order.
-func (p *Program) Symbols() []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(o Operand) {
-		if o.Name != "" && !seen[o.Name] {
-			seen[o.Name] = true
-			out = append(out, o.Name)
-		}
-	}
-	for _, c := range p.Commands {
-		add(c.Src)
-		if c.Dst != nil {
-			add(*c.Dst)
-		}
-		add(c.Aux2)
-		add(c.Aux3)
-	}
-	return out
-}
-
-// String renders the program one command per line.
+// String renders the program one command per line, in the notation
+// Assemble reads.
 func (p *Program) String() string {
 	var b strings.Builder
-	for _, c := range p.Commands {
-		b.WriteString(c.String())
+	for _, s := range p.Seq {
+		b.WriteString(s.Format(p.Symbols))
 		b.WriteByte('\n')
 	}
 	return b.String()

@@ -3,6 +3,7 @@ package controller
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,16 +27,16 @@ func TestAssembleANDProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Commands) != 3 {
-		t.Fatalf("commands = %d, want 3", len(p.Commands))
+	if len(p.Seq) != 3 {
+		t.Fatalf("commands = %d, want 3", len(p.Seq))
 	}
-	if p.Commands[0].Kind != primitive.OAAP || p.Commands[1].Kind != primitive.APP {
-		t.Fatalf("kinds wrong: %v", p.Commands)
+	if p.Seq[0].Kind != primitive.OAAP || p.Seq[1].Kind != primitive.APP {
+		t.Fatalf("kinds wrong: %v", p.Seq)
 	}
-	if !p.Commands[1].RetainZeros {
+	if !p.Seq[1].RetainZeros {
 		t.Fatal("APP mode :zeros not parsed")
 	}
-	syms := p.Symbols()
+	syms := p.Symbols
 	want := []string{"B", "R0", "A", "C"} // source before copy target
 
 	if len(syms) != len(want) {
@@ -53,14 +54,14 @@ func TestAssembleTRA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Commands[0].Kind != primitive.TRAAP {
+	if p.Seq[0].Kind != primitive.TRAAP {
 		t.Fatal("plain TRA kind wrong")
 	}
 	p, err = Assemble("TRA([C],T0,T1,T2)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Commands[0].Kind != primitive.TRAAAP {
+	if p.Seq[0].Kind != primitive.TRAAAP {
 		t.Fatal("TRA with [dst] must upgrade to TRA-AAP")
 	}
 }
@@ -81,6 +82,8 @@ func TestAssembleErrors(t *testing.T) {
 		"AP(a-b)",                    // bad row name
 		"APP(A):zeros",               // dangling pseudo at end
 		"APP(A):zeros TRA(T0,T1,T2)", // TRA with pending pseudo
+		"oAPP([R1],B):zeros",         // merged copy leaves its pseudo dangling
+		"oAPP([R1],B):zeros TRA(T0,T1,T2)",
 	} {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) accepted", src)
@@ -98,13 +101,16 @@ func TestMustAssemblePanics(t *testing.T) {
 }
 
 func TestCommandString(t *testing.T) {
-	p := MustAssemble("oAPP([R1],B):zeros oAAP([C],~R0) AP(X)")
+	p := MustAssemble("oAPP([R1],B):zeros oAAP([C],~R0) AP(X) TRA([C],T0,T1,T2) APP(X) AP(C)")
 	rendered := p.String()
-	// The merged-copy form renders as the distinct oAPPm primitive.
-	for _, want := range []string{"oAPPm([R1],B):zeros", "oAAP([C],~R0)", "AP(X)"} {
-		if !strings.Contains(rendered, want) {
-			t.Errorf("render missing %q:\n%s", want, rendered)
-		}
+	// The merged-copy form renders as oAPP with a [dst], TRAs as TRA, and
+	// every APP-class command with its mode: the text Assemble reads.
+	want := "oAPP([R1],B):zeros\noAAP([C],~R0)\nAP(X)\nTRA([C],T0,T1,T2)\nAPP(X):ones\nAP(C)\n"
+	if rendered != want {
+		t.Errorf("render = %q, want %q", rendered, want)
+	}
+	if q := MustAssemble(rendered); !reflect.DeepEqual(q.Seq, p.Seq) {
+		t.Errorf("re-assembled %v, want %v", q.Seq, p.Seq)
 	}
 }
 
@@ -113,11 +119,11 @@ func TestDurationAndEnergy(t *testing.T) {
 	pp := power.DDR31600()
 	p := MustAssemble(andProgram)
 	wantDur := primitive.OAAP.Duration(tp) + primitive.APP.Duration(tp) + primitive.OAAP.Duration(tp)
-	if got := p.Duration(tp); math.Abs(got-wantDur) > 1e-9 {
+	if got := p.Seq.Duration(tp); math.Abs(got-wantDur) > 1e-9 {
 		t.Fatalf("duration = %v, want %v", got, wantDur)
 	}
 	wantE := 2*primitive.OAAP.Energy(pp) + primitive.APP.Energy(pp)
-	if got := p.Energy(pp); math.Abs(got-wantE) > 1e-9 {
+	if got := p.Seq.Energy(pp); math.Abs(got-wantE) > 1e-9 {
 		t.Fatalf("energy = %v, want %v", got, wantE)
 	}
 }
@@ -159,10 +165,10 @@ func TestRunANDProgram(t *testing.T) {
 			t.Fatalf("entry %d not contiguous", i)
 		}
 	}
-	if math.Abs(tr.Duration()-p.Duration(timing.DDR31600())) > 1e-9 {
+	if math.Abs(tr.Duration()-p.Seq.Duration(timing.DDR31600())) > 1e-9 {
 		t.Fatal("trace duration != program duration")
 	}
-	if math.Abs(tr.Energy()-p.Energy(power.DDR31600())) > 1e-9 {
+	if math.Abs(tr.Energy()-p.Seq.Energy(power.DDR31600())) > 1e-9 {
 		t.Fatal("trace energy != program energy")
 	}
 	if !strings.Contains(tr.String(), "APP(A):zeros") {
@@ -194,7 +200,7 @@ AP(C)
 	if !sub.RowData(2).Equal(want) {
 		t.Fatal("sequence-5 XOR mismatch")
 	}
-	if d := p.Duration(timing.DDR31600()); math.Abs(d-346.6) > 1 {
+	if d := p.Seq.Duration(timing.DDR31600()); math.Abs(d-346.6) > 1 {
 		t.Fatalf("sequence-5 duration = %v, want ~346", d)
 	}
 }
@@ -242,7 +248,7 @@ func TestSequenceBuffer(t *testing.T) {
 		t.Fatal("invalid program stored")
 	}
 	p, ok := buf.Lookup("and")
-	if !ok || len(p.Commands) != 3 {
+	if !ok || len(p.Seq) != 3 {
 		t.Fatal("lookup failed")
 	}
 	if _, ok := buf.Lookup("bad"); ok {
@@ -277,4 +283,33 @@ func TestMergedCopyAPP(t *testing.T) {
 	if !sub.RowData(0).Equal(want) {
 		t.Fatal("pending regulation did not fold into the next activate")
 	}
+}
+
+// FuzzAssembleRoundTrip: whatever Assemble accepts, its String() assembles
+// back to the same sequence over the same symbol table.
+func FuzzAssembleRoundTrip(f *testing.F) {
+	for _, src := range []string{
+		andProgram,
+		"oAAP([R0],B) oAPP(A):zeros oAAP([C],~R0)\noAAP([R0],A) oAPP(B):zeros otAPP(~R0):ones AP(C)",
+		"oAAP([R0],A) oAPP([R1],B):zeros oAAP([C],~R0) oAPP(~R1):zeros otAPP(A):ones AP(C)",
+		"oAAP([T0],A) oAAP([T1],B) oAAP([T2],C0) TRA([C],T0,T1,T2) TRA(T0,T1,T2)",
+		"aap([x],y) app([z],x) tapp(y):zeros ap(z) # comment",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		text := p.String()
+		q, err := Assemble(text)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not assemble: %v", src, text, err)
+		}
+		if !reflect.DeepEqual(q.Seq, p.Seq) || !reflect.DeepEqual(q.Symbols, p.Symbols) {
+			t.Fatalf("%q re-assembles from %q as %v over %v, want %v over %v",
+				src, text, q.Seq, q.Symbols, p.Seq, p.Symbols)
+		}
+	})
 }

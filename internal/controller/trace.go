@@ -12,8 +12,8 @@ import (
 
 // TraceEntry is one command's execution record.
 type TraceEntry struct {
-	// Command is the executed command.
-	Command Command
+	// Step is the executed command; its slots index the trace's Symbols.
+	Step primitive.Step
 	// StartNS and EndNS delimit the command on the timeline.
 	StartNS, EndNS float64
 	// EnergyNJ is the command's dynamic energy.
@@ -25,6 +25,8 @@ type TraceEntry struct {
 // Trace is a timed replay of a program.
 type Trace struct {
 	Entries []TraceEntry
+	// Symbols names the entries' row slots (the program's symbol table).
+	Symbols []string
 }
 
 // Duration returns the trace end time.
@@ -50,113 +52,41 @@ func (t Trace) String() string {
 	fmt.Fprintf(&b, "%10s %10s %8s %4s  %s\n", "start(ns)", "end(ns)", "nJ", "WL", "command")
 	for _, e := range t.Entries {
 		fmt.Fprintf(&b, "%10.1f %10.1f %8.2f %4d  %s\n",
-			e.StartNS, e.EndNS, e.EnergyNJ, e.Wordlines, e.Command)
+			e.StartNS, e.EndNS, e.EnergyNJ, e.Wordlines, e.Step.Format(t.Symbols))
 	}
 	return b.String()
 }
 
-// Run replays the program on a subarray with rows resolved through the
-// symbol table, producing the functional state change and a timed trace.
+// Run replays the program on a subarray with its symbols bound to rows,
+// command by command through primitive.Step.Run, producing the functional
+// state change and a timed trace. A failing command stops the replay; the
+// trace holds the commands before it.
 func (p *Program) Run(sub *dram.Subarray, rows map[string]int, tp timing.Params, pp power.Params) (Trace, error) {
-	resolve := func(o Operand) (int, error) {
-		r, ok := rows[o.Name]
+	tr := Trace{Symbols: p.Symbols}
+	table := make([]int, len(p.Symbols))
+	for i, name := range p.Symbols {
+		r, ok := rows[name]
 		if !ok {
-			return 0, fmt.Errorf("controller: unbound row symbol %q", o.Name)
+			return tr, fmt.Errorf("controller: unbound row symbol %q", name)
 		}
-		return r, nil
+		table[i] = r
 	}
-
-	var tr Trace
 	now := 0.0
-	for i, c := range p.Commands {
-		src, err := resolve(c.Src)
-		if err != nil {
-			return tr, err
+	for i, s := range p.Seq {
+		if err := s.Run(sub, table); err != nil {
+			return tr, fmt.Errorf("controller: command %d (%s): %w", i, s.Format(p.Symbols), err)
 		}
-		switch c.Kind {
-		case primitive.AP:
-			if err := sub.Activate(src, c.Src.Negated); err != nil {
-				return tr, cmdErr(i, c, err)
-			}
-			sub.Precharge()
-
-		case primitive.AAP, primitive.OAAP:
-			dst, err := resolve(*c.Dst)
-			if err != nil {
-				return tr, err
-			}
-			if err := sub.Activate(src, c.Src.Negated); err != nil {
-				return tr, cmdErr(i, c, err)
-			}
-			if err := sub.Activate(dst, c.Dst.Negated); err != nil {
-				return tr, cmdErr(i, c, err)
-			}
-			sub.Precharge()
-
-		case primitive.APP, primitive.OAPP, primitive.TAPP, primitive.OTAPP,
-			primitive.APPM, primitive.OAPPM:
-			if err := sub.Activate(src, c.Src.Negated); err != nil {
-				return tr, cmdErr(i, c, err)
-			}
-			if c.Dst != nil {
-				dst, err := resolve(*c.Dst)
-				if err != nil {
-					return tr, err
-				}
-				if err := sub.Activate(dst, c.Dst.Negated); err != nil {
-					return tr, cmdErr(i, c, err)
-				}
-			}
-			mode := dram.RetainOnes
-			if c.RetainZeros {
-				mode = dram.RetainZeros
-			}
-			if err := sub.PseudoPrecharge(mode); err != nil {
-				return tr, cmdErr(i, c, err)
-			}
-
-		case primitive.TRAAP, primitive.TRAAAP:
-			r2, err := resolve(c.Aux2)
-			if err != nil {
-				return tr, err
-			}
-			r3, err := resolve(c.Aux3)
-			if err != nil {
-				return tr, err
-			}
-			if err := sub.ActivateTRA(src, r2, r3); err != nil {
-				return tr, cmdErr(i, c, err)
-			}
-			if c.Kind == primitive.TRAAAP {
-				dst, err := resolve(*c.Dst)
-				if err != nil {
-					return tr, err
-				}
-				if err := sub.Activate(dst, c.Dst.Negated); err != nil {
-					return tr, cmdErr(i, c, err)
-				}
-			}
-			sub.Precharge()
-
-		default:
-			return tr, fmt.Errorf("controller: command %d (%s): unsupported primitive", i, c)
-		}
-
-		d := c.Kind.Duration(tp)
+		d := s.Kind.Duration(tp)
 		tr.Entries = append(tr.Entries, TraceEntry{
-			Command:   c,
+			Step:      s,
 			StartNS:   now,
 			EndNS:     now + d,
-			EnergyNJ:  c.Kind.Energy(pp),
-			Wordlines: c.Kind.Wordlines(),
+			EnergyNJ:  s.Kind.Energy(pp),
+			Wordlines: s.Kind.Wordlines(),
 		})
 		now += d
 	}
 	return tr, nil
-}
-
-func cmdErr(i int, c Command, err error) error {
-	return fmt.Errorf("controller: command %d (%s): %w", i, c, err)
 }
 
 // SequenceBuffer is the configurable controller's per-operation program

@@ -212,3 +212,24 @@ func TestCyclesPanicsOnUnknownOp(t *testing.T) {
 	}()
 	MustNew(DefaultConfig()).Cycles(engine.Op(99))
 }
+
+// TestDeviceActivationsMatchStats cross-checks the NOR-gate emulation's
+// activation and wordline counters against OpStats for every op.
+func TestDeviceActivationsMatchStats(t *testing.T) {
+	e := MustNew(DefaultConfig())
+	for _, op := range append(engine.BasicOps(), engine.OpCOPY) {
+		sub := testSubarray()
+		rng := rand.New(rand.NewSource(int64(op)))
+		sub.LoadRow(0, bitvec.Random(rng, sub.Columns()))
+		sub.LoadRow(1, bitvec.Random(rng, sub.Columns()))
+		sub.ResetStats()
+		if err := e.Execute(sub, op, 2, 0, 1); err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		st := e.OpStats(op)
+		if sub.Activations != st.ActivateEvents || sub.Wordlines != st.Wordlines {
+			t.Errorf("%v: device %d activations / %d wordlines, model %d / %d",
+				op, sub.Activations, sub.Wordlines, st.ActivateEvents, st.Wordlines)
+		}
+	}
+}

@@ -47,16 +47,20 @@ func (m Mode) String() string {
 	return "reduced-latency"
 }
 
-// Symbolic row slots used in compiled sequences; Bind resolves them to
-// concrete subarray rows at execution time.
+// Row slots of the compiled sequences: the indices of the per-call row
+// table Execute binds them through (see primitive.Step).
 const (
-	SlotA  = -10 // first operand row
-	SlotB  = -11 // second operand row
-	SlotC  = -12 // destination row
-	SlotR0 = -13 // first reserved dual-contact row
-	SlotR1 = -14 // second reserved dual-contact row (2-buffer config only)
-	unused = -1
+	SlotA  = iota // first operand row
+	SlotB         // second operand row
+	SlotC         // destination row
+	SlotR0        // first reserved dual-contact row
+	SlotR1        // second reserved dual-contact row (2-buffer config only)
+	numSlots
 )
+
+// SlotNames returns the names of the row slots, indexed by slot, as
+// controller programs and Seq.Format write them.
+func SlotNames() []string { return []string{"A", "B", "C", "R0", "R1"} }
 
 // Config parameterizes an ELP2IM engine.
 type Config struct {
@@ -384,7 +388,7 @@ func (e *Engine) InPlaceSeq(op engine.Op) (primitive.Seq, error) {
 
 // OpStats implements engine.Engine: cost of one three-operand row op.
 func (e *Engine) OpStats(op engine.Op) engine.Stats {
-	return e.SeqStats(e.Compile(op))
+	return engine.SeqStats(e.Compile(op), e.cfg.Timing, e.cfg.Power)
 }
 
 // InPlaceStats returns the cost of the in-place B = op(A,B) form.
@@ -393,7 +397,7 @@ func (e *Engine) InPlaceStats(op engine.Op) (engine.Stats, error) {
 	if err != nil {
 		return engine.Stats{}, err
 	}
-	return e.SeqStats(q), nil
+	return engine.SeqStats(q, e.cfg.Timing, e.cfg.Power), nil
 }
 
 // ChainStats implements engine.Engine: ELP2IM folds an operand into a
@@ -431,16 +435,4 @@ func (e *Engine) Seq(op engine.Op) primitive.Seq { return e.Compile(op) }
 // ChainSeq returns the per-element sequence of the chained in-place form.
 func (e *Engine) ChainSeq(op engine.Op) (primitive.Seq, error) {
 	return e.InPlaceSeq(op)
-}
-
-// SeqStats converts a primitive sequence into engine statistics.
-func (e *Engine) SeqStats(q primitive.Seq) engine.Stats {
-	return engine.Stats{
-		LatencyNS:            q.Duration(e.cfg.Timing),
-		EnergyNJ:             q.Energy(e.cfg.Power),
-		Commands:             len(q),
-		ActivateEvents:       q.ActivateEvents(),
-		Wordlines:            q.Wordlines(),
-		MaxWordlinesPerEvent: q.MaxWordlinesPerEvent(),
-	}
 }

@@ -1,6 +1,7 @@
 package elpim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,8 +9,10 @@ import (
 
 	"repro/internal/ambit"
 	"repro/internal/bitvec"
+	"repro/internal/controller"
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/primitive"
 	"repro/internal/timing"
 )
 
@@ -366,16 +369,12 @@ func TestEngineMetadata(t *testing.T) {
 func TestBindingErrors(t *testing.T) {
 	e := newEngine(t, nil)
 	sub := testSubarray(1)
-	// A sequence that needs R1 with a 1-reserved-row binding must fail.
+	// A sequence that needs R1 on a 1-reserved-row engine must fail:
+	// its R1 slot stays unbound.
 	cfg2 := DefaultConfig()
 	cfg2.ReservedRows = 2
-	e2 := MustNew(cfg2)
-	seq := e2.Compile(engine.OpXOR) // uses R1
-	bind, err := BindDefault(sub, 1, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ExecuteSeq(sub, seq, bind); err == nil {
+	seq := MustNew(cfg2).Compile(engine.OpXOR) // uses R1
+	if err := e.run(sub, seq, 0, 1, 2); err == nil {
 		t.Fatal("sequence using R1 with 1-row binding must fail")
 	}
 }
@@ -486,29 +485,128 @@ func TestDDR4PortabilityPreservesOrdering(t *testing.T) {
 	}
 }
 
-// TestDeviceActivationsMatchStats cross-checks the two accounting paths:
-// the functional executor's device-level activation counters must equal
-// the cost model's canonical counts for every compiled sequence.
-func TestDeviceActivationsMatchStats(t *testing.T) {
+// allConfigs lists every engine configuration: 1–2 reserved rows × both
+// modes × the §4.2 isolation and truncation optimizations on and off.
+func allConfigs() []Config {
+	var out []Config
 	for _, reserved := range []int{1, 2} {
-		cfg := DefaultConfig()
-		cfg.ReservedRows = reserved
+		for _, mode := range []Mode{ReducedLatency, HighThroughput} {
+			for _, iso := range []bool{true, false} {
+				for _, trunc := range []bool{true, false} {
+					cfg := DefaultConfig()
+					cfg.ReservedRows, cfg.Mode = reserved, mode
+					cfg.UseIsolation, cfg.UseRestoreTruncation = iso, trunc
+					out = append(out, cfg)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestDeviceActivationsMatchStats cross-checks the two accounting paths:
+// the device model's activation and wordline counters after one run must
+// equal the cost model's counts for the same sequence — every op's
+// three-operand form, the in-place fold against ChainStats and the
+// complement fold against NotChainSeq, in every configuration.
+func TestDeviceActivationsMatchStats(t *testing.T) {
+	check := func(what string, sub *dram.Subarray, st engine.Stats) {
+		t.Helper()
+		if sub.Activations != st.ActivateEvents || sub.Wordlines != st.Wordlines {
+			t.Errorf("%s: device %d activations / %d wordlines, model %d / %d",
+				what, sub.Activations, sub.Wordlines, st.ActivateEvents, st.Wordlines)
+		}
+	}
+	for _, cfg := range allConfigs() {
 		e := MustNew(cfg)
-		for _, op := range engine.BasicOps() {
-			sub := testSubarray(reserved)
+		name := fmt.Sprintf("reserved=%d %v isolation=%v truncation=%v",
+			cfg.ReservedRows, cfg.Mode, cfg.UseIsolation, cfg.UseRestoreTruncation)
+		for _, op := range append(engine.BasicOps(), engine.OpCOPY) {
+			sub := testSubarray(cfg.ReservedRows)
 			loadOperands(sub, 77+int64(op))
 			sub.ResetStats()
 			if err := e.Execute(sub, op, 2, 0, 1); err != nil {
-				t.Fatalf("%v: %v", op, err)
+				t.Fatalf("%s %v: %v", name, op, err)
 			}
-			st := e.OpStats(op)
-			if sub.Activations != st.ActivateEvents {
-				t.Errorf("reserved=%d %v: device activations %d != model %d",
-					reserved, op, sub.Activations, st.ActivateEvents)
+			check(fmt.Sprintf("%s %v", name, op), sub, e.OpStats(op))
+		}
+		for _, op := range []engine.Op{engine.OpAND, engine.OpOR} {
+			sub := testSubarray(cfg.ReservedRows)
+			loadOperands(sub, 91+int64(op))
+			sub.ResetStats()
+			if err := e.ExecuteInPlace(sub, op, 0, 1); err != nil {
+				t.Fatalf("%s in-place %v: %v", name, op, err)
 			}
-			if sub.Wordlines != st.Wordlines {
-				t.Errorf("reserved=%d %v: device wordlines %d != model %d",
-					reserved, op, sub.Wordlines, st.Wordlines)
+			chain, err := e.ChainStats(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s in-place %v", name, op), sub, chain)
+
+			sub.ResetStats()
+			if err := e.ExecuteNotChain(sub, op, 0, 1); err != nil {
+				t.Fatalf("%s complement fold %v: %v", name, op, err)
+			}
+			q, err := e.NotChainSeq(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s complement fold %v", name, op), sub, engine.SeqStats(q, cfg.Timing, cfg.Power))
+		}
+	}
+}
+
+// TestSequencesAssemble: every sequence the engine compiles, rendered with
+// the slot names, is a controller program that assembles back to the
+// same text.
+func TestSequencesAssemble(t *testing.T) {
+	names := SlotNames()
+	for _, cfg := range allConfigs() {
+		e := MustNew(cfg)
+		seqs := []primitive.Seq{}
+		for _, op := range append(engine.BasicOps(), engine.OpCOPY) {
+			seqs = append(seqs, e.Compile(op))
+		}
+		for _, op := range []engine.Op{engine.OpAND, engine.OpOR} {
+			in, err := e.InPlaceSeq(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			not, err := e.NotChainSeq(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, in, not)
+		}
+		for _, q := range seqs {
+			text := q.Format(names)
+			p, err := controller.Assemble(text)
+			if err != nil {
+				t.Errorf("%+v: %q does not assemble: %v", cfg, text, err)
+				continue
+			}
+			if got := p.Seq.Format(p.Symbols); got != text {
+				t.Errorf("%q re-assembles as %q", text, got)
+			}
+		}
+	}
+}
+
+// TestExecuteAllocFree pins the command-accurate executor at zero
+// allocations per call: the row table lives on the stack.
+func TestExecuteAllocFree(t *testing.T) {
+	for _, reserved := range []int{1, 2} {
+		e := newEngine(t, func(c *Config) { c.ReservedRows = reserved })
+		sub := testSubarray(reserved)
+		loadOperands(sub, 5)
+		for _, op := range []engine.Op{engine.OpAND, engine.OpXOR} {
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := e.Execute(sub, op, 2, 0, 1); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("reserved=%d %v: Execute allocates %.1f/call, want 0", reserved, op, allocs)
 			}
 		}
 	}

@@ -8,115 +8,15 @@ import (
 	"repro/internal/primitive"
 )
 
-// Binding maps the symbolic slots of a compiled sequence to concrete
-// subarray rows.
-type Binding struct {
-	A, B, C int
-	R0, R1  int
-}
-
-// BindDefault returns a binding using the subarray's dual-contact rows as
-// the reserved rows.
-func BindDefault(sub *dram.Subarray, reserved int, a, b, c int) (Binding, error) {
-	bind := Binding{A: a, B: b, C: c, R0: -1, R1: -1}
-	if reserved >= 1 {
-		bind.R0 = sub.DCCRow(0)
+// run interprets q on sub with slots A, B and C bound to rows a, b and c
+// and R0 (R1) to the subarray's first (second) dual-contact row when the
+// engine reserves it. A negative row leaves its slot unbound.
+func (e *Engine) run(sub *dram.Subarray, q primitive.Seq, a, b, c int) error {
+	rows := [numSlots]int{SlotA: a, SlotB: b, SlotC: c, SlotR0: -1, SlotR1: -1}
+	for i := 0; i < e.cfg.ReservedRows; i++ {
+		rows[SlotR0+i] = sub.DCCRow(i)
 	}
-	if reserved >= 2 {
-		bind.R1 = sub.DCCRow(1)
-	}
-	return bind, nil
-}
-
-// resolve maps a slot (or concrete row) to a subarray row index.
-func (b Binding) resolve(slot int) (int, error) {
-	switch slot {
-	case SlotA:
-		return b.A, nil
-	case SlotB:
-		return b.B, nil
-	case SlotC:
-		return b.C, nil
-	case SlotR0:
-		if b.R0 < 0 {
-			return 0, fmt.Errorf("elpim: sequence uses R0 but binding has none")
-		}
-		return b.R0, nil
-	case SlotR1:
-		if b.R1 < 0 {
-			return 0, fmt.Errorf("elpim: sequence uses R1 but binding has none")
-		}
-		return b.R1, nil
-	default:
-		if slot < 0 {
-			return 0, fmt.Errorf("elpim: unresolved slot %d", slot)
-		}
-		return slot, nil
-	}
-}
-
-// ExecuteSeq interprets a compiled primitive sequence on a subarray,
-// bit-accurately reproducing the command-level dataflow: every activate,
-// pseudo-precharge, and precharge is issued to the device model.
-func (e *Engine) ExecuteSeq(sub *dram.Subarray, q primitive.Seq, bind Binding) error {
-	for i, step := range q {
-		src, err := bind.resolve(step.Src)
-		if err != nil {
-			return fmt.Errorf("step %d (%v): %w", i, step, err)
-		}
-		mode := dram.RetainOnes
-		if step.RetainZeros {
-			mode = dram.RetainZeros
-		}
-
-		switch step.Kind {
-		case primitive.AP:
-			if err := sub.Activate(src, step.SrcNegated); err != nil {
-				return fmt.Errorf("step %d (%v): %w", i, step, err)
-			}
-			sub.Precharge()
-
-		case primitive.AAP, primitive.OAAP:
-			dst, err := bind.resolve(step.Dst)
-			if err != nil {
-				return fmt.Errorf("step %d (%v): %w", i, step, err)
-			}
-			if err := sub.Activate(src, step.SrcNegated); err != nil {
-				return fmt.Errorf("step %d (%v): %w", i, step, err)
-			}
-			if err := sub.Activate(dst, step.DstNegated); err != nil {
-				return fmt.Errorf("step %d (%v): %w", i, step, err)
-			}
-			sub.Precharge()
-
-		case primitive.APP, primitive.OAPP, primitive.TAPP, primitive.OTAPP,
-			primitive.APPM, primitive.OAPPM:
-			if err := sub.Activate(src, step.SrcNegated); err != nil {
-				return fmt.Errorf("step %d (%v): %w", i, step, err)
-			}
-			// Compiled sequences mark a merged copy with a (negative)
-			// slot in Dst; the zero value and the unused sentinel both
-			// mean "no copy".
-			if step.Dst != unused && step.Dst != 0 {
-				// Merged copy: the second (overlapped) activate clones the
-				// sensed value into a reserved row before the supply shift.
-				dst, err := bind.resolve(step.Dst)
-				if err != nil {
-					return fmt.Errorf("step %d (%v): %w", i, step, err)
-				}
-				if err := sub.Activate(dst, step.DstNegated); err != nil {
-					return fmt.Errorf("step %d (%v): %w", i, step, err)
-				}
-			}
-			if err := sub.PseudoPrecharge(mode); err != nil {
-				return fmt.Errorf("step %d (%v): %w", i, step, err)
-			}
-
-		default:
-			return fmt.Errorf("step %d: primitive %v is not an ELP2IM primitive", i, step.Kind)
-		}
-	}
-	return nil
+	return q.Run(sub, rows[:])
 }
 
 // Execute implements engine.Engine: dst = op(a, b) on one subarray.
@@ -129,10 +29,7 @@ func (e *Engine) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error 
 		return fmt.Errorf("elpim: %v destination must not alias an operand (dst=%d a=%d b=%d)", op, dst, a, b)
 	}
 	start := e.obs.Start()
-	bind, err := BindDefault(sub, e.cfg.ReservedRows, a, b, dst)
-	if err == nil {
-		err = e.ExecuteSeq(sub, e.Compile(op), bind)
-	}
+	err := e.run(sub, e.Compile(op), a, b, dst)
 	e.obs.Record(op, e.OpStats(op), start, err)
 	return err
 }
@@ -144,29 +41,18 @@ func (e *Engine) ExecuteNotChain(sub *dram.Subarray, op engine.Op, a, b int) err
 	if err != nil {
 		return err
 	}
-	bind, err := BindDefault(sub, e.cfg.ReservedRows, a, b, -1)
-	if err != nil {
-		return err
-	}
-	return e.ExecuteSeq(sub, q, bind)
+	return e.run(sub, q, a, b, -1)
 }
 
 // ExecuteInPlace performs the Figure 5(a) in-place form: row b becomes
-// op(a, b).
+// op(a, b). It records the fold at ChainStats' price.
 func (e *Engine) ExecuteInPlace(sub *dram.Subarray, op engine.Op, a, b int) error {
 	q, err := e.InPlaceSeq(op)
 	if err != nil {
 		return err
 	}
 	start := e.obs.Start()
-	bind, err := BindDefault(sub, e.cfg.ReservedRows, a, b, -1)
-	if err == nil {
-		err = e.ExecuteSeq(sub, q, bind)
-	}
-	st, serr := e.ChainStats(op)
-	if serr != nil {
-		st = e.OpStats(op)
-	}
-	e.obs.Record(op, st, start, err)
+	err = e.run(sub, q, a, b, -1)
+	e.obs.Record(op, engine.SeqStats(q, e.cfg.Timing, e.cfg.Power), start, err)
 	return err
 }

@@ -10,7 +10,9 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dram"
 	"repro/internal/obs"
+	"repro/internal/power"
 	"repro/internal/primitive"
+	"repro/internal/timing"
 )
 
 // Op is a bulk bitwise logic operation over full DRAM rows.
@@ -104,6 +106,19 @@ type Stats struct {
 	// MaxWordlinesPerEvent is the peak simultaneous wordline count of any
 	// single activation (3 whenever a TRA is involved).
 	MaxWordlinesPerEvent int
+}
+
+// SeqStats is the cost of one run of a command sequence under the timing
+// and power parameters: what ELP2IM and Ambit price every sequence by.
+func SeqStats(q primitive.Seq, tp timing.Params, pp power.Params) Stats {
+	return Stats{
+		LatencyNS:            q.Duration(tp),
+		EnergyNJ:             q.Energy(pp),
+		Commands:             len(q),
+		ActivateEvents:       q.ActivateEvents(),
+		Wordlines:            q.Wordlines(),
+		MaxWordlinesPerEvent: q.MaxWordlinesPerEvent(),
+	}
 }
 
 // Add accumulates other into s.

@@ -1,11 +1,14 @@
 // Package primitive defines the DRAM command primitives the reproduced
 // designs are built from (Table 1 of the paper plus the Ambit and DRISA
 // command types), and computes their latency, activation counts and energy
-// from the timing and power models.
+// from the timing and power models. Seq.Run interprets a sequence on the
+// dram device model.
 package primitive
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/power"
 	"repro/internal/timing"
@@ -216,47 +219,104 @@ func (k Kind) Energy(pp power.Params) float64 {
 	return t.DynamicEnergy()
 }
 
-// Step is one primitive applied to concrete rows. The semantics of the
-// row fields follow the paper's prmt([dst],src) notation: Src is the row
-// the (first) activate opens; Dst is the row a second activate opens
-// (copy/merge target), -1 if unused. Aux carries TRA's third row.
+// IsTRA reports whether the primitive's first activation is Ambit's
+// triple-row activation (TRA-AP, TRA-AAP), which opens Src, Aux2 and Aux3
+// at once.
+func (k Kind) IsTRA() bool { return k == TRAAP || k == TRAAAP }
+
+// Copies reports whether the primitive's second activation opens a row,
+// Dst, while the row buffer still drives the bitlines: the RowClone copy
+// of AAP and oAAP, the merged copy of APPm and oAPPm, and TRA-AAP's copy
+// of the majority.
+func (k Kind) Copies() bool {
+	switch k {
+	case AAP, OAAP, APPM, OAPPM, TRAAAP:
+		return true
+	default:
+		return false
+	}
+}
+
+// mnemonic returns the assembler's name for the primitive: the merged
+// APPm/oAPPm are APP/oAPP with a [dst], and both TRA forms are TRA.
+func (k Kind) mnemonic() string {
+	switch k {
+	case APPM:
+		return APP.String()
+	case OAPPM:
+		return OAPP.String()
+	case TRAAP, TRAAAP:
+		return "TRA"
+	default:
+		return k.String()
+	}
+}
+
+// Step is one primitive applied to row slots, in the paper's
+// prmt([dst],src) notation. Its row fields are slots: indices into the
+// per-call row table Run binds them through, and into the names Format
+// renders them with. The Kind decides which fields a step uses: Src
+// always, Dst when the Kind Copies, and Aux2 and Aux3 for a TRA.
 type Step struct {
 	Kind Kind
-	// Src is the first activated row (the source being read/regulated).
+	// Src is the first activated row (the source being read/regulated);
+	// for a TRA, the first row of the triple.
 	Src int
 	// SrcNegated selects the negated wordline of a dual-contact source.
 	SrcNegated bool
-	// Dst is the second activated row, or -1 when the primitive opens a
-	// single row.
+	// Dst is the row the second activation opens (copy/merge target).
 	Dst int
 	// DstNegated selects the negated wordline of a dual-contact target.
 	DstNegated bool
-	// Aux2, Aux3 are TRA's second and third rows (TRAAP/TRAAAP only).
+	// Aux2, Aux3 are TRA's second and third rows.
 	Aux2, Aux3 int
-	// Mode selects the pseudo-precharge retain mode for APP-class steps:
-	// true retains zeros (AND), false retains ones (OR).
+	// RetainZeros selects the pseudo-precharge retain mode of APP-class
+	// steps: true retains zeros (AND), false retains ones (OR).
 	RetainZeros bool
 }
 
-// String renders the step in the paper's command notation.
-func (s Step) String() string {
-	switch s.Kind {
-	case AP, APP, OAPP, TAPP, OTAPP:
-		return fmt.Sprintf("%s(%s)", s.Kind, rowName(s.Src, s.SrcNegated))
-	case TRAAP:
-		return fmt.Sprintf("%s(%d,%d,%d)", s.Kind, s.Src, s.Aux2, s.Aux3)
-	case TRAAAP:
-		return fmt.Sprintf("%s([%s],%d,%d,%d)", s.Kind, rowName(s.Dst, s.DstNegated), s.Src, s.Aux2, s.Aux3)
-	default:
-		return fmt.Sprintf("%s([%s],%s)", s.Kind, rowName(s.Dst, s.DstNegated), rowName(s.Src, s.SrcNegated))
+// String renders the step with every slot named by its number.
+func (s Step) String() string { return s.Format(nil) }
+
+// Format renders the step in the controller's assembler notation, which
+// controller.Assemble reads back: slot i is named names[i], and a slot
+// outside names by its number. APP-class steps carry their retain mode
+// (":zeros" or ":ones").
+func (s Step) Format(names []string) string {
+	b := make([]byte, 0, 32)
+	b = append(b, s.Kind.mnemonic()...)
+	b = append(b, '(')
+	if s.Kind.Copies() {
+		b = append(b, '[')
+		b = appendRow(b, names, s.Dst, s.DstNegated)
+		b = append(b, "],"...)
 	}
+	b = appendRow(b, names, s.Src, s.SrcNegated)
+	if s.Kind.IsTRA() {
+		b = append(b, ',')
+		b = appendRow(b, names, s.Aux2, false)
+		b = append(b, ',')
+		b = appendRow(b, names, s.Aux3, false)
+	}
+	b = append(b, ')')
+	if s.Kind.IsPseudo() {
+		if s.RetainZeros {
+			b = append(b, ":zeros"...)
+		} else {
+			b = append(b, ":ones"...)
+		}
+	}
+	return string(b)
 }
 
-func rowName(r int, negated bool) string {
+func appendRow(b []byte, names []string, slot int, negated bool) []byte {
 	if negated {
-		return fmt.Sprintf("~%d", r)
+		b = append(b, '~')
 	}
-	return fmt.Sprintf("%d", r)
+	if slot >= 0 && slot < len(names) {
+		return append(b, names[slot]...)
+	}
+	return strconv.AppendInt(b, int64(slot), 10)
 }
 
 // Seq is an ordered primitive sequence implementing one logic operation.
@@ -305,8 +365,7 @@ func (q Seq) MaxWordlinesPerEvent() int {
 	m := 0
 	for _, s := range q {
 		per := 1
-		switch s.Kind {
-		case TRAAP, TRAAAP:
+		if s.Kind.IsTRA() {
 			per = 3
 		}
 		if per > m {
@@ -316,14 +375,15 @@ func (q Seq) MaxWordlinesPerEvent() int {
 	return m
 }
 
-// String renders the sequence as "prim(...) prim(...) ...".
-func (q Seq) String() string {
-	out := ""
+// String renders the sequence with every slot named by its number.
+func (q Seq) String() string { return q.Format(nil) }
+
+// Format renders the sequence as space-separated steps, naming slots as
+// Step.Format does.
+func (q Seq) Format(names []string) string {
+	parts := make([]string, len(q))
 	for i, s := range q {
-		if i > 0 {
-			out += " "
-		}
-		out += s.String()
+		parts[i] = s.Format(names)
 	}
-	return out
+	return strings.Join(parts, " ")
 }

@@ -220,12 +220,15 @@ func TestStepString(t *testing.T) {
 		want string
 	}{
 		{Step{Kind: AP, Src: 5}, "AP(5)"},
-		{Step{Kind: APP, Src: 7}, "APP(7)"},
+		{Step{Kind: APP, Src: 7}, "APP(7):ones"},
+		{Step{Kind: OTAPP, Src: 7, SrcNegated: true, RetainZeros: true}, "otAPP(~7):zeros"},
 		{Step{Kind: OAAP, Src: 1, Dst: 9}, "oAAP([9],1)"},
 		{Step{Kind: OAAP, Src: 1, Dst: 9, DstNegated: true}, "oAAP([~9],1)"},
 		{Step{Kind: AAP, Src: 2, SrcNegated: true, Dst: 3}, "AAP([3],~2)"},
-		{Step{Kind: TRAAP, Src: 1, Aux2: 2, Aux3: 3}, "TRA-AP(1,2,3)"},
-		{Step{Kind: TRAAAP, Src: 1, Aux2: 2, Aux3: 3, Dst: 8}, "TRA-AAP([8],1,2,3)"},
+		{Step{Kind: OAPPM, Src: 2, Dst: 0, RetainZeros: true}, "oAPP([0],2):zeros"},
+		{Step{Kind: APPM, Src: 2, Dst: 4}, "APP([4],2):ones"},
+		{Step{Kind: TRAAP, Src: 1, Aux2: 2, Aux3: 3}, "TRA(1,2,3)"},
+		{Step{Kind: TRAAAP, Src: 1, Aux2: 2, Aux3: 3, Dst: 8}, "TRA([8],1,2,3)"},
 	}
 	for _, tc := range cases {
 		if got := tc.step.String(); got != tc.want {
@@ -239,6 +242,10 @@ func TestSeqString(t *testing.T) {
 	s := q.String()
 	if !strings.Contains(s, "APP(1)") || !strings.Contains(s, "AP(2)") {
 		t.Errorf("seq string = %q", s)
+	}
+	q = Seq{{Kind: OAAP, Src: 1, Dst: 3}, {Kind: APP, Src: 0, RetainZeros: true}, {Kind: OAAP, Src: 3, Dst: 2}}
+	if got, want := q.Format([]string{"A", "B", "C", "R0"}), "oAAP([R0],B) APP(A):zeros oAAP([C],R0)"; got != want {
+		t.Errorf("named seq = %q, want %q", got, want)
 	}
 }
 

@@ -5,9 +5,13 @@
 #   3. doccheck    — godoc completeness for the packages whose documentation
 #                    the project guarantees (root facade, internal/obs,
 #                    internal/server, internal/wire, internal/plan,
-#                    internal/kernel, internal/vertical, and the engine
+#                    internal/kernel, internal/vertical, the engine
 #                    contract's internal/engine, internal/expr and
-#                    internal/fault)
+#                    internal/fault, and the command layer: the device
+#                    model internal/dram, the primitives and their one
+#                    interpreter in internal/primitive, internal/controller,
+#                    and the three designs internal/elpim, internal/ambit
+#                    and internal/drisa)
 #   4. race tests  — the serving-layer suite (including the wire
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite) plus ten
@@ -29,8 +33,9 @@
 #                    is their concurrency envelope)
 #   5. fuzz smoke  — both internal/wire fuzz targets, the facade's
 #                    eval-DAG and vertical-arith fuzzers, the transpose
-#                    fuzzer, and the serving layer's /v1/query fuzzer for
-#                    a few seconds each
+#                    fuzzer, the serving layer's /v1/query fuzzer, and the
+#                    controller's assembler round trip for a few seconds
+#                    each
 #                    (go test -fuzz matches one target per run), so codec
 #                    regressions and tier/oracle divergences the corpus
 #                    can reach fail here
@@ -55,7 +60,7 @@ if ! go vet ./...; then
     fail=1
 fi
 
-if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical internal/engine internal/expr internal/fault; then
+if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical internal/engine internal/expr internal/fault internal/primitive internal/controller internal/elpim internal/ambit internal/drisa internal/dram; then
     fail=1
 fi
 
@@ -122,6 +127,13 @@ fi
 # response invariants (400-not-500 on rejects, ordered in-universe
 # positions consistent with the bits-mode vector).
 if ! go test -run '^$' -fuzz '^FuzzQuery$' -fuzztime 5s ./internal/server; then
+    fail=1
+fi
+
+# The assembler round-trip fuzzer: whatever controller.Assemble accepts
+# must re-assemble from its String() to the same sequence, so pimasm and
+# seqopt print only programs they can read back.
+if ! go test -run '^$' -fuzz '^FuzzAssembleRoundTrip$' -fuzztime 5s ./internal/controller; then
     fail=1
 fi
 
