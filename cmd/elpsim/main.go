@@ -79,8 +79,8 @@ func dispatch(args []string) error {
 	switch args[0] {
 	case "list":
 		for _, id := range exp.IDs() {
-			r, _ := exp.Lookup(id)
-			fmt.Printf("%-8s %s\n", r.ID, r.Title)
+			e, _ := exp.Lookup(id)
+			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
 		fmt.Printf("\nCSV-capable (elpsim -csv <id>): %v\n", exp.CSVIDs())
 		return nil
@@ -105,15 +105,13 @@ func dispatch(args []string) error {
 		return nil
 	}
 	for _, id := range args {
-		r, ok := exp.Lookup(id)
+		e, ok := exp.Lookup(id)
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (try: elpsim list)", id)
 		}
-		fmt.Printf("==== %s — %s ====\n", r.ID, r.Title)
-		if err := r.Run(os.Stdout); err != nil {
+		if err := e.WriteText(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Println()
 	}
 	return nil
 }

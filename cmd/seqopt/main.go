@@ -61,16 +61,13 @@ func main() {
 		}
 		return
 	}
-	r, ok := exp.Lookup("fig8")
-	if !ok {
-		fmt.Fprintln(os.Stderr, "seqopt: fig8 experiment missing")
-		os.Exit(1)
-	}
-	fmt.Println("Figure 8: XOR primitive-sequence optimization")
-	if err := r.Run(os.Stdout); err != nil {
+	f, err := exp.RunFig8()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "seqopt:", err)
 		os.Exit(1)
 	}
+	fmt.Println("Figure 8: XOR primitive-sequence optimization")
+	f.WriteText(os.Stdout)
 }
 
 func compile() {

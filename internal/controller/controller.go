@@ -219,13 +219,16 @@ func parseOperand(s string) (operand, error) {
 }
 
 // Validate checks the program against the subarray state machine:
-// a TRA needs a precharged array (no pending pseudo-precharge state), and
-// the program must not end with a dangling regulated bitline. Every
-// APP-class step, merged copies included, leaves a pseudo-precharge
-// pending; every other step consumes it.
+// a TRA opens three distinct rows of a precharged array (no pending
+// pseudo-precharge state), and the program must not end with a dangling
+// regulated bitline. Every APP-class step, merged copies included, leaves
+// a pseudo-precharge pending; every other step consumes it.
 func (p *Program) Validate() error {
 	pseudo := false
 	for i, s := range p.Seq {
+		if s.Kind.IsTRA() && (s.Src == s.Aux2 || s.Src == s.Aux3 || s.Aux2 == s.Aux3) {
+			return fmt.Errorf("controller: command %d (%s): TRA rows must be distinct", i, s.Format(p.Symbols))
+		}
 		if s.Kind.IsTRA() && pseudo {
 			return fmt.Errorf("controller: command %d (%s): TRA requires a precharged subarray but a pseudo-precharge is pending", i, s.Format(p.Symbols))
 		}

@@ -77,6 +77,8 @@ func TestAssembleErrors(t *testing.T) {
 		"APP(A):sideways",            // bad mode
 		"TRA(T0,T1)",                 // TRA arity
 		"TRA(~T0,T1,T2)",             // negated TRA row
+		"TRA(A,A,B)",                 // TRA naming one row twice
+		"TRA([C],A,B,B)",             // ... with an overlapped copy too
 		"AAP([C,A)",                  // unterminated dst
 		"APP()",                      // empty operand
 		"AP(a-b)",                    // bad row name

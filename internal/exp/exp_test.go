@@ -2,8 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/analog"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -21,8 +25,8 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	r, ok := Lookup("table1")
-	if !ok || r.ID != "table1" || r.Run == nil {
+	e, ok := Lookup("table1")
+	if !ok || e.ID != "table1" || e.Run == nil {
 		t.Fatal("Lookup(table1) failed")
 	}
 	if _, ok := Lookup("nope"); ok {
@@ -30,86 +34,159 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestEveryRunnerProducesOutput runs each experiment of the table twice.
+// Both runs must succeed and return deep-equal results, so no figure
+// depends on process-wide memo state or on what ran before it, and the
+// result must render text.
 func TestEveryRunnerProducesOutput(t *testing.T) {
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			r, _ := Lookup(id)
-			var buf bytes.Buffer
-			if err := r.Run(&buf); err != nil {
-				t.Fatalf("%s: %v", id, err)
+	for _, e := range experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			first, err := e.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
 			}
-			if buf.Len() < 80 {
-				t.Fatalf("%s produced only %d bytes", id, buf.Len())
+			second, err := e.Run()
+			if err != nil {
+				t.Fatalf("%s: second run: %v", e.ID, err)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("%s: a second run returned a different result", e.ID)
+			}
+			var buf bytes.Buffer
+			first.WriteText(&buf)
+			if buf.Len() == 0 {
+				t.Fatalf("%s rendered no text", e.ID)
 			}
 		})
 	}
 }
 
+// TestTable1Output checks that every primitive latency the paper gives is
+// reproduced within 1 ns.
 func TestTable1Output(t *testing.T) {
-	var buf bytes.Buffer
-	r, _ := Lookup("table1")
-	if err := r.Run(&buf); err != nil {
+	tab, err := RunTable1()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"AP", "AAP", "oAAP", "APP", "oAPP", "tAPP", "49", "84", "53", "67", "46"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table1 output missing %q", want)
+	n := 0
+	for _, r := range tab {
+		if r.PaperNS == 0 {
+			continue
+		}
+		n++
+		if math.Abs(r.ModelNS-r.PaperNS) > 1 {
+			t.Errorf("%s: model %.1f ns, paper %.0f ns", r.Kind, r.ModelNS, r.PaperNS)
+		}
+	}
+	if n != 6 {
+		t.Fatalf("compared %d primitives with the paper, want 6", n)
+	}
+}
+
+// TestFig8Output checks that every rung of the XOR ladder is within 1 ns of
+// the paper's.
+func TestFig8Output(t *testing.T) {
+	f, err := RunFig8()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f) != 5 {
+		t.Fatalf("%d rungs, want 5", len(f))
+	}
+	for _, r := range f {
+		if math.Abs(r.ModelNS-r.PaperNS) > 1 {
+			t.Errorf("%s: model %.1f ns, paper %.0f ns", r.Name, r.ModelNS, r.PaperNS)
 		}
 	}
 }
 
+// TestFig11Output checks Figure 11's ordering at every σ of both
+// variations: DRAM ≤ ELP2IM ≤ Ambit, and the complementary strategy
+// ≤ ELP2IM.
+func TestFig11Output(t *testing.T) {
+	f, err := RunFig11()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Variations) != 2 {
+		t.Fatalf("%d variations, want random and systematic", len(f.Variations))
+	}
+	for i, v := range f.Variations {
+		r := map[string][]float64{}
+		for _, c := range f.Curves[i] {
+			r[c.Name] = c.Values
+		}
+		if len(r) != 4 {
+			t.Fatalf("%s variation has %d curves, want 4", v, len(r))
+		}
+		for j, sigma := range f.Sigmas {
+			dram, amb := r[analog.DeviceDRAM.String()][j], r[analog.DeviceAmbit.String()][j]
+			elp, comp := r[analog.DeviceELP2IM.String()][j], r[analog.DeviceELP2IMComplementary.String()][j]
+			if !(dram <= elp && elp <= amb && comp <= elp) {
+				t.Errorf("%s σ=%.2f: DRAM %.2e, ELP2IM %.2e, Ambit %.2e, complementary %.2e",
+					v, sigma, dram, elp, amb, comp)
+			}
+		}
+	}
+}
+
+// TestFig12Output checks ELP2IM's four average speedups against the
+// paper's (1.17×, 1.12×, 1.23×, 1.16×) within 5%.
 func TestFig12Output(t *testing.T) {
-	var buf bytes.Buffer
-	r, _ := Lookup("fig12")
-	if err := r.Run(&buf); err != nil {
+	f, err := RunFig12()
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"Drisa_nor", "Ambit", "ELP2IM", "XOR", "avg ELP2IM speedup", "power"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig12 output missing %q", want)
+	if len(f.Speedups) != 4 {
+		t.Fatalf("%d speedups, want 4", len(f.Speedups))
+	}
+	for _, s := range f.Speedups {
+		if math.Abs(s.Measured/s.Paper-1) > 0.05 {
+			t.Errorf("ELP2IM_%d vs %s: %.3fx, paper %.2fx", s.ReservedRows, s.Baseline, s.Measured, s.Paper)
 		}
 	}
 }
 
+// cnnShape checks that ELP2IM beats Ambit and Drisa_nor trails it on
+// every network, and returns ELP2IM's average improvement.
+func cnnShape(t *testing.T, rows []CNNRow, want int) float64 {
+	t.Helper()
+	if len(rows) != want {
+		t.Fatalf("%d networks, want %d", len(rows), want)
+	}
+	sum := 0.0
+	for _, r := range rows {
+		if r.ELP2IMImprovement <= 1 || r.DrisaImprovement >= 1 {
+			t.Errorf("%s: ELP2IM %.3fx, Drisa_nor %.3fx over Ambit", r.Network, r.ELP2IMImprovement, r.DrisaImprovement)
+		}
+		sum += r.ELP2IMImprovement
+	}
+	return sum / float64(len(rows))
+}
+
+// TestTable2Output checks Table 2's shape.
 func TestTable2Output(t *testing.T) {
-	var buf bytes.Buffer
-	r, _ := Lookup("table2")
-	if err := r.Run(&buf); err != nil {
+	tab, err := RunTable2()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Lenet5", "Cifar10", "Alexnet", "VGG16", "VGG19"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("table2 output missing %q", want)
-		}
-	}
+	cnnShape(t, tab.Rows, 5)
 }
 
+// TestTable3Output checks Table 3's shape and the cross-table claim: NID's
+// count-heavy kernels give ELP2IM more headroom than Dracc's add.
 func TestTable3Output(t *testing.T) {
-	var buf bytes.Buffer
-	r, _ := Lookup("table3")
-	if err := r.Run(&buf); err != nil {
+	t2, err := RunTable2()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Lenet5", "Alexnet", "Resnet18", "Resnet34", "Resnet50"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("table3 output missing %q", want)
-		}
-	}
-}
-
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full regeneration is slow")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
+	t3, err := RunTable3()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "==== table3") {
-		t.Fatal("RunAll missing experiments")
+	avg2 := cnnShape(t, t2.Rows, 5)
+	if avg3 := cnnShape(t, t3, 5); avg3 <= avg2 {
+		t.Errorf("ELP2IM average: Table 3 %.3fx, not above Table 2's %.3fx", avg3, avg2)
 	}
 }
 

@@ -8,64 +8,82 @@ import (
 	"repro/internal/timing"
 )
 
-func init() {
-	register(Runner{
-		ID:    "fig10",
-		Title: "Figure 10: waveforms of APP-AP sequences (OR, AND)",
-		Run:   runFig10,
-	})
-	register(Runner{
-		ID:    "fig11",
-		Title: "Figure 11: error rate under process variation (random / systematic)",
-		Run:   runFig11,
-	})
+// Fig10 is Figure 10: bitline waveforms of two-cycle APP-AP operations.
+type Fig10 []analog.Waveform
+
+// RunFig10 computes Figure 10.
+func RunFig10() (Fig10, error) {
+	c, tp := analog.Default(), timing.DDR31600()
+	sim := func(op analog.TwoCycleOp, a, b bool) analog.Waveform { return analog.SimulateAPPAP(c, tp, op, a, b) }
+	return Fig10{
+		sim(analog.TwoCycleOR, true, false),  // Figure 4 case 1
+		sim(analog.TwoCycleOR, false, false), // Figure 4 case 2
+		sim(analog.TwoCycleAND, false, true),
+		sim(analog.TwoCycleAND, true, true),
+	}, nil
 }
 
-func runFig10(w io.Writer) error {
-	c := analog.Default()
-	tp := timing.DDR31600()
-	cases := []struct {
-		op   analog.TwoCycleOp
-		a, b bool
-	}{
-		{analog.TwoCycleOR, true, false},  // Figure 4 case 1
-		{analog.TwoCycleOR, false, false}, // Figure 4 case 2
-		{analog.TwoCycleAND, false, true},
-		{analog.TwoCycleAND, true, true},
-	}
-	for _, tc := range cases {
-		wf := analog.SimulateAPPAP(c, tp, tc.op, tc.a, tc.b)
+// WriteText implements Result.
+func (f Fig10) WriteText(w io.Writer) {
+	for _, wf := range f {
 		fmt.Fprint(w, wf.RenderASCII(100))
 	}
 	fmt.Fprintln(w, "full traces: cmd/waveform emits CSV for plotting")
-	return nil
 }
 
-func runFig11(w io.Writer) error {
+// The Monte-Carlo trial count and seed of every error-rate point.
+const (
+	mcTrials = 20000
+	mcSeed   = 42
+)
+
+// Fig11 is Figure 11: error rate against process variation σ.
+type Fig11 struct {
+	Sigmas     []float64 // σ of each point, as a fraction
+	Coupling   float64   // bitline coupling capacitance, as a fraction of Cb
+	Variations []analog.Variation
+	Curves     [][]Series // per variation: each device's error rate at each of Sigmas
+}
+
+// RunFig11 computes Figure 11.
+func RunFig11() (Fig11, error) {
 	c := analog.Default()
-	sigmas := []float64{0.02, 0.04, 0.06, 0.08, 0.10, 0.12}
-	const trials = 20000
-	devices := []analog.Device{
-		analog.DeviceDRAM, analog.DeviceAmbit,
-		analog.DeviceELP2IM, analog.DeviceELP2IMComplementary,
+	f := Fig11{Sigmas: []float64{0.02, 0.04, 0.06, 0.08, 0.10, 0.12}, Coupling: c.CouplingFraction,
+		Variations: []analog.Variation{analog.VariationRandom, analog.VariationSystematic}}
+	for _, vk := range f.Variations {
+		var curves []Series
+		for _, d := range []analog.Device{analog.DeviceDRAM, analog.DeviceAmbit, analog.DeviceELP2IM, analog.DeviceELP2IMComplementary} {
+			curves = append(curves, Series{d.String(), analog.ErrorCurve(c, d, vk, f.Sigmas, mcTrials, mcSeed)})
+		}
+		f.Curves = append(f.Curves, curves)
 	}
-	for _, vk := range []analog.Variation{analog.VariationRandom, analog.VariationSystematic} {
-		fmt.Fprintf(w, "(%s process variation, coupling = %.0f%% of Cb)\n",
-			vk, c.CouplingFraction*100)
+	return f, nil
+}
+
+// WriteText implements Result.
+func (f Fig11) WriteText(w io.Writer) {
+	for i, vk := range f.Variations {
+		fmt.Fprintf(w, "(%s process variation, coupling = %.0f%% of Cb)\n", vk, f.Coupling*100)
 		fmt.Fprintf(w, "%-22s", "sigma")
-		for _, s := range sigmas {
+		for _, s := range f.Sigmas {
 			fmt.Fprintf(w, " %8.0f%%", s*100)
 		}
 		fmt.Fprintln(w)
-		for _, d := range devices {
-			curve := analog.ErrorCurve(c, d, vk, sigmas, trials, 42)
-			fmt.Fprintf(w, "%-22s", d)
-			for _, r := range curve {
-				fmt.Fprintf(w, " %9.2e", r)
-			}
-			fmt.Fprintln(w)
+		for _, cv := range f.Curves[i] {
+			writeRow(w, "%-22s", cv.Name, " %9.2e", cv.Values)
 		}
 	}
 	fmt.Fprintln(w, "paper shape: Ambit worst (esp. under random PV), ELP2IM between Ambit and DRAM")
-	return nil
+}
+
+// WriteCSV writes the figure as CSV.
+func (f Fig11) WriteCSV(w io.Writer) {
+	fmt.Fprintln(w, "variation,device,sigma,error_rate")
+	for i, vk := range f.Variations {
+		for _, cv := range f.Curves[i] {
+			for j, s := range f.Sigmas {
+				fmt.Fprintf(w, "%s,%s,%.2f,%.6e\n", vk, cv.Name, s, cv.Values[j])
+			}
+		}
+	}
 }

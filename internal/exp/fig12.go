@@ -6,102 +6,102 @@ import (
 
 	"repro/internal/ambit"
 	"repro/internal/drisa"
-	"repro/internal/elpim"
 	"repro/internal/engine"
 	"repro/internal/power"
 )
 
-func init() {
-	register(Runner{
-		ID:    "fig12",
-		Title: "Figure 12: latency and power of basic logic operations",
-		Run:   runFig12,
-	})
+// Fig12 is Figure 12: latency and power of the basic operations.
+type Fig12 struct {
+	Ops      []engine.Op // row order
+	Designs  []OpCosts   // column order
+	Speedups []Speedup
 }
 
-// fig12Engines returns the three designs in the figure's order.
-func fig12Engines() []engine.Engine {
-	return []engine.Engine{
-		drisa.MustNew(drisa.DefaultConfig()),
-		ambit.MustNew(ambit.DefaultConfig()),
-		elpim.MustNew(elpim.DefaultConfig()),
-	}
+// OpCosts is one design's cost of each of Fig12.Ops.
+type OpCosts struct {
+	Design    string
+	Stats     []engine.Stats
+	PowerW    []float64 // average power: dynamic plus background energy over the latency
+	AvgPowerW float64
 }
 
-// opPower returns the average power of one op: dynamic energy plus
-// background energy over the op latency.
-func opPower(e engine.Engine, op engine.Op, pp power.Params) float64 {
-	st := e.OpStats(op)
-	bg := pp.BackgroundPower * e.BackgroundFactor() * st.LatencyNS
-	return (st.EnergyNJ + bg) / st.LatencyNS
+// Speedup is ELP2IM's average speedup over a baseline, beside the paper's.
+type Speedup struct {
+	ReservedRows    int // ELP2IM's
+	Baseline        string
+	Measured, Paper float64
 }
 
-func runFig12(w io.Writer) error {
-	engines := fig12Engines()
+// RunFig12 computes Figure 12.
+func RunFig12() (Fig12, error) {
 	pp := power.DDR31600()
-	ops := engine.BasicOps()
+	dri, amb, elp := drisa.MustNew(drisa.DefaultConfig()), ambit.MustNew(ambit.DefaultConfig()), elpimWith(nil)
+	f := Fig12{Ops: engine.BasicOps()}
+	for _, e := range []engine.Engine{dri, amb, elp} {
+		c := OpCosts{Design: e.Name()}
+		for _, op := range f.Ops {
+			st := e.OpStats(op)
+			p := (st.EnergyNJ + pp.BackgroundPower*e.BackgroundFactor()*st.LatencyNS) / st.LatencyNS
+			c.Stats = append(c.Stats, st)
+			c.PowerW = append(c.PowerW, p)
+			c.AvgPowerW += p
+		}
+		c.AvgPowerW /= float64(len(f.Ops))
+		f.Designs = append(f.Designs, c)
+	}
+	speedup := func(e, base engine.Engine, paper float64) Speedup {
+		total := 0.0
+		for _, op := range f.Ops {
+			total += base.OpStats(op).LatencyNS / e.OpStats(op).LatencyNS
+		}
+		return Speedup{e.ReservedRows(), base.Name(), total / float64(len(f.Ops)), paper}
+	}
+	elp2 := elpimWith(twoRows) // XOR/XNOR drop to sequence 6
+	f.Speedups = []Speedup{
+		speedup(elp, amb, 1.17), speedup(elp, dri, 1.12),
+		speedup(elp2, amb, 1.23), speedup(elp2, dri, 1.16),
+	}
+	return f, nil
+}
 
+// WriteText implements Result.
+func (f Fig12) WriteText(w io.Writer) {
 	fmt.Fprintln(w, "(a) latency, ns")
-	fmt.Fprintf(w, "%-10s", "op")
-	for _, e := range engines {
-		fmt.Fprintf(w, " %10s", e.Name())
+	f.writeGrid(w, func(c OpCosts, i int) string { return fmt.Sprintf(" %10.1f", c.Stats[i].LatencyNS) })
+	for i, label := range []string{"avg ELP2IM speedup:", "with one more buffer: "} {
+		a, d := f.Speedups[2*i], f.Speedups[2*i+1]
+		fmt.Fprintf(w, "%s %.2fx vs %s (paper %.2fx), %.2fx vs %s (paper %.2fx)\n",
+			label, a.Measured, a.Baseline, a.Paper, d.Measured, d.Baseline, d.Paper)
 	}
-	fmt.Fprintln(w)
-	for _, op := range ops {
-		fmt.Fprintf(w, "%-10s", op)
-		for _, e := range engines {
-			fmt.Fprintf(w, " %10.1f", e.OpStats(op).LatencyNS)
-		}
-		fmt.Fprintln(w)
-	}
-
-	// Average speedups the paper reports: 1.17× vs Ambit, 1.12× vs Drisa.
-	elp := engines[2]
-	avg := func(base engine.Engine) float64 {
-		total := 0.0
-		for _, op := range ops {
-			total += base.OpStats(op).LatencyNS / elp.OpStats(op).LatencyNS
-		}
-		return total / float64(len(ops))
-	}
-	fmt.Fprintf(w, "avg ELP2IM speedup: %.2fx vs Ambit (paper 1.17x), %.2fx vs Drisa_nor (paper 1.12x)\n",
-		avg(engines[1]), avg(engines[0]))
-
-	// With the second reserved row (XOR/XNOR drop to sequence 6).
-	cfg2 := elpim.DefaultConfig()
-	cfg2.ReservedRows = 2
-	elp2 := elpim.MustNew(cfg2)
-	avg2 := func(base engine.Engine) float64 {
-		total := 0.0
-		for _, op := range ops {
-			total += base.OpStats(op).LatencyNS / elp2.OpStats(op).LatencyNS
-		}
-		return total / float64(len(ops))
-	}
-	fmt.Fprintf(w, "with one more buffer:  %.2fx vs Ambit (paper 1.23x), %.2fx vs Drisa_nor (paper 1.16x)\n",
-		avg2(engines[1]), avg2(engines[0]))
-
 	fmt.Fprintln(w, "\n(b) average power, W")
+	f.writeGrid(w, func(c OpCosts, i int) string { return fmt.Sprintf(" %10.3f", c.PowerW[i]) })
+	fmt.Fprintf(w, "avg power: Drisa %.3f W, Ambit %.3f W, ELP2IM %.3f W (paper: ELP2IM ~3%% below Ambit, Drisa highest)\n",
+		f.Designs[0].AvgPowerW, f.Designs[1].AvgPowerW, f.Designs[2].AvgPowerW)
+}
+
+// writeGrid writes one op-by-design table of the figure.
+func (f Fig12) writeGrid(w io.Writer, cell func(c OpCosts, i int) string) {
 	fmt.Fprintf(w, "%-10s", "op")
-	for _, e := range engines {
-		fmt.Fprintf(w, " %10s", e.Name())
+	for _, c := range f.Designs {
+		fmt.Fprintf(w, " %10s", c.Design)
 	}
 	fmt.Fprintln(w)
-	for _, op := range ops {
+	for i, op := range f.Ops {
 		fmt.Fprintf(w, "%-10s", op)
-		for _, e := range engines {
-			fmt.Fprintf(w, " %10.3f", opPower(e, op, pp))
+		for _, c := range f.Designs {
+			fmt.Fprint(w, cell(c, i))
 		}
 		fmt.Fprintln(w)
 	}
-	avgP := func(e engine.Engine) float64 {
-		total := 0.0
-		for _, op := range ops {
-			total += opPower(e, op, pp)
+}
+
+// WriteCSV writes the figure as CSV.
+func (f Fig12) WriteCSV(w io.Writer) {
+	fmt.Fprintln(w, "design,op,latency_ns,power_w,commands,wordlines")
+	for _, c := range f.Designs {
+		for i, op := range f.Ops {
+			st := c.Stats[i]
+			fmt.Fprintf(w, "%s,%s,%.1f,%.4f,%d,%d\n", c.Design, op, st.LatencyNS, c.PowerW[i], st.Commands, st.Wordlines)
 		}
-		return total / float64(len(ops))
 	}
-	fmt.Fprintf(w, "avg power: Drisa %.3f W, Ambit %.3f W, ELP2IM %.3f W (paper: ELP2IM ~3%% below Ambit, Drisa highest)\n",
-		avgP(engines[0]), avgP(engines[1]), avgP(engines[2]))
-	return nil
 }

@@ -10,7 +10,47 @@ import (
 	"testing"
 
 	elp2im "repro"
+	"repro/internal/engine"
+	"repro/internal/exp"
 )
+
+// TestOpCostMatchesFig12 pins the serving layer to the reproduction: one
+// /v1/op AND on a default server costs, per row op, the commands and
+// wordlines of its design's AND in Figure 12.
+func TestOpCostMatchesFig12(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	c := ts.Client()
+	rng := rand.New(rand.NewSource(12))
+	putRandom(t, c, ts.URL, "f12.a", rng, 8192)
+	putRandom(t, c, ts.URL, "f12.b", rng, 8192)
+	var resp OpResponse
+	if code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/op",
+		OpRequest{Op: "and", Dst: "f12.r", X: "f12.a", Y: "f12.b"}, &resp); code != http.StatusOK {
+		t.Fatalf("op: status %d", code)
+	}
+	fig, err := exp.RunFig12()
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := s.accs[0].Design()
+	for _, col := range fig.Designs {
+		if col.Design != design {
+			continue
+		}
+		for i, op := range fig.Ops {
+			if op != engine.OpAND {
+				continue
+			}
+			want, got := col.Stats[i], resp.Stats
+			if got.RowOps == 0 || got.Commands != want.Commands*got.RowOps || got.Wordlines != want.Wordlines*got.RowOps {
+				t.Fatalf("%s AND: %d row ops, %d commands, %d wordlines; Figure 12 gives %d commands and %d wordlines per row op",
+					design, got.RowOps, got.Commands, got.Wordlines, want.Commands, want.Wordlines)
+			}
+			return
+		}
+	}
+	t.Fatalf("Figure 12 has no AND row for %s", design)
+}
 
 // TestStatsPayloadRoundTrip guards the /v1/stats contract: the payload
 // must survive a marshal/unmarshal round trip unchanged, and the exact

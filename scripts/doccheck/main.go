@@ -9,9 +9,7 @@
 //
 // Exit status is nonzero when any violation is found; each violation is
 // printed as file:line: message. scripts/lint.sh runs it over the packages
-// whose documentation the project guarantees (the root facade,
-// internal/obs, internal/server, internal/wire, internal/plan,
-// internal/kernel, internal/vertical).
+// whose documentation the project guarantees, and lists them.
 package main
 
 import (

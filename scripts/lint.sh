@@ -7,11 +7,16 @@
 #                    internal/server, internal/wire, internal/plan,
 #                    internal/kernel, internal/vertical, the engine
 #                    contract's internal/engine, internal/expr and
-#                    internal/fault, and the command layer: the device
+#                    internal/fault, the command layer: the device
 #                    model internal/dram, the primitives and their one
 #                    interpreter in internal/primitive, internal/controller,
 #                    and the three designs internal/elpim, internal/ambit
-#                    and internal/drisa)
+#                    and internal/drisa, and the reproduction: the
+#                    experiments' typed results in internal/exp, the case
+#                    studies internal/apps/bitmap, internal/apps/tablescan
+#                    and internal/apps/cnn, and the models they run on,
+#                    internal/analog, internal/sched, internal/timing and
+#                    internal/power)
 #   4. race tests  — the serving-layer suite (including the wire
 #                    listener, the JSON↔wire differential and the
 #                    /v1/query differential/pagination suite) plus ten
@@ -43,7 +48,9 @@
 #                    statement coverage >= 80%
 #   7. shuffle     — the full suite once with -shuffle=on, so hidden
 #                    inter-test ordering dependencies fail here instead of
-#                    flaking later
+#                    flaking later; the suite includes internal/exp's
+#                    golden files and its EXPERIMENTS.md check, so a moved
+#                    figure or a drifted table in EXPERIMENTS.md fails lint
 set -u
 cd "$(dirname "$0")/.."
 
@@ -60,7 +67,7 @@ if ! go vet ./...; then
     fail=1
 fi
 
-if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical internal/engine internal/expr internal/fault internal/primitive internal/controller internal/elpim internal/ambit internal/drisa internal/dram; then
+if ! go run ./scripts/doccheck . internal/obs internal/server internal/wire internal/plan internal/kernel internal/vertical internal/engine internal/expr internal/fault internal/primitive internal/controller internal/elpim internal/ambit internal/drisa internal/dram internal/exp internal/apps/bitmap internal/apps/tablescan internal/apps/cnn internal/analog internal/sched internal/timing internal/power; then
     fail=1
 fi
 
