@@ -232,28 +232,41 @@ func TestFailedReduceChargesNothing(t *testing.T) {
 
 // TestReduceOneSpanOneDispatch: Accelerator.Reduce is one facade
 // operation on either tier — one Reduce(<op>) span, and one fast-path hit
-// or fallback per call.
+// or fallback per call. Every other call kind emits one facade span per
+// call too: an EvalExpr one Eval span, an ArithProg one Arith(<op>/<w>)
+// span, above the stripe and engine spans of all their steps.
 func TestReduceOneSpanOneDispatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for _, slow := range []bool{false, true} {
-		acc := newAcc(t, smallModule)
-		if slow {
-			acc.SetExecutor(acc.BaseExecutor())
-		}
+	// facadeSpans runs call under a fresh tracer and returns the names of
+	// the facade spans it emitted.
+	facadeSpans := func(acc *Accelerator, call func() error) []string {
+		t.Helper()
 		tr := &collectTracer{}
 		acc.SetTracer(tr)
-		n := 3*acc.cfg.Module.Columns + 7
-		vs := []*BitVector{RandomBitVector(rng, n), RandomBitVector(rng, n), RandomBitVector(rng, n)}
-		if _, err := acc.Reduce(OpOr, NewBitVector(n), vs...); err != nil {
+		err := call()
+		acc.SetTracer(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		acc.SetTracer(nil)
 		var facade []string
 		for _, s := range tr.spans {
 			if s.Cat == "facade" {
 				facade = append(facade, s.Name)
 			}
 		}
+		return facade
+	}
+	for _, slow := range []bool{false, true} {
+		acc := newAcc(t, smallModule)
+		if slow {
+			acc.SetExecutor(acc.BaseExecutor())
+		}
+		n := 3*acc.cfg.Module.Columns + 7
+		vs := []*BitVector{RandomBitVector(rng, n), RandomBitVector(rng, n), RandomBitVector(rng, n)}
+		facade := facadeSpans(acc, func() error {
+			_, err := acc.Reduce(OpOr, NewBitVector(n), vs...)
+			return err
+		})
 		if len(facade) != 1 || facade[0] != "Reduce(OR)" {
 			t.Errorf("slow=%v: facade spans %q, want one Reduce(OR)", slow, facade)
 		}
@@ -266,6 +279,33 @@ func TestReduceOneSpanOneDispatch(t *testing.T) {
 		if hits != wantHits || falls != wantFalls {
 			t.Errorf("slow=%v: fastpath hit=%d fallback=%d, want %d and %d",
 				slow, hits, falls, wantHits, wantFalls)
+		}
+
+		ce, err := CompileExpr("(a & ~b) | c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars := map[string]*BitVector{"a": vs[0], "b": vs[1], "c": vs[2]}
+		facade = facadeSpans(acc, func() error {
+			_, _, err := acc.EvalExpr(ce, vars)
+			return err
+		})
+		if len(facade) != 1 || facade[0] != "Eval" {
+			t.Errorf("slow=%v: facade spans %q, want one Eval", slow, facade)
+		}
+
+		tc := arithCase{ArithAdd, 8}
+		ca, err := CompileArith(tc.op, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := newArithInput(t, rng, tc, n)
+		facade = facadeSpans(acc, func() error {
+			_, _, err := acc.ArithProg(ca, in.xv, in.yv, in.mask)
+			return err
+		})
+		if len(facade) != 1 || facade[0] != "Arith(add/8)" {
+			t.Errorf("slow=%v: facade spans %q, want one Arith(add/8) over its %d steps", slow, facade, ca.Steps())
 		}
 	}
 }

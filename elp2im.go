@@ -43,8 +43,10 @@ import (
 	"repro/internal/drisa"
 	"repro/internal/elpim"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/kernel"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/power"
 	"repro/internal/primitive"
 	"repro/internal/sched"
@@ -243,15 +245,11 @@ type Accelerator struct {
 	module *dram.Module
 	eng    engine.Engine
 
-	// kerns memoizes the compiled word-level kernels self-derived from the
-	// engine (one probe per op; see internal/kernel). The fast path
-	// dispatches stripes to these kernels directly on the vectors' words;
-	// every fallback condition routes through the command-accurate model.
-	kerns *kernel.Set
-
 	// fused memoizes the k-input fused kernels self-derived from the
 	// engine, keyed by cluster spec (see internal/kernel.FusedSet). The
-	// eval fusion tier collapses each plan cluster into one of these.
+	// fused tier collapses each plan cluster of every call's steps — an
+	// Op's one gate, a Reduce's copy and folds, an Eval's or µProgram
+	// step's clusters — into one of these.
 	fused *kernel.FusedSet
 
 	// execMu guards the functional executor. execr is the engine by
@@ -266,16 +264,20 @@ type Accelerator struct {
 	// calls.
 	bufPool sync.Pool
 
-	// scratchPool recycles the word tiers' per-worker scratch slabs
-	// (*[]uint64) across eval and arith calls (see progRunner.lease).
+	// scratchPool recycles the fused tier's per-worker scratch slabs
+	// (*[]uint64) across calls (see progRunner.walkShare).
 	scratchPool sync.Pool
 
+	// runners recycles the per-call step lists (*progRunner), so a call
+	// resolves its steps without allocating.
+	runners sync.Pool
+
 	// execLocks holds one mutex per serialization group (one per subarray;
-	// stripeGroup indexes it). Every command-level stripe operation takes
-	// its group's lock (runStripe), so concurrent calls never interleave
+	// stripeGroup indexes it). Every command-level stripe run takes its
+	// group's lock (runStripe), so concurrent calls never interleave
 	// LoadRow/Execute/RowData on a shared subarray. Per-stripe granularity
-	// is sufficient because each stripe operation reloads its operand rows
-	// before executing and stores its result row after.
+	// is sufficient because each step reloads its operand rows before
+	// executing and stores its result row after.
 	execLocks []sync.Mutex
 
 	// series is the per-op metric surface every charge records into;
@@ -394,7 +396,6 @@ func NewWithConfig(cfg Config) (*Accelerator, error) {
 		cfg:       cfg,
 		module:    module,
 		eng:       eng,
-		kerns:     kernel.NewSet(eng, cfg.Module),
 		fused:     kernel.NewFusedSet(eng, cfg.Module),
 		execr:     eng,
 		execLocks: make([]sync.Mutex, module.Banks()*module.Bank(0).Subarrays()),
@@ -442,21 +443,6 @@ func (a *Accelerator) executor() (Executor, bool) {
 	a.execMu.RLock()
 	defer a.execMu.RUnlock()
 	return a.execr, a.wrapped
-}
-
-// fastKernel returns op's compiled kernel when the fast path is eligible:
-// word-aligned rows, no installed executor, and the kernel derivable from
-// the engine. A nil return means "use the command-level path" (where
-// unsupported ops also surface their real errors).
-func (a *Accelerator) fastKernel(op engine.Op, wrapped bool) *kernel.Kernel {
-	if wrapped || a.cfg.Module.Columns%64 != 0 {
-		return nil
-	}
-	k, err := a.kerns.Kernel(op)
-	if err != nil {
-		return nil
-	}
-	return k
 }
 
 // getBuf leases a row-width stripe buffer from the pool. Callers must not
@@ -544,17 +530,11 @@ func (a *Accelerator) SetPowerConstrained(v bool) {
 	}
 }
 
-// operand rows inside each working subarray.
-const (
-	rowA = 0
-	rowB = 1
-	rowC = 2
-)
-
 // Op executes dst = op(x, y) as a bulk operation: the vectors are split
 // into row-wide stripes, spread round-robin across banks, executed
 // through the design's real command sequences on the device model, and
-// the results read back. For unary ops y may be nil.
+// the results read back. For unary ops y may be nil. The call is one
+// step, the gate dst = op(x, y); dst may alias an operand.
 func (a *Accelerator) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	iop := op.internal()
 	if x == nil || dst == nil {
@@ -571,15 +551,13 @@ func (a *Accelerator) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	if dst.Len() != x.Len() {
 		return Stats{}, errors.New("elp2im: destination length mismatch")
 	}
-	stripes := a.stripes(x.Len())
-	start := a.obsc.SpanStart()
-	err := a.execOpStripes(iop, dst.v, x.v, vecOf(y), stripes)
-	var st Stats
-	if err == nil {
-		st, err = a.chargeOp(iop, stripes)
+	pr := a.getRunner(true, a.series[iop].spanName, iop.String())
+	vs := pr.step(gatePlans[iop], dst.v)
+	vs[0] = x.v
+	if !op.Unary() {
+		vs[1] = y.v
 	}
-	a.callSpan(start, false, iop, stripes, st, err)
-	return st, err
+	return pr.run(a.stripes(x.Len()))
 }
 
 // stripes returns the number of row-wide stripes an n-bit vector spans.
@@ -588,25 +566,15 @@ func (a *Accelerator) stripes(n int) int {
 	return (n + cols - 1) / cols
 }
 
-// vecOf unwraps an optional operand (nil stays nil).
-func vecOf(v *BitVector) *bitvec.Vector {
-	if v == nil {
-		return nil
-	}
-	return v.v
-}
-
-// inPlaceExecutor is implemented by engines whose chained fold executes
-// literally in place on the device model (ELP2IM).
-type inPlaceExecutor interface {
-	ExecuteInPlace(sub *dram.Subarray, op engine.Op, a, b int) error
-}
-
 // Reduce folds vs[1:] into an accumulator initialized with vs[0] and
 // stores the result in dst: dst = vs[0] op vs[1] op ... Only OpAnd and
-// OpOr have chained forms. The fold uses the design's chained sequences
+// OpOr have chained forms. The call is a COPY step staging vs[0] into
+// dst, then one fold step dst = op(v, dst) per further operand, priced
+// as the design's chained form and run in place where the executor can
 // (ELP2IM: the in-place APP-AP of Figure 5(a)), which is what makes
-// reductions the paper's headline workload.
+// reductions the paper's headline workload. dst may be vs[0], the
+// accumulate dst = dst op vs[1] op ...; any other operand it aliases is
+// read after the copy has overwritten it.
 func (a *Accelerator) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, error) {
 	if op != OpAnd && op != OpOr {
 		return Stats{}, fmt.Errorf("elp2im: no reduction for %v", op)
@@ -620,53 +588,50 @@ func (a *Accelerator) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, er
 		}
 	}
 	iop := op.internal()
-	stripes := a.stripes(dst.Len())
-	start := a.obsc.SpanStart()
-	err := a.execReduceStripes(iop, dst, vs, stripes)
-	var st Stats
-	if err == nil {
-		st, err = a.chargeReduce(iop, len(vs), stripes)
+	pr := a.getRunner(true, a.series[iop].reduceSpan, iop.String())
+	pr.step(gatePlans[engine.OpCOPY], dst.v)[0] = vs[0].v
+	for _, v := range vs[1:] {
+		fold := pr.step(foldPlans[iop], dst.v)
+		fold[0], fold[1] = v.v, dst.v
 	}
-	a.callSpan(start, true, iop, stripes, st, err)
-	return st, err
+	return pr.run(a.stripes(dst.Len()))
 }
 
-// chargeOp prices `stripes` row ops of op and charges them: one record in
-// op's series and one addition to the totals. A pricing failure charges
-// nothing.
-func (a *Accelerator) chargeOp(op engine.Op, stripes int) (Stats, error) {
-	st, err := a.cost(costKey{op: op}, stripes)
-	if err != nil {
-		return Stats{}, err
-	}
-	a.series.record(op, st)
-	a.charge(st)
-	return st, nil
-}
+// gatePlans[op] is the plan of the one gate dst = op(a, b) (dst = op(a)
+// for unary ops): an Op's step, and a Reduce's staging copy. Its one
+// cluster is the one-gate kernel spec, and its node program the one
+// three-operand instruction.
+//
+// foldPlans[op] is the plan of the fold acc = op(v, acc) over the
+// variables v and acc, a Reduce's step after the copy: the same cluster,
+// with a node program whose one instruction writes its B operand (see
+// expr.Instr), so pricing charges the chained form and the command tier
+// runs it in place.
+var gatePlans, foldPlans = opPlans()
 
-// chargeReduce prices a reduction of `operands` vectors over `stripes`
-// stripes and charges it. The staging copy is recorded in the COPY
-// series and each fold in op's, priced as the engine's chained form.
-// The call's Stats sum the copy and then every fold, in that order, and
-// are added to the totals in one step. A pricing failure charges nothing.
-func (a *Accelerator) chargeReduce(op engine.Op, operands, stripes int) (Stats, error) {
-	cp, err := a.cost(costKey{op: engine.OpCOPY}, stripes)
-	if err != nil {
-		return Stats{}, err
+// opPlans builds gatePlans and foldPlans.
+func opPlans() (gates, folds [engine.OpCOPY + 1]*plan.Plan) {
+	for op := engine.OpNOT; op <= engine.OpCOPY; op++ {
+		root := &expr.DAGNode{Op: op, A: &expr.DAGNode{Leaf: true}}
+		vars := []string{"a"}
+		if !op.Unary() {
+			root.B = &expr.DAGNode{Leaf: true, VarIndex: 1}
+			vars = append(vars, "b")
+		}
+		p, err := plan.Compile(&expr.DAG{Root: root, Order: []*expr.DAGNode{root}, Vars: vars})
+		if err != nil {
+			panic(err)
+		}
+		gates[op] = p
+		if op.Unary() {
+			continue
+		}
+		f := *p
+		acc := expr.Ref{Index: 1}
+		f.Prog = &expr.Program{Vars: vars, Instrs: []expr.Instr{{Op: op, Dst: acc, A: expr.Ref{}, B: acc}}}
+		folds[op] = &f
 	}
-	fold, err := a.cost(costKey{op: op, chained: true}, stripes)
-	if err != nil {
-		return Stats{}, err
-	}
-	var total Stats
-	total.add(cp)
-	a.series.record(engine.OpCOPY, cp)
-	for i := 1; i < operands; i++ {
-		total.add(fold)
-		a.series.record(op, fold)
-	}
-	a.charge(total)
-	return total, nil
+	return gates, folds
 }
 
 // schedHorizonNS is the steady-state horizon of the bank-parallelism
@@ -777,77 +742,6 @@ func (a *Accelerator) stripeGroup(s int) int {
 	return sub*a.module.Banks() + bank
 }
 
-// stripeFn is one command-level stripe body: it runs stripe s on its
-// home subarray with a leased row buffer.
-type stripeFn func(s int, sub *dram.Subarray, buf *bitvec.Vector) error
-
-// opStripe executes one stripe of dst = op(x, y) through the
-// command-accurate device model (y nil for unary ops).
-func (a *Accelerator) opStripe(ex Executor, iop engine.Op, dst, x, y *bitvec.Vector, s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-	cols := a.cfg.Module.Columns
-	loadStripe(buf, x, s, cols)
-	sub.LoadRow(rowA, buf)
-	if !iop.Unary() {
-		loadStripe(buf, y, s, cols)
-		sub.LoadRow(rowB, buf)
-	}
-	if err := ex.Execute(sub, iop, rowC, rowA, rowB); err != nil {
-		return err
-	}
-	storeStripe(dst, sub.RowData(rowC), s, cols)
-	return nil
-}
-
-// foldStripe executes one stripe of the reduction fold dst = op(v, dst)
-// on the device model, via the engine's in-place form when available and
-// the executor is an engine (the default, or BaseExecutor installed with
-// SetExecutor). A wrapper takes the three-operand form instead, so it
-// observes (and may corrupt) the fold like any other operation.
-func (a *Accelerator) foldStripe(ex Executor, iop engine.Op, ipe inPlaceExecutor, inPlace bool, dst, v *bitvec.Vector, s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-	cols := a.cfg.Module.Columns
-	loadStripe(buf, v, s, cols)
-	sub.LoadRow(rowA, buf)
-	loadStripe(buf, dst, s, cols)
-	sub.LoadRow(rowB, buf)
-	var err error
-	if _, isEngine := ex.(engine.Engine); inPlace && isEngine {
-		err = ipe.ExecuteInPlace(sub, iop, rowA, rowB)
-	} else {
-		err = ex.Execute(sub, iop, rowB, rowA, rowB)
-	}
-	if err != nil {
-		return err
-	}
-	storeStripe(dst, sub.RowData(rowB), s, cols)
-	return nil
-}
-
-// fastOpRange applies a compiled kernel to the contiguous stripe range
-// [lo, hi) of dst = op(x, y) directly on the vectors' word storage — no
-// row buffer, no device-model copies, no allocation. y is nil for unary
-// kernels. The destination's canonical tail is re-masked when the range
-// covers the final word.
-func fastOpRange(k *kernel.Kernel, dst, x, y *bitvec.Vector, lo, hi, cols int) {
-	wpr := cols / 64
-	dw := dst.Words()
-	wlo := lo * wpr
-	if wlo >= len(dw) {
-		return
-	}
-	whi := hi * wpr
-	if whi > len(dw) {
-		whi = len(dw)
-	}
-	var yw []uint64
-	if y != nil {
-		yw = y.Words()[wlo:whi]
-	}
-	k.Apply(dw[wlo:whi], x.Words()[wlo:whi], yw)
-	if whi == len(dw) {
-		dst.MaskTail()
-	}
-}
-
 // fastSerialThresholdWords is the total word count below which a call
 // runs single-threaded: under ~64 KiB of destination data the kernel
 // loops finish faster than goroutine fan-out costs.
@@ -915,10 +809,11 @@ func (a *Accelerator) forEachStripe(stripes int, body func(lo, hi int) (int, err
 	return first
 }
 
-// runStripe executes fn on stripe s's home subarray while holding the
-// accelerator-wide lock of its serialization group, so concurrent calls
-// mutually exclude on shared subarray row state.
-func (a *Accelerator) runStripe(s int, buf *bitvec.Vector, fn stripeFn) error {
+// runStripe runs the command-tier steps, in order, on stripe s's home
+// subarray with row buffer buf, while holding the accelerator-wide lock
+// of its serialization group, so concurrent calls mutually exclude on
+// shared subarray row state.
+func (a *Accelerator) runStripe(s int, buf *bitvec.Vector, steps []stepRunner) error {
 	mu := &a.execLocks[a.stripeGroup(s)]
 	if !mu.TryLock() {
 		// Another call holds this subarray; count the contended path
@@ -928,79 +823,13 @@ func (a *Accelerator) runStripe(s int, buf *bitvec.Vector, fn stripeFn) error {
 	}
 	a.lockAcquire.Inc()
 	defer mu.Unlock()
-	return fn(s, a.subarrayFor(s), buf)
-}
-
-// cmdStripes runs fn on every stripe of [0, stripes) on the
-// command-accurate path, dispatched by forEachStripe: each worker leases
-// one row buffer and runs its share in ascending order, each stripe
-// under its subarray's lock.
-func (a *Accelerator) cmdStripes(stripes int, fn stripeFn) error {
-	return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
-		buf := a.getBuf()
-		defer a.putBuf(buf)
-		for s := lo; s < hi; s++ {
-			if err := a.runStripe(s, buf, fn); err != nil {
-				return s, err
-			}
-		}
-		return 0, nil
-	})
-}
-
-// execOpStripes executes dst = op(x, y) over every stripe (y nil for
-// unary ops) through whichever execution mode is eligible — the compiled
-// kernel fast path, or the command-accurate device model — with no cost
-// accounting: the execution half of Op.
-func (a *Accelerator) execOpStripes(iop engine.Op, dst, x, y *bitvec.Vector, stripes int) error {
-	cols := a.cfg.Module.Columns
-	ex, wrapped := a.executor()
-	if k := a.fastKernel(iop, wrapped); k != nil {
-		a.fastHits.Inc()
-		return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
-			fastOpRange(k, dst, x, y, lo, hi, cols)
-			return 0, nil
-		})
-	}
-	a.fastFallbacks.Inc()
-	return a.cmdStripes(stripes, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-		return a.opStripe(ex, iop, dst, x, y, s, sub, buf)
-	})
-}
-
-// execReduceStripes executes the staged reduction dst = vs[0] op vs[1] op
-// ... over every stripe, with no cost accounting: the execution half of
-// Reduce. Each stripe runs its whole copy-then-fold chain before the
-// next, which is result-identical to a sweep per operand because every
-// chain step touches only its own stripe.
-func (a *Accelerator) execReduceStripes(iop engine.Op, dst *BitVector, vs []*BitVector, stripes int) error {
-	cols := a.cfg.Module.Columns
-	ex, wrapped := a.executor()
-	k := a.fastKernel(iop, wrapped)
-	kcopy := a.fastKernel(engine.OpCOPY, wrapped)
-	if k != nil && kcopy != nil {
-		a.fastHits.Inc()
-		return a.forEachStripe(stripes, func(lo, hi int) (int, error) {
-			fastOpRange(kcopy, dst.v, vs[0].v, nil, lo, hi, cols)
-			for _, v := range vs[1:] {
-				fastOpRange(k, dst.v, v.v, dst.v, lo, hi, cols)
-			}
-			return 0, nil
-		})
-	}
-	a.fastFallbacks.Inc()
-	ipe, inPlace := a.eng.(inPlaceExecutor)
-	return a.cmdStripes(stripes, func(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-		if err := a.opStripe(ex, engine.OpCOPY, dst.v, vs[0].v, nil, s, sub, buf); err != nil {
+	sub := a.subarrayFor(s)
+	for i := range steps {
+		if err := steps[i].stripe(sub, buf, s, a.cfg.Module.Columns); err != nil {
 			return err
 		}
-		for _, v := range vs[1:] {
-			if err := a.foldStripe(ex, iop, ipe, inPlace, dst.v, v.v, s, sub, buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // loadStripe copies stripe s of src into the row buffer vector.

@@ -3,6 +3,7 @@ package elp2im
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/dram"
@@ -105,21 +106,9 @@ func (a *Accelerator) EvalExprInto(ce *CompiledExpr, vars map[string]*BitVector,
 	if err != nil {
 		return Stats{}, err
 	}
-	stripes := a.stripes(n)
-	if err := a.evalResolve(p, vars, out).exec(stripes); err != nil {
-		return Stats{}, err
-	}
-
-	// Cost: per-stripe program cost, bank parallelism applied per op mix.
-	// The node-at-a-time program is the single cost source for both
-	// execution tiers, so fused and command-accurate runs account
-	// identically.
-	total, err := a.evalCost(p.Prog, stripes)
-	if err != nil {
-		return Stats{}, err
-	}
-	a.charge(total)
-	return total, nil
+	pr := a.getRunner(false, "Eval", p.Source)
+	pr.stepNamed(p, out.v, vars)
+	return pr.run(a.stripes(n))
 }
 
 // evalOut is evalPrep plus the checks on a caller-supplied result
@@ -224,33 +213,19 @@ func (a *Accelerator) FusionCounters() (hits, fallbacks int64) {
 	return a.fusionHits.Value(), a.fusionFalls.Value()
 }
 
-// evalCost sums the program's per-instruction scheduled costs over
-// `stripes` row operations.
-func (a *Accelerator) evalCost(prog *expr.Program, stripes int) (Stats, error) {
-	var total Stats
-	for _, in := range prog.Instrs {
-		st, err := a.cost(costKey{op: in.Op}, stripes)
-		if err != nil {
-			return Stats{}, err
-		}
-		total.add(st)
-	}
-	return total, nil
-}
+// stepTier is the execution tier a step resolved to.
+type stepTier uint8
 
-// evalTier is the execution tier a plan resolved to.
-type evalTier uint8
-
-// The eval tiers, in descending preference.
+// The step tiers, in descending preference.
 const (
-	tierFused evalTier = iota
+	tierFused stepTier = iota
 	tierCmd
 )
 
-// evalRunner is one plan's resolved execution strategy within a call: a
-// single eval, or one step of a µProgram. The tier — and with it executor
-// and kernel resolution — is fixed once, at the call's start, in
-// descending preference:
+// stepRunner is one step of a call — an Op's gate, a Reduce's copy or
+// fold, an eval, or one µProgram step — with its resolved execution
+// strategy. The tier — and with it executor and kernel resolution — is
+// fixed once, at the call's start, in descending preference:
 //
 //  1. fusion tier: one derived k-input kernel per plan cluster, with the
 //     cluster outputs in the walking worker's scratch;
@@ -260,32 +235,220 @@ const (
 // A runner is read-only once resolved. Every intermediate lives in the
 // scratch or row buffer of the worker invoking it, so workers may run
 // one runner concurrently over disjoint stripes.
-type evalRunner struct {
-	a    *Accelerator
+type stepRunner struct {
 	p    *plan.Plan
+	off  int              // the step's first slot in progRunner.vecs
 	vars []*bitvec.Vector // p.Vars' bound vectors, in plan order
 	out  *bitvec.Vector
-	tier evalTier
+	tier stepTier
 
 	fused []*kernel.Fused // fusion tier, one per cluster
 	ex    Executor        // command tier
 	rows  []int           // command tier: variable i's row, i
 }
 
-// progRunner is one call's resolved step list — a single eval is one
-// step, a µProgram one per µProgram step — executed block-major: every
-// step resolves once, at the call's start, and each worker runs every
-// step on one block of its stripes before moving to the next. A step's
-// output, and a µProgram's carries and temps, are then still
-// cache-resident when the next step reads them, instead of streaming
-// through memory once per step. Step data flow is stripe-local (stripe s
-// of a step reads only stripe s of earlier steps), so any walk that keeps
-// each stripe's steps in order computes the same result.
+// progRunner is one call's step list — an Op is one step, a Reduce a
+// copy and its folds, an eval one step, a µProgram one per µProgram
+// step — executed block-major: every step resolves once, at the call's
+// start, and each worker runs every step on one block of its stripes
+// before moving to the next. A step's output, and a µProgram's carries
+// and temps, are then still cache-resident when the next step reads
+// them, instead of streaming through memory once per step. Step data
+// flow is stripe-local (stripe s of a step reads only stripe s of
+// earlier steps), so any walk that keeps each stripe's steps in order
+// computes the same result. Runners are pooled with the slices they
+// grew, so a call builds its steps without allocating.
 type progRunner struct {
-	a       *Accelerator
-	steps   []evalRunner
-	scratch int  // scratch words per worker: the widest fused step's
+	a *Accelerator
+	// opCall marks an Op or Reduce call, which ticks acc.fastpath.* once
+	// and records each instruction's cost in its acc.op.* series; an
+	// Eval or Arith call ticks acc.fusion.* once per step instead.
+	opCall bool
+	// span and spanOp label the call's facade span.
+	span, spanOp string
+
+	steps []stepRunner
+	vecs  []*bitvec.Vector // every step's bound variables, back to back
+	kerns []*kernel.Fused  // every fused step's kernels, back to back
+	rows  []int            // the identity row map command steps share
+
+	scratch int  // scratch words per worker: the most any fused step's slots take
 	cmd     bool // some step runs on the command-accurate tier
+
+	// share is the method value of walkShare, bound once per runner, so
+	// handing it to the stripe dispatcher allocates nothing.
+	share func(lo, hi int) (int, error)
+}
+
+// getRunner leases an empty step list for one call (see progRunner's
+// fields for opCall, span and spanOp).
+func (a *Accelerator) getRunner(opCall bool, span, spanOp string) *progRunner {
+	pr, _ := a.runners.Get().(*progRunner)
+	if pr == nil {
+		pr = &progRunner{a: a}
+		pr.share = pr.walkShare
+	}
+	pr.opCall, pr.span, pr.spanOp = opCall, span, spanOp
+	return pr
+}
+
+// putRunner empties a finished call's step list, dropping its vector and
+// executor references, and returns it to the pool.
+func (a *Accelerator) putRunner(pr *progRunner) {
+	clear(pr.steps)
+	clear(pr.vecs)
+	clear(pr.kerns)
+	pr.steps, pr.vecs, pr.kerns = pr.steps[:0], pr.vecs[:0], pr.kerns[:0]
+	a.runners.Put(pr)
+}
+
+// step appends a step running p into out and returns the slots of its
+// variables, in p.Vars order, for the caller to bind.
+func (pr *progRunner) step(p *plan.Plan, out *bitvec.Vector) []*bitvec.Vector {
+	off := len(pr.vecs)
+	pr.vecs = slices.Grow(pr.vecs, len(p.Vars))[:off+len(p.Vars)]
+	pr.steps = append(pr.steps, stepRunner{p: p, off: off, out: out})
+	return pr.vecs[off:]
+}
+
+// stepNamed appends a step running p into out with its variables bound
+// by name from vars.
+func (pr *progRunner) stepNamed(p *plan.Plan, out *bitvec.Vector, vars map[string]*BitVector) {
+	vs := pr.step(p, out)
+	for j, name := range p.Vars {
+		vs[j] = vars[name].v
+	}
+}
+
+// run executes the call: it resolves the steps, runs them over the
+// stripes [0, stripes), and prices and charges them, emits the call's
+// facade span, and returns the runner to the pool. A failed call charges
+// nothing.
+func (pr *progRunner) run(stripes int) (Stats, error) {
+	a := pr.a
+	start := a.obsc.SpanStart()
+	pr.resolve()
+	err := a.forEachStripe(stripes, pr.share)
+	var st Stats
+	if err == nil {
+		st, err = pr.price(stripes)
+	}
+	a.callSpan(start, pr.span, pr.spanOp, stripes, st, err)
+	a.putRunner(pr)
+	return st, err
+}
+
+// resolve binds every step's variables and picks its tier: fused when
+// the fast path is on (no executor installed with SetExecutor,
+// word-aligned rows) and every cluster's kernel derives, else
+// command-accurate. An Eval or Arith call counts one fusion hit or
+// fallback per step; an Op or Reduce call one fastpath hit, when every
+// step runs fused, or one fallback. Like every call, it reads the
+// executor once, so SetExecutor takes effect for calls started after
+// it.
+func (pr *progRunner) resolve() {
+	a := pr.a
+	ex, wrapped := a.executor()
+	fuse := !wrapped && a.cfg.Module.Columns%64 == 0
+	pr.scratch, pr.cmd = 0, false
+	clusters := 0
+	for i := range pr.steps {
+		clusters += len(pr.steps[i].p.Clusters)
+	}
+	// Reserving every kernel slot up front keeps each step's kernel list
+	// a window of one backing array.
+	pr.kerns = slices.Grow(pr.kerns, clusters)
+	for i := range pr.steps {
+		r := &pr.steps[i]
+		r.vars = pr.vecs[r.off : r.off+len(r.p.Vars)]
+		if i > 0 && r.p == pr.steps[i-1].p {
+			// Consecutive steps of one plan — a Reduce's folds — share
+			// its resolution.
+			prev := &pr.steps[i-1]
+			r.tier, r.fused, r.ex, r.rows = prev.tier, prev.fused, prev.ex, prev.rows
+		} else if !fuse || !pr.fuseStep(r) {
+			for len(pr.rows) < len(r.p.Vars) {
+				pr.rows = append(pr.rows, len(pr.rows))
+			}
+			r.tier, r.ex, r.rows = tierCmd, ex, pr.rows[:len(r.p.Vars)]
+		}
+		if r.tier == tierCmd {
+			pr.cmd = true
+		} else if len(r.p.Clusters) > 1 {
+			// A step's last cluster writes its output words directly, so
+			// only a step of several clusters needs slots.
+			pr.scratch = max(pr.scratch, r.p.Slots*fusedChunkWords)
+		}
+		switch {
+		case pr.opCall:
+		case r.tier == tierCmd:
+			a.fusionFalls.Inc()
+		default:
+			a.fusionHits.Inc()
+		}
+	}
+	switch {
+	case !pr.opCall:
+	case pr.cmd:
+		a.fastFallbacks.Inc()
+	default:
+		a.fastHits.Inc()
+	}
+}
+
+// fuseStep puts r on the fused tier with one derived kernel per plan
+// cluster, reporting whether every cluster derived.
+func (pr *progRunner) fuseStep(r *stepRunner) bool {
+	start := len(pr.kerns)
+	for i := range r.p.Clusters {
+		fk, err := pr.a.fused.Fused(r.p.Clusters[i].Spec)
+		if err != nil {
+			pr.kerns = pr.kerns[:start]
+			return false
+		}
+		pr.kerns = append(pr.kerns, fk)
+	}
+	r.tier, r.fused = tierFused, pr.kerns[start:]
+	return true
+}
+
+// price is the one pricing function of every call kind: it sums the
+// scheduled costs of the steps' node programs, instruction by
+// instruction in step order, over `stripes` row operations, and charges
+// the sum to the totals. Both tiers run the same steps, so they account
+// identically. A fold — an instruction writing its B operand, see
+// expr.Instr — is priced as the engine's chained form, every other
+// instruction as the three-operand op. An Op or Reduce call also records
+// each instruction's cost in its op's acc.op.* series. A pricing failure
+// charges nothing to the totals.
+func (pr *progRunner) price(stripes int) (Stats, error) {
+	a := pr.a
+	var total, st Stats
+	last := costKey{op: -1} // no instruction's key
+	for i := range pr.steps {
+		// A step's instructions sum on their own before the call's total
+		// takes the step, so a call's Stats round exactly as the sum of
+		// its plans' own costs.
+		var step Stats
+		for _, in := range pr.steps[i].p.Prog.Instrs {
+			k := costKey{op: in.Op, chained: !in.Op.Unary() && in.Dst == in.B}
+			if k != last {
+				// A run of one key — a Reduce's folds — is priced once.
+				var err error
+				if st, err = a.cost(k, stripes); err != nil {
+					return Stats{}, err
+				}
+				last = k
+			}
+			step.add(st)
+			if pr.opCall {
+				a.series.record(in.Op, st)
+			}
+		}
+		total.add(step)
+	}
+	a.charge(total)
+	return total, nil
 }
 
 // fusedChunkWords is the block size of the fused tier: 8 KiB per vector
@@ -294,88 +457,11 @@ type progRunner struct {
 // over a thousand words.
 const fusedChunkWords = 1024
 
-// evalResolve resolves a single eval of p into out.
-func (a *Accelerator) evalResolve(p *plan.Plan, vars map[string]*BitVector, out *BitVector) *progRunner {
-	return a.resolveSteps(1, vars, func(int) (*plan.Plan, *BitVector) { return p, out })
-}
-
-// resolveSteps resolves a call of n steps over one binding set — step(i)
-// returns step i's plan and destination — and picks each step's tier:
-// fused when the fast path is on (no executor installed with SetExecutor,
-// word-aligned rows) and every cluster's kernel derives, else
-// command-accurate. It counts one fusion hit or one fusion fallback per
-// step, as resolving each step alone would (the fastpath counters count
-// Op and Reduce dispatches only); like Op and Reduce, it reads the
-// executor once, so SetExecutor takes effect for calls started after it.
-// The runners, bound-vector lists and kernel lists of all steps share one
-// allocation each.
-func (a *Accelerator) resolveSteps(n int, vars map[string]*BitVector, step func(i int) (*plan.Plan, *BitVector)) *progRunner {
-	ex, wrapped := a.executor()
-	fuse := !wrapped && a.cfg.Module.Columns%64 == 0
-	nVars, nClusters, maxVars := 0, 0, 0
-	for i := 0; i < n; i++ {
-		p, _ := step(i)
-		nVars += len(p.Vars)
-		nClusters += len(p.Clusters)
-		maxVars = max(maxVars, len(p.Vars))
-	}
-	pr := &progRunner{a: a, steps: make([]evalRunner, n)}
-	vecs := make([]*bitvec.Vector, nVars)
-	var fused []*kernel.Fused
-	if fuse {
-		fused = make([]*kernel.Fused, nClusters)
-	}
-	var rows []int
-	for i := range pr.steps {
-		p, out := step(i)
-		r := &pr.steps[i]
-		r.a, r.p, r.out = a, p, out.v
-		r.vars, vecs = vecs[:len(p.Vars):len(p.Vars)], vecs[len(p.Vars):]
-		for j, name := range p.Vars {
-			r.vars[j] = vars[name].v
-		}
-
-		if fuse {
-			fs := fused[:len(p.Clusters):len(p.Clusters)]
-			if a.fusedKernels(p, fs) {
-				a.fusionHits.Inc()
-				r.tier, r.fused, fused = tierFused, fs, fused[len(fs):]
-				pr.scratch = max(pr.scratch, p.Slots*fusedChunkWords)
-				continue
-			}
-		}
-		a.fusionFalls.Inc()
-
-		if rows == nil {
-			rows = make([]int, maxVars)
-			for j := range rows {
-				rows[j] = j
-			}
-		}
-		r.tier, r.ex, r.rows = tierCmd, ex, rows[:len(p.Vars)]
-		pr.cmd = true
-	}
-	return pr
-}
-
-// fusedKernels resolves one fused kernel per cluster of p into fs,
-// reporting whether every cluster derived.
-func (a *Accelerator) fusedKernels(p *plan.Plan, fs []*kernel.Fused) bool {
-	for i := range p.Clusters {
-		fk, err := a.fused.Fused(p.Clusters[i].Spec)
-		if err != nil {
-			return false
-		}
-		fs[i] = fk
-	}
-	return true
-}
-
 // words runs a fused step over words [lo, hi) of its vectors (cut at
 // their length), fusedChunkWords at a time, with the worker's scratch scr
 // holding the cluster slots. The destination's canonical tail is
 // re-masked when the range reaches its final word.
-func (r *evalRunner) words(scr []uint64, lo, hi int) {
+func (r *stepRunner) words(scr []uint64, lo, hi int) {
 	ow := r.out.Words()
 	hi = min(hi, len(ow))
 	for base := lo; base < hi; base += fusedChunkWords {
@@ -389,7 +475,7 @@ func (r *evalRunner) words(scr []uint64, lo, hi int) {
 // fusedChunk runs the cluster chain over the n words at base: every
 // inter-cluster value stays in the chunk-sized scratch slots, and only
 // variable reads and the final result touch the vectors.
-func (r *evalRunner) fusedChunk(scr []uint64, base, n int) {
+func (r *stepRunner) fusedChunk(scr []uint64, base, n int) {
 	p := r.p
 	view := func(ref plan.Ref) []uint64 {
 		if ref.Var {
@@ -420,11 +506,10 @@ func (r *evalRunner) fusedChunk(scr []uint64, base, n int) {
 	}
 }
 
-// stripe runs a command-tier step on stripe s: load the variable rows,
-// execute the node-at-a-time program through the device model, store
-// the result row.
-func (r *evalRunner) stripe(s int, sub *dram.Subarray, buf *bitvec.Vector) error {
-	cols := r.a.cfg.Module.Columns
+// stripe runs a command-tier step on stripe s of rows cols bits wide:
+// load the variable rows, execute the node-at-a-time program through the
+// device model, store the result row.
+func (r *stepRunner) stripe(sub *dram.Subarray, buf *bitvec.Vector, s, cols int) error {
 	for i, v := range r.vars {
 		loadStripe(buf, v, s, cols)
 		sub.LoadRow(r.rows[i], buf)
@@ -441,9 +526,10 @@ func (r *evalRunner) stripe(s int, sub *dram.Subarray, buf *bitvec.Vector) error
 // a time. A block is as many whole stripes as fit in fusedChunkWords
 // words (one stripe when a row is wider), and every step runs on it
 // before the walk moves on. Fused steps run on the block's words with
-// scr as their scratch; a command-tier step runs stripe by stripe,
-// each under its subarray's lock (runStripe), with row buffer buf. It
-// returns the first failing stripe and its error.
+// scr as their scratch; a run of consecutive command-tier steps runs
+// stripe by stripe, each stripe's steps under one hold of its
+// subarray's lock (runStripe), with row buffer buf. It returns the first
+// failing stripe and its error.
 func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, error) {
 	a := pr.a
 	wpr := a.cfg.Module.Columns / 64
@@ -453,50 +539,44 @@ func (pr *progRunner) walk(scr []uint64, buf *bitvec.Vector, lo, hi int) (int, e
 	}
 	for blo := lo; blo < hi; blo += per {
 		bhi := min(blo+per, hi)
-		for i := range pr.steps {
-			r := &pr.steps[i]
-			if r.tier != tierCmd {
-				r.words(scr, blo*wpr, bhi*wpr)
+		for i := 0; i < len(pr.steps); {
+			if pr.steps[i].tier != tierCmd {
+				pr.steps[i].words(scr, blo*wpr, bhi*wpr)
+				i++
 				continue
 			}
+			j := i + 1
+			for j < len(pr.steps) && pr.steps[j].tier == tierCmd {
+				j++
+			}
 			for s := blo; s < bhi; s++ {
-				if err := a.runStripe(s, buf, r.stripe); err != nil {
+				if err := a.runStripe(s, buf, pr.steps[i:j]); err != nil {
 					return s, err
 				}
 			}
+			i = j
 		}
 	}
 	return 0, nil
 }
 
-// lease takes one worker's private state for its walks: a scratch slab
-// for the fused tier and, when a step runs on the command-accurate tier,
-// a row buffer. Both come from the accelerator's pools, so steady-state
-// calls allocate neither.
-func (pr *progRunner) lease() (*[]uint64, *bitvec.Vector) {
+// walkShare is one worker's body under forEachStripe: it leases the
+// worker's private state — a scratch slab when a fused step needs slots
+// and a row buffer when a step runs on the command-accurate tier, both
+// from the accelerator's pools, so steady-state calls allocate neither —
+// and walks the share [lo, hi).
+func (pr *progRunner) walkShare(lo, hi int) (int, error) {
+	a := pr.a
+	var scr []uint64
+	if pr.scratch > 0 {
+		s := a.getScratch(pr.scratch)
+		defer a.putScratch(s)
+		scr = *s
+	}
 	var buf *bitvec.Vector
 	if pr.cmd {
-		buf = pr.a.getBuf()
+		buf = a.getBuf()
+		defer a.putBuf(buf)
 	}
-	return pr.a.getScratch(pr.scratch), buf
-}
-
-// release returns a lease's state to the pools.
-func (pr *progRunner) release(scr *[]uint64, buf *bitvec.Vector) {
-	pr.a.putScratch(scr)
-	if buf != nil {
-		pr.a.putBuf(buf)
-	}
-}
-
-// exec runs the steps over the stripes [0, stripes) with one fork-join
-// through forEachStripe: each worker leases its state once and walks its
-// share block-major. On failure the lowest failing stripe's error is
-// returned.
-func (pr *progRunner) exec(stripes int) error {
-	return pr.a.forEachStripe(stripes, func(lo, hi int) (int, error) {
-		scr, buf := pr.lease()
-		defer pr.release(scr, buf)
-		return pr.walk(*scr, buf, lo, hi)
-	})
+	return pr.walk(scr, buf, lo, hi)
 }

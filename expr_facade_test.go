@@ -248,3 +248,41 @@ func TestRowDemandExact(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalStagesOnlyLiveOperands pins operand staging on the command
+// tier of ELP2IM with two reserved rows, whose XOR and XNOR consume
+// their A row: a variable is re-staged into a spare row first, one COPY
+// per stripe, only when a later instruction still reads it. a ^ b and
+// ~(a ^ b) run no COPY, nor does a ^ a, whose two operands share a row;
+// (a ^ b) & a runs one per stripe. Every result matches the host.
+func TestEvalStagesOnlyLiveOperands(t *testing.T) {
+	acc := newCmdAcc(t, smallModule, func(c *Config) { c.ReservedRows = 2 })
+	rng := rand.New(rand.NewSource(42))
+	const stripes = 4
+	n := stripes*acc.cfg.Module.Columns - 9
+	a, b := RandomBitVector(rng, n), RandomBitVector(rng, n)
+	for _, tc := range []struct {
+		src    string
+		copies int64
+		want   func(x, y bool) bool
+	}{
+		{"a ^ b", 0, func(x, y bool) bool { return x != y }},
+		{"~(a ^ b)", 0, func(x, y bool) bool { return x == y }},
+		{"a ^ a", 0, func(x, y bool) bool { return false }},
+		{"(a ^ b) & a", stripes, func(x, y bool) bool { return x != y && x }},
+	} {
+		before := acc.Snapshot().Counter("engine.exec.ELP2IM.COPY")
+		out, _, err := acc.Eval(tc.src, map[string]*BitVector{"a": a, "b": b})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if got := acc.Snapshot().Counter("engine.exec.ELP2IM.COPY") - before; got != tc.copies {
+			t.Errorf("%s: %d staging COPYs over %d stripes, want %d", tc.src, got, stripes, tc.copies)
+		}
+		for i := 0; i < n; i++ {
+			if out.Bit(i) != tc.want(a.Bit(i), b.Bit(i)) {
+				t.Fatalf("%s: bit %d wrong", tc.src, i)
+			}
+		}
+	}
+}

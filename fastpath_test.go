@@ -127,6 +127,45 @@ func TestFastpathReduceMatchesCommandPath(t *testing.T) {
 	}
 }
 
+// TestFastpathReduceIntoOperandMatchesCommandPath runs the accumulate
+// pattern acc op= v1 op v2 — Reduce(op, acc, acc, v1, v2), whose
+// destination is its own first operand — on both tiers for every
+// configuration, over one stripe, ragged tails and more stripes than one
+// fused block holds: the bits must match the golden fold, and Stats must
+// be struct-equal.
+func TestFastpathReduceIntoOperandMatchesCommandPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for name, muts := range fastpathConfigs() {
+		fast, slow := fastSlowPair(t, muts)
+		for _, op := range []Op{OpAnd, OpOr} {
+			for _, n := range []int{128, 128*2 + 37, 200, 128*600 + 5} {
+				start := RandomBitVector(rng, n)
+				v1, v2 := RandomBitVector(rng, n), RandomBitVector(rng, n)
+				want := NewBitVector(n)
+				golden(OpCopy, want, start, nil)
+				golden(op, want, want, v1)
+				golden(op, want, want, v2)
+				var sts [2]Stats
+				for i, acc := range []*Accelerator{fast, slow} {
+					dst := NewBitVector(n)
+					golden(OpCopy, dst, start, nil)
+					st, err := acc.Reduce(op, dst, dst, v1, v2)
+					if err != nil {
+						t.Fatalf("%s/%v/n=%d tier %d: %v", name, op, n, i, err)
+					}
+					if !dst.Equal(want) {
+						t.Fatalf("%s/%v/n=%d tier %d: accumulated result disagrees with golden", name, op, n, i)
+					}
+					sts[i] = st
+				}
+				if sts[0] != sts[1] {
+					t.Fatalf("%s/%v/n=%d: reduce cost diverges: fast %+v, slow %+v", name, op, n, sts[0], sts[1])
+				}
+			}
+		}
+	}
+}
+
 // TestFastpathChainMatchesCommandPath runs a dependency chain — an op
 // whose destination is its own operand, then a reduction — on both paths.
 func TestFastpathChainMatchesCommandPath(t *testing.T) {
@@ -368,29 +407,33 @@ func TestFastpathOffReduceFoldsInPlace(t *testing.T) {
 	}
 }
 
-// TestFastpathStripeAllocFree is the zero-allocation gate on the fast
-// path's body, run one stripe at a time as a traced call runs it.
+// TestFastpathStripeAllocFree is the zero-allocation gate on the fused
+// tier's stripe body, run one stripe at a time as a traced call runs it,
+// over an AND, a NOT and an in-place AND fold.
 func TestFastpathStripeAllocFree(t *testing.T) {
 	acc := newAcc(t, smallModule)
 	cols := acc.cfg.Module.Columns
-	kAnd, err := acc.kerns.Kernel(engine.OpAND)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kNot, err := acc.kerns.Kernel(engine.OpNOT)
-	if err != nil {
-		t.Fatal(err)
-	}
 	n := cols*4 + 37
 	dst := NewBitVector(n)
 	x := RandomBitVector(rand.New(rand.NewSource(16)), n)
 	y := RandomBitVector(rand.New(rand.NewSource(17)), n)
 	stripes := (n + cols - 1) / cols
+	pr := acc.getRunner(true, "", "")
+	and := pr.step(gatePlans[engine.OpAND], dst.v)
+	and[0], and[1] = x.v, y.v
+	pr.step(gatePlans[engine.OpNOT], dst.v)[0] = x.v
+	fold := pr.step(foldPlans[engine.OpAND], dst.v)
+	fold[0], fold[1] = x.v, dst.v
+	pr.resolve()
+	if pr.cmd {
+		t.Fatal("a step did not resolve to the fused tier")
+	}
+	scr := make([]uint64, pr.scratch)
 	allocs := testing.AllocsPerRun(100, func() {
 		for s := 0; s < stripes; s++ {
-			fastOpRange(kAnd, dst.v, x.v, y.v, s, s+1, cols)
-			fastOpRange(kNot, dst.v, x.v, nil, s, s+1, cols)
-			fastOpRange(kAnd, dst.v, x.v, dst.v, s, s+1, cols)
+			if _, err := pr.walk(scr, nil, s, s+1); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 	if allocs != 0 {

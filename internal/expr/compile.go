@@ -29,12 +29,18 @@ func (r Ref) String() string {
 }
 
 // Instr is one three-address operation: Dst = Op(A, B) (B unused for
-// unary ops). Dst is always a temp.
+// unary ops). Dst is a temp, except in a fold: a binary instruction
+// whose Dst is its B operand, B = Op(A, B), accumulates A into B in
+// place (a reduction step; Execute runs it in place wherever the
+// executor can).
 type Instr struct {
 	Op   engine.Op
 	Dst  Ref
 	A, B Ref
 }
+
+// fold reports whether the instruction accumulates into its B operand.
+func (in Instr) fold() bool { return !in.Op.Unary() && in.Dst == in.B }
 
 // String renders the instruction.
 func (in Instr) String() string {
@@ -405,9 +411,21 @@ func (p *Program) Cost(d engine.Engine) engine.Stats {
 	return total
 }
 
+// inPlaceExecutor is implemented by executors whose fold runs literally
+// in place on the device model (ELP2IM's engine, Figure 5(a)).
+type inPlaceExecutor interface {
+	ExecuteInPlace(sub *dram.Subarray, op engine.Op, a, b int) error
+}
+
 // Execute runs the program on a subarray: varRows[i] is the row holding
 // Vars[i]; scratch rows scratchBase, scratchBase+1, ... hold the temps.
-// It returns the row holding the result. Input rows are preserved.
+// It returns the row holding the result. A variable's row survives as
+// long as an instruction still reads it: a fold overwrites its B
+// variable, and an operation that consumes its A row may consume a
+// variable no later instruction reads, so callers reload variable rows
+// before every run. A fold runs through the executor's ExecuteInPlace
+// where it has one, and as the three-operand Execute(sub, op, b, a, b)
+// elsewhere.
 func (p *Program) Execute(sub *dram.Subarray, ex engine.Executor, varRows []int, scratchBase int) (int, error) {
 	if len(varRows) != len(p.Vars) {
 		return 0, fmt.Errorf("expr: %d var rows for %d variables", len(varRows), len(p.Vars))
@@ -424,13 +442,14 @@ func (p *Program) Execute(sub *dram.Subarray, ex engine.Executor, varRows []int,
 	}
 	// When the executor consumes operand A's row (engine.OperandConsumer —
 	// ELP2IM's two-buffer XOR/XNOR), a consuming instruction whose A value
-	// is still needed (an input row, preserved by contract, or a live temp)
-	// re-stages A into the row above the temp slots first.
+	// a later instruction still reads re-stages A into the row above the
+	// temp slots first.
 	oc, _ := ex.(engine.OperandConsumer)
+	ipe, inPlace := ex.(inPlaceExecutor)
 	staging := scratchBase + p.TempSlots
 	for i, in := range p.Instrs {
 		a := rowOf(in.A)
-		if oc != nil && oc.ConsumesOperandA(in.Op) && p.operandLiveAfter(i, in.A) {
+		if oc != nil && oc.ConsumesOperandA(in.Op) && p.readAfter(i, in.A) {
 			if staging >= sub.Rows() {
 				return 0, fmt.Errorf("expr: program needs staging row %d but subarray has %d rows",
 					staging, sub.Rows())
@@ -444,20 +463,22 @@ func (p *Program) Execute(sub *dram.Subarray, ex engine.Executor, varRows []int,
 		if !in.Op.Unary() {
 			b = rowOf(in.B)
 		}
-		if err := ex.Execute(sub, in.Op, rowOf(in.Dst), a, b); err != nil {
+		var err error
+		if in.fold() && inPlace {
+			err = ipe.ExecuteInPlace(sub, in.Op, a, b)
+		} else {
+			err = ex.Execute(sub, in.Op, rowOf(in.Dst), a, b)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("expr: %s: %w", in, err)
 		}
 	}
 	return rowOf(p.Result()), nil
 }
 
-// operandLiveAfter reports whether instruction i's operand r is needed
-// after i executes: input rows always are (Execute preserves them); a
-// temp slot is live until read or redefined, whichever comes first.
-func (p *Program) operandLiveAfter(i int, r Ref) bool {
-	if !r.Temp {
-		return true
-	}
+// readAfter reports whether an instruction after i reads r before one
+// redefines it: whether r's value is still needed once i has run.
+func (p *Program) readAfter(i int, r Ref) bool {
 	for _, in := range p.Instrs[i+1:] {
 		if in.A == r || (!in.Op.Unary() && in.B == r) {
 			return true

@@ -96,9 +96,10 @@ const (
 	fusedMaxScratch = 32
 )
 
-// fusedScratch pools Apply's per-call register file (16 KiB): getting a
-// used file skips the zeroing a fresh stack array would pay on every
-// call, which dominates when Apply runs once per stripe.
+// fusedScratch pools Apply's per-call register file (256 KiB: 32
+// registers of 1,024 words): getting a used file skips the zeroing a
+// fresh stack array would pay on every call, which dominates when Apply
+// runs once per stripe.
 var fusedScratch = sync.Pool{
 	New: func() any { return new([fusedMaxScratch][fusedBlockWords]uint64) },
 }
@@ -163,11 +164,21 @@ func (f *Fused) String() string {
 // Apply computes dst = f(srcs...) word-wise over len(dst) words, running
 // the packed passes block by block: every pass over one block of at most
 // 1024 words before the next block. srcs must hold K slices of at least
-// len(dst) words, whole vectors or one block of them alike; dst must not
-// overlap any source (sources are re-read throughout the fused program).
-// Tail bits beyond the caller's logical vector length are written like
-// any others — callers that maintain a canonical form must re-mask.
+// len(dst) words, whole vectors or one block of them alike. A one-pass
+// kernel (Passes() == 1, which every one-gate kernel is) is a single word
+// loop over the sources, which loops.go makes safe when dst aliases one;
+// in a longer program dst must not overlap any source, since later
+// passes re-read the sources after earlier ones wrote dst. Tail bits
+// beyond the caller's logical vector length are written like any others
+// — callers that maintain a canonical form must re-mask.
 func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
+	if len(f.macros) == 1 {
+		// One pass reads only inputs and writes only the result, which
+		// is dst: it needs no register file and no blocking.
+		in, n := &f.macros[0], len(dst)
+		in.fn(dst, srcs[in.a][:n], srcs[in.b][:n], srcs[in.c][:n], srcs[in.d][:n])
+		return
+	}
 	// Block-wise evaluation: a pooled scratch register file, with every
 	// operand resolved once per block into a view slice. The result
 	// register's view aliases dst directly, so the final value needs no

@@ -19,13 +19,18 @@
 // up or fails loudly, and an operation whose behaviour is not a pure
 // per-bit function of its operands never compiles.
 //
-// Derive is the one-gate case: a single operation's kernel is
-// DeriveFused on the spec dst = op(a, b).
-//
-// The facade uses these kernels as a compiled fast path for word-aligned
+// The facade runs every call's steps on these kernels through one
+// FusedSet — an Op's gate and a Reduce's folds as one-gate specs, an
+// eval's or µProgram step's clusters as k-input ones — for word-aligned
 // configurations, falling back to command-level execution whenever the
-// command stream itself is observable (fault injection, detection
-// wrappers) or the geometry is not word-aligned.
+// command stream itself is observable (an executor installed with
+// SetExecutor: the engine itself, fault injection, detection wrappers)
+// or the geometry is not word-aligned.
+//
+// Derive, Kernel and Set are the one-gate case outside FusedSet: Derive
+// is DeriveFused on the spec dst = op(a, b), and Set memoizes one
+// Kernel per op. Of the module's code, only perfbench's ops replay
+// calls them.
 package kernel
 
 import (

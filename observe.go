@@ -49,16 +49,18 @@ type HistogramSnapshot = obs.HistogramSnapshot
 // DebugServer is a running expvar/pprof/metrics HTTP endpoint.
 type DebugServer = obs.DebugServer
 
-// opSeries is one op kind's pre-resolved metric series plus its span
-// label, so the hot path is pure atomic updates with zero allocations.
+// opSeries is one op kind's pre-resolved metric series plus its Op and
+// Reduce span labels, so the hot path is pure atomic updates with zero
+// allocations.
 type opSeries struct {
-	spanName  string
-	count     *obs.Counter
-	rowOps    *obs.Counter
-	commands  *obs.Counter
-	wordlines *obs.Counter
-	latency   *obs.Histogram
-	energy    *obs.Histogram
+	spanName   string
+	reduceSpan string
+	count      *obs.Counter
+	rowOps     *obs.Counter
+	commands   *obs.Counter
+	wordlines  *obs.Counter
+	latency    *obs.Histogram
+	energy     *obs.Histogram
 }
 
 // opSeriesSet holds one opSeries per op kind: an accelerator's per-op
@@ -70,20 +72,21 @@ func (set *opSeriesSet) init(m *obs.Registry) {
 	for op := engine.OpNOT; op <= engine.OpCOPY; op++ {
 		name := op.String()
 		set[op] = opSeries{
-			spanName:  "Op(" + name + ")",
-			count:     m.Counter("acc.op.count." + name),
-			rowOps:    m.Counter("acc.op.rowops." + name),
-			commands:  m.Counter("acc.op.commands." + name),
-			wordlines: m.Counter("acc.op.wordlines." + name),
-			latency:   m.Histogram("acc.op.latency_ns."+name, obs.LatencyBuckets()),
-			energy:    m.Histogram("acc.op.energy_nj."+name, obs.EnergyBuckets()),
+			spanName:   "Op(" + name + ")",
+			reduceSpan: "Reduce(" + name + ")",
+			count:      m.Counter("acc.op.count." + name),
+			rowOps:     m.Counter("acc.op.rowops." + name),
+			commands:   m.Counter("acc.op.commands." + name),
+			wordlines:  m.Counter("acc.op.wordlines." + name),
+			latency:    m.Histogram("acc.op.latency_ns."+name, obs.LatencyBuckets()),
+			energy:     m.Histogram("acc.op.energy_nj."+name, obs.EnergyBuckets()),
 		}
 	}
 }
 
 // record folds one operation component's modeled cost into the per-op
-// metric series (called wherever Op and Reduce update the session
-// totals).
+// metric series (called for each instruction an Op or Reduce call
+// prices).
 func (set *opSeriesSet) record(op engine.Op, st Stats) {
 	s := &set[op]
 	s.count.Inc()
@@ -109,16 +112,14 @@ func (a *Accelerator) initObs() {
 	a.eng.Instrument(a.obsc)
 }
 
-// callSpan emits the facade-level span of one completed Op or Reduce
-// call when tracing is on (startNS != 0 is SpanStart's signal), so the
-// span label is built only on the traced path.
-func (a *Accelerator) callSpan(startNS int64, reduce bool, op engine.Op, stripes int, st Stats, err error) {
+// callSpan emits the facade-level span of one completed call — Op,
+// Reduce, Eval or Arith — when tracing is on (startNS != 0 is
+// SpanStart's signal). Its labels are built once, ahead of any call: an
+// op's Op and Reduce names live in its series, an eval's source in its
+// plan and a µProgram's name in its CompiledArith.
+func (a *Accelerator) callSpan(startNS int64, name, op string, stripes int, st Stats, err error) {
 	if startNS == 0 {
 		return
-	}
-	name := a.series[op].spanName
-	if reduce {
-		name = "Reduce(" + op.String() + ")"
 	}
 	msg := ""
 	if err != nil {
@@ -129,7 +130,7 @@ func (a *Accelerator) callSpan(startNS int64, reduce bool, op engine.Op, stripes
 		Cat:       "facade",
 		StartNS:   startNS,
 		DurNS:     time.Now().UnixNano() - startNS,
-		Op:        op.String(),
+		Op:        op,
 		Design:    a.eng.Name(),
 		Stripes:   stripes,
 		LatencyNS: st.LatencyNS,

@@ -180,9 +180,9 @@ func TestRecordAllocatesNothing(t *testing.T) {
 		st := Stats{LatencyNS: 100, EnergyNJ: 5, RowOps: 1, Commands: 3, Wordlines: 5}
 		allocs := testing.AllocsPerRun(1000, func() {
 			acc.series.record(OpAnd.internal(), st)
-			acc.callSpan(0, false, OpAnd.internal(), 1, st, nil)
+			acc.callSpan(0, acc.series[OpAnd.internal()].spanName, "AND", 1, st, nil)
 			acc.stripeSpan(0, 0, nil)
-			acc.callSpan(0, true, OpAnd.internal(), 1, st, nil)
+			acc.callSpan(0, acc.series[OpAnd.internal()].reduceSpan, "AND", 1, st, nil)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: metrics/span path with tracing off allocates %.1f/op, want 0", acc.Design(), allocs)

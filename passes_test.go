@@ -103,7 +103,12 @@ func TestPassCounts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", op, w, err)
 			}
-			st, err := acc.progCost(ca.prog, stripes)
+			pr := acc.getRunner(false, "", "")
+			for i := range ca.prog.Steps {
+				pr.step(ca.prog.Steps[i].Plan, nil)
+			}
+			st, err := pr.price(stripes)
+			acc.putRunner(pr)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", op, w, err)
 			}

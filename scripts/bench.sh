@@ -16,6 +16,11 @@
 #   fallback             : command-accurate device model (the engine
 #                          installed with Accelerator.SetExecutor)
 #
+# Each benchmark runs 8 times (go test -count 8), since single runs move
+# by tens of percent on a shared host. Every ns/op field is the median of
+# the 8 runs, with their spread beside it as <field>_min and <field>_max;
+# cache_speedup_per_call and fastpath_speedup are ratios of medians.
+#
 # When the output file already exists, its previous values are echoed as a
 # before/after delta so regressions are visible at a glance.
 #
@@ -116,31 +121,49 @@ fi
 
 raw=$(go test -run '^$' \
 	-bench 'BenchmarkOpSched(Uncached|Cached)$|BenchmarkAcceleratorBulkAND(Fallback)?$' \
-	-benchtime "$benchtime" -benchmem .)
+	-benchtime "$benchtime" -count 8 -benchmem .)
 printf '%s\n' "$raw" >&2
 
 # Benchmark names print with a -GOMAXPROCS suffix on multi-core machines
 # (e.g. ...BulkAND-8) and bare otherwise, so the AND / ANDFallback pair
 # must be anchored through the end of the name to avoid a prefix collision.
-printf '%s\n' "$raw" | awk -v out="$out" -v host="$host_json" '
-/^BenchmarkOpSchedUncached/                          { uncached = $3 }
-/^BenchmarkOpSchedCached/                            { cached = $3 }
-/^BenchmarkAcceleratorBulkAND(-[0-9]+)?[ \t]/         { fastpath = $3 }
-/^BenchmarkAcceleratorBulkANDFallback(-[0-9]+)?[ \t]/ { fallback = $3 }
+printf '%s\n' "$raw" | awk -v out="$out" -v host="$host_json" -v count=8 '
+/^BenchmarkOpSchedUncached/                          { v["uncached", ++n["uncached"]] = $3 }
+/^BenchmarkOpSchedCached/                            { v["cached", ++n["cached"]] = $3 }
+/^BenchmarkAcceleratorBulkAND(-[0-9]+)?[ \t]/         { v["fastpath", ++n["fastpath"]] = $3 }
+/^BenchmarkAcceleratorBulkANDFallback(-[0-9]+)?[ \t]/ { v["fallback", ++n["fallback"]] = $3 }
+# num renders a value as an integer when it is one.
+function num(x) { return x == int(x) ? sprintf("%d", x) : sprintf("%.1f", x) }
+# emit writes the median, min and max of key under name, and keeps the
+# median.
+function emit(name, key,   a, i, j, k, t) {
+	k = n[key]
+	for (i = 1; i <= k; i++) a[i] = v[key, i] + 0
+	for (i = 2; i <= k; i++) {
+		t = a[i]
+		for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]
+		a[j+1] = t
+	}
+	med[key] = k % 2 ? a[(k+1)/2] : (a[k/2] + a[k/2+1]) / 2
+	printf "  \"%s\": %s,\n", name, num(med[key]) > out
+	printf "  \"%s_min\": %s,\n", name, num(a[1]) > out
+	printf "  \"%s_max\": %s,\n", name, num(a[k]) > out
+}
 END {
-	if (uncached == "" || cached == "" || fastpath == "" || fallback == "") {
+	if (n["uncached"] != count || n["cached"] != count || n["fastpath"] != count || n["fallback"] != count) {
 		print "bench.sh: missing benchmark output" > "/dev/stderr"
 		exit 1
 	}
 	printf "{\n" > out
 	printf "  %s,\n", host > out
 	printf "  \"benchtime\": \"%s\",\n", ENVIRON["BENCHTIME"] != "" ? ENVIRON["BENCHTIME"] : "200x" > out
-	printf "  \"single_call_uncached_ns_op\": %s,\n", uncached > out
-	printf "  \"single_call_cached_ns_op\": %s,\n", cached > out
-	printf "  \"cache_speedup_per_call\": %.2f,\n", uncached / cached > out
-	printf "  \"fastpath_ns_op\": %s,\n", fastpath > out
-	printf "  \"fallback_ns_op\": %s,\n", fallback > out
-	printf "  \"fastpath_speedup\": %.2f\n", fallback / fastpath > out
+	printf "  \"count\": %d,\n", count > out
+	emit("single_call_uncached_ns_op", "uncached")
+	emit("single_call_cached_ns_op", "cached")
+	printf "  \"cache_speedup_per_call\": %.2f,\n", med["uncached"] / med["cached"] > out
+	emit("fastpath_ns_op", "fastpath")
+	emit("fallback_ns_op", "fallback")
+	printf "  \"fastpath_speedup\": %.2f\n", med["fallback"] / med["fastpath"] > out
 	printf "}\n" > out
 }
 '

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/plan"
 	"repro/internal/vertical"
 )
 
@@ -145,9 +144,11 @@ func (v *Vertical) words() [][]uint64 {
 type CompiledArith struct {
 	prog *vertical.Program
 	// xs, ys and zs name the operand and result slices (vertical.XVar,
-	// YVar, ZVar), built once here so that binding a call builds no
+	// YVar, ZVar), and span labels the calls' facade spans
+	// ("Arith(add/32)"), built once here so that a call builds no
 	// strings.
 	xs, ys, zs []string
+	span       string
 }
 
 // CompileArith synthesizes and compiles the µProgram computing op over
@@ -160,7 +161,12 @@ func CompileArith(op ArithOp, width int) (*CompiledArith, error) {
 	if err != nil {
 		return nil, fmt.Errorf("elp2im: %w: %v", ErrBadArith, err)
 	}
-	ca := &CompiledArith{prog: p, xs: make([]string, p.Width), zs: make([]string, p.OutWidth)}
+	ca := &CompiledArith{
+		prog: p,
+		xs:   make([]string, p.Width),
+		zs:   make([]string, p.OutWidth),
+		span: fmt.Sprintf("Arith(%s/%d)", op, width),
+	}
 	for j := range ca.xs {
 		ca.xs[j] = vertical.XVar(j)
 	}
@@ -300,22 +306,18 @@ func (a *Accelerator) ArithProg(ca *CompiledArith, x, y *Vertical, m *BitVector)
 			return nil, Stats{}, err
 		}
 	}
-	// The program runs as one unit: its steps resolve once, one set of
+	// The program runs as one call: its steps resolve once, one set of
 	// workers forks, and each worker runs every step on one
 	// cache-resident block of its stripes before moving to the next (see
 	// progRunner).
-	stripes := a.stripes(n)
-	pr := a.resolveSteps(len(p.Steps), binds, func(i int) (*plan.Plan, *BitVector) {
-		return p.Steps[i].Plan, binds[p.Steps[i].Dst]
-	})
-	if err := pr.exec(stripes); err != nil {
-		return nil, Stats{}, err
+	pr := a.getRunner(false, ca.span, p.Op.String())
+	for i := range p.Steps {
+		pr.stepNamed(p.Steps[i].Plan, binds[p.Steps[i].Dst].v, binds)
 	}
-	total, err := a.progCost(p, stripes)
+	total, err := pr.run(a.stripes(n))
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	a.charge(total)
 	return out, total, nil
 }
 
@@ -333,19 +335,4 @@ func (a *Accelerator) Recycle(v *Vertical) {
 	for _, s := range v.slices {
 		a.slicePool.Put(s)
 	}
-}
-
-// progCost prices a µProgram over `stripes` row operations. Each step is
-// priced as its node-at-a-time program, the cost source both eval tiers
-// share, so arithmetic accounts identically on either.
-func (a *Accelerator) progCost(p *vertical.Program, stripes int) (Stats, error) {
-	var total Stats
-	for i := range p.Steps {
-		st, err := a.evalCost(p.Steps[i].Plan.Prog, stripes)
-		if err != nil {
-			return Stats{}, err
-		}
-		total.add(st)
-	}
-	return total, nil
 }
