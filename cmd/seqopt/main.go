@@ -42,7 +42,10 @@ func compileExpr(src string) error {
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),
 	} {
-		c := prog.Cost(d)
+		c, err := prog.Cost(d)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("  %-10s %8.1f ns  %3d commands  %3d wordlines\n",
 			d.Name(), c.LatencyNS, c.Commands, c.Wordlines)
 	}

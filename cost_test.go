@@ -1,6 +1,8 @@
 package elp2im
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ambit"
@@ -122,5 +124,87 @@ func TestSetPowerConstrainedInvalidates(t *testing.T) {
 	}
 	if con != want {
 		t.Fatalf("post-toggle cost %+v != fresh constrained cost %+v", con, want)
+	}
+}
+
+// TestFoldNeverPricesAboveGate: the two rules by which expr's Schedule
+// lowers AND/OR chains never price a program above the three-operand
+// schedule. On every design, for AND and OR, one chained fold, and a
+// staging COPY plus one, cost no more latency, energy or wordlines per
+// row op than the three-operand op, through the accelerator's own cost
+// units.
+func TestFoldNeverPricesAboveGate(t *testing.T) {
+	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
+		acc := newAcc(t, func(c *Config) { c.Design = d })
+		cp, err := acc.cost(costKey{op: engine.OpCOPY}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []engine.Op{engine.OpAND, engine.OpOR} {
+			gate, err := acc.cost(costKey{op: op}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold, err := acc.cost(costKey{op: op, chained: true}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := cp
+			staged.add(fold)
+			for name, st := range map[string]Stats{"fold": fold, "COPY + fold": staged} {
+				if st.LatencyNS > gate.LatencyNS || st.EnergyNJ > gate.EnergyNJ || st.Wordlines > gate.Wordlines {
+					t.Errorf("%v %v: %s costs %.1f ns, %.2f nJ, %d wordlines; the three-operand op %.1f ns, %.2f nJ, %d wordlines",
+						d, op, name, st.LatencyNS, st.EnergyNJ, st.Wordlines, gate.LatencyNS, gate.EnergyNJ, gate.Wordlines)
+				}
+			}
+		}
+	}
+}
+
+// TestChainEvalPricesAsReduce: an Eval of a left- or right-deep AND/OR
+// chain of n = 3..8 operands lowers to one COPY and n-1 folds, the steps
+// of Reduce over the same vectors, so it returns Reduce's bits and
+// struct-equal Stats on every design and both tiers.
+func TestChainEvalPricesAsReduce(t *testing.T) {
+	for _, d := range []Design{DesignELP2IM, DesignAmbit, DesignDrisaNOR} {
+		design := func(c *Config) { c.Design = d }
+		for _, build := range []func(*testing.T, ...func(*Config)) *Accelerator{newAcc, newCmdAcc} {
+			acc := build(t, evalDiffModule, design)
+			rng := rand.New(rand.NewSource(int64(d)))
+			n := 3*acc.cfg.Module.Columns + 17
+			for _, op := range []Op{OpAnd, OpOr} {
+				sym := map[Op]string{OpAnd: " & ", OpOr: " | "}[op]
+				for k := 3; k <= 8; k++ {
+					vs := make([]*BitVector, k)
+					vars := map[string]*BitVector{}
+					for i := range vs {
+						vs[i] = RandomBitVector(rng, n)
+						vars[fmt.Sprintf("v%d", i)] = vs[i]
+					}
+					left, right := "v0", fmt.Sprintf("v%d", k-1)
+					for i := 1; i < k; i++ {
+						left = fmt.Sprintf("(%s%sv%d)", left, sym, i)
+						right = fmt.Sprintf("(v%d%s%s)", k-1-i, sym, right)
+					}
+					want := NewBitVector(n)
+					wantSt, err := acc.Reduce(op, want, vs...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, src := range []string{left, right} {
+						got, st, err := acc.Eval(src, vars)
+						if err != nil {
+							t.Fatalf("%v %s: %v", d, src, err)
+						}
+						if !got.Equal(want) {
+							t.Fatalf("%v %s: bits differ from Reduce", d, src)
+						}
+						if st != wantSt {
+							t.Fatalf("%v %s: stats %+v, Reduce %+v", d, src, st, wantSt)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 
 // evalDiffExprs is the expression corpus: bare leaves, single gates, the
 // docs' two-cluster example, shared subexpressions, deep XOR trees with
-// eight variables (multi-cluster), and wide conjunctions whose clusters
-// overlap in sources.
+// eight variables (multi-cluster), wide conjunctions whose clusters
+// overlap in sources, and a fold whose two operands are one temp (both
+// XNOR spellings hash-cons to one gate, so the AND is AND t, t).
 var evalDiffExprs = []string{
 	"a",
 	"~a",
@@ -32,6 +33,7 @@ var evalDiffExprs = []string{
 	"((a ^ b) ^ (c ^ d)) ^ ((e ^ f) ^ (g ^ h))",
 	"(a & b & c & d & e & f) | (c & d & e & f & g & h)",
 	"~(a & (b | ~(c ^ (d & ~e))))",
+	"(~a ^ b) & (a ^ ~b)",
 }
 
 // evalDiffModule is smallModule with enough rows for the deepest corpus

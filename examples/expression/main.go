@@ -59,7 +59,10 @@ func main() {
 		ambit.MustNew(ambit.DefaultConfig()),
 		drisa.MustNew(drisa.DefaultConfig()),
 	} {
-		c := prog.Cost(d)
+		c, err := prog.Cost(d)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-10s %7.1f ns  %2d commands  %2d wordlines\n",
 			d.Name(), c.LatencyNS, c.Commands, c.Wordlines)
 	}

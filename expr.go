@@ -431,7 +431,7 @@ func (pr *progRunner) price(stripes int) (Stats, error) {
 		// its plans' own costs.
 		var step Stats
 		for _, in := range pr.steps[i].p.Prog.Instrs {
-			k := costKey{op: in.Op, chained: !in.Op.Unary() && in.Dst == in.B}
+			k := costKey{op: in.Op, chained: in.Fold()}
 			if k != last {
 				// A run of one key — a Reduce's folds — is priced once.
 				var err error

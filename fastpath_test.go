@@ -294,6 +294,54 @@ func TestFaultWrapperForcesCommandPath(t *testing.T) {
 	}
 }
 
+// TestFaultWrapperKeepsConsumedOperands: on ELP2IM with two reserved
+// rows, whose XOR and XNOR consume operand A's row, a rate-0 injector and
+// a detector return the host's bits, and the detector flags nothing. Both
+// forward ConsumesOperandA, so a program re-stages an operand a later
+// instruction reads ((a ^ b) | a lowers to an XOR whose A a later fold
+// reads), and the detector's redundant run and difference XOR consume
+// none of the rows the program reads. One stripe runs serially: the
+// wrappers are not safe for concurrent use.
+func TestFaultWrapperKeepsConsumedOperands(t *testing.T) {
+	twoRows := func(c *Config) { c.ReservedRows = 2 }
+	rows := DefaultConfig().Module.RowsPerSubarray
+	for name, wrap := range map[string]func(Executor) (Executor, error){
+		"injector": func(ex Executor) (Executor, error) { return fault.New(ex, 0, 1) },
+		"detector": func(ex Executor) (Executor, error) { return fault.NewDetecting(ex, rows-3, rows-4) },
+	} {
+		acc := newAcc(t, twoRows)
+		w, err := wrap(acc.BaseExecutor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc.SetExecutor(w)
+		n := acc.cfg.Module.Columns
+		for i, src := range []string{"(a ^ b) | a", "(a ^ b) ^ a"} {
+			vars, want := evalOracleVars(t, rand.New(rand.NewSource(int64(30+i))), src, n)
+			got, _, err := acc.Eval(src, vars)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, src, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s %q: result differs from the host", name, src)
+			}
+		}
+		rng := rand.New(rand.NewSource(32))
+		x, y := RandomBitVector(rng, n), RandomBitVector(rng, n)
+		dst, want := NewBitVector(n), NewBitVector(n)
+		if _, err := acc.Op(OpAnd, dst, x, y); err != nil {
+			t.Fatalf("%s AND: %v", name, err)
+		}
+		golden(OpAnd, want, x, y)
+		if !dst.Equal(want) {
+			t.Errorf("%s AND: result differs from the host", name)
+		}
+		if det, ok := w.(*fault.DetectingExecutor); ok && (det.Detected != 0 || det.Ops == 0) {
+			t.Errorf("detector flagged %d of %d fault-free operations", det.Detected, det.Ops)
+		}
+	}
+}
+
 // TestFastpathCountsOnlyOpAndReduce pins the tier counters' split on the
 // command-accurate tier: Eval and Arith steps tick acc.fusion.fallback —
 // one per EvalExpr, one per µProgram step of an ArithProg — and leave

@@ -29,18 +29,20 @@ func (r Ref) String() string {
 }
 
 // Instr is one three-address operation: Dst = Op(A, B) (B unused for
-// unary ops). Dst is a temp, except in a fold: a binary instruction
-// whose Dst is its B operand, B = Op(A, B), accumulates A into B in
-// place (a reduction step; Execute runs it in place wherever the
-// executor can).
+// unary ops). Dst is a temp, except that a fold may accumulate into a
+// variable: a fold is a binary instruction whose Dst is its B operand,
+// B = Op(A, B), which accumulates A into B in place — into a temp in
+// the AND/OR chains Schedule lowers, into a variable in a Reduce's fold
+// step. Execute runs it in place wherever the executor can.
 type Instr struct {
 	Op   engine.Op
 	Dst  Ref
 	A, B Ref
 }
 
-// fold reports whether the instruction accumulates into its B operand.
-func (in Instr) fold() bool { return !in.Op.Unary() && in.Dst == in.B }
+// Fold reports whether the instruction is a fold: whether it
+// accumulates into its B operand.
+func (in Instr) Fold() bool { return !in.Op.Unary() && in.Dst == in.B }
 
 // String renders the instruction.
 func (in Instr) String() string {
@@ -286,9 +288,21 @@ func mergeEqualGates(order []*DAGNode) bool {
 	return len(rep) > 0
 }
 
-// Schedule emits the DAG as a node-at-a-time Program: one engine
-// instruction per interior node in post-order, with scratch rows
-// allocated by liveness so dead temps are reused.
+// Schedule emits the DAG as a node-at-a-time Program: instructions in
+// post-order, with scratch rows allocated by liveness so dead temps are
+// reused, and AND/OR chains lowered to in-place folds (Figure 5(a)) by
+// two rules:
+//
+//   - fold into a dying temp: an AND/OR with a temp operand that no later
+//     instruction reads becomes the fold B = op(A, B) into that temp,
+//     its operands swapped when the dying temp is A;
+//   - stage a chain head: an AND/OR with no such operand, but whose
+//     result a later fold accumulates into, becomes a COPY of its A
+//     operand into its destination, then the fold of its B operand.
+//
+// A left- or right-deep chain of n operands is thus one COPY and n-1
+// folds, the step list of Reduce over the same operands. Every other
+// gate is one three-operand instruction into a fresh temp.
 func (d *DAG) Schedule() *Program {
 	p := &Program{Vars: d.Vars, Source: d.Source}
 	if d.Root.Leaf {
@@ -296,17 +310,31 @@ func (d *DAG) Schedule() *Program {
 		return p
 	}
 
-	// Count uses for liveness (the root counts as one use).
-	uses := map[*DAGNode]int{}
+	// last[v] is the gate that reads v last, where v's temp dies; the root
+	// has no reader, so it never dies.
+	last := map[*DAGNode]*DAGNode{}
 	for _, v := range d.Order {
-		if !v.A.Leaf {
-			uses[v.A]++
-		}
-		if v.B != nil && !v.B.Leaf {
-			uses[v.B]++
+		last[v.A] = v
+		if v.B != nil {
+			last[v.B] = v
 		}
 	}
-	uses[d.Root]++
+	// acc[v] is the dying temp operand an AND/OR gate folds into (its B
+	// operand when both die), and folded marks the gates whose result a
+	// fold accumulates into.
+	acc := map[*DAGNode]*DAGNode{}
+	folded := map[*DAGNode]bool{}
+	for _, v := range d.Order {
+		if v.Op != engine.OpAND && v.Op != engine.OpOR {
+			continue
+		}
+		for _, o := range [2]*DAGNode{v.B, v.A} {
+			if !o.Leaf && last[o] == v {
+				acc[v], folded[o] = o, true
+				break
+			}
+		}
+	}
 
 	// Emit in post-order with liveness-based temp-slot reuse.
 	var free []bool
@@ -334,23 +362,36 @@ func (d *DAG) Schedule() *Program {
 		if v.B != nil {
 			b = refOf(v.B)
 		}
-		// Allocate the destination BEFORE releasing dying operands: some
-		// engine sequences (ELP2IM's XOR/XNOR) read their operand rows
-		// again after writing an intermediate into the destination, so the
+		// A fold writes its accumulator's slot. Any other destination is
+		// allocated BEFORE dying operands are released: some engine
+		// sequences (ELP2IM's XOR/XNOR) read their operand rows again after
+		// writing an intermediate into the destination, so a three-operand
 		// destination must never alias an operand of the same instruction.
-		dst := tempRef(alloc())
-		if !v.A.Leaf {
-			if uses[v.A]--; uses[v.A] == 0 {
-				free[a.Index] = true
+		var dst Ref
+		if o := acc[v]; o != nil {
+			dst = refs[o]
+			if o != v.B {
+				a, b = b, a
 			}
+		} else {
+			dst = tempRef(alloc())
 		}
-		if v.B != nil && !v.B.Leaf {
-			if uses[v.B]--; uses[v.B] == 0 {
-				free[b.Index] = true
+		for _, o := range [2]*DAGNode{v.A, v.B} {
+			if o != nil && !o.Leaf && last[o] == v && o != acc[v] {
+				free[refs[o].Index] = true
 			}
 		}
 		refs[v] = dst
-		p.Instrs = append(p.Instrs, Instr{Op: v.Op, Dst: dst, A: a, B: b})
+		switch {
+		case acc[v] != nil:
+			p.Instrs = append(p.Instrs, Instr{Op: v.Op, Dst: dst, A: a, B: dst})
+		case folded[v] && (v.Op == engine.OpAND || v.Op == engine.OpOR):
+			p.Instrs = append(p.Instrs,
+				Instr{Op: engine.OpCOPY, Dst: dst, A: a},
+				Instr{Op: v.Op, Dst: dst, A: b, B: dst})
+		default:
+			p.Instrs = append(p.Instrs, Instr{Op: v.Op, Dst: dst, A: a, B: b})
+		}
 	}
 	p.TempSlots = len(free)
 	return p
@@ -358,7 +399,8 @@ func (d *DAG) Schedule() *Program {
 
 // Compile lowers an expression to a Program: builds the CSE'd DAG, fuses
 // NOT into following/preceding gates (NAND/NOR/XNOR/NOT collapses), and
-// allocates scratch rows by liveness so temps are reused.
+// schedules it (Schedule): AND/OR chains fold in place, and scratch rows
+// are allocated by liveness so temps are reused.
 func Compile(n *Node) (*Program, error) {
 	d, err := BuildDAG(n)
 	if err != nil {
@@ -402,13 +444,22 @@ func fuse(op engine.Op, a, b *DAGNode) *DAGNode {
 }
 
 // Cost returns the program's total modeled cost on a design (per stripe of
-// row width).
-func (p *Program) Cost(d engine.Engine) engine.Stats {
+// row width): a fold at the design's chained cost (ChainStats), every
+// other instruction at its three-operand cost. It errors for a fold whose
+// op has no chained form on d.
+func (p *Program) Cost(d engine.Engine) (engine.Stats, error) {
 	var total engine.Stats
 	for _, in := range p.Instrs {
-		total.Add(d.OpStats(in.Op))
+		st := d.OpStats(in.Op)
+		if in.Fold() {
+			var err error
+			if st, err = d.ChainStats(in.Op); err != nil {
+				return engine.Stats{}, err
+			}
+		}
+		total.Add(st)
 	}
-	return total
+	return total, nil
 }
 
 // inPlaceExecutor is implemented by executors whose fold runs literally
@@ -464,7 +515,7 @@ func (p *Program) Execute(sub *dram.Subarray, ex engine.Executor, varRows []int,
 			b = rowOf(in.B)
 		}
 		var err error
-		if in.fold() && inPlace {
+		if in.Fold() && inPlace {
 			err = ipe.ExecuteInPlace(sub, in.Op, a, b)
 		} else {
 			err = ex.Execute(sub, in.Op, rowOf(in.Dst), a, b)

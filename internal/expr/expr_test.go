@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,7 +118,8 @@ func TestCompileCSE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p2.Instrs) != 2 { // one AND + one OR(x,x)
+	// One AND, staged (COPY, fold) because the OR(x, x) folds into it.
+	if len(p2.Instrs) != 3 || p2.Instrs[1].Op != engine.OpAND || p2.Instrs[2].Op != engine.OpOR {
 		t.Errorf("commutative CSE failed:\n%s", p2)
 	}
 }
@@ -294,6 +296,85 @@ func TestTempSlotReuse(t *testing.T) {
 	}
 }
 
+// TestScheduleFoldsChains pins the lowering's two rules: a left- or
+// right-deep AND/OR chain is one COPY into its one temp and a fold of
+// each further operand into that temp, a chain over a temp folds into
+// it, and a gate nothing folds into keeps the three-operand form.
+func TestScheduleFoldsChains(t *testing.T) {
+	t0, v0, v1, v2, v3 := tempRef(0), varRef(0), varRef(1), varRef(2), varRef(3)
+	for src, want := range map[string][]Instr{
+		"a & b & c & d": {
+			{Op: engine.OpCOPY, Dst: t0, A: v0},
+			{Op: engine.OpAND, Dst: t0, A: v1, B: t0},
+			{Op: engine.OpAND, Dst: t0, A: v2, B: t0},
+			{Op: engine.OpAND, Dst: t0, A: v3, B: t0},
+		},
+		"a | (b | (c | d))": {
+			{Op: engine.OpCOPY, Dst: t0, A: v2},
+			{Op: engine.OpOR, Dst: t0, A: v3, B: t0},
+			{Op: engine.OpOR, Dst: t0, A: v1, B: t0},
+			{Op: engine.OpOR, Dst: t0, A: v0, B: t0},
+		},
+		"(a ^ b) & c & d": {
+			{Op: engine.OpXOR, Dst: t0, A: v0, B: v1},
+			{Op: engine.OpAND, Dst: t0, A: v2, B: t0},
+			{Op: engine.OpAND, Dst: t0, A: v3, B: t0},
+		},
+		"a & b": {{Op: engine.OpAND, Dst: t0, A: v0, B: v1}},
+	} {
+		p, err := Compile(MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.TempSlots != 1 || !slices.Equal(p.Instrs, want) {
+			t.Errorf("%q compiled to\n%s, want %v", src, p, want)
+		}
+	}
+}
+
+// TestScheduleFoldsNeverGrowTemps: a fold writes its accumulator's slot
+// and a staged chain head takes the slot its gate took, so no program
+// needs more temps than the three-operand schedule of the same DAG, and
+// no expression that schedule fits is refused for rows.
+func TestScheduleFoldsNeverGrowTemps(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 3000; i++ {
+		d, err := BuildDAG(randomExpr(rng, 6, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := d.Schedule(); p.TempSlots > threeOperandSlots(d) {
+			t.Fatalf("%s: %d temps, the three-operand schedule takes %d\n%s", d.Source, p.TempSlots, threeOperandSlots(d), p)
+		}
+	}
+}
+
+// threeOperandSlots is the temp count of the DAG's schedule without
+// folds: every gate writes a fresh temp, taken before its dying operands
+// free theirs, so the count is the peak number of live temps.
+func threeOperandSlots(d *DAG) int {
+	uses := map[*DAGNode]int{d.Root: 1}
+	for _, v := range d.Order {
+		uses[v.A]++
+		if v.B != nil {
+			uses[v.B]++
+		}
+	}
+	live, peak := 0, 0
+	for _, v := range d.Order {
+		live++
+		peak = max(peak, live)
+		for _, o := range []*DAGNode{v.A, v.B} {
+			if o != nil && !o.Leaf {
+				if uses[o]--; uses[o] == 0 {
+					live--
+				}
+			}
+		}
+	}
+	return peak
+}
+
 func TestProgramString(t *testing.T) {
 	p, err := Compile(MustParse("a & ~b"))
 	if err != nil {
@@ -310,13 +391,18 @@ func TestCostComparesDesigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := elpim.MustNew(elpim.DefaultConfig())
-	a := ambit.MustNew(ambit.DefaultConfig())
-	if p.Cost(e).LatencyNS >= p.Cost(a).LatencyNS {
-		t.Errorf("ELP2IM program cost %v must beat Ambit %v",
-			p.Cost(e).LatencyNS, p.Cost(a).LatencyNS)
+	ce, err := p.Cost(elpim.MustNew(elpim.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Cost(e).Commands == 0 {
+	ca, err := p.Cost(ambit.MustNew(ambit.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce.LatencyNS >= ca.LatencyNS {
+		t.Errorf("ELP2IM program cost %v must beat Ambit %v", ce.LatencyNS, ca.LatencyNS)
+	}
+	if ce.Commands == 0 {
 		t.Error("cost must count commands")
 	}
 }

@@ -50,21 +50,36 @@ func NewDetecting(inner engine.Executor, shadowRow, diffRow int) (*DetectingExec
 	}, nil
 }
 
-// Execute implements engine.Executor: run the operation into dst and
-// again into the shadow row, XOR the two in DRAM, and flag a detection if
-// any bit differs. The dst row keeps the FIRST execution's result
-// (detection, not correction).
+// Execute implements engine.Executor: run the operation into the shadow
+// row and again into dst, XOR the two in DRAM, and flag a detection if
+// any bit differs. The dst row keeps the second execution's result
+// (detection, not correction). The redundant run goes first, so both
+// runs read the operands before dst changes — a fold's dst is its b
+// operand. When the inner executor consumes operand A's row for op
+// (engine.OperandConsumer), the redundant run reads a copy of a staged
+// in the diff row, so only the run into dst consumes a, as the inner
+// executor alone would; and the difference XOR takes the shadow row as
+// its A operand, so it never consumes dst.
 func (d *DetectingExecutor) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error {
-	if dst == d.ShadowRow || dst == d.DiffRow || a == d.ShadowRow || b == d.ShadowRow {
-		return errors.New("fault: operand/destination collides with detector scratch rows")
+	for _, r := range [3]int{dst, a, b} {
+		if r == d.ShadowRow || r == d.DiffRow {
+			return errors.New("fault: operand/destination collides with detector scratch rows")
+		}
+	}
+	ra := a
+	if consumesA(d.inner, op) {
+		if err := d.inner.Execute(sub, engine.OpCOPY, d.DiffRow, a, -1); err != nil {
+			return err
+		}
+		ra = d.DiffRow
+	}
+	if err := d.inner.Execute(sub, op, d.ShadowRow, ra, b); err != nil {
+		return err
 	}
 	if err := d.inner.Execute(sub, op, dst, a, b); err != nil {
 		return err
 	}
-	if err := d.inner.Execute(sub, op, d.ShadowRow, a, b); err != nil {
-		return err
-	}
-	if err := d.inner.Execute(sub, engine.OpXOR, d.DiffRow, dst, d.ShadowRow); err != nil {
+	if err := d.inner.Execute(sub, engine.OpXOR, d.DiffRow, d.ShadowRow, dst); err != nil {
 		return err
 	}
 	d.Ops++
@@ -73,6 +88,10 @@ func (d *DetectingExecutor) Execute(sub *dram.Subarray, op engine.Op, dst, a, b 
 	}
 	return nil
 }
+
+// ConsumesOperandA implements engine.OperandConsumer: the detector
+// consumes operand A's row exactly when its inner executor does.
+func (d *DetectingExecutor) ConsumesOperandA(op engine.Op) bool { return consumesA(d.inner, op) }
 
 // DetectionRate returns the fraction of operations flagged.
 func (d *DetectingExecutor) DetectionRate() float64 {

@@ -55,6 +55,19 @@ func FromCircuit(inner engine.Executor, c analog.Circuit, d analog.Device, vk an
 // Rate returns the per-bit error probability.
 func (in *Injector) Rate() float64 { return in.rate }
 
+// ConsumesOperandA implements engine.OperandConsumer: the injector runs
+// the inner executor's sequences unchanged, so it consumes the operand
+// rows the inner executor consumes, and a program running through it
+// re-stages a live operand exactly as it does on the inner executor.
+func (in *Injector) ConsumesOperandA(op engine.Op) bool { return consumesA(in.inner, op) }
+
+// consumesA reports whether ex destroys operand A's row when it runs op
+// (engine.OperandConsumer).
+func consumesA(ex engine.Executor, op engine.Op) bool {
+	oc, ok := ex.(engine.OperandConsumer)
+	return ok && oc.ConsumesOperandA(op)
+}
+
 // Execute implements engine.Executor: run the real operation, then
 // corrupt the destination row.
 func (in *Injector) Execute(sub *dram.Subarray, op engine.Op, dst, a, b int) error {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"reflect"
@@ -50,6 +51,58 @@ func TestOpCostMatchesFig12(t *testing.T) {
 		}
 	}
 	t.Fatalf("Figure 12 has no AND row for %s", design)
+}
+
+// TestQueryCostMatchesFig13 pins the served bitmap query to the Figure 13
+// case study: per stripe, a /v1/query Q1 over the last w weeks issues the
+// commands and wordlines of one staging COPY plus w-1 of the chained AND
+// folds apps/bitmap charges (the design's ChainSeq(AND), the call
+// bitmap.Run makes), and Q2 = g & Q1 one COPY plus w folds. The staging
+// COPY is the one difference from the case study, whose accumulators are
+// resident rows. Q1 over two weeks is one gate, so it stays Figure 12's
+// three-operand AND.
+func TestQueryCostMatchesFig13(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	c := ts.Client()
+	rng := rand.New(rand.NewSource(13))
+	const nbytes = 8192
+	for _, index := range []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7", "g"} {
+		putRandom(t, c, ts.URL, indexKey("f13", index), rng, nbytes)
+	}
+	stripes := nbytes * 8 / elp2im.DefaultConfig().Module.Columns
+	eng, ok := s.gateFor("f13").acc.BaseExecutor().(engine.Engine)
+	if !ok {
+		t.Fatal("the accelerator's base executor is not an engine")
+	}
+	fold, err := eng.ChainSeq(engine.OpAND)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, and := eng.Seq(engine.OpCOPY), eng.Seq(engine.OpAND)
+	for w := 2; w <= 8; w++ {
+		q1 := fmt.Sprintf("w%d", 8-w)
+		for i := 9 - w; i < 8; i++ {
+			q1 = fmt.Sprintf("(%s & w%d)", q1, i)
+		}
+		for _, q := range []struct {
+			pred  string
+			folds int
+		}{{q1, w - 1}, {"(g & " + q1 + ")", w}} {
+			instrs, cmds, wls := 1+q.folds, len(cp)+q.folds*len(fold), cp.Wordlines()+q.folds*fold.Wordlines()
+			if q.folds == 1 { // Q1 over two weeks: one gate
+				instrs, cmds, wls = 1, len(and), and.Wordlines()
+			}
+			var resp QueryResponse
+			if code, _ := doJSON(t, c, http.MethodPost, ts.URL+"/v1/query",
+				QueryRequest{Namespace: "f13", Predicate: q.pred}, &resp); code != http.StatusOK {
+				t.Fatalf("%s: status %d", q.pred, code)
+			}
+			if got := resp.Stats; got.RowOps != instrs*stripes || got.Commands != cmds*stripes || got.Wordlines != wls*stripes {
+				t.Errorf("%s: %d row ops, %d commands, %d wordlines over %d stripes; Figure 13 gives %d row ops, %d commands and %d wordlines per stripe",
+					q.pred, got.RowOps, got.Commands, got.Wordlines, stripes, instrs, cmds, wls)
+			}
+		}
+	}
 }
 
 // TestStatsPayloadRoundTrip guards the /v1/stats contract: the payload

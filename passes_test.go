@@ -120,8 +120,8 @@ func TestPassCounts(t *testing.T) {
 	if arith != 792 {
 		t.Errorf("arith_wire µPrograms take %d passes, want 792", arith)
 	}
-	if ns, nj := math.Round(cost.LatencyNS), math.Round(cost.EnergyNJ); ns != 4657217 || nj != 3217076 {
-		t.Errorf("arith_wire µPrograms model %.0f ns and %.0f nJ, want 4657217 ns and 3217076 nJ", ns, nj)
+	if ns, nj := math.Round(cost.LatencyNS), math.Round(cost.EnergyNJ); ns != 4093802 || nj != 2769615 {
+		t.Errorf("arith_wire µPrograms model %.0f ns and %.0f nJ, want 4093802 ns and 2769615 nJ", ns, nj)
 	}
 
 	preds := fig13Predicates()

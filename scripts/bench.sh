@@ -65,7 +65,8 @@
 # B/op and allocs/op, plus the transpose engine's
 # slice/unslice ns/elem at widths 1/8/32 (BenchmarkVerticalTranspose) —
 # the bit-serial arithmetic cost curve (see EXPERIMENTS.md "Reading
-# BENCH_vertical.json").
+# BENCH_vertical.json"). As in Part 1, each benchmark runs 8 times and
+# every measured field is the median with its _min/_max spread.
 #
 # Part 7 (BENCH_query.json) drives elpload's bitmap-index query workload
 # (-query: boolean predicates over per-client namespaces through
@@ -388,19 +389,23 @@ cat "$eval_out"
 # arith_wire's six µPrograms per width on the fused tier — the step and
 # pass counts grow with width, so ns/elem traces the bit-serial latency
 # model — plus the transpose engine's ingest/readback throughput per
-# element width. Points are keyed by op and width.
+# element width. Points are keyed by op and width. Like Part 1, every
+# benchmark runs 8 times (-count 8): each host-measured field is the
+# median of the 8 runs, with their spread beside it as <field>_min and
+# <field>_max. steps, passes and modeled_ns are deterministic, so each is
+# recorded once, and a run that disagrees with another fails the part.
 vert_out="BENCH_vertical.json"
 vert_benchtime="${VERT_BENCHTIME:-100x}"
-echo "bench.sh: vertical arith sweep (BenchmarkVerticalArith, ${vert_benchtime})" >&2
-vert_raw=$(go test -run '^$' -bench 'BenchmarkVertical(Arith|Transpose)' -benchtime "$vert_benchtime" .)
+echo "bench.sh: vertical arith sweep (BenchmarkVerticalArith, ${vert_benchtime}, -count 8)" >&2
+vert_raw=$(go test -run '^$' -bench 'BenchmarkVertical(Arith|Transpose)' -benchtime "$vert_benchtime" -count 8 -benchmem .)
 printf '%s\n' "$vert_raw" >&2
-printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v benchtime="$vert_benchtime" '
+printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v benchtime="$vert_benchtime" -v count=8 '
 /^BenchmarkVerticalTranspose\// {
 	split($1, parts, "/")
 	w = substr(parts[3], 2)
 	sub(/-[0-9]+$/, "", w)
-	if (parts[2] == "slice") tslice[w] = field($0, "ns/elem")
-	else tunslice[w] = field($0, "ns/elem")
+	key = parts[2] "/" w
+	v[key, ++n[key]] = field($0, "ns/elem")
 	if (!(w in tseen)) { torder[++nt] = w; tseen[w] = 1 }
 }
 /^BenchmarkVerticalArith\// {
@@ -409,10 +414,12 @@ printf '%s\n' "$vert_raw" | awk -v out="$vert_out" -v host="$host_json" -v bench
 	w = substr(parts[3], 2)
 	sub(/-[0-9]+$/, "", w)
 	key = op "/" w
-	f[key] = $3; fel[key] = field($0, "ns/elem"); fal[key] = field($0, "allocs/op"); fby[key] = field($0, "B/op")
-	steps[key] = field($0, "steps")
-	ps[key] = field($0, "passes")
-	modeled[key] = field($0, "modeled_ns")
+	i = ++n[key]
+	v[key "/ns_op", i] = $3; v[key "/ns_elem", i] = field($0, "ns/elem")
+	v[key "/bytes", i] = field($0, "B/op"); v[key "/allocs", i] = field($0, "allocs/op")
+	fixed(key, "steps", field($0, "steps"))
+	fixed(key, "passes", field($0, "passes"))
+	fixed(key, "modeled_ns", field($0, "modeled_ns"))
 	if (!(key in seen)) { order[++np] = key; kop[key] = op; kw[key] = w; seen[key] = 1 }
 }
 function field(line, unit,   a, i, k) {
@@ -421,26 +428,59 @@ function field(line, unit,   a, i, k) {
 		if (a[i+1] == unit) return a[i]
 	return ""
 }
+# fixed records a deterministic field of key, and flags a run whose value
+# differs from an earlier run of the same benchmark.
+function fixed(key, name, val) {
+	if ((key, name) in det && det[key, name] != val) {
+		printf "bench.sh: %s %s differs between runs: %s and %s\n", key, name, det[key, name], val > "/dev/stderr"
+		bad = 1
+	}
+	det[key, name] = val
+}
+# spread writes the median, min and max of the count runs of key as the
+# JSON fields name, name_min and name_max.
+function spread(name, key,   a, i, j, t) {
+	for (i = 1; i <= count; i++) a[i] = v[key, i] + 0
+	for (i = 2; i <= count; i++) {
+		t = a[i]
+		for (j = i - 1; j >= 1 && a[j] > t; j--) a[j+1] = a[j]
+		a[j+1] = t
+	}
+	return sprintf("\"%s\": %s, \"%s_min\": %s, \"%s_max\": %s", name,
+		num(count % 2 ? a[(count+1)/2] : (a[count/2] + a[count/2+1]) / 2), name, num(a[1]), name, num(a[count]))
+}
+# num renders a value as an integer when it is one, else to four
+# significant digits (one decimal from 100 up).
+function num(x) { return x == int(x) ? sprintf("%d", x) : sprintf(x >= 100 ? "%.1f" : "%.4g", x) }
 END {
-	if (np < 1 || f["add/8"] == "" || ps["add/8"] == "" || f["popcount/32"] == "" || nt < 1) {
-		print "bench.sh: missing vertical benchmark output" > "/dev/stderr"
+	if (bad || np < 1 || !("add/8" in seen) || !("popcount/32" in seen) || nt < 1) {
+		print "bench.sh: missing or inconsistent vertical benchmark output" > "/dev/stderr"
 		exit 1
 	}
+	for (k in n)
+		if (n[k] != count) {
+			printf "bench.sh: %s ran %d times, want %d\n", k, n[k], count > "/dev/stderr"
+			exit 1
+		}
 	printf "{\n" > out
 	printf "  %s,\n", host > out
 	printf "  \"benchtime\": \"%s\",\n", benchtime > out
+	printf "  \"count\": %d,\n", count > out
 	printf "  \"elems\": 1048576,\n" > out
 	printf "  \"transpose\": [\n" > out
 	for (i = 1; i <= nt; i++) {
 		w = torder[i]
-		printf "    {\"width\": %s, \"slice_ns_elem\": %s, \"unslice_ns_elem\": %s}%s\n", w, tslice[w], tunslice[w], i < nt ? "," : "" > out
+		printf "    {\"width\": %s, %s, %s}%s\n", w, spread("slice_ns_elem", "slice/" w),
+			spread("unslice_ns_elem", "unslice/" w), i < nt ? "," : "" > out
 	}
 	printf "  ],\n" > out
 	printf "  \"points\": [\n" > out
 	for (i = 1; i <= np; i++) {
 		k = order[i]
-		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"passes\": %s, \"modeled_ns\": %s, \"fused_ns_op\": %s, \"fused_ns_elem\": %s, \"fused_bytes_op\": %s, \"fused_allocs_op\": %s}%s\n",
-			kop[k], kw[k], steps[k], ps[k], modeled[k], f[k], fel[k], fby[k], fal[k], i < np ? "," : "" > out
+		printf "    {\"op\": \"%s\", \"width\": %s, \"steps\": %s, \"passes\": %s, \"modeled_ns\": %s, %s, %s, %s, %s}%s\n",
+			kop[k], kw[k], num(det[k, "steps"]), num(det[k, "passes"]), det[k, "modeled_ns"],
+			spread("fused_ns_op", k "/ns_op"), spread("fused_ns_elem", k "/ns_elem"),
+			spread("fused_bytes_op", k "/bytes"), spread("fused_allocs_op", k "/allocs"), i < np ? "," : "" > out
 	}
 	printf "  ]\n" > out
 	printf "}\n" > out
