@@ -71,28 +71,9 @@ const (
 // String returns the operation mnemonic.
 func (o Op) String() string { return o.internal().String() }
 
-func (o Op) internal() engine.Op {
-	switch o {
-	case OpNot:
-		return engine.OpNOT
-	case OpAnd:
-		return engine.OpAND
-	case OpOr:
-		return engine.OpOR
-	case OpNand:
-		return engine.OpNAND
-	case OpNor:
-		return engine.OpNOR
-	case OpXor:
-		return engine.OpXOR
-	case OpXnor:
-		return engine.OpXNOR
-	case OpCopy:
-		return engine.OpCOPY
-	default:
-		panic(fmt.Sprintf("elp2im: unknown op %d", int(o)))
-	}
-}
+// internal returns the engine operation: Op's values are engine.Op's, in
+// the same order.
+func (o Op) internal() engine.Op { return engine.Op(o) }
 
 // Unary reports whether the operation takes one operand.
 func (o Op) Unary() bool { return o == OpNot || o == OpCopy }
@@ -536,7 +517,9 @@ func (a *Accelerator) SetPowerConstrained(v bool) {
 // the results read back. For unary ops y may be nil. The call is one
 // step, the gate dst = op(x, y); dst may alias an operand.
 func (a *Accelerator) Op(op Op, dst, x, y *BitVector) (Stats, error) {
-	iop := op.internal()
+	if op < OpNot || op > OpCopy {
+		return Stats{}, fmt.Errorf("elp2im: unknown op %v", op)
+	}
 	if x == nil || dst == nil {
 		return Stats{}, errors.New("elp2im: nil vector")
 	}
@@ -551,6 +534,7 @@ func (a *Accelerator) Op(op Op, dst, x, y *BitVector) (Stats, error) {
 	if dst.Len() != x.Len() {
 		return Stats{}, errors.New("elp2im: destination length mismatch")
 	}
+	iop := op.internal()
 	pr := a.getRunner(true, a.series[iop].spanName, iop.String())
 	vs := pr.step(gatePlans[iop], dst.v)
 	vs[0] = x.v
@@ -581,6 +565,9 @@ func (a *Accelerator) Reduce(op Op, dst *BitVector, vs ...*BitVector) (Stats, er
 	}
 	if len(vs) < 2 {
 		return Stats{}, errors.New("elp2im: reduction needs at least two vectors")
+	}
+	if dst == nil {
+		return Stats{}, errors.New("elp2im: nil destination")
 	}
 	for _, v := range vs {
 		if v == nil || v.Len() != dst.Len() {

@@ -53,6 +53,9 @@ func TestOpStringsAndUnary(t *testing.T) {
 			t.Errorf("op string = %q, want %q", op.String(), want)
 		}
 	}
+	if got := Op(99).String(); got != "Op(99)" {
+		t.Errorf("unknown op string = %q, want %q", got, "Op(99)")
+	}
 	if !OpNot.Unary() || !OpCopy.Unary() || OpAnd.Unary() {
 		t.Error("Unary wrong")
 	}
@@ -139,6 +142,11 @@ func TestOpErrors(t *testing.T) {
 	if _, err := acc.Op(OpNot, NewBitVector(64), nil, nil); err == nil {
 		t.Error("nil source accepted")
 	}
+	for _, op := range []Op{-1, OpCopy + 1, 99} {
+		if _, err := acc.Op(op, NewBitVector(64), x, x); err == nil {
+			t.Errorf("unknown op %d accepted", int(op))
+		}
+	}
 }
 
 func TestReduce(t *testing.T) {
@@ -170,6 +178,12 @@ func TestReduce(t *testing.T) {
 	}
 	if _, err := acc.Reduce(OpAnd, dst, vs[0]); err == nil {
 		t.Error("single-vector reduction accepted")
+	}
+	if _, err := acc.Reduce(OpAnd, nil, vs...); err == nil {
+		t.Error("nil destination accepted")
+	}
+	if _, err := acc.Reduce(Op(99), dst, vs...); err == nil {
+		t.Error("unknown op accepted")
 	}
 }
 

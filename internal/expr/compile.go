@@ -107,9 +107,10 @@ type DAGNode struct {
 // double negations removed, and NOT gates fused into the engine-native
 // complement gates (NAND/NOR/XNOR). It is the single source both
 // schedules compile from — the node-at-a-time command schedule
-// (Schedule) and the fused cluster schedule (internal/plan) — which is
-// what keeps their semantics and the cost model's instruction stream in
-// lock step.
+// (Schedule) and the fused cluster schedule (internal/plan), whose
+// clusters' register programs are Schedule of their cut sub-DAGs —
+// which is what keeps their semantics and the cost model's instruction
+// stream in lock step.
 type DAG struct {
 	// Root is the result node.
 	Root *DAGNode
@@ -470,7 +471,9 @@ type inPlaceExecutor interface {
 
 // Execute runs the program on a subarray: varRows[i] is the row holding
 // Vars[i]; scratch rows scratchBase, scratchBase+1, ... hold the temps.
-// It returns the row holding the result. A variable's row survives as
+// It returns the row holding the result. It is the one interpreter of a
+// register program on the device model: the command tier runs a plan's
+// node program through it, and kernel derivation probes a cluster's. A variable's row survives as
 // long as an instruction still reads it: a fold overwrites its B
 // variable, and an operation that consumes its A row may consume a
 // variable no later instruction reads, so callers reload variable rows

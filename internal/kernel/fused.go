@@ -8,6 +8,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/expr"
 )
 
 // MaxFusedInputs is the largest input arity a fused kernel supports. Six
@@ -16,69 +17,36 @@ import (
 // how many gates it fuses.
 const MaxFusedInputs = 6
 
-// FusedOp is one engine operation of a fused-kernel specification, in
-// register form: Dst = Op(A, B). Registers 0..K-1 are the kernel inputs
-// (read-only; Dst must be a scratch register ≥ K); B is ignored for
-// unary ops.
-type FusedOp struct {
-	Op   engine.Op
-	Dst  int
-	A, B int
-}
-
-// FusedSpec describes a k-input boolean function as the engine command
-// sequence that computes it: a register program over K input registers
-// and Regs-K scratch registers, leaving the function value in Result.
-// The plan compiler (internal/plan) produces one spec per fused cluster;
-// DeriveFused runs the spec's real command sequence on the device model
-// to learn — never assume — its truth table.
+// FusedSpec is a fused cluster's register program: an expr.Program
+// whose variables are the kernel inputs, in order, and whose result —
+// the last instruction's destination, a temp — is the kernel's value.
+// The plan compiler (internal/plan) schedules one per cluster with
+// expr.DAG.Schedule, the scheduler of the node program the command tier
+// runs, so a cluster's AND/OR chains are the same folds and chain-head
+// COPYs; DeriveFused runs the program through expr.Program.Execute on
+// the device model to learn — never assume — its truth table.
 type FusedSpec struct {
-	// K is the input arity (1..MaxFusedInputs).
-	K int
-	// Regs is the total register count, inputs included.
-	Regs int
-	// Ops is the command sequence in execution order.
-	Ops []FusedOp
-	// Result is the register holding the function value after Ops.
-	Result int
+	// Prog is the register program.
+	Prog *expr.Program
 	// Key, when set, is the spec's CacheKey, computed once by whoever
 	// builds the spec (the plan compiler does, per cluster) so that
 	// FusedSet lookups build no string. FusedSet computes it when empty.
 	Key string
 }
 
-// validate checks the register shape of a spec.
-func (sp *FusedSpec) validate() error {
-	if sp.K < 1 || sp.K > MaxFusedInputs {
-		return fmt.Errorf("kernel: fused spec has %d inputs, want 1..%d", sp.K, MaxFusedInputs)
-	}
-	if sp.Regs < sp.K {
-		return fmt.Errorf("kernel: fused spec has %d registers for %d inputs", sp.Regs, sp.K)
-	}
-	if sp.Result < 0 || sp.Result >= sp.Regs {
-		return fmt.Errorf("kernel: fused spec result register %d out of range", sp.Result)
-	}
-	for i, op := range sp.Ops {
-		if op.Dst < sp.K || op.Dst >= sp.Regs {
-			return fmt.Errorf("kernel: fused spec op %d writes register %d (inputs are read-only)", i, op.Dst)
-		}
-		if op.A < 0 || op.A >= sp.Regs {
-			return fmt.Errorf("kernel: fused spec op %d reads register %d out of range", i, op.A)
-		}
-		if !op.Op.Unary() && (op.B < 0 || op.B >= sp.Regs) {
-			return fmt.Errorf("kernel: fused spec op %d reads register %d out of range", i, op.B)
-		}
-	}
-	return nil
-}
-
-// CacheKey returns the spec's canonical cache key: its register shape
-// and command sequence, the identity FusedSet memoizes kernels by.
+// CacheKey returns the spec's canonical cache key, the identity FusedSet
+// memoizes kernels by: everything derivation reads of the program — its
+// input and temp counts and its instructions, which name their operands
+// by index — so equal programs over different variables share one key
+// and one kernel.
 func (sp *FusedSpec) CacheKey() string {
+	if sp.Prog == nil {
+		return ""
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "k%d r%d res%d", sp.K, sp.Regs, sp.Result)
-	for _, op := range sp.Ops {
-		fmt.Fprintf(&b, ";%d:%d=%d,%d", op.Op, op.Dst, op.A, op.B)
+	fmt.Fprintf(&b, "k%d t%d", len(sp.Prog.Vars), sp.Prog.TempSlots)
+	for _, in := range sp.Prog.Instrs {
+		fmt.Fprintf(&b, "; %v", in)
 	}
 	return b.String()
 }
@@ -104,20 +72,19 @@ var fusedScratch = sync.Pool{
 	New: func() any { return new([fusedMaxScratch][fusedBlockWords]uint64) },
 }
 
-// fusedInstr is one word-level gate: a 4-bit binary truth table applied
-// over whole words. Operand encoding: 0..k-1 are the kernel inputs, k+r
-// is scratch register r. The instruction list is the kernel's gate-level
-// IR, one instruction per spec op; execution packs it into passes (see
-// pack).
-type fusedInstr struct {
-	tab       uint8
-	dst, a, b uint8
+// gate is one word-level gate of a lowered program in SSA form: a 4-bit
+// binary truth table over two operand values. Value encoding: 0..k-1 are
+// the kernel inputs, k+i is gate i's value. lower produces one gate per
+// instruction; pack tiles them into passes.
+type gate struct {
+	tab  uint8
+	a, b int
 }
 
 // fusedMacro is one packed execution pass: a word loop (loops.go) over
-// up to four operands. Operand encoding matches fusedInstr (0..k-1
-// inputs, k+r scratch); operand slots the loop does not read hold 0,
-// which is always a valid view.
+// up to four operands. Operand encoding: 0..k-1 are the kernel inputs,
+// k+r is scratch register r; operand slots the loop does not read hold
+// 0, which is always a valid view.
 type fusedMacro struct {
 	fn              wordLoop
 	dst, a, b, c, d uint8
@@ -126,14 +93,14 @@ type fusedMacro struct {
 // Fused is a compiled k-input word-level kernel: the whole cluster of
 // gates runs as a few passes over each block of the operand words. It
 // is the spec's own register program lowered gate for gate, kept only
-// after DeriveFused has checked it against the engine's real command
-// sequence on every input combination and on full-word patterns, so a
+// after DeriveFused has checked it against the engine running that
+// program on every input combination and on full-word patterns, so a
 // fused kernel cannot disagree with the command-accurate execution of
 // its spec. Apply is safe for concurrent use.
 type Fused struct {
 	k        int
 	table    uint64
-	code     []fusedInstr // gate-level IR, one instr per gate
+	ops      int          // gates of the lowered program
 	macros   []fusedMacro // packed execution passes (see pack)
 	nscratch int
 	res      uint8
@@ -147,8 +114,8 @@ func (f *Fused) K() int { return f.k }
 func (f *Fused) Table() uint64 { return f.table }
 
 // Ops returns the gate count of the compiled program: the cluster's
-// logical cost, NOT gates included.
-func (f *Fused) Ops() int { return len(f.code) }
+// logical cost, NOT gates included and a chain head's staging COPY not.
+func (f *Fused) Ops() int { return f.ops }
 
 // Passes returns the number of word loops Apply runs per block. A pass
 // covers at least one gate (a NOT folds into its consumer's pass), so
@@ -158,7 +125,7 @@ func (f *Fused) Passes() int { return len(f.macros) }
 
 // String renders the kernel for diagnostics.
 func (f *Fused) String() string {
-	return fmt.Sprintf("fused(k=%d, table=%#x, ops=%d, passes=%d)", f.k, f.table, len(f.code), len(f.macros))
+	return fmt.Sprintf("fused(k=%d, table=%#x, ops=%d, passes=%d)", f.k, f.table, f.ops, len(f.macros))
 }
 
 // Apply computes dst = f(srcs...) word-wise over len(dst) words, running
@@ -207,47 +174,28 @@ func (f *Fused) Apply(dst []uint64, srcs [][]uint64) {
 	}
 }
 
-// pack tiles the kernel's gate-level program into passes over the word
+// pack tiles a lowered program (see lower) into passes over the word
 // loops of loops.go, so each pass streams its operands once and keeps
 // the gate values inside it in machine registers. Apply's runtime scales
 // with the pass count: the loops are bound by memory traffic, so a
 // two-level pass costs about what a one-gate pass costs.
 //
-// The pass rebuilds SSA form from the register program and counts uses
-// over the values reachable from the result. A single-use NOT folds into
-// its consumer's truth table (the consumer reads the NOT's operand with
-// that column inverted), and a NOT at the result into its operand's
-// gate. Tiling then runs from the result: a gate whose table is a core
-// (AND, OR or XOR) flattens the single-use gates of its own core below
-// it into one operand list, takes every single-use core gate in that
-// list as a child, and combines two children per pass with the
-// two-level loops q(l(a,b), r(c,d)), pairing bare operands into
-// children of its own core; any other gate runs as its own gate-loop
-// pass. Operands are materialized before the passes that read them, and
-// multi-use values exactly once, so the packed program never duplicates
-// gate work. A fresh liveness-scan register allocation over the passes
-// bounds scratch at fusedMaxScratch.
-func (f *Fused) pack() error {
-	k := f.k
-	// Rebuild SSA: the register allocator reuses registers, so resolve
-	// each operand to the value its register holds at that point.
-	type val struct {
-		tab  uint8
-		a, b int
-	}
-	vals := make([]val, 0, len(f.code))
-	regVal := make([]int, f.nscratch)
-	resolve := func(op uint8) int {
-		if int(op) < k {
-			return int(op)
-		}
-		return regVal[int(op)-k]
-	}
-	for _, in := range f.code {
-		vals = append(vals, val{tab: in.tab, a: resolve(in.a), b: resolve(in.b)})
-		regVal[int(in.dst)-k] = k + len(vals) - 1
-	}
-	root := resolve(f.res)
+// pack counts uses over the values reachable from the result, the last
+// gate. A single-use NOT folds into its consumer's truth table (the
+// consumer reads the NOT's operand with that column inverted), and a NOT
+// at the result into its operand's gate. Tiling then runs from the
+// result: a gate whose table is a core (AND, OR or XOR) flattens the
+// single-use gates of its own core below it into one operand list, takes
+// every single-use core gate in that list as a child, and combines two
+// children per pass with the two-level loops q(l(a,b), r(c,d)), pairing
+// bare operands into children of its own core; any other gate runs as
+// its own gate-loop pass. Operands are materialized before the passes
+// that read them, and multi-use values exactly once, so the packed
+// program never duplicates gate work. A fresh liveness-scan register
+// allocation over the passes bounds scratch at fusedMaxScratch. pack
+// folds NOTs into vals in place.
+func pack(k int, vals []gate) (*Fused, error) {
+	root := k + len(vals) - 1
 
 	// Use counts over values reachable from the result. An operand read
 	// twice by one gate counts twice: fusing it would duplicate its work,
@@ -451,12 +399,15 @@ func (f *Fused) pack() error {
 		packed[i] = fusedMacro{fn: m.fn, dst: uint8(k + r), a: enc[0], b: enc[1], c: enc[2], d: enc[3]}
 	}
 	if nscratch > fusedMaxScratch {
-		return fmt.Errorf("kernel: fused packing needs %d scratch registers, max %d", nscratch, fusedMaxScratch)
+		return nil, fmt.Errorf("kernel: fused packing needs %d scratch registers, max %d", nscratch, fusedMaxScratch)
 	}
-	f.macros = packed
-	f.nscratch = nscratch
-	f.res = uint8(k + reg[len(macros)-1])
-	return nil
+	return &Fused{
+		k:        k,
+		ops:      len(vals),
+		macros:   packed,
+		nscratch: nscratch,
+		res:      uint8(k + reg[len(macros)-1]),
+	}, nil
 }
 
 // varPat64 holds the packed probe pattern of input j: bit i = (i>>j)&1.
@@ -471,12 +422,6 @@ var varPat64 = [MaxFusedInputs]uint64{
 	0xFFFF_0000_FFFF_0000,
 	0xFFFF_FFFF_0000_0000,
 }
-
-// ProbePattern returns input j's packed probe pattern: bit i = (i>>j)&1.
-// Evaluating a k-input function over the first k patterns as word values
-// yields its truth table in the low 2^k bits — the software-side mirror
-// of what DeriveFused reads back from the device.
-func ProbePattern(j int) uint64 { return varPat64[j] }
 
 // fusedVerifyWords are fixed full-word operand patterns for the
 // post-derivation verification run (one per possible input).
@@ -498,33 +443,38 @@ func tableMask(k int) uint64 {
 }
 
 // DeriveFused compiles the spec to a word-level kernel grounded in the
-// device model. It runs the spec's command sequence through exec on a
-// scratch subarray — all 2^K input combinations packed into one
-// 64-column run — and reads the k-input truth table back from the result
-// row. It then lowers the spec's own register program gate for gate
-// (compileSpec), packs the gates into passes, and keeps the kernel only
+// device model. It lowers the spec's program gate for gate (lower),
+// which rejects a malformed program before the device runs anything,
+// then runs the program through exec on a scratch subarray with
+// expr.Program.Execute, the command tier's interpreter — so a fold runs
+// in place where exec can — over all 2^K input combinations packed into
+// one 64-column run, and reads the k-input truth table back from the
+// result row. It packs the gates into passes and keeps the kernel only
 // if it reproduces the probed word and agrees with a second engine run
 // on full-word operand patterns. An engine error, behaviour that is not
-// uniform across bit positions, a spec with no word-level lowering, or a
-// kernel that disagrees with the device fails derivation, so the caller
-// stays on a command-accurate path.
+// uniform across bit positions, a program with no word-level lowering,
+// or a kernel that disagrees with the device fails derivation, so the
+// caller stays on a command-accurate path.
 func DeriveFused(exec engine.Executor, spec FusedSpec, module dram.Config) (*Fused, error) {
 	if exec == nil {
 		return nil, fmt.Errorf("kernel: nil executor")
 	}
-	if err := spec.validate(); err != nil {
+	gates, err := lower(spec.Prog)
+	if err != nil {
 		return nil, err
 	}
+	prog, k := spec.Prog, len(spec.Prog.Vars)
 	dcc := module.DualContactRows
 	if dcc < 2 {
 		// Ambit's NOT path and the two-buffer ELP2IM sequences need up to
 		// two dual-contact rows; granting the probe both is always legal.
 		dcc = 2
 	}
-	// Registers live in rows 0..Regs-1. Engines stage scratch in the top
-	// rows (Ambit's 6-row B-group, DRISA's 4 NOR-latch rows) and the
-	// dual-contact rows, so grant 8 rows of headroom above the registers.
-	rows := spec.Regs + 8
+	// Inputs live in rows 0..K-1 and temps above them. Engines stage
+	// scratch in the top rows (Ambit's 6-row B-group, DRISA's 4 NOR-latch
+	// rows) and the dual-contact rows, and Execute re-stages a consumed
+	// operand in the row above the temps, so grant 8 rows of headroom.
+	rows := k + prog.TempSlots + 8
 	if rows < probeRows {
 		rows = probeRows
 	}
@@ -536,39 +486,37 @@ func DeriveFused(exec engine.Executor, spec FusedSpec, module dram.Config) (*Fus
 		DualContactRows:  dcc,
 	})
 
-	word, err := runFusedProbe(exec, &spec, sub, varPat64[:spec.K])
+	word, err := probe(exec, prog, sub, varPat64[:k])
 	if err != nil {
 		return nil, fmt.Errorf("kernel: probing fused spec: %w", err)
 	}
 	// The packed input patterns are periodic in 2^K, so a pure per-bit
 	// function must read back periodic too; any aperiodicity means the
 	// sequence is position-dependent.
-	mask := tableMask(spec.K)
+	mask := tableMask(k)
 	table := word & mask
-	for shift := 1 << uint(spec.K); shift < 64; shift += 1 << uint(spec.K) {
+	for shift := 1 << uint(k); shift < 64; shift += 1 << uint(k) {
 		if (word>>uint(shift))&mask != table {
 			return nil, fmt.Errorf("kernel: fused spec is not a pure bitwise function: aperiodic probe word %016x", word)
 		}
 	}
 
-	f, err := compileSpec(&spec, table)
+	f, err := pack(k, gates)
 	if err != nil {
 		return nil, err
 	}
-	if err := f.pack(); err != nil {
-		return nil, err
-	}
+	f.table = table
 	// The lowering assumes canonical gate semantics; the probe word is
 	// what the engine computes on every input combination.
-	if got := f.applyWord(varPat64[:spec.K]); got != word {
+	if got := f.applyWord(varPat64[:k]); got != word {
 		return nil, fmt.Errorf("kernel: fused spec's gate lowering disagrees with the device: device %016x, lowering %016x",
 			word, got)
 	}
-	got, err := runFusedProbe(exec, &spec, sub, fusedVerifyWords[:spec.K])
+	got, err := probe(exec, prog, sub, fusedVerifyWords[:k])
 	if err != nil {
 		return nil, fmt.Errorf("kernel: verifying fused spec: %w", err)
 	}
-	if want := f.applyWord(fusedVerifyWords[:spec.K]); got != want {
+	if want := f.applyWord(fusedVerifyWords[:k]); got != want {
 		return nil, fmt.Errorf("kernel: fused spec is not a pure bitwise function: device %016x, compiled %016x",
 			got, want)
 	}
@@ -586,114 +534,109 @@ func (f *Fused) applyWord(inputs []uint64) uint64 {
 	return out[0]
 }
 
-// specTab maps an engine op to its canonical 4-bit word truth table
+// gateTabs maps each engine op to its canonical 4-bit word truth table
 // (bit i = f(a=i&1, b=(i>>1)&1)); unary ops read A through both operands.
-func specTab(op engine.Op) (tab uint8, unary, ok bool) {
-	switch op {
-	case engine.OpNOT:
-		return 0b0101, true, true
-	case engine.OpAND:
-		return 0b1000, false, true
-	case engine.OpOR:
-		return 0b1110, false, true
-	case engine.OpNAND:
-		return 0b0111, false, true
-	case engine.OpNOR:
-		return 0b0001, false, true
-	case engine.OpXOR:
-		return 0b0110, false, true
-	case engine.OpXNOR:
-		return 0b1001, false, true
-	case engine.OpCOPY:
-		return 0b1010, true, true
-	}
-	return 0, false, false
+var gateTabs = [engine.OpCOPY + 1]uint8{
+	engine.OpNOT:  0b0101,
+	engine.OpAND:  0b1000,
+	engine.OpOR:   0b1110,
+	engine.OpNAND: 0b0111,
+	engine.OpNOR:  0b0001,
+	engine.OpXOR:  0b0110,
+	engine.OpXNOR: 0b1001,
+	engine.OpCOPY: 0b1010,
 }
 
-// compileSpec lowers the spec's own register program gate for gate to a
-// word-level fused program over the same register numbering (inputs
-// 0..K-1, scratch K..Regs-1). The lowering assumes canonical gate
-// semantics, so DeriveFused checks it against the probed truth table
-// before trusting it. It fails on a spec it cannot lower: too much
-// scratch, a result left in an input register (the result view must
-// alias dst), an op with no word gate, or a read of a never-written
-// scratch register (pooled register files are not zeroed).
-func compileSpec(spec *FusedSpec, table uint64) (*Fused, error) {
-	nscratch := spec.Regs - spec.K
-	if nscratch > fusedMaxScratch {
-		return nil, fmt.Errorf("kernel: fused spec has %d scratch registers, max %d", nscratch, fusedMaxScratch)
+// lower lowers the program gate for gate to SSA form: each instruction
+// becomes the word gate of its op's canonical truth table over the
+// values its operands hold when it runs, so a fold reads its
+// accumulator's value before overwriting it. One rule keeps packing
+// from adding a pass: a COPY that is not the last instruction — a chain
+// head's, staging its operand for the folds after it — is its operand's
+// value and no gate. The last instruction's gate is the result, so a
+// COPY that is itself the result still runs one pass. The lowering
+// assumes canonical gate semantics, so DeriveFused checks it against
+// the probed truth table before trusting it. It fails on a program it
+// cannot lower: none or more than MaxFusedInputs variables, more than
+// fusedMaxScratch temps, an op with no word gate, an operand out of
+// range or a temp no earlier instruction writes (pooled register files
+// are not zeroed), a write to a variable (kernel inputs are read-only,
+// so folds accumulate into temps), or no instructions (the result must
+// be a temp, whose view aliases dst).
+func lower(prog *expr.Program) ([]gate, error) {
+	if prog == nil {
+		return nil, fmt.Errorf("kernel: fused spec has no program")
 	}
-	if spec.Result < spec.K {
-		return nil, fmt.Errorf("kernel: fused spec leaves its result in input register %d", spec.Result)
+	k := len(prog.Vars)
+	if k < 1 || k > MaxFusedInputs {
+		return nil, fmt.Errorf("kernel: fused spec has %d inputs, want 1..%d", k, MaxFusedInputs)
 	}
-	defined := make([]bool, spec.Regs)
-	for j := 0; j < spec.K; j++ {
-		defined[j] = true
+	if prog.TempSlots < 0 || prog.TempSlots > fusedMaxScratch {
+		return nil, fmt.Errorf("kernel: fused spec has %d temps, want 0..%d", prog.TempSlots, fusedMaxScratch)
 	}
-	code := make([]fusedInstr, 0, len(spec.Ops))
-	for i, op := range spec.Ops {
-		tab, unary, ok := specTab(op.Op)
-		if !ok {
-			return nil, fmt.Errorf("kernel: fused spec op %d: %v has no word gate", i, op.Op)
+	if len(prog.Instrs) == 0 {
+		return nil, fmt.Errorf("kernel: fused spec leaves its result in an input")
+	}
+	// held[t] is the value temp t holds, -1 before its first write.
+	held := make([]int, prog.TempSlots)
+	for t := range held {
+		held[t] = -1
+	}
+	value := func(r expr.Ref) int {
+		switch {
+		case r.Index < 0:
+			return -1
+		case r.Temp && r.Index < len(held):
+			return held[r.Index]
+		case !r.Temp && r.Index < k:
+			return r.Index
 		}
-		b := op.B
-		if unary {
-			b = op.A
-		}
-		if !defined[op.A] || !defined[b] {
-			return nil, fmt.Errorf("kernel: fused spec op %d reads a register no earlier op writes", i)
-		}
-		code = append(code, fusedInstr{
-			tab: tab,
-			dst: uint8(op.Dst),
-			a:   uint8(op.A),
-			b:   uint8(b),
-		})
-		defined[op.Dst] = true
+		return -1
 	}
-	if !defined[spec.Result] {
-		return nil, fmt.Errorf("kernel: fused spec never writes its result register %d", spec.Result)
+	gates := make([]gate, 0, len(prog.Instrs))
+	for i, in := range prog.Instrs {
+		if in.Op < 0 || int(in.Op) >= len(gateTabs) {
+			return nil, fmt.Errorf("kernel: fused spec instruction %d: %v has no word gate", i, in.Op)
+		}
+		b := in.B
+		if in.Op.Unary() {
+			b = in.A
+		}
+		va, vb := value(in.A), value(b)
+		if va < 0 || vb < 0 {
+			return nil, fmt.Errorf("kernel: fused spec instruction %d (%v) reads an operand out of range or never written", i, in)
+		}
+		if !in.Dst.Temp || in.Dst.Index < 0 || in.Dst.Index >= len(held) {
+			return nil, fmt.Errorf("kernel: fused spec instruction %d (%v) writes an input or a temp out of range", i, in)
+		}
+		if in.Op == engine.OpCOPY && i < len(prog.Instrs)-1 {
+			held[in.Dst.Index] = va
+			continue
+		}
+		gates = append(gates, gate{tab: gateTabs[in.Op], a: va, b: vb})
+		held[in.Dst.Index] = k + len(gates) - 1
 	}
-	return &Fused{
-		k:        spec.K,
-		table:    table,
-		code:     code,
-		nscratch: nscratch,
-		res:      uint8(spec.Result),
-	}, nil
+	return gates, nil
 }
 
-// runFusedProbe loads the K input rows with the given words, executes the
-// spec's command sequence, and returns the result row's first word.
-func runFusedProbe(exec engine.Executor, spec *FusedSpec, sub *dram.Subarray, inputs []uint64) (uint64, error) {
+// inputRows are the probe subarray's input rows: input j lives in row j.
+var inputRows = [MaxFusedInputs]int{0, 1, 2, 3, 4, 5}
+
+// probe loads the input rows with one word each and runs the program
+// through expr.Program.Execute with its temps in the rows above the
+// inputs, returning the result row's first word. The input rows are
+// reloaded on every run, since a fold or an operand-consuming sequence
+// may overwrite one.
+func probe(exec engine.Executor, prog *expr.Program, sub *dram.Subarray, inputs []uint64) (uint64, error) {
 	sub.Precharge()
 	for j, w := range inputs {
 		sub.LoadRow(j, bitvec.FromWords([]uint64{w}, probeCols))
 	}
-	// Spec registers have clean read-many semantics. When the engine's
-	// sequence consumes its A row (engine.OperandConsumer — ELP2IM's
-	// two-buffer XOR/XNOR), re-stage A into a headroom row first; row Regs
-	// is free, since consuming engines scratch only in the dual-contact
-	// rows.
-	oc, _ := exec.(engine.OperandConsumer)
-	staging := spec.Regs
-	for _, op := range spec.Ops {
-		a := op.A
-		if oc != nil && oc.ConsumesOperandA(op.Op) {
-			if err := exec.Execute(sub, engine.OpCOPY, staging, a, -1); err != nil {
-				return 0, err
-			}
-			a = staging
-		}
-		b := -1
-		if !op.Op.Unary() {
-			b = op.B
-		}
-		if err := exec.Execute(sub, op.Op, op.Dst, a, b); err != nil {
-			return 0, err
-		}
+	res, err := prog.Execute(sub, exec, inputRows[:len(inputs)], len(inputs))
+	if err != nil {
+		return 0, err
 	}
-	return sub.RowData(spec.Result).Words()[0], nil
+	return sub.RowData(res).Words()[0], nil
 }
 
 // fusedEntry is one cached derivation outcome.
@@ -708,9 +651,9 @@ type fusedEntry struct {
 const fusedCacheCap = 1024
 
 // FusedSet lazily derives and memoizes fused kernels for one executor,
-// keyed by the full spec (command sequence and register shape). Like
-// Set, derivation failures are cached so the caller's fallback decision
-// stays O(1). A FusedSet is safe for concurrent use.
+// keyed by the spec's program (see CacheKey). Like Set, derivation
+// failures are cached so the caller's fallback decision stays O(1). A
+// FusedSet is safe for concurrent use.
 type FusedSet struct {
 	exec   engine.Executor
 	module dram.Config

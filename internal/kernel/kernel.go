@@ -4,20 +4,24 @@
 //
 // Every logic operation the engines implement is, at the row level, a
 // pure bitwise boolean function. DeriveFused takes a plan cluster's
-// register program of up to MaxFusedInputs inputs (a FusedSpec) and
-// probes the real engine once on a tiny scratch subarray: it loads all
-// input combinations into the input rows as packed patterns, executes
-// the spec's actual command sequence through the dram model, and reads
-// the truth table back out of the result row. It then lowers the spec's
-// own gates one for one and packs them into passes over a small
-// hand-written loop set (loops.go): one 4×-unrolled loop per 2-input
-// truth table, and one per two-level composition q(l(a,b), r(c,d)) of
-// the cores AND, OR and XOR. The lowering is kept only if it reproduces
-// the probed table and agrees with a second engine run on full-word
-// patterns, so a kernel cannot disagree with the engine that produced
-// it: if the engine's sequences change, re-derivation picks the change
-// up or fails loudly, and an operation whose behaviour is not a pure
-// per-bit function of its operands never compiles.
+// register program of up to MaxFusedInputs inputs (a FusedSpec: the
+// expr.Program that expr.DAG.Schedule makes of the cluster's sub-DAG,
+// with the same in-place folds as the node program the command tier
+// runs) and probes the real engine once on a tiny scratch subarray: it
+// loads all input combinations into the input rows as packed patterns,
+// runs the program through expr.Program.Execute — the command tier's
+// interpreter, in place through ExecuteInPlace on ELP2IM — and reads
+// the truth table back out of the result row. It then lowers the
+// program's own gates one for one and packs them into passes over a
+// small hand-written loop set (loops.go): one 4×-unrolled loop per
+// 2-input truth table, and one per two-level composition
+// q(l(a,b), r(c,d)) of the cores AND, OR and XOR. The lowering is kept
+// only if it reproduces the probed table and agrees with a second
+// engine run on full-word patterns, so a kernel cannot disagree with
+// the engine that produced it: if the engine's sequences change,
+// re-derivation picks the change up or fails loudly, and an operation
+// whose behaviour is not a pure per-bit function of its operands never
+// compiles.
 //
 // The facade runs every call's steps on these kernels through one
 // FusedSet — an Op's gate and a Reduce's folds as one-gate specs, an
@@ -28,7 +32,7 @@
 // or the geometry is not word-aligned.
 //
 // Derive, Kernel and Set are the one-gate case outside FusedSet: Derive
-// is DeriveFused on the spec dst = op(a, b), and Set memoizes one
+// is DeriveFused on the program t0 = op(a, b), and Set memoizes one
 // Kernel per op. Of the module's code, only perfbench's ops replay
 // calls them.
 package kernel
@@ -39,6 +43,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/engine"
+	"repro/internal/expr"
 )
 
 // Probe geometry: the scratch subarray every derivation runs on. 16 data
@@ -83,19 +88,22 @@ func (k *Kernel) String() string {
 // canonical form must re-mask the final word.
 func (k *Kernel) Apply(dst, a, b []uint64) { k.fn(dst, a, b, nil, nil) }
 
-// Derive compiles op's kernel: DeriveFused on the one-gate spec
-// dst = op(a, b) (dst = op(a) for unary ops), whose probed truth table
-// selects the word loop. module supplies the dual-contact geometry the
-// engine was configured against. Derivation fails — and the caller must
-// stay on the command-level path — when the engine rejects the operation
-// or does not compute the operation's gate on every bit position.
+// Derive compiles op's kernel: DeriveFused on the one-instruction
+// program t0 = op(a, b) (t0 = op(a) for unary ops), whose probed truth
+// table selects the word loop. module supplies the dual-contact geometry
+// the engine was configured against. Derivation fails — and the caller
+// must stay on the command-level path — when the engine rejects the
+// operation or does not compute the operation's gate on every bit
+// position.
 func Derive(exec engine.Executor, op engine.Op, module dram.Config) (*Kernel, error) {
 	k := 2
 	if op.Unary() {
 		k = 1
 	}
-	f, err := DeriveFused(exec, FusedSpec{K: k, Regs: k + 1, Result: k,
-		Ops: []FusedOp{{Op: op, Dst: k, A: 0, B: k - 1}}}, module)
+	prog := &expr.Program{Vars: []string{"a", "b"}[:k], TempSlots: 1, Instrs: []expr.Instr{
+		{Op: op, Dst: expr.Ref{Temp: true}, A: expr.Ref{}, B: expr.Ref{Index: k - 1}},
+	}}
+	f, err := DeriveFused(exec, FusedSpec{Prog: prog}, module)
 	if err != nil {
 		return nil, fmt.Errorf("kernel: deriving %v: %w", op, err)
 	}

@@ -3,14 +3,16 @@
 //
 // A plan partitions the DAG into clusters of at most
 // kernel.MaxFusedInputs distinct sources each. Every cluster carries the
-// engine command sequence (kernel.FusedSpec) that computes its whole
-// sub-DAG — common subexpressions inside a cluster are emitted once and
-// scratch registers are reused by liveness — so the kernel fast path
-// collapses the cluster into one derived k-input word kernel, which
-// packs the cluster's gates into a few word-loop passes over each block.
-// Cluster outputs live in liveness-allocated slots, the plan-level
-// analogue of the scratch-row allocator, so intermediates reuse storage
-// instead of materializing named vectors.
+// register program that computes its whole sub-DAG: the sub-DAG cut at
+// its sources and scheduled by expr.DAG.Schedule, the scheduler of the
+// node program below, so common subexpressions inside a cluster are
+// emitted once, temps are reused by liveness and AND/OR chains fold in
+// place. The kernel fast path collapses the cluster into one k-input
+// word kernel derived from that program, which packs the cluster's
+// gates into a few word-loop passes over each block. Cluster outputs
+// live in liveness-allocated slots, the plan-level analogue of the
+// scratch-row allocator, so intermediates reuse storage instead of
+// materializing named vectors.
 //
 // The plan also retains the node-at-a-time Program compiled from the
 // same DAG. That program is the single source of modeled cost — both
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/kernel"
 )
@@ -47,21 +48,18 @@ func (r Ref) String() string {
 }
 
 // Cluster is one fused unit of a plan: a sub-DAG over at most
-// kernel.MaxFusedInputs sources, compiled to the engine command sequence
-// that computes it.
+// kernel.MaxFusedInputs sources, scheduled to the register program that
+// computes it.
 type Cluster struct {
-	// Spec is the cluster's register program for kernel.DeriveFused;
-	// Spec.K == len(Inputs) and input j binds register j. Spec.Key is
-	// filled, so executors resolve the kernel without building a key.
+	// Spec is the cluster's register program for kernel.DeriveFused: its
+	// sub-DAG cut at the sources and scheduled by expr.DAG.Schedule, with
+	// input j its variable j. Spec.Key is filled, so executors resolve the
+	// kernel without building a key.
 	Spec kernel.FusedSpec
-	// Inputs are the cluster operands in register order.
+	// Inputs are the cluster operands in variable order.
 	Inputs []Ref
 	// Out is the output slot holding the cluster's value.
 	Out int
-	// Table is the software-expected truth table (bit i = cluster value
-	// where input j = (i>>j)&1). Diagnostic metadata only: the executing
-	// kernel derives its own table from the device.
-	Table uint64
 	// Nodes is the number of distinct DAG gates fused into the cluster.
 	Nodes int
 }
@@ -72,8 +70,7 @@ func (c *Cluster) String() string {
 	for i, r := range c.Inputs {
 		refs[i] = r.String()
 	}
-	return fmt.Sprintf("s%d = fuse[%d gates, table %#x](%s)",
-		c.Out, c.Nodes, c.Table, strings.Join(refs, ", "))
+	return fmt.Sprintf("s%d = fuse[%d gates](%s)", c.Out, c.Nodes, strings.Join(refs, ", "))
 }
 
 // Plan is a compiled expression: fused clusters in dependency order plus
@@ -118,10 +115,10 @@ func (p *Plan) String() string {
 // bottom-up: each gate absorbs its operands' sources until a gate's
 // source union would exceed kernel.MaxFusedInputs, at which point the
 // wider operand is materialized as its own cluster (sharing is free
-// inside a cluster — the truth table absorbs it). The DAG root is always
-// materialized. Output slots are allocated by liveness, and a cluster's
-// output slot never aliases one of its inputs (fused kernels re-read
-// their sources throughout the pass).
+// inside a cluster — its program computes a shared gate once). The DAG
+// root is always materialized. Output slots are allocated by liveness,
+// and a cluster's output slot never aliases one of its inputs (fused
+// kernels re-read their sources throughout the pass).
 func Compile(d *expr.DAG) (*Plan, error) {
 	if d == nil || d.Root == nil {
 		return nil, fmt.Errorf("plan: nil DAG")
@@ -183,16 +180,27 @@ func Compile(d *expr.DAG) (*Plan, error) {
 	}
 
 	// Phase 2: emit one cluster per materialized node, in post-order (so
-	// every input cluster precedes its users).
+	// every input cluster precedes its users). Inputs name a non-variable
+	// source by its cluster index until Phase 3 renames it to a slot.
 	clusterOf := map[*expr.DAGNode]int{}
 	for _, v := range d.Order {
 		if !mat[v] {
 			continue
 		}
-		c, err := buildCluster(v, srcs[v], clusterOf)
-		if err != nil {
-			return nil, err
+		c := Cluster{Inputs: make([]Ref, len(srcs[v]))}
+		for j, s := range srcs[v] {
+			if s.Leaf {
+				c.Inputs[j] = Ref{Var: true, Index: s.VarIndex}
+			} else {
+				c.Inputs[j] = Ref{Index: clusterOf[s]}
+			}
 		}
+		sub := cut(v, srcs[v])
+		c.Spec.Prog = sub.Schedule()
+		// The cache key is computed here, once per compiled cluster, rather
+		// than on every kernel lookup of every execution.
+		c.Spec.Key = c.Spec.CacheKey()
+		c.Nodes = len(sub.Order)
 		clusterOf[v] = len(p.Clusters)
 		p.Clusters = append(p.Clusters, c)
 	}
@@ -240,161 +248,33 @@ func Compile(d *expr.DAG) (*Plan, error) {
 	return p, nil
 }
 
-// buildCluster compiles one materialized node's sub-DAG — bounded by its
-// frozen source list — to a fused spec: intra-cluster CSE (each shared
-// gate is emitted once) and liveness-reused scratch registers. Every
-// emitted gate feeds the materialized node, so the spec has no dead
-// stores. Cluster inputs are returned with cluster indices in Ref.Index
-// for non-variable sources; Compile renames them to slots.
-func buildCluster(m *expr.DAGNode, sources []*expr.DAGNode, clusterOf map[*expr.DAGNode]int) (Cluster, error) {
-	k := len(sources)
-	if k > kernel.MaxFusedInputs {
-		return Cluster{}, fmt.Errorf("plan: cluster has %d sources, max %d", k, kernel.MaxFusedInputs)
-	}
-	inputs := make([]Ref, k)
-	srcReg := map[*expr.DAGNode]int{}
+// inputNames name a cluster program's variables, its kernel inputs in
+// order. They name no plan variable: the kernel cache keys a program by
+// its instructions, so equal clusters of different plans share a kernel.
+var inputNames = [kernel.MaxFusedInputs]string{"x0", "x1", "x2", "x3", "x4", "x5"}
+
+// cut returns the sub-DAG of the cluster materialized at m, bounded by
+// its frozen source list: the cluster's gates cloned in post-order, with
+// source j a leaf of VarIndex j.
+func cut(m *expr.DAGNode, sources []*expr.DAGNode) *expr.DAG {
+	d := &expr.DAG{Vars: inputNames[:len(sources)]}
+	clone := map[*expr.DAGNode]*expr.DAGNode{}
 	for j, s := range sources {
-		srcReg[s] = j
-		if s.Leaf {
-			inputs[j] = Ref{Var: true, Index: s.VarIndex}
-		} else {
-			ci, ok := clusterOf[s]
-			if !ok {
-				return Cluster{}, fmt.Errorf("plan: source cluster not yet emitted")
-			}
-			inputs[j] = Ref{Index: ci}
-		}
+		clone[s] = &expr.DAGNode{Leaf: true, VarIndex: j}
 	}
-
-	// Count intra-cluster uses for register liveness.
-	uses := map[*expr.DAGNode]int{}
-	var count func(*expr.DAGNode)
-	count = func(v *expr.DAGNode) {
-		for _, o := range []*expr.DAGNode{v.A, v.B} {
-			if o == nil {
-				continue
-			}
-			if _, isSrc := srcReg[o]; isSrc {
-				continue
-			}
-			uses[o]++
-			if uses[o] == 1 {
-				count(o)
-			}
+	var walk func(*expr.DAGNode) *expr.DAGNode
+	walk = func(v *expr.DAGNode) *expr.DAGNode {
+		if c, ok := clone[v]; ok {
+			return c
 		}
-	}
-	count(m)
-
-	// Emit post-order with memoization and scratch-register reuse. The
-	// destination register is taken before dying operands are released:
-	// engine sequences may re-read operand rows around an intermediate
-	// write to the destination.
-	var free []bool
-	alloc := func() int {
-		for i := range free {
-			if free[i] {
-				free[i] = false
-				return k + i
-			}
-		}
-		free = append(free, false)
-		return k + len(free) - 1
-	}
-	regOf := map[*expr.DAGNode]int{}
-	var ops []kernel.FusedOp
-	release := func(o *expr.DAGNode) {
-		if _, isSrc := srcReg[o]; isSrc {
-			return
-		}
-		if uses[o]--; uses[o] == 0 {
-			free[regOf[o]-k] = true
-		}
-	}
-	var emit func(*expr.DAGNode) int
-	emit = func(v *expr.DAGNode) int {
-		if j, ok := srcReg[v]; ok {
-			return j
-		}
-		if r, ok := regOf[v]; ok {
-			return r
-		}
-		a := emit(v.A)
-		b := 0
+		c := &expr.DAGNode{Op: v.Op, A: walk(v.A)}
 		if v.B != nil {
-			b = emit(v.B)
+			c.B = walk(v.B)
 		}
-		dst := alloc()
-		release(v.A)
-		if v.B != nil {
-			release(v.B)
-		}
-		regOf[v] = dst
-		ops = append(ops, kernel.FusedOp{Op: v.Op, Dst: dst, A: a, B: b})
-		return dst
+		clone[v] = c
+		d.Order = append(d.Order, c)
+		return c
 	}
-	res := emit(m)
-	spec := kernel.FusedSpec{
-		K:      k,
-		Regs:   k + len(free),
-		Ops:    ops,
-		Result: res,
-	}
-	// The cache key is computed here, once per compiled cluster, rather
-	// than on every kernel lookup of every execution.
-	spec.Key = spec.CacheKey()
-	return Cluster{
-		Spec:   spec,
-		Inputs: inputs,
-		Table:  clusterTable(m, sources),
-		Nodes:  len(regOf),
-	}, nil
-}
-
-// clusterTable evaluates the cluster's sub-DAG in software over the
-// packed probe patterns, yielding the truth table the device probe is
-// expected to read back.
-func clusterTable(m *expr.DAGNode, sources []*expr.DAGNode) uint64 {
-	val := map[*expr.DAGNode]uint64{}
-	for j, s := range sources {
-		val[s] = kernel.ProbePattern(j)
-	}
-	var ev func(*expr.DAGNode) uint64
-	ev = func(v *expr.DAGNode) uint64 {
-		if x, ok := val[v]; ok {
-			return x
-		}
-		a := ev(v.A)
-		var b uint64
-		if v.B != nil {
-			b = ev(v.B)
-		}
-		var x uint64
-		switch v.Op {
-		case engine.OpNOT:
-			x = ^a
-		case engine.OpCOPY:
-			x = a
-		case engine.OpAND:
-			x = a & b
-		case engine.OpOR:
-			x = a | b
-		case engine.OpXOR:
-			x = a ^ b
-		case engine.OpNAND:
-			x = ^(a & b)
-		case engine.OpNOR:
-			x = ^(a | b)
-		case engine.OpXNOR:
-			x = ^(a ^ b)
-		default:
-			panic(fmt.Sprintf("plan: unknown op %v", v.Op))
-		}
-		val[v] = x
-		return x
-	}
-	t := ev(m)
-	if k := len(sources); k < kernel.MaxFusedInputs {
-		t &= 1<<(1<<uint(k)) - 1
-	}
-	return t
+	d.Root = walk(m)
+	return d
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dram"
 	"repro/internal/elpim"
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/kernel"
 )
@@ -27,19 +28,21 @@ func compilePlan(t *testing.T, src string) *Plan {
 }
 
 // checkInvariants verifies the structural contract of a plan: cluster
-// arity bounds, register shapes, slot ranges, and the no-alias rule
+// arity bounds, program shapes, slot ranges, and the no-alias rule
 // between a cluster's output slot and its input slots.
 func checkInvariants(t *testing.T, p *Plan) {
 	t.Helper()
 	for i, c := range p.Clusters {
-		if len(c.Inputs) != c.Spec.K {
-			t.Fatalf("cluster %d: %d inputs for K=%d", i, len(c.Inputs), c.Spec.K)
+		prog := c.Spec.Prog
+		k := len(prog.Vars)
+		if len(c.Inputs) != k {
+			t.Fatalf("cluster %d: %d inputs for %d program variables", i, len(c.Inputs), k)
 		}
-		if c.Spec.K < 1 || c.Spec.K > kernel.MaxFusedInputs {
-			t.Fatalf("cluster %d: K=%d out of range", i, c.Spec.K)
+		if k < 1 || k > kernel.MaxFusedInputs {
+			t.Fatalf("cluster %d: K=%d out of range", i, k)
 		}
-		if len(c.Spec.Ops) == 0 {
-			t.Fatalf("cluster %d: empty spec", i)
+		if c.Spec.Key != c.Spec.CacheKey() {
+			t.Fatalf("cluster %d: key %q, want %q", i, c.Spec.Key, c.Spec.CacheKey())
 		}
 		if c.Out < 0 || c.Out >= p.Slots {
 			t.Fatalf("cluster %d: out slot %d with %d slots", i, c.Out, p.Slots)
@@ -58,39 +61,100 @@ func checkInvariants(t *testing.T, p *Plan) {
 				t.Fatalf("cluster %d: output slot %d aliases input %d", i, c.Out, j)
 			}
 		}
-		for oi, op := range c.Spec.Ops {
-			if op.Dst < c.Spec.K || op.Dst >= c.Spec.Regs {
-				t.Fatalf("cluster %d op %d: dst %d out of range", i, oi, op.Dst)
+		// Every gate is scheduled once, into a temp; the only other
+		// instructions are chain heads' COPYs.
+		inRange := func(r expr.Ref) bool {
+			if r.Temp {
+				return r.Index >= 0 && r.Index < prog.TempSlots
 			}
-			if op.A < 0 || op.A >= c.Spec.Regs || (!op.Op.Unary() && (op.B < 0 || op.B >= c.Spec.Regs)) {
-				t.Fatalf("cluster %d op %d: operand out of range", i, oi)
+			return r.Index >= 0 && r.Index < k
+		}
+		copies := 0
+		for oi, in := range prog.Instrs {
+			if !in.Dst.Temp || !inRange(in.Dst) {
+				t.Fatalf("cluster %d instr %d (%v): dst out of range", i, oi, in)
 			}
+			if !inRange(in.A) || (!in.Op.Unary() && !inRange(in.B)) {
+				t.Fatalf("cluster %d instr %d (%v): operand out of range", i, oi, in)
+			}
+			if in.Op == engine.OpCOPY {
+				copies++
+			}
+		}
+		if len(prog.Instrs)-copies != c.Nodes {
+			t.Fatalf("cluster %d: %d instructions with %d COPYs for %d gates\n%s",
+				i, len(prog.Instrs), copies, c.Nodes, prog)
 		}
 	}
 }
 
-// evalPlan evaluates a plan in software via the cluster truth tables.
+// runProg evaluates a register program in software over word-valued
+// inputs.
+func runProg(prog *expr.Program, inputs []uint64) uint64 {
+	vars := append([]uint64(nil), inputs...)
+	temps := make([]uint64, prog.TempSlots)
+	reg := func(r expr.Ref) *uint64 {
+		if r.Temp {
+			return &temps[r.Index]
+		}
+		return &vars[r.Index]
+	}
+	for _, in := range prog.Instrs {
+		a := *reg(in.A)
+		var b, x uint64
+		if !in.Op.Unary() {
+			b = *reg(in.B)
+		}
+		switch in.Op {
+		case engine.OpNOT:
+			x = ^a
+		case engine.OpCOPY:
+			x = a
+		case engine.OpAND:
+			x = a & b
+		case engine.OpOR:
+			x = a | b
+		case engine.OpXOR:
+			x = a ^ b
+		case engine.OpNAND:
+			x = ^(a & b)
+		case engine.OpNOR:
+			x = ^(a | b)
+		case engine.OpXNOR:
+			x = ^(a ^ b)
+		default:
+			panic(fmt.Sprintf("runProg: unknown op %v", in.Op))
+		}
+		*reg(in.Dst) = x
+	}
+	return *reg(prog.Result())
+}
+
+// evalPlan evaluates a plan in software: each cluster's program over its
+// inputs' values, all-ones for true.
 func evalPlan(p *Plan, env map[string]bool) bool {
 	if len(p.Clusters) == 0 {
 		return env[p.Vars[0]]
 	}
-	slots := make([]bool, p.Slots)
+	word := func(b bool) uint64 {
+		if b {
+			return ^uint64(0)
+		}
+		return 0
+	}
+	slots := make([]uint64, p.Slots)
 	for _, c := range p.Clusters {
-		idx := 0
-		for j, in := range c.Inputs {
-			var v bool
-			if in.Var {
-				v = env[p.Vars[in.Index]]
+		in := make([]uint64, len(c.Inputs))
+		for j, r := range c.Inputs {
+			if r.Var {
+				in[j] = word(env[p.Vars[r.Index]])
 			} else {
-				v = slots[in.Index]
-			}
-			if v {
-				idx |= 1 << j
+				in[j] = slots[r.Index]
 			}
 		}
-		slots[c.Out] = c.Table>>uint(idx)&1 == 1
+		slots[c.Out] = runProg(c.Spec.Prog, in)
 	}
-	return slots[p.Result().Index]
+	return slots[p.Result().Index] == ^uint64(0)
 }
 
 // planExprs is the expression corpus shared by the equivalence tests:
@@ -113,7 +177,7 @@ var planExprs = []string{
 }
 
 // TestPlanEquivalence brute-forces every expression over all variable
-// assignments: the plan's cluster tables, input wiring, and slot
+// assignments: the plan's cluster programs, input wiring, and slot
 // schedule must agree with the AST evaluator.
 func TestPlanEquivalence(t *testing.T) {
 	for _, src := range planExprs {
@@ -155,7 +219,9 @@ func TestPlanProgMatchesCompile(t *testing.T) {
 
 // TestPlanClustering pins the worked example of DESIGN.md §14: the
 // 6-gate, 7-variable DAG splits into exactly two fused kernels — five
-// gates collapse into the first, the root XOR into the second.
+// gates collapse into the first, the root XOR into the second. Cluster
+// 0's program is seven instructions: the ORs c|d and e|f head the two
+// AND folds, so each is a COPY and an OR fold.
 func TestPlanClustering(t *testing.T) {
 	p := compilePlan(t, "((a|b) & (c|d) & (e|f)) ^ g")
 	checkInvariants(t, p)
@@ -163,11 +229,11 @@ func TestPlanClustering(t *testing.T) {
 		t.Fatalf("expected 2 clusters, got %d\n%s", len(p.Clusters), p)
 	}
 	c0, c1 := p.Clusters[0], p.Clusters[1]
-	if c0.Spec.K != 6 || c0.Nodes != 5 || len(c0.Spec.Ops) != 5 {
-		t.Fatalf("cluster 0: K=%d nodes=%d ops=%d, want 6/5/5", c0.Spec.K, c0.Nodes, len(c0.Spec.Ops))
+	if k, ops := len(c0.Spec.Prog.Vars), len(c0.Spec.Prog.Instrs); k != 6 || c0.Nodes != 5 || ops != 7 {
+		t.Fatalf("cluster 0: K=%d nodes=%d ops=%d, want 6/5/7\n%s", k, c0.Nodes, ops, c0.Spec.Prog)
 	}
-	if c1.Spec.K != 2 || c1.Nodes != 1 {
-		t.Fatalf("cluster 1: K=%d nodes=%d, want 2/1", c1.Spec.K, c1.Nodes)
+	if k := len(c1.Spec.Prog.Vars); k != 2 || c1.Nodes != 1 {
+		t.Fatalf("cluster 1: K=%d nodes=%d, want 2/1", k, c1.Nodes)
 	}
 	if c1.Inputs[0].Var || c1.Inputs[0].Index != c0.Out {
 		t.Fatalf("cluster 1 should read cluster 0's slot: %s", p)
@@ -185,14 +251,15 @@ func TestPlanClustering(t *testing.T) {
 
 // TestPlanIntraClusterCSE pins that a shared gate is emitted once per
 // cluster: (a&b) feeds both the OR and the nested AND but appears as one
-// spec op.
+// spec op. The nested AND heads the OR's fold, so it is a COPY of a&b
+// and an AND fold.
 func TestPlanIntraClusterCSE(t *testing.T) {
 	p := compilePlan(t, "(a & b) | ((a & b) & c)")
 	if len(p.Clusters) != 1 {
 		t.Fatalf("expected 1 cluster\n%s", p)
 	}
-	if got := len(p.Clusters[0].Spec.Ops); got != 3 {
-		t.Fatalf("expected 3 spec ops (and, and, or), got %d\n%s", got, p)
+	if got := len(p.Clusters[0].Spec.Prog.Instrs); got != 4 {
+		t.Fatalf("expected 4 spec ops (and, copy, and, or), got %d\n%s", got, p.Clusters[0].Spec.Prog)
 	}
 }
 
@@ -248,19 +315,31 @@ func TestPlanLeaf(t *testing.T) {
 
 // TestPlanTablesMatchDevice derives every corpus cluster's fused kernel
 // from a real engine: the device-probed truth table must equal the
-// software-expected one the compiler attached to the cluster.
+// cluster program's table evaluated in software over the probe patterns
+// (input j's bit i is (i>>j)&1).
 func TestPlanTablesMatchDevice(t *testing.T) {
 	set := kernel.NewFusedSet(elpim.MustNew(elpim.DefaultConfig()), dram.Default())
+	var pats [kernel.MaxFusedInputs]uint64
+	for j := range pats {
+		for i := 0; i < 64; i++ {
+			pats[j] |= uint64(i>>j&1) << i
+		}
+	}
 	for _, src := range planExprs {
 		p := compilePlan(t, src)
 		for i := range p.Clusters {
-			f, err := set.Fused(p.Clusters[i].Spec)
+			c := &p.Clusters[i]
+			f, err := set.Fused(c.Spec)
 			if err != nil {
 				t.Fatalf("%q cluster %d: %v", src, i, err)
 			}
-			if f.Table() != p.Clusters[i].Table {
-				t.Fatalf("%q cluster %d: device table %#x, plan table %#x",
-					src, i, f.Table(), p.Clusters[i].Table)
+			want := runProg(c.Spec.Prog, pats[:len(c.Inputs)])
+			if k := len(c.Inputs); k < kernel.MaxFusedInputs {
+				want &= 1<<(1<<k) - 1
+			}
+			if f.Table() != want {
+				t.Fatalf("%q cluster %d: device table %#x, software table %#x",
+					src, i, f.Table(), want)
 			}
 		}
 	}

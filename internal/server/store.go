@@ -91,49 +91,36 @@ func (s *Store) lookup(name string) *entry {
 	return s.m[name]
 }
 
-// getOrCreate returns the named entry, creating it with an all-zero
-// vector of the given length when absent. An existing entry is returned
-// as-is — length validation is the caller's (the facade rejects length
-// mismatches at submission).
-func (s *Store) getOrCreate(name string, bits int) *entry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[name]; ok {
-		return e
-	}
-	e := &entry{name: name, shard: s.shardOf(name), vec: elp2im.NewBitVector(bits)}
-	s.m[name] = e
-	return e
-}
-
-// set stores vec under name, replacing any previous contents. The entry
-// lock is taken without holding the map lock (lock-ordering rule), so an
-// in-flight operation that pinned the old vector finishes against it
-// before the replacement lands.
-func (s *Store) set(name string, vec *elp2im.BitVector) {
-	e := s.getOrCreate(name, vec.Len())
-	e.mu.Lock()
-	e.vec, e.vert = vec, nil
-	e.mu.Unlock()
-}
+// set stores vec under name, replacing any previous contents (see put).
+func (s *Store) set(name string, vec *elp2im.BitVector) { s.put(name, vec, nil) }
 
 // setVert stores a vertical vector under name, replacing any previous
-// contents (of either kind) under the entry lock, exactly like set. It
-// returns the vertical it replaced (nil when there was none). Every
-// reader of a vertical holds the entry's read lock, so once the swap
-// lands no one else holds the old one: the caller owns it.
+// contents (see put). It returns the vertical it replaced (nil when there
+// was none). Every reader of a vertical holds the entry's read lock, so
+// once the swap lands no one else holds the old one: the caller owns it.
 func (s *Store) setVert(name string, v *elp2im.Vertical) *elp2im.Vertical {
+	return s.put(name, nil, v)
+}
+
+// put stores one of vec and vert under name and returns the vertical it
+// replaced. A new name's entry is inserted already holding the vector,
+// under the map lock, so no reader ever resolves a placeholder. An
+// existing entry's contents (of either kind) are swapped under its lock,
+// taken without holding the map lock (lock-ordering rule), so an
+// in-flight operation that pinned the old vector finishes against it
+// before the replacement lands.
+func (s *Store) put(name string, vec *elp2im.BitVector, vert *elp2im.Vertical) *elp2im.Vertical {
 	s.mu.Lock()
 	e, ok := s.m[name]
 	if !ok {
-		s.m[name] = &entry{name: name, shard: s.shardOf(name), vert: v}
+		s.m[name] = &entry{name: name, shard: s.shardOf(name), vec: vec, vert: vert}
 		s.mu.Unlock()
 		return nil
 	}
 	s.mu.Unlock()
 	e.mu.Lock()
 	old := e.vert
-	e.vec, e.vert = nil, v
+	e.vec, e.vert = vec, vert
 	e.mu.Unlock()
 	return old
 }

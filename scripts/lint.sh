@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Static hygiene gate, part of the tier-1 verify (see ROADMAP.md):
 #   1. gofmt       — no unformatted files anywhere in the repo
-#   2. go vet      — whole-module analysis
+#   2. go vet      — whole-module analysis, then go vet and go test of
+#                    the perfbench module, which replaces repro with the
+#                    checkout (replace repro => ../) and so is not part of
+#                    ./...: a change to the kernel, plan, facade or
+#                    scheduler surface the benchmark builds against fails
+#                    here instead of failing every benchmark run
 #   3. doccheck    — godoc completeness for the packages whose documentation
 #                    the project guarantees (root facade, internal/obs,
 #                    internal/server, internal/wire, internal/plan,
@@ -64,6 +69,10 @@ if [ -n "$unformatted" ]; then
 fi
 
 if ! go vet ./...; then
+    fail=1
+fi
+
+if ! (cd perfbench && GOWORK=off go vet . && GOWORK=off go test -count=1 .); then
     fail=1
 fi
 
